@@ -385,12 +385,6 @@ class PacingTable(FlowTable):
         self._next_free = self.add_column("next_free_ns", "q", 0)
         self._credit = self.add_column("credit_bytes", "q", 0)
 
-    @property
-    def table(self) -> "FlowTable":
-        """The underlying table (which is this object; kept for callers
-        written against the earlier wrapped-table layout)."""
-        return self
-
     def slot_for(self, flow_id: int, rate_bps: float) -> int:
         """Slot of the flow's pacing state, created at ``rate_bps`` if new.
 

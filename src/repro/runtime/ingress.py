@@ -474,8 +474,6 @@ class IngressCore:
             arrival_ns, packet = ring.head()
             if policy is not None and policy.on_head(ring, now_ns - arrival_ns, now_ns):
                 ring.pop()
-                cost.charge("rx_descriptor")
-                cost.charge("admission_check")
                 stats.rx_dropped += 1
                 head_drops += 1
                 continue
@@ -497,8 +495,6 @@ class IngressCore:
                     blocked = True
                     break
             ring.pop()
-            cost.charge("rx_descriptor")
-            cost.charge("flow_lookup")
             if group is None:
                 groups[shard] = [packet]
                 sojourn_by_shard[shard] = [now_ns - arrival_ns]
@@ -506,6 +502,15 @@ class IngressCore:
                 group.append(packet)
                 sojourn_by_shard[shard].append(now_ns - arrival_ns)
             taken += 1
+        # One charge per operation per pull, not per packet: every cost is
+        # integer-valued, so n charges of c and one charge of n*c leave the
+        # account byte-identical (pinned in tests/cpu/test_cost_model.py).
+        if taken or head_drops:
+            cost.charge("rx_descriptor", taken + head_drops)
+        if head_drops:
+            cost.charge("admission_check", head_drops)
+        if taken:
+            cost.charge("flow_lookup", taken)
         delivered = 0
         record_sojourn = self.sojourn_hist.record
         for shard, group in groups.items():

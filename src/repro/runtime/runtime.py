@@ -570,14 +570,10 @@ class ShardedRuntime:
         self._since_gc = 0
         self.gc_sweep_limit = gc_sweep_limit
         # Per-flow ownership state, columnised (see repro.runtime.flowstate):
-        # home shard, in-flight packet count, and a last-activity stamp (a
-        # monotonic accepted-packet sequence number — recency for telemetry
-        # and debugging without reading the clock per packet).
+        # home shard and in-flight packet count.
         self.flows = FlowTable()
         self._home = self.flows.add_column("home", "i", -1)
         self._pending = self.flows.add_column("pending", "i", 0)
-        self._last_seen = self.flows.add_column("last_seen", "q", 0)
-        self._flow_seq = 0
         self._gc_cursor = 0
         self._tick_handles: List[Optional[EventHandle]] = [None] * num_shards
         self._rebalance_handle: Optional[EventHandle] = None
@@ -660,12 +656,19 @@ class ShardedRuntime:
     def _route(self, flow_id: int) -> int:
         """Shard for the next packet of ``flow_id`` (residency beats placement).
 
+        The one place the routing rule is written down; :meth:`submit_batch`
+        applies the same three steps inline to a whole burst.
+
+        1. A flow whose due window is on loan to a thief stays owned by the
+           victim that granted the lease, even in the instant its in-flight
+           count touches zero mid-delivery — migrating right then would
+           strand the pacing state travelling with the lease.
+        2. A flow with packets in flight follows them to its home shard.
+        3. Otherwise the sharder's (possibly re-pinned) placement applies.
+
         Pure lookup — home/migration state only changes once a packet is
-        actually accepted (:meth:`_commit_route`), so a dropped packet never
-        registers a migration.  A flow whose due window is on loan to a
-        thief stays owned by the victim that granted the lease, even in the
-        instant its in-flight count touches zero mid-delivery — migrating
-        right then would strand the pacing state travelling with the lease.
+        actually accepted (:meth:`_commit_group`), so a dropped packet never
+        registers a migration.
         """
         loan = self.sharder.loan_shard(flow_id)
         if loan is not None:
@@ -677,27 +680,75 @@ class ShardedRuntime:
                 return home
         return self.sharder.shard_for(flow_id)
 
-    def _commit_route(self, flow_id: int, shard: int) -> None:
-        """Record one accepted packet of ``flow_id`` on ``shard``.
+    def _commit_group(
+        self,
+        group: List[Packet],
+        slots: Optional[List[int]],
+        shard: int,
+        taken: int,
+    ) -> None:
+        """Record the accepted prefix ``group[:taken]`` on ``shard``.
+
+        The single commit seam of every submit path.  ``slots`` carries the
+        flow-table slot routing already found for each packet (``-1``: the
+        flow had no entry, so it is created here — and found again if the
+        same new flow comes twice in one burst); ``None`` means routing kept
+        none and every packet probes.  A carried slot cannot go stale
+        between routing and here: slots only die in the GC sweep, which
+        runs from :meth:`_deliver`, never inside a submit.
 
         The first packet landing on a new home completes the migration: the
         flow's pacing state moves with it (an RFS-style flow-state handoff),
         so ``_next_free_ns`` and the remaining burst credit survive and the
         flow cannot exceed its configured rate by hopping shards.
+
+        Per-flow load-window attribution (:meth:`FlowSharder.record`) has
+        one reader, the rebalancer, and only a rebalancing round ever resets
+        it; with none attached the burst is accounted per shard only.
         """
-        slot = self.flows.ensure(flow_id)
-        home = self._home[slot]
-        if home != shard:
-            if home >= 0:
-                self.migrations_applied += 1
-                shaper = self.workers[home].release_shaper(flow_id)
-                if shaper is not None:
-                    self.workers[shard].adopt_shaper(flow_id, shaper)
-            self._home[slot] = shard
-        self._pending[slot] += 1
-        self._flow_seq += 1
-        self._last_seen[slot] = self._flow_seq
-        self.sharder.record(flow_id, shard)
+        if not taken:
+            return
+        ensure = self.flows.ensure
+        home_col = self._home
+        pending_col = self._pending
+        record = self.sharder.record if self.rebalancer is not None else None
+        if taken < len(group):
+            group = group[:taken]  # zip below stops the slots there too
+        for packet, slot in zip(group, itertools.repeat(-1) if slots is None else slots):
+            flow_id = packet.flow_id
+            if slot < 0:
+                slot = ensure(flow_id)
+            home = home_col[slot]
+            if home != shard:
+                if home >= 0:
+                    self.migrations_applied += 1
+                    shaper = self.workers[home].release_shaper(flow_id)
+                    if shaper is not None:
+                        self.workers[shard].adopt_shaper(flow_id, shaper)
+                home_col[slot] = shard
+            pending_col[slot] += 1
+            if record is not None:
+                record(flow_id, shard)
+        if record is None:
+            self.sharder.record_shard(shard, taken)
+
+    def _take_handoff_drops(self, shard: int, count: int) -> int:
+        """Packets an armed handoff-drop fault eats off the head of a group.
+
+        The seam loses them before anything commits — no route, no pending
+        count — so only the fault ledger (and the tracer) sees them.
+        """
+        dropped = self._faults.take_handoff_drops(shard, count)
+        if dropped:
+            self.fault_stats.handoff_drops += dropped
+            if self.tracer is not None:
+                self.tracer.emit(
+                    self.simulator.now_ns,
+                    f"shard-{shard}",
+                    "fault_inject",
+                    {"kind": "handoff_drop", "count": dropped},
+                )
+        return dropped
 
     def submit(self, packet: Packet) -> bool:
         """Offer one packet to the runtime; False when it was dropped.
@@ -719,17 +770,7 @@ class ShardedRuntime:
         if self.ingress_cores:
             return self._offer_ingress([packet]) == 1
         shard = self._route(packet.flow_id)
-        if self._faults is not None and self._faults.take_handoff_drops(shard, 1):
-            # The handoff seam ate the packet before anything committed:
-            # no route, no pending count — only the fault ledger sees it.
-            self.fault_stats.handoff_drops += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self.simulator.now_ns,
-                    f"shard-{shard}",
-                    "fault_inject",
-                    {"kind": "handoff_drop", "count": 1},
-                )
+        if self._faults is not None and self._take_handoff_drops(shard, 1):
             return False
         if self.latency_histograms:
             now = self.simulator.now_ns
@@ -738,7 +779,7 @@ class ShardedRuntime:
         if not self.workers[shard].mailbox.push(packet):
             self.ingress_drops += 1
             return False
-        self._commit_route(packet.flow_id, shard)
+        self._commit_group([packet], None, shard, 1)
         self._wake_shard(shard)
         self._wake_idle_thieves(shard)
         self._arm_rebalance()
@@ -763,31 +804,42 @@ class ShardedRuntime:
             for packet in packets:
                 packet.metadata["e2e_ns"] = now
                 packet.metadata["mbox_ns"] = now
+        # Route the whole burst first — the rule of _route, inline, with the
+        # one flow-table probe per packet kept for the commit below.  Loans
+        # only change inside ticks, so one check covers the burst.
         by_shard: Dict[int, List[Packet]] = {}
+        slots_by_shard: Dict[int, List[int]] = {}
         get_group = by_shard.get
-        route = self._route
+        lookup = self.flows.lookup
+        home_col = self._home
+        pending_col = self._pending
+        shard_for = self.sharder.shard_for
+        loan_shard = self.sharder.loan_shard if self.sharder.has_loans else None
         for packet in packets:
-            shard = route(packet.flow_id)
+            flow_id = packet.flow_id
+            slot = lookup(flow_id)
+            shard = loan_shard(flow_id) if loan_shard is not None else None
+            if shard is None:
+                if slot >= 0 and pending_col[slot] > 0 and home_col[slot] >= 0:
+                    shard = home_col[slot]
+                else:
+                    shard = shard_for(flow_id)
             group = get_group(shard)
             if group is None:
                 by_shard[shard] = [packet]
+                slots_by_shard[shard] = [slot]
             else:
                 group.append(packet)
+                slots_by_shard[shard].append(slot)
         accepted = 0
         faults = self._faults
         for shard, group in by_shard.items():
+            slots = slots_by_shard[shard]
             if faults is not None:
-                dropped = faults.take_handoff_drops(shard, len(group))
+                dropped = self._take_handoff_drops(shard, len(group))
                 if dropped:
-                    self.fault_stats.handoff_drops += dropped
-                    if self.tracer is not None:
-                        self.tracer.emit(
-                            self.simulator.now_ns,
-                            f"shard-{shard}",
-                            "fault_inject",
-                            {"kind": "handoff_drop", "count": dropped},
-                        )
                     group = group[dropped:]
+                    slots = slots[dropped:]
                     if not group:
                         continue
             mailbox = self.workers[shard].mailbox
@@ -797,8 +849,7 @@ class ShardedRuntime:
             self.ingress_drops += len(group) - taken
             # Tail drop keeps the accepted prefix, so pending counts follow
             # the prefix of each flow's packets within this shard's group.
-            for packet in group[:taken]:
-                self._commit_route(packet.flow_id, shard)
+            self._commit_group(group, slots, shard, taken)
             if taken or before:
                 self._wake_shard(shard)
                 self._wake_idle_thieves(shard)
@@ -933,16 +984,8 @@ class ShardedRuntime:
     def _ingress_deliver(self, shard: int, packets: List[Packet]) -> int:
         """Land one classified per-shard group in its mailbox (core -> core)."""
         if self._faults is not None:
-            dropped = self._faults.take_handoff_drops(shard, len(packets))
+            dropped = self._take_handoff_drops(shard, len(packets))
             if dropped:
-                self.fault_stats.handoff_drops += dropped
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        self.simulator.now_ns,
-                        f"shard-{shard}",
-                        "fault_inject",
-                        {"kind": "handoff_drop", "count": dropped},
-                    )
                 packets = packets[dropped:]
                 if not packets:
                     return 0
@@ -961,8 +1004,7 @@ class ShardedRuntime:
                 "mailbox_handoff",
                 {"offered": len(packets), "accepted": taken},
             )
-        for packet in packets[:taken]:
-            self._commit_route(packet.flow_id, shard)
+        self._commit_group(packets, None, shard, taken)
         if taken or before:
             self._wake_shard(shard)
             self._wake_idle_thieves(shard)

@@ -79,7 +79,11 @@ class FlowSharder:
 
     The sharder also keeps a sliding load window (:meth:`record` /
     :meth:`reset_window`): per-flow and per-shard packet counts since the
-    last reset, which is exactly the signal the rebalancer inspects.
+    last reset, which is exactly the signal the rebalancer inspects.  The
+    per-flow half has no other reader and is only ever reset by a
+    rebalancing round, so a driver with no rebalancer attached accounts its
+    bursts through :meth:`record_shard` instead: the per-shard totals stay
+    exact and no window slot is held for a flow nobody will rank.
 
     All per-flow state — pin, sticky assignment, loan owner, window counts —
     lives as dense columns over one :class:`~repro.runtime.flowstate.FlowTable`
@@ -222,6 +226,8 @@ class FlowSharder:
         flow returns it is placed afresh by the policy, and the rebalancer
         re-pins it should it become hot again.
         """
+        if not len(self.flows):
+            return  # nothing tracked at all: skip the probe
         slot = self.flows.lookup(flow_id)
         if slot < 0:
             return
@@ -268,6 +274,11 @@ class FlowSharder:
             self._num_loans -= 1
             self._release_if_idle(slot, flow_id)
 
+    @property
+    def has_loans(self) -> bool:
+        """True while any flow is on loan (lets a burst skip :meth:`loan_shard`)."""
+        return self._num_loans > 0
+
     def loan_shard(self, flow_id: int) -> Optional[int]:
         """The victim shard that owns ``flow_id`` while on loan, or ``None``."""
         if self._num_loans == 0:
@@ -308,6 +319,16 @@ class FlowSharder:
                 self._evict_window_entry(exclude=slot)
         self._wpkts[slot] += packets
         self._wshard[slot] = shard
+        self._window_shard_packets[shard] += packets
+
+    def record_shard(self, shard: int, packets: int) -> None:
+        """Account ``packets`` handled by ``shard`` with no per-flow attribution.
+
+        The per-shard half of :meth:`record` alone: :meth:`shard_loads`,
+        :meth:`imbalance` and ``stats.window_packets`` read the same totals
+        either way.
+        """
+        self.stats.window_packets += packets
         self._window_shard_packets[shard] += packets
 
     def _evict_window_entry(self, exclude: int) -> None:

@@ -51,9 +51,14 @@ from ..core.model.transactions import ShapingTransaction
 from ..core.queues import BucketSpec, CircularFFSQueue, IntegerPriorityQueue, QueueStats
 from ..core.queues.base import CounterStatsMixin
 from ..cpu import CostModel
+from ..cpu.cost_model import QUEUE_STATS_COSTS
 
 #: Builds a shard's backing queue from a spec (cFFS by default).
 QueueFactory = Callable[[BucketSpec], IntegerPriorityQueue]
+
+#: ``(QueueStats counter, cost-table operation)`` in the order
+#: :meth:`CostModel.charge_queue_stats` charges them.
+_QUEUE_COSTS = tuple(QUEUE_STATS_COSTS.items())
 
 
 @dataclass(slots=True)
@@ -171,13 +176,6 @@ class ShardWorker:
         self.flow_rates[flow_id] = rate_bps
         self.pacing.remove(flow_id)
 
-    def _pacing_slot(self, flow_id: int) -> int:
-        """Pacing-table slot of ``flow_id`` (created on demand), -1 if unpaced."""
-        rate = self.flow_rates.get(flow_id, self.default_rate_bps)
-        if rate is None:
-            return -1
-        return self.pacing.slot_for(flow_id, rate)
-
     def release_shaper(self, flow_id: int) -> Optional[ShapingTransaction]:
         """Detach and return the flow's pacing state (``None`` if stateless).
 
@@ -212,9 +210,22 @@ class ShardWorker:
         return False
 
     def _charge_queue_delta(self) -> None:
-        delta = self.queue.stats.diff(self._queue_snapshot)
-        self.cost.charge_queue_stats(delta.as_dict())
-        self._queue_snapshot = self.queue.stats.snapshot()
+        """Charge the queue operations performed since the last settlement.
+
+        Runs twice a tick, so it subtracts the cost-mapped counters against
+        :attr:`_queue_snapshot` in place rather than building a delta object:
+        the same operations, charged in the same order, as
+        ``cost.charge_queue_stats(stats.diff(snapshot).as_dict())``.
+        """
+        stats = self.queue.stats
+        settled = self._queue_snapshot
+        charge = self.cost.charge
+        for counter, operation in _QUEUE_COSTS:
+            value = getattr(stats, counter)
+            count = value - getattr(settled, counter)
+            if count:
+                setattr(settled, counter, value)
+                charge(operation, count)
 
     # -- the per-quantum worker loop ---------------------------------------
 
@@ -230,16 +241,27 @@ class ShardWorker:
         pairs = []
         append = pairs.append
         shard_id = self.shard_id
-        slot_for = self._pacing_slot
-        stamp = self.pacing.stamp
+        rate_of = self.flow_rates.get
+        default_rate = self.default_rate_bps
+        pacing = self.pacing
+        touch = pacing.touch
+        stamp = pacing.stamp
         last_flow = None
         slot = -1
         for packet in packets:
             flow_id = packet.flow_id
-            if flow_id != last_flow:
+            if flow_id == last_flow:
+                send_at = now_ns if slot < 0 else stamp(slot, packet.size_bytes, now_ns)
+            else:
                 last_flow = flow_id
-                slot = slot_for(flow_id)
-            send_at = now_ns if slot < 0 else stamp(slot, packet.size_bytes, now_ns)
+                rate = rate_of(flow_id, default_rate)
+                if rate is None:
+                    slot = -1
+                    send_at = now_ns
+                else:
+                    # One probe: find-or-create the pacing slot and stamp.
+                    send_at = touch(flow_id, rate, packet.size_bytes, now_ns)
+                    slot = pacing.last_slot
             metadata = packet.metadata
             metadata["send_at_ns"] = send_at
             metadata["shard"] = shard_id
@@ -382,9 +404,10 @@ class ShardWorker:
         if not self.has_work_by(cutoff):
             return None
         self._charge_queue_delta()  # settle this shard's own work first
+        settled = self.queue.stats.snapshot()
         stolen = self.queue.extract_due(cutoff, limit=max_packets)
-        delta = self.queue.stats.diff(self._queue_snapshot)
         self._queue_snapshot = self.queue.stats.snapshot()
+        delta = self._queue_snapshot.diff(settled)
         self._backlog -= len(stolen)
         flows: Dict[int, None] = {}
         for _send_at, packet in stolen:

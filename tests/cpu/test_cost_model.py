@@ -83,6 +83,24 @@ class TestCostModel:
         # statistics like selection_errors) are allowed.
         assert mapped <= counters
 
+    def test_default_costs_are_integer_valued(self):
+        # Hot paths settle charges per batch (`charge(op, n)`) where the
+        # modelled loop charges per packet.  Floats hold integers exactly,
+        # so the two leave byte-identical accounts only while every cost is
+        # a whole number of cycles.
+        for name, cost in DEFAULT_COSTS.items():
+            assert cost.cycles == int(cost.cycles), name
+
+    def test_batched_charge_equals_repeated_charges(self):
+        repeated = CostModel()
+        batched = CostModel()
+        for name in DEFAULT_COSTS:
+            for _ in range(1_000):
+                repeated.charge(name)
+            batched.charge(name, 1_000)
+        assert batched.total_cycles == repeated.total_cycles
+        assert batched.breakdown() == repeated.breakdown()
+
     def test_rbtree_costs_more_than_ffs_for_same_workload(self):
         # The central efficiency claim, expressed in modelled cycles.
         ffs_model = CostModel()

@@ -172,7 +172,7 @@ def test_incremental_gc_converges_to_global_live_set(
         return {
             "live": sorted(flow for flow, _slot in runtime.flows.items()),
             "pacing": [
-                sorted(flow for flow, _slot in worker.pacing.table.items())
+                sorted(flow for flow, _slot in worker.pacing.items())
                 for worker in runtime.workers
             ],
         }

@@ -239,6 +239,15 @@ class TestIngressCorePull:
         pull(13_000)
         assert core.stats.rx_dropped > 0
         assert core.stats.delivered + core.stats.rx_dropped + len(core.ring) == 6
+        # Charges settle once per pull, and must equal the per-packet model:
+        # every packet leaving the ring (classified or dropped at the head)
+        # pays one descriptor read, a head drop one admission compare on top
+        # of the six arrival checks, a classified packet one flow lookup.
+        stats = core.stats
+        breakdown = core.cost.breakdown()
+        assert breakdown["rx_descriptor"] == (stats.classified + stats.rx_dropped) * 18.0
+        assert breakdown["admission_check"] == (6 + stats.rx_dropped) * 6.0
+        assert breakdown["flow_lookup"] == stats.classified * 30.0
 
     def test_empty_pull_is_an_idle_tick(self):
         core = IngressCore(0)

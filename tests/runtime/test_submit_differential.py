@@ -1,0 +1,236 @@
+"""Differential tests: ``submit_batch`` against packet-by-packet ``submit``.
+
+``submit_batch`` routes a whole burst with one flow-table probe per packet
+and carries the slots it found to one commit per shard group
+(``ShardedRuntime._commit_group``); ``submit`` routes and commits one packet
+at a time.  On the same arrivals the two must be indistinguishable: the same
+per-flow departure sequences at the same virtual times, the same modelled
+cycles, migrations, counted drops and post-drain residue.
+
+The cases are the ones where a carried slot could go wrong: a mailbox that
+accepts only a prefix of a group, a handoff fault that eats the head of a
+group (the slot list must shift with it), a flow that is new twice in one
+burst, and bursts that land while flows are on loan to a thief.
+
+Equality is exact only where both paths program the shard timers in the
+same order.  Without stealing that is always so (shards wake in order of
+first appearance in the burst either way); with stealing, waking idle
+thieves after a whole group rather than after its eighth packet can permute
+same-instant ticks — except on two shards, where "the shard that got the
+first packet, then the other" is the only order either path can produce.
+The stealing case therefore runs on two shards.
+"""
+
+import random
+
+from repro.core.model.packet import Packet
+from repro.runtime import ShardedRuntime
+from repro.runtime.faults import FaultEvent, FaultPlan
+from repro.runtime.sharder import DEFAULT_HASH_SEED, rss_hash
+
+QUANTUM_NS = 10_000
+RATE_BPS = 10e9  # 1500 B => 1.2 us spacing
+
+
+def _drive(flow_bursts, batched, gap_ns=2 * QUANTUM_NS, repin=None, **runtime_kwargs):
+    """Offer ``flow_bursts`` one burst per ``gap_ns``; returns the outcome.
+
+    Packets carry their per-flow arrival index, so the departure record of
+    a flow is comparable across the two submission paths.  ``repin`` is
+    ``(burst_index, {flow_id: shard})``: pins applied just before that burst.
+    """
+    runtime = ShardedRuntime(quantum_ns=QUANTUM_NS, **runtime_kwargs)
+    if repin is not None:
+        burst_index, pins = repin
+
+        def apply_pins():
+            for flow_id, shard in pins.items():
+                runtime.sharder.pin(flow_id, shard)
+
+        runtime.simulator.schedule_at(burst_index * gap_ns - 1, apply_pins)
+    per_flow: dict = {}
+    accepted = [0]
+    loans_at_arrival = []
+
+    def offer(burst):
+        loans_at_arrival.append(runtime.sharder.has_loans)
+        if batched:
+            accepted[0] += runtime.submit_batch(burst)
+        else:
+            accepted[0] += sum(runtime.submit(packet) for packet in burst)
+
+    for index, flow_ids in enumerate(flow_bursts):
+        burst = []
+        for flow_id in flow_ids:
+            arrival = per_flow.get(flow_id, 0)
+            per_flow[flow_id] = arrival + 1
+            burst.append(
+                Packet(flow_id=flow_id, size_bytes=1500).annotate(arrival_index=arrival)
+            )
+        runtime.simulator.schedule_at(index * gap_ns, lambda burst=burst: offer(burst))
+    runtime.run()
+    departures: dict = {}
+    for now_ns, packet in runtime.transmit_log:
+        departures.setdefault(packet.flow_id, []).append(
+            (now_ns, packet.metadata["arrival_index"])
+        )
+    telemetry = runtime.telemetry()
+    return {
+        "departures": departures,
+        "accepted": accepted[0],
+        "transmitted": telemetry.transmitted,
+        "total_cycles": telemetry.total_cycles,
+        "migrations_applied": telemetry.migrations_applied,
+        "ingress_drops": telemetry.ingress_drops,
+        "handoff_drops": telemetry.faults["handoff_drops"],
+        "packets_stolen": telemetry.packets_stolen,
+        "live_flows": telemetry.flow_state["live_flows"],
+        "gc_reclaimed": telemetry.flow_state["gc_reclaimed"],
+        "residual_state": runtime.residual_state(),
+        "loans_at_arrival": loans_at_arrival,
+    }
+
+
+def _both(flow_bursts, make_plan=None, **runtime_kwargs):
+    """Run both paths (a fresh fault plan each) and assert they agree."""
+    outcomes = []
+    for batched in (True, False):
+        kwargs = dict(runtime_kwargs)
+        if make_plan is not None:
+            kwargs["fault_plan"] = make_plan()
+        outcomes.append(_drive(flow_bursts, batched, **kwargs))
+    batch, single = outcomes
+    assert batch == single
+    assert not any(batch["residual_state"].values())
+    return batch
+
+
+def _uniform_bursts(seed, num_flows=40, burst=96, bursts=12):
+    rng = random.Random(seed)
+    return [[rng.randrange(num_flows) for _ in range(burst)] for _ in range(bursts)]
+
+
+def test_mailbox_tail_drop_commits_only_the_accepted_prefix():
+    outcome = _both(
+        _uniform_bursts(5), num_shards=4, default_rate_bps=RATE_BPS, mailbox_capacity=16
+    )
+    assert outcome["ingress_drops"] > 0  # taken < len(group) really happened
+    assert outcome["transmitted"] == outcome["accepted"]
+
+
+def test_handoff_drops_keep_carried_slots_aligned():
+    # A handoff budget fires on the first packets a shard is ever offered,
+    # when every flow is still new and every carried slot is -1.  To make
+    # the drops land on *known* flows, the traffic first runs on shards 0
+    # and 3 only and is then re-pinned onto the two faulted shards: the
+    # next burst arrives with a real slot per packet, loses the head of
+    # both groups (one budget outlasts a whole group), and each survivor
+    # must still be committed — and migrated — under its own slot.
+    flows = [
+        flow_id for flow_id in range(200) if rss_hash(flow_id, DEFAULT_HASH_SEED) % 4 in (0, 3)
+    ][:40]
+    rng = random.Random(6)
+    bursts = [[rng.choice(flows) for _ in range(96)] for _ in range(12)]
+    pins = {flow_id: 1 + index % 2 for index, flow_id in enumerate(flows)}
+
+    def make_plan():
+        return FaultPlan(
+            [
+                FaultEvent("handoff_drop", target=1, count=5),
+                FaultEvent("handoff_drop", target=2, count=70),  # > one group
+            ]
+        )
+
+    outcome = _both(
+        bursts,
+        repin=(4, pins),
+        num_shards=4,
+        default_rate_bps=RATE_BPS,
+        make_plan=make_plan,
+    )
+    assert outcome["handoff_drops"] == 75
+    assert outcome["transmitted"] == outcome["accepted"] == 12 * 96 - 75
+    assert outcome["migrations_applied"] == len(flows)
+
+
+def test_new_flow_twice_in_one_burst():
+    # Every burst opens two flows never seen before, each more than once,
+    # next to a long-lived one; the tight GC interval reclaims the one-burst
+    # flows, so later bursts also re-create slots that were recycled.
+    bursts = [
+        [100 + i, 7, 100 + i, 7, 200 + i, 200 + i, 200 + i] for i in range(30)
+    ]
+    outcome = _both(
+        bursts, num_shards=4, default_rate_bps=RATE_BPS, gc_interval_packets=16
+    )
+    assert outcome["transmitted"] == 30 * 7
+    assert outcome["gc_reclaimed"] > 0
+    assert all(
+        [index for _now, index in departures] == list(range(len(departures)))
+        for departures in outcome["departures"].values()
+    )
+
+
+def test_bursts_landing_while_flows_are_on_loan():
+    # One elephant and eight mid-sized flows that all hash to shard 0 of 2:
+    # shard 1 starts empty and steals, the rebalancer re-pins mid-sized
+    # flows over to it, and the elephant's backlog outlives the burst gap,
+    # so later bursts are routed while leases are out.
+    on_shard_0 = [
+        flow_id for flow_id in range(1, 400) if rss_hash(flow_id, DEFAULT_HASH_SEED) % 2 == 0
+    ]
+    elephant, mids = on_shard_0[0], on_shard_0[1:9]
+    rng = random.Random(3)
+    bursts = []
+    for _ in range(30):
+        burst = [elephant] * 80 + [flow_id for flow_id in mids for _ in range(6)]
+        rng.shuffle(burst)
+        bursts.append(burst)
+    outcome = _both(
+        bursts,
+        gap_ns=8 * QUANTUM_NS,
+        num_shards=2,
+        default_rate_bps=RATE_BPS,
+        steal_enabled=True,
+        steal_min_backlog=1,
+        rebalance_interval_ns=16 * QUANTUM_NS,
+    )
+    assert outcome["transmitted"] == 30 * 128
+    assert outcome["packets_stolen"] > 0
+    assert outcome["migrations_applied"] > 0
+    assert any(outcome["loans_at_arrival"])  # loans existed mid-run, at a burst
+
+
+def test_loan_overrides_a_fresh_pin_for_a_drained_flow():
+    # The narrow case only the loan rule decides: a mouse and an elephant
+    # share shard 0, shard 1 steals a window holding the mouse's last packet
+    # and a longer run of the elephant's, and the thief releases the mouse's
+    # first — so the mouse has nothing in flight while its lease is still
+    # out.  Re-pinned to shard 1 in that gap, its next packet must still go
+    # home to shard 0 (its pacing state is inside the lease), in a burst as
+    # in a single submit; the migration only lands after the lease returns.
+    on_shard_0 = [
+        flow_id for flow_id in range(1, 100) if rss_hash(flow_id, DEFAULT_HASH_SEED) % 2 == 0
+    ]
+    mouse, elephant = on_shard_0[:2]
+    bursts = [
+        [mouse, elephant] * 3 + [elephant] * 5,  # t = 0
+        [mouse, elephant],  # t = 35 us: lease out, mouse drained and re-pinned
+        [],
+        [],
+        [mouse],  # t = 140 us: lease long returned
+    ]
+    outcome = _both(
+        bursts,
+        gap_ns=35_000,
+        repin=(1, {mouse: 1}),
+        num_shards=2,
+        default_rate_bps=1e9,  # 12 us a packet: the window spans several ticks
+        steal_enabled=True,
+        steal_min_backlog=1,
+        steal_horizon_ns=100_000,
+    )
+    assert outcome["loans_at_arrival"] == [False, True, True, False, False]
+    assert outcome["packets_stolen"] > 0
+    assert outcome["migrations_applied"] == 1
+    assert [index for _now, index in outcome["departures"][mouse]] == [0, 1, 2, 3, 4]
