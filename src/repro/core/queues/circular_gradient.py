@@ -46,7 +46,15 @@ class CircularQueueAdapter(IntegerPriorityQueue):
             the head of the primary window instead of raising.
     """
 
-    __slots__ = ("allow_stale", "h_index", "_window_spec", "_primary", "_secondary", "_factory")
+    __slots__ = (
+        "allow_stale",
+        "h_index",
+        "_span",
+        "_window_spec",
+        "_primary",
+        "_secondary",
+        "_factory",
+    )
 
     def __init__(
         self,
@@ -57,6 +65,7 @@ class CircularQueueAdapter(IntegerPriorityQueue):
         super().__init__(spec)
         self.allow_stale = allow_stale
         self.h_index = spec.base_priority
+        self._span = spec.num_buckets * spec.granularity
         window_spec = BucketSpec(
             num_buckets=spec.num_buckets,
             granularity=spec.granularity,
@@ -72,7 +81,7 @@ class CircularQueueAdapter(IntegerPriorityQueue):
     @property
     def window_span(self) -> int:
         """Priority units covered by one window."""
-        return self.spec.num_buckets * self.spec.granularity
+        return self._span
 
     @property
     def primary_range(self) -> tuple[int, int]:
@@ -90,8 +99,9 @@ class CircularQueueAdapter(IntegerPriorityQueue):
     def enqueue(self, priority: int, item: Any) -> None:
         priority = validate_priority(priority)
         self.stats.enqueues += 1
-        lo, hi = self.primary_range
-        slo, shi = self.secondary_range
+        span = self._span
+        lo = self.h_index
+        hi = lo + span
         if priority < lo:
             if not self.allow_stale:
                 raise ValueError(
@@ -100,17 +110,16 @@ class CircularQueueAdapter(IntegerPriorityQueue):
             self._primary.enqueue(0, (priority, item))
         elif priority < hi:
             self._primary.enqueue(priority - lo, (priority, item))
-        elif priority < shi:
-            self._secondary.enqueue(priority - slo, (priority, item))
+        elif priority < hi + span:
+            self._secondary.enqueue(priority - hi, (priority, item))
         else:
             self.stats.overflow_enqueues += 1
-            overflow_offset = (self.spec.num_buckets - 1) * self.spec.granularity
-            self._secondary.enqueue(overflow_offset, (priority, item))
+            self._secondary.enqueue(span - self.spec.granularity, (priority, item))
         self._size += 1
 
     def _rotate(self) -> None:
         self._primary, self._secondary = self._secondary, self._primary
-        self.h_index += self.window_span
+        self.h_index += self._span
         self.stats.rotations += 1
 
     def _advance(self) -> IntegerPriorityQueue:
@@ -132,21 +141,27 @@ class CircularQueueAdapter(IntegerPriorityQueue):
         returned with a far-future rank, keeping the ordering approximation
         bounded to one window exactly as the cFFS does.
         """
+        span = self._span
         while True:
             window = self._advance()
             _local, payload = window.peek_min()
             priority = payload[0]
-            _lo, hi = self.primary_range
+            hi = self.h_index + span  # _advance may have rotated
             if priority < hi:
                 return window
             window.extract_min()
-            slo, shi = self.secondary_range
-            self.stats.linear_scans += 1
-            if priority < shi:
-                self._secondary.enqueue(priority - slo, payload)
-            else:
-                overflow_offset = (self.spec.num_buckets - 1) * self.spec.granularity
-                self._secondary.enqueue(overflow_offset, payload)
+            self._redispatch(payload)
+
+    def _redispatch(self, payload: tuple[int, Any]) -> None:
+        """Move a surfaced overflow entry into the secondary window."""
+        self.stats.linear_scans += 1
+        span = self._span
+        hi = self.h_index + span  # where the secondary window starts
+        priority = payload[0]
+        if priority < hi + span:
+            self._secondary.enqueue(priority - hi, payload)
+        else:
+            self._secondary.enqueue(span - self.spec.granularity, payload)
 
     def extract_min(self) -> tuple[int, Any]:
         if self.empty:
@@ -189,9 +204,11 @@ class CircularQueueAdapter(IntegerPriorityQueue):
         primary_entries: list[tuple[int, Any]] = []
         secondary_entries: list[tuple[int, Any]] = []
         count = 0
-        lo, hi = self.primary_range
-        slo, shi = self.secondary_range
-        overflow_offset = (self.spec.num_buckets - 1) * self.spec.granularity
+        span = self._span
+        lo = self.h_index
+        hi = lo + span
+        shi = hi + span
+        overflow_offset = span - self.spec.granularity
         for priority, item in pairs:
             priority = validate_priority(priority)
             if priority < lo:
@@ -203,7 +220,7 @@ class CircularQueueAdapter(IntegerPriorityQueue):
             elif priority < hi:
                 primary_entries.append((priority - lo, (priority, item)))
             elif priority < shi:
-                secondary_entries.append((priority - slo, (priority, item)))
+                secondary_entries.append((priority - hi, (priority, item)))
             else:
                 self.stats.overflow_enqueues += 1
                 secondary_entries.append((overflow_offset, (priority, item)))
@@ -227,23 +244,17 @@ class CircularQueueAdapter(IntegerPriorityQueue):
         if n < 0:
             raise ValueError("batch size must be non-negative")
         batch: list[tuple[int, Any]] = []
+        span = self._span
         while len(batch) < n and self._size:
             window = self._settle()
-            _lo, hi = self.primary_range
-            slo, shi = self.secondary_range
-            overflow_offset = (self.spec.num_buckets - 1) * self.spec.granularity
+            hi = self.h_index + span
             for _local, payload in window.extract_min_batch(n - len(batch)):
-                priority = payload[0]
-                if priority < hi:
+                if payload[0] < hi:
                     batch.append(payload)
                     self.stats.dequeues += 1
                     self._size -= 1
-                    continue
-                self.stats.linear_scans += 1
-                if priority < shi:
-                    self._secondary.enqueue(priority - slo, payload)
                 else:
-                    self._secondary.enqueue(overflow_offset, payload)
+                    self._redispatch(payload)
         return batch
 
     def merged_stats(self) -> dict[str, int]:

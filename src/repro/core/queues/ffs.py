@@ -13,6 +13,16 @@ Two conventions are used throughout:
   bucket in the word), and
 * ``find_first_set`` returns the index of the **least significant** set bit,
   i.e. the highest-priority (minimum-rank) non-empty bucket.
+
+**A modelled scan is charged by count; the walk is not performed.**  The
+multi-word queue models reading its bitmap words in order until one is
+non-zero, priced per word read (``QueueStats.word_scans``).  It keeps a summary
+mask — bit ``w`` set while word ``w`` is non-zero — whose first set bit names
+the word the scan stops at, and charges ``word_scans`` the ``w + 1`` words the
+scan reads.  The summary is not a second bitmap level: the modelled cost stays
+linear in the word index, which is what separates this queue from the
+hierarchical one (the walked loop is the oracle in
+``tests/core/queues/test_scan_oracle.py``).
 """
 
 from __future__ import annotations
@@ -353,13 +363,15 @@ class MultiWordFFSQueue(IntegerPriorityQueue):
     stone to the hierarchical variant.
     """
 
-    __slots__ = ("word_width", "num_words", "_words", "_buckets")
+    __slots__ = ("word_width", "num_words", "_words", "_nonzero_words", "_buckets")
 
     def __init__(self, spec: BucketSpec, word_width: int = DEFAULT_WORD_WIDTH) -> None:
         super().__init__(spec)
         self.word_width = word_width
         self.num_words = (spec.num_buckets + word_width - 1) // word_width
         self._words = [0] * self.num_words
+        # Summary mask: bit w is set while ``_words[w]`` is non-zero.
+        self._nonzero_words = 0
         self._buckets: list[Deque[tuple[int, Any]]] = [
             deque() for _ in range(spec.num_buckets)
         ]
@@ -374,16 +386,25 @@ class MultiWordFFSQueue(IntegerPriorityQueue):
         self.stats.enqueues += 1
         self.stats.bucket_lookups += 1
         self._buckets[bucket].append((priority, item))
-        word_index, bit = divmod(bucket, self.word_width)
-        self._words[word_index] = set_bit(self._words[word_index], bit)
+        self._set_bucket_bit(bucket)
         self._size += 1
 
     def _min_bucket(self) -> int:
-        for word_index, word in enumerate(self._words):
-            self.stats.word_scans += 1
-            if word:
-                return word_index * self.word_width + find_first_set(word)
-        raise EmptyQueueError("no non-empty bucket")
+        """Minimum non-empty bucket, charged as the sequential word scan.
+
+        The modelled scan reads words in order until one is non-zero.  It is
+        charged, not walked: the summary mask names that word, and
+        ``word_scans`` grows by the ``word_index + 1`` words the scan reads.
+        """
+        nonzero = self._nonzero_words
+        if not nonzero:
+            self.stats.word_scans += self.num_words
+            raise EmptyQueueError("no non-empty bucket")
+        word_index = (nonzero & -nonzero).bit_length() - 1
+        self.stats.word_scans += word_index + 1
+        # Inlined find_first_set: a set summary bit guarantees a non-zero word.
+        word = self._words[word_index]
+        return word_index * self.word_width + (word & -word).bit_length() - 1
 
     def extract_min(self) -> tuple[int, Any]:
         if self.empty:
@@ -391,8 +412,7 @@ class MultiWordFFSQueue(IntegerPriorityQueue):
         bucket = self._min_bucket()
         entry = self._buckets[bucket].popleft()
         if not self._buckets[bucket]:
-            word_index, bit = divmod(bucket, self.word_width)
-            self._words[word_index] = clear_bit(self._words[word_index], bit)
+            self._clear_bucket_bit(bucket)
         self.stats.dequeues += 1
         self._size -= 1
         return entry
@@ -403,11 +423,20 @@ class MultiWordFFSQueue(IntegerPriorityQueue):
         bucket = self._min_bucket()
         return self._buckets[bucket][0]
 
-    # -- batch operations -------------------------------------------------
+    # -- bitmap maintenance -----------------------------------------------
+
+    def _set_bucket_bit(self, bucket: int) -> None:
+        word_index, bit = divmod(bucket, self.word_width)
+        self._words[word_index] |= 1 << bit
+        self._nonzero_words |= 1 << word_index
 
     def _clear_bucket_bit(self, bucket: int) -> None:
         word_index, bit = divmod(bucket, self.word_width)
-        self._words[word_index] = clear_bit(self._words[word_index], bit)
+        word = self._words[word_index] = self._words[word_index] & ~(1 << bit)
+        if not word:
+            self._nonzero_words &= ~(1 << word_index)
+
+    # -- batch operations -------------------------------------------------
 
     def enqueue_batch(self, pairs: Iterable[tuple[int, Any]]) -> int:
         """Batched insert: one bucket lookup and bit set per bucket.
@@ -422,8 +451,7 @@ class MultiWordFFSQueue(IntegerPriorityQueue):
         hi = base + spec.horizon
         stats = self.stats
         buckets = self._buckets
-        words = self._words
-        width = self.word_width
+        set_bucket_bit = self._set_bucket_bit
         seen: set[int] = set()
         seen_add = seen.add
         count = 0
@@ -441,8 +469,7 @@ class MultiWordFFSQueue(IntegerPriorityQueue):
                 seen_add(bucket)
                 entries = buckets[bucket]
                 if not entries:
-                    word_index, bit = divmod(bucket, width)
-                    words[word_index] |= 1 << bit
+                    set_bucket_bit(bucket)
                 entries.append(pair)
                 count += 1
         finally:

@@ -26,6 +26,20 @@ Both queues in this module are exposed with the **min-queue** interface used
 everywhere else in the library (packets with the smallest rank leave first).
 Internally the gradient machinery tracks the *maximum* weighted index, so the
 public bucket ``k`` is stored at internal index ``num_buckets - 1 - k``.
+
+**A modelled scan is charged by count; the walk is not performed.**  The cost
+model prices the fallback scan per bucket visited (``QueueStats.linear_scans``)
+and the critical point per lookup (``QueueStats.divisions``).  The approximate
+queue therefore keeps an occupancy mask — one integer, bit ``k`` set while
+external bucket ``k`` is non-empty — and on an estimate miss reads from it the
+bucket the scan ends on and how many buckets the scan visits on the way, and
+adds that number to ``linear_scans``.  The mask is bookkeeping for the scan,
+not the lookup: the estimate is still ``ceil(b / a) + u(alpha)`` over the float
+curvature sums, it still misses and errs exactly where it did (Figure 18), and
+the counters are those of the walked scan (kept as the oracle in
+``tests/core/queues/test_scan_oracle.py``).  Likewise the exact queue keeps
+``a``, ``b`` and the division of Theorem 1, but remembers ``ceil(b / a)``
+between changes of the coefficients; every lookup is still charged a division.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ from .base import (
     PriorityOutOfRangeError,
     validate_priority,
 )
+from .ffs import find_first_set
 
 
 def gradient_shift(alpha: int) -> int:
@@ -162,7 +177,7 @@ class GradientQueue(IntegerPriorityQueue):
     why the approximate variant exists.
     """
 
-    __slots__ = ("_buckets", "_a", "_b")
+    __slots__ = ("_buckets", "_a", "_b", "_critical")
 
     def __init__(self, spec: BucketSpec) -> None:
         super().__init__(spec)
@@ -172,6 +187,8 @@ class GradientQueue(IntegerPriorityQueue):
         # Curvature coefficients over *internal* (reversed) indices.
         self._a = 0
         self._b = 0
+        # ceil(b / a) for the current coefficients; None once they change.
+        self._critical: Optional[int] = None
 
     # -- internal index mapping -------------------------------------------
 
@@ -190,16 +207,26 @@ class GradientQueue(IntegerPriorityQueue):
         weight = self._weight(internal)
         self._a += weight
         self._b += internal * weight
+        self._critical = None
 
     def _mark_empty(self, internal: int) -> None:
         weight = self._weight(internal)
         self._a -= weight
         self._b -= internal * weight
+        self._critical = None
 
     def _critical_point(self) -> int:
-        """ceil(b / a): the maximum non-empty internal index."""
+        """ceil(b / a): the maximum non-empty internal index.
+
+        Every lookup is charged one ``divisions``; the wide ``b // a`` itself
+        runs once per change of the coefficients and is remembered until
+        ``_mark_nonempty`` / ``_mark_empty`` next moves them.
+        """
         self.stats.divisions += 1
-        return -((-self._b) // self._a)
+        critical = self._critical
+        if critical is None:
+            critical = self._critical = -((-self._b) // self._a)
+        return critical
 
     # -- queue operations ----------------------------------------------------
 
@@ -366,10 +393,10 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
             the modelled capacity.  Disabled by default because Python floats
             do not actually overflow at the modelled boundary; enabling it in
             tests documents the paper's sizing rule.
-        track_errors: when True, every lookup additionally computes the true
-            extremal bucket so that the selection error (Figure 18) can be
-            reported.  This costs an O(N) scan per lookup and is therefore
-            off by default; the error benchmark turns it on explicitly.
+        track_errors: when True, every lookup additionally reads the true
+            extremal bucket (the lowest set bit of the occupancy mask) so
+            that the selection error (Figure 18) can be reported.  Off by
+            default; the error benchmark turns it on explicitly.
     """
 
     __slots__ = (
@@ -379,6 +406,8 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
         "shift",
         "_buckets",
         "_nonempty",
+        "_occupied",
+        "_weights",
         "_a",
         "_b",
         "track_errors",
@@ -422,6 +451,14 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
             deque() for _ in range(spec.num_buckets)
         ]
         self._nonempty = 0
+        # Occupancy mask: bit k is set while external bucket k is non-empty.
+        self._occupied = 0
+        # 2^(internal/alpha) per external bucket, so every curvature update
+        # adds and subtracts the identical float.
+        top = self.i0 + spec.num_buckets - 1
+        self._weights = [
+            2.0 ** ((top - bucket) / alpha) for bucket in range(spec.num_buckets)
+        ]
         self._a = 0.0
         self._b = 0.0
         # Cumulative error statistics for Figure 18 (only when track_errors).
@@ -441,20 +478,19 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
 
     # -- curvature maintenance ------------------------------------------------
 
-    def _weight(self, internal: int) -> float:
-        return 2.0 ** (internal / self.alpha)
-
-    def _mark_nonempty(self, internal: int) -> None:
-        weight = self._weight(internal)
+    def _mark_nonempty(self, bucket: int) -> None:
+        weight = self._weights[bucket]
         self._a += weight
-        self._b += internal * weight
+        self._b += self._internal(bucket) * weight
         self._nonempty += 1
+        self._occupied |= 1 << bucket
 
-    def _mark_empty(self, internal: int) -> None:
-        weight = self._weight(internal)
+    def _mark_empty(self, bucket: int) -> None:
+        weight = self._weights[bucket]
         self._a -= weight
-        self._b -= internal * weight
+        self._b -= self._internal(bucket) * weight
         self._nonempty -= 1
+        self._occupied ^= 1 << bucket
         if self._nonempty == 0:
             # Clamp float drift when the queue fully drains.
             self._a = 0.0
@@ -462,24 +498,37 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
 
     # -- lookup ----------------------------------------------------------------
 
-    def _estimate_internal(self) -> int:
-        """One-step estimate of the maximum non-empty internal index."""
+    def _estimate_bucket(self) -> int:
+        """External bucket the one-step estimate points at, clamped in range.
+
+        ``ceil(b / a) + u(alpha)`` is the estimated maximum non-empty internal
+        index.  The float sums can cancel while buckets are still occupied
+        (a heavy bucket absorbs a light one, then leaves): ``a <= 0`` or an
+        overflowing ``b / a`` is then an estimate miss that starts the
+        fallback scan at external bucket 0, the top of the priority range,
+        so the scan ends on the true minimum.
+        """
         self.stats.divisions += 1
-        if self._a <= 0.0:
+        if not self._nonempty:
             raise EmptyQueueError("approximate gradient queue is empty")
-        return math.ceil(self._b / self._a) + self.shift
+        a = self._a
+        if a <= 0.0:
+            return 0
+        try:
+            estimate = math.ceil(self._b / a) + self.shift
+        except OverflowError:  # b / a overflowed to inf
+            return 0
+        return min(max(self._external(estimate), 0), self.spec.num_buckets - 1)
 
     def _min_bucket(self) -> int:
         """Locate the (approximately) minimum non-empty external bucket."""
-        estimate = self._estimate_internal()
-        bucket = self._external(estimate)
-        bucket = min(max(bucket, 0), self.spec.num_buckets - 1)
+        bucket = self._estimate_bucket()
         if self._buckets[bucket]:
             selected = bucket
         else:
             selected = self._linear_search(bucket)
         if self.track_errors:
-            true_min = self._true_min_bucket()
+            true_min = find_first_set(self._occupied)
             self._selections += 1
             if selected != true_min:
                 self.stats.selection_errors += 1
@@ -487,28 +536,31 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
         return selected
 
     def _linear_search(self, start: int) -> int:
-        """Scan outward from ``start`` for a non-empty bucket.
+        """The non-empty bucket a scan outward from empty ``start`` ends on.
 
-        The primary direction is towards *larger* external buckets (smaller
-        internal indices): the estimate overshoots towards the heavy end of
-        the occupancy distribution, so the true extremum usually lies on the
-        lower-priority side.  If nothing is found there, scan the other way.
+        The modelled scan runs towards *larger* external buckets first
+        (smaller internal indices): the estimate overshoots towards the heavy
+        end of the occupancy distribution, so the true extremum usually lies
+        on the lower-priority side.  If nothing is occupied there it turns and
+        runs downward from ``start``.  The scan is charged, not walked: the
+        occupancy mask gives the bucket it ends on, and ``linear_scans`` grows
+        by the number of buckets it would have visited on the way.
         """
-        for bucket in range(start + 1, self.spec.num_buckets):
-            self.stats.linear_scans += 1
-            if self._buckets[bucket]:
-                return bucket
-        for bucket in range(start - 1, -1, -1):
-            self.stats.linear_scans += 1
-            if self._buckets[bucket]:
-                return bucket
+        occupied = self._occupied
+        above = occupied >> (start + 1)
+        if above:
+            visited = (above & -above).bit_length()
+            self.stats.linear_scans += visited
+            return start + visited
+        # The upward scan ran off the end of the range and turned around.
+        visited = self.spec.num_buckets - 1 - start
+        below = occupied & ((1 << start) - 1)
+        if below:
+            found = below.bit_length() - 1
+            self.stats.linear_scans += visited + start - found
+            return found
+        self.stats.linear_scans += visited + start
         raise EmptyQueueError("no non-empty bucket found")
-
-    def _true_min_bucket(self) -> int:
-        for bucket, queue in enumerate(self._buckets):
-            if queue:
-                return bucket
-        raise EmptyQueueError("queue is empty")
 
     # -- queue operations --------------------------------------------------------
 
@@ -524,7 +576,7 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
         was_empty = not self._buckets[bucket]
         self._buckets[bucket].append((priority, item))
         if was_empty:
-            self._mark_nonempty(self._internal(bucket))
+            self._mark_nonempty(bucket)
         self._size += 1
 
     def extract_min(self) -> tuple[int, Any]:
@@ -533,7 +585,7 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
         bucket = self._min_bucket()
         entry = self._buckets[bucket].popleft()
         if not self._buckets[bucket]:
-            self._mark_empty(self._internal(bucket))
+            self._mark_empty(bucket)
         self.stats.dequeues += 1
         self._size -= 1
         return entry
@@ -575,7 +627,7 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
                 seen_add(bucket)
                 entries = buckets[bucket]
                 if not entries:
-                    self._mark_nonempty(self._internal(bucket))
+                    self._mark_nonempty(bucket)
                 entries.append(pair)
                 count += 1
         finally:
@@ -604,7 +656,7 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
                 take = len(entries)
                 batch.extend(entries)
                 entries.clear()
-                self._mark_empty(self._internal(bucket))
+                self._mark_empty(bucket)
             else:
                 take = space
                 popleft = entries.popleft
@@ -640,7 +692,7 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
                 size -= count
                 released.extend(entries)
                 entries.clear()
-                self._mark_empty(self._internal(bucket))
+                self._mark_empty(bucket)
                 continue
             while entries and entries[0][0] <= now:
                 if limit is not None and taken >= limit:
@@ -649,7 +701,7 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
                 taken += 1
                 size -= 1
             if not entries:
-                self._mark_empty(self._internal(bucket))
+                self._mark_empty(bucket)
                 continue
             break
         self.stats.dequeues += taken

@@ -237,3 +237,52 @@ class TestCircularGradientQueues:
         merged = queue.merged_stats()
         assert merged["divisions"] >= 1
         assert merged["enqueues"] >= 2  # adapter + window both count
+
+    def test_ranges_follow_the_rotation(self):
+        queue = CircularGradientQueue(BucketSpec(num_buckets=10, granularity=5, base_priority=100))
+        assert queue.window_span == 50
+        assert queue.primary_range == (100, 150)
+        assert queue.secondary_range == (150, 200)
+        queue.enqueue(160, "next window")
+        assert queue.extract_min() == (160, "next window")
+        assert queue.h_index == 150
+        assert queue.primary_range == (150, 200)
+        assert queue.secondary_range == (200, 250)
+        queue.enqueue_batch([(205, "secondary"), (199, "primary"), (990, "overflow")])
+        assert [queue.extract_min() for _ in range(3)] == [
+            (199, "primary"),
+            (205, "secondary"),
+            (990, "overflow"),
+        ]
+        assert queue.stats.overflow_enqueues == 1
+
+    def test_stale_priority_clamps_to_the_window_head(self):
+        queue = CircularGradientQueue(BucketSpec(num_buckets=8, base_priority=40))
+        queue.enqueue(43, "in window")
+        queue.enqueue(12, "stale")
+        queue.enqueue_batch([(7, "stale too"), (41, "later")])
+        # Stale ranks share the head bucket in arrival order, stored rank intact.
+        assert list(queue.extract_all()) == [
+            (12, "stale"),
+            (7, "stale too"),
+            (41, "later"),
+            (43, "in window"),
+        ]
+
+    def test_stale_priority_rejected_when_not_allowed(self):
+        queue = CircularGradientQueue(BucketSpec(num_buckets=8, base_priority=40), allow_stale=False)
+        with pytest.raises(ValueError):
+            queue.enqueue(39, "stale")
+        with pytest.raises(ValueError):
+            queue.enqueue_batch([(45, "fine"), (39, "stale")])
+        assert queue.empty
+
+    def test_circular_empty_raises(self):
+        queue = CircularGradientQueue(BucketSpec(num_buckets=8))
+        with pytest.raises(EmptyQueueError):
+            queue.extract_min()
+        with pytest.raises(EmptyQueueError):
+            queue.peek_min()
+        with pytest.raises(ValueError):
+            queue.extract_min_batch(-1)
+        assert queue.extract_min_batch(4) == []
