@@ -8,7 +8,10 @@ instance per core, flows spread across instances by an RSS-style hash:
   (hash / sticky round-robin policies, explicit pins) plus the load window
   the skew-aware :class:`~repro.runtime.sharder.ShardRebalancer` inspects to
   migrate hot flows off overloaded shards, and the *ownership view* that
-  records which flows are on loan to a work-stealing thief.
+  records which flows are on loan to a work-stealing thief.  Its
+  ``epoch`` counter moves whenever a pin or sticky assignment changes, so
+  a caller may keep ``shard_for`` answers until it does (the driver keeps
+  one per flow, see ``ShardedRuntime._route``).
 * :class:`~repro.runtime.mailbox.Mailbox` — the batched SPSC ingress-to-shard
   handoff, with high/low watermark hysteresis (pause / resume edges) the
   ingress backpressure hangs off.
@@ -37,7 +40,11 @@ instance per core, flows spread across instances by an RSS-style hash:
   the stealing protocol.
 * :class:`~repro.runtime.runtime.ShardedRuntime` — the driver multiplexing
   every shard's worker loop onto one simulator clock, with per-shard
-  cycle/queue/steal accounting rolled up into runtime telemetry.
+  cycle/queue/steal accounting rolled up into runtime telemetry.  Its
+  ``transmit_log`` is one persistent flat list of ``(now_ns, packet)``
+  that is recorded per *drain* and expanded per packet when read: the hot
+  path keeps no GC-tracked object per packet, and a run that never reads
+  the log never builds it.
 * :class:`~repro.runtime.backend.ExecutionBackend` — the seam between the
   runtime and whoever runs its loops: the default
   :class:`~repro.runtime.backend.SimulatedBackend` keeps the historical
@@ -53,8 +60,10 @@ instance per core, flows spread across instances by an RSS-style hash:
   :class:`~repro.runtime.flowstate.PacingTable` — the million-flow state
   engine: sparse flow ids mapped to dense slots by open addressing, every
   per-flow datum (pacing rate / next-release stamp / credit, pins, loans,
-  window counts, home shard, in-flight backlog) a flat :mod:`array` column
-  indexed by slot, dead flows recycled through a slot free list.  The
+  window counts, home shard, cached placement) a flat :mod:`array` column
+  indexed by slot, dead flows recycled through a slot free list (the one
+  exception is the driver's in-flight packet count, a sparse map holding
+  only the flows that have packets in flight).  The
   worker, sharder, and runtime driver all keep their per-flow state as
   columns over this engine — tens of bytes per flow instead of half a
   kilobyte of boxed objects — while handoffs (migration, leases) still

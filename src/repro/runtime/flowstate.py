@@ -49,8 +49,9 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..core.model.packet import Packet
 from ..core.model.transactions import RateLimit, ShapingTransaction
 from ..core.queues.base import CounterStatsMixin
 
@@ -469,6 +470,103 @@ class PacingTable(FlowTable):
         release = send_at + int(size_bytes * 8 / self._rate[slot] * 1e9)
         self._next_free[slot] = release if release < _I64_MAX else _I64_MAX
         return send_at
+
+    def stamp_burst(
+        self,
+        packets: List[Packet],
+        rate_of: Callable[[int, Optional[float]], Optional[float]],
+        default_rate: Optional[float],
+        now_ns: int,
+    ) -> List[Tuple[int, Packet]]:
+        """Stamp a whole burst in one probe loop; the worker's datapath.
+
+        Per packet this is :meth:`touch` at ``rate_of(flow_id,
+        default_rate)`` — a flow whose rate is ``None`` is stateless and
+        sends at ``now_ns`` — plus the two metadata writes every stamped
+        packet carries (``send_at_ns``, ``shard``); the return value is the
+        ``(send_at, packet)`` list ``enqueue_batch`` takes.  What a burst
+        buys over a call per packet: the index and columns are hoisted once
+        (and re-read after a mid-burst rehash, which replaces the index), a
+        run of same-flow packets — RX bursts are bursty *per flow* — probes
+        once, and the serialisation gap ``int(size_bytes * 8 / rate * 1e9)``
+        is recomputed only when ``(size_bytes, rate)`` differs from the
+        previous packet's.  The probe, the insert epilogue and the stamp
+        arithmetic are kept textually identical to :meth:`touch`; the
+        equivalence tests pin the two against each other column for column.
+        """
+        pairs = []
+        append = pairs.append
+        shard_id = self.shard_id
+        index = self._index
+        key = self.key
+        mask = self._mask
+        shift = self._shift
+        rate_col = self._rate
+        credit_col = self._credit
+        next_free_col = self._next_free
+        last_flow = None
+        slot = -1
+        gap = 0
+        gap_size = -1  # no packet is this small: the first paced one computes
+        gap_rate = 0.0
+        for packet in packets:
+            flow_id = packet.flow_id
+            if flow_id != last_flow:
+                last_flow = flow_id
+                rate_bps = rate_of(flow_id, default_rate)
+                if rate_bps is None:
+                    slot = -1
+                else:
+                    cell = ((flow_id * _FIB) & _MASK64) >> shift
+                    reuse = -1
+                    while True:
+                        slot = index[cell]
+                        if slot == _EMPTY:
+                            slot = -1
+                            break
+                        if slot == _TOMB:
+                            if reuse < 0:
+                                reuse = cell
+                        elif key[slot] == flow_id:
+                            break
+                        cell = (cell + 1) & mask
+                    if slot < 0:
+                        slot = self._alloc_slot(flow_id)
+                        if reuse >= 0:
+                            index[reuse] = slot
+                            self._tombs -= 1
+                        else:
+                            index[cell] = slot
+                            self._fill += 1
+                        if self._fill * 3 >= self._cells * 2:
+                            self._rehash()
+                            index = self._index
+                            mask = self._mask
+                            shift = self._shift
+                        rate_col[slot] = rate_bps
+            if slot < 0:
+                send_at = now_ns
+            else:
+                size_bytes = packet.size_bytes
+                credit = credit_col[slot]
+                next_free = next_free_col[slot]
+                send_at = now_ns if now_ns > next_free else next_free
+                if credit >= size_bytes:
+                    credit_col[slot] = credit - size_bytes
+                    next_free_col[slot] = send_at
+                else:
+                    rate = rate_col[slot]
+                    if size_bytes != gap_size or rate != gap_rate:
+                        gap_size = size_bytes
+                        gap_rate = rate
+                        gap = int(size_bytes * 8 / rate * 1e9)
+                    release = send_at + gap
+                    next_free_col[slot] = release if release < _I64_MAX else _I64_MAX
+            metadata = packet.metadata
+            metadata["send_at_ns"] = send_at
+            metadata["shard"] = shard_id
+            append((send_at, packet))
+        return pairs
 
     # -- handoff (migration + stealing wire format) ------------------------
 

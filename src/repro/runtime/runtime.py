@@ -54,6 +54,8 @@ through :meth:`ShardedRuntime._wake_shard`, exactly like fresh ingress.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -298,8 +300,10 @@ class ShardedRuntime:
             bounded ``mailbox_capacity``.
         on_transmit: callback ``(packet, now_ns)`` run for every released
             packet (the NIC side).
-        record_transmits: keep ``(now_ns, packet)`` in :attr:`transmit_log`
-            (tests and small examples; benchmarks switch it off).
+        record_transmits: record departures for :attr:`transmit_log`
+            (tests and small examples; benchmarks switch it off).  The hot
+            path keeps one entry per *drain*; the per-packet
+            ``(now_ns, packet)`` view is built when the log is read.
         gc_interval_packets: sweep idle per-flow state (flow homes, sharder
             pins/sticky entries, expired shard pacing entries) every this
             many transmitted packets, so memory scales with *concurrent*
@@ -549,7 +553,10 @@ class ShardedRuntime:
             ingest_per_quantum = batch_per_quantum
         self.ingest_per_quantum = ingest_per_quantum
         self.shard_backlog_limit = shard_backlog_limit
-        self.transmit_log: List[tuple[int, Packet]] = []
+        # Departures are recorded per drain and expanded on read: see the
+        # transmit_log property.
+        self._transmit_log: List[tuple[int, Packet]] = []
+        self._unread_drains: List[tuple[int, List[Packet]]] = []
         self.ingress_drops = 0
         self.migrations_applied = 0
         self.gc_interval_packets = gc_interval_packets
@@ -570,10 +577,17 @@ class ShardedRuntime:
         self._since_gc = 0
         self.gc_sweep_limit = gc_sweep_limit
         # Per-flow ownership state, columnised (see repro.runtime.flowstate):
-        # home shard and in-flight packet count.
+        # home shard, and the sharder's placement cached per slot (-1: not
+        # asked yet, or invalidated — see _route step 3).
         self.flows = FlowTable()
         self._home = self.flows.add_column("home", "i", -1)
-        self._pending = self.flows.add_column("pending", "i", 0)
+        self._placed = self.flows.add_column("placed", "i", -1)
+        self._placed_epoch = self.sharder.epoch
+        # In-flight packet count of every flow that has any: a sparse map,
+        # bounded by packets in flight rather than flows tracked (an entry
+        # is deleted the moment it reaches zero), so a departure settles its
+        # flow without probing the table.
+        self._in_flight: Dict[int, int] = {}
         self._gc_cursor = 0
         self._tick_handles: List[Optional[EventHandle]] = [None] * num_shards
         self._rebalance_handle: Optional[EventHandle] = None
@@ -664,7 +678,14 @@ class ShardedRuntime:
            count touches zero mid-delivery — migrating right then would
            strand the pacing state travelling with the lease.
         2. A flow with packets in flight follows them to its home shard.
-        3. Otherwise the sharder's (possibly re-pinned) placement applies.
+        3. Otherwise the sharder's (possibly re-pinned) placement applies —
+           asked once per flow, not once per packet: the answer is kept in
+           the ``placed`` column for as long as the flow holds a slot and
+           :attr:`FlowSharder.epoch` stands still.  Any pin, unpin or
+           forget that changes a placement (a rebalancing round, a crash
+           recovery, a direct call on :attr:`sharder`) moves the epoch, and
+           the next routing decision drops every cached answer at once.  A
+           flow with no slot yet has nowhere to keep one and asks.
 
         Pure lookup — home/migration state only changes once a packet is
         actually accepted (:meth:`_commit_group`), so a dropped packet never
@@ -674,11 +695,24 @@ class ShardedRuntime:
         if loan is not None:
             return loan
         slot = self.flows.lookup(flow_id)
-        if slot >= 0 and self._pending[slot] > 0:
+        if slot < 0:
+            return self.sharder.shard_for(flow_id)
+        if flow_id in self._in_flight:
             home = self._home[slot]
             if home >= 0:
                 return home
-        return self.sharder.shard_for(flow_id)
+        if self._placed_epoch != self.sharder.epoch:
+            self._reset_placements()
+        shard = self._placed[slot]
+        if shard < 0:
+            shard = self._placed[slot] = self.sharder.shard_for(flow_id)
+        return shard
+
+    def _reset_placements(self) -> None:
+        """Drop every cached placement: the sharder's epoch moved."""
+        placed = self._placed
+        placed[:] = array("i", [-1]) * len(placed)
+        self._placed_epoch = self.sharder.epoch
 
     def _commit_group(
         self,
@@ -710,7 +744,8 @@ class ShardedRuntime:
             return
         ensure = self.flows.ensure
         home_col = self._home
-        pending_col = self._pending
+        in_flight = self._in_flight
+        count_of = in_flight.get
         record = self.sharder.record if self.rebalancer is not None else None
         if taken < len(group):
             group = group[:taken]  # zip below stops the slots there too
@@ -726,7 +761,7 @@ class ShardedRuntime:
                     if shaper is not None:
                         self.workers[shard].adopt_shaper(flow_id, shaper)
                 home_col[slot] = shard
-            pending_col[slot] += 1
+            in_flight[flow_id] = count_of(flow_id, 0) + 1
             if record is not None:
                 record(flow_id, shard)
         if record is None:
@@ -806,13 +841,17 @@ class ShardedRuntime:
                 packet.metadata["mbox_ns"] = now
         # Route the whole burst first — the rule of _route, inline, with the
         # one flow-table probe per packet kept for the commit below.  Loans
-        # only change inside ticks, so one check covers the burst.
+        # change only inside ticks and pins never inside a burst, so one
+        # check of each covers the burst.
+        if self._placed_epoch != self.sharder.epoch:
+            self._reset_placements()
         by_shard: Dict[int, List[Packet]] = {}
         slots_by_shard: Dict[int, List[int]] = {}
         get_group = by_shard.get
         lookup = self.flows.lookup
         home_col = self._home
-        pending_col = self._pending
+        placed_col = self._placed
+        in_flight = self._in_flight
         shard_for = self.sharder.shard_for
         loan_shard = self.sharder.loan_shard if self.sharder.has_loans else None
         for packet in packets:
@@ -820,10 +859,14 @@ class ShardedRuntime:
             slot = lookup(flow_id)
             shard = loan_shard(flow_id) if loan_shard is not None else None
             if shard is None:
-                if slot >= 0 and pending_col[slot] > 0 and home_col[slot] >= 0:
+                if slot < 0:
+                    shard = shard_for(flow_id)
+                elif flow_id in in_flight and home_col[slot] >= 0:
                     shard = home_col[slot]
                 else:
-                    shard = shard_for(flow_id)
+                    shard = placed_col[slot]
+                    if shard < 0:
+                        shard = placed_col[slot] = shard_for(flow_id)
             group = get_group(shard)
             if group is None:
                 by_shard[shard] = [packet]
@@ -1097,13 +1140,19 @@ class ShardedRuntime:
 
         This runs once per drained packet for the whole runtime, so every
         per-packet lookup is hoisted into a local before the loop and the
-        optional branches (transmit log, callback, open leases) are resolved
-        once per call rather than once per packet.
+        optional branches (callback, open leases) are resolved once per call
+        rather than once per packet.  The transmit log takes one entry per
+        call — ``released`` itself, which this method therefore owns: every
+        caller hands over a list nothing else keeps (``drain_due`` and
+        ``end_lease`` build theirs fresh).
         """
+        if not released:
+            return
+        if self.record_transmits:
+            self._unread_drains.append((now, released))
         finished: List[FlowLease] = []
-        lookup = self.flows.lookup
-        pending_col = self._pending
-        log_append = self.transmit_log.append if self.record_transmits else None
+        in_flight = self._in_flight
+        count_of = in_flight.get
         on_transmit = self.on_transmit
         open_leases = self._open_leases
         e2e = self._e2e
@@ -1114,12 +1163,12 @@ class ShardedRuntime:
                 if submitted_ns is not None:
                     e2e.record(now - submitted_ns)
             flow_id = packet.flow_id
-            slot = lookup(flow_id)
-            if slot >= 0:
-                pending = pending_col[slot] - 1
-                pending_col[slot] = pending if pending > 0 else 0
-            if log_append is not None:
-                log_append((now, packet))
+            count = count_of(flow_id)
+            if count is not None:
+                if count > 1:
+                    in_flight[flow_id] = count - 1
+                else:
+                    del in_flight[flow_id]
             if on_transmit is not None:
                 on_transmit(packet, now)
             if open_leases:
@@ -1133,7 +1182,7 @@ class ShardedRuntime:
                             finished.append(entry[0])
         for lease in finished:
             self._finish_lease(lease, now)
-        if released and self.gc_interval_packets is not None:
+        if self.gc_interval_packets is not None:
             self._since_gc += len(released)
             if self._since_gc >= self.gc_interval_packets:
                 self._since_gc = 0
@@ -1337,7 +1386,7 @@ class ShardedRuntime:
         stats.gc_sweeps += 1
         key = flows.key
         home_col = self._home
-        pending_col = self._pending
+        in_flight = self._in_flight
         loan_shard = self.sharder.loan_shard
         forget = self.sharder.forget
         workers = self.workers
@@ -1353,7 +1402,7 @@ class ShardedRuntime:
         examined = 0
         for slot in slots:
             flow_id = key[slot]
-            if flow_id < 0 or pending_col[slot] > 0:
+            if flow_id < 0 or flow_id in in_flight:
                 continue
             examined += 1
             home = home_col[slot]
@@ -1584,15 +1633,13 @@ class ShardedRuntime:
                 ),
             )
         )
-        lookup = self.flows.lookup
-        pending_col = self._pending
+        in_flight = self._in_flight
 
         def write_off(packets) -> None:
             for packet in packets:
-                slot = lookup(packet.flow_id)
-                if slot >= 0:
-                    pending = pending_col[slot] - 1
-                    pending_col[slot] = pending if pending > 0 else 0
+                count = in_flight.pop(packet.flow_id, 0)
+                if count > 1:
+                    in_flight[packet.flow_id] = count - 1
             stats.packets_lost += len(packets)
 
         inbox_ids = {lease.lease_id for lease in self._loan_inbox[shard]}
@@ -1643,7 +1690,7 @@ class ShardedRuntime:
         for flow_id, slot in self.flows.items():
             if home_col[slot] != shard:
                 continue
-            if pending_col[slot] > 0:
+            if flow_id in in_flight:
                 # Packets survive (mailbox, or out with a thief): the flow
                 # stays homed here and its pacing state rides across.
                 shaper = old.pacing.detach(flow_id)
@@ -1805,6 +1852,33 @@ class ShardedRuntime:
     # -- introspection -----------------------------------------------------
 
     @property
+    def transmit_log(self) -> List[tuple[int, Packet]]:
+        """Every recorded departure as ``(now_ns, packet)``, in release order.
+
+        One persistent flat list: the same object on every read, so edits
+        made in place are still there on the next one.  The hot path logs
+        one ``(now_ns, released)`` entry per *drain*
+        (:meth:`_deliver`); a read appends the per-packet view of the drains
+        logged since the previous read, letting go of each drain as it is
+        expanded so the log is never held twice.  Whoever reads the log pays
+        for the per-packet tuples, at the read; a run that never reads it
+        never allocates them.  Empty with ``record_transmits=False``.
+        """
+        log = self._transmit_log
+        drains = self._unread_drains
+        if drains:
+            drains.reverse()
+            while drains:
+                now, released = drains.pop()
+                log.extend(zip(itertools.repeat(now), released))
+        return log
+
+    @transmit_log.setter
+    def transmit_log(self, entries: List[tuple[int, Packet]]) -> None:
+        self._transmit_log = entries
+        self._unread_drains.clear()
+
+    @property
     def pending(self) -> int:
         """Packets in flight anywhere: RX rings + mailboxes + queues + lease deferrals.
 
@@ -1817,13 +1891,12 @@ class ShardedRuntime:
         return in_flight + sum(core.backlog for core in self.ingress_cores)
 
     def flows_in_flight(self) -> int:
-        """Sum of per-flow in-flight packet counts in the flow table.
+        """Sum of the per-flow in-flight packet counts.
 
         Zero after a complete drain: a non-zero residue means the ownership
-        table believes packets exist that no queue holds (a stranded slot).
+        map believes packets exist that no queue holds (a stranded flow).
         """
-        pending_col = self._pending
-        return sum(pending_col[slot] for _flow_id, slot in self.flows.items())
+        return sum(self._in_flight.values())
 
     def residual_state(self) -> Dict[str, int]:
         """Post-drain audit: every gauge that must read zero once idle.
@@ -1994,7 +2067,10 @@ class ShardedRuntime:
             "slot_limit": self.flows.slot_limit,
             "pacing_flows": pacing_flows,
             "memory_bytes": (
-                self.flows.memory_bytes() + self.sharder.memory_bytes() + pacing_bytes
+                self.flows.memory_bytes()
+                + sys.getsizeof(self._in_flight)
+                + self.sharder.memory_bytes()
+                + pacing_bytes
             ),
             "gc_sweeps": flow_stats.gc_sweeps,
             "gc_examined": flow_stats.gc_examined,

@@ -98,6 +98,14 @@ class FlowSharder:
     the per-flow breakdown the rebalancer ranks by is approximate under
     extreme churn — and an evicted-because-cold flow was never a migration
     candidate anyway.
+
+    :attr:`epoch` is the invalidation signal for callers that cache
+    :meth:`shard_for` answers (the runtime driver keeps one per flow-table
+    slot): a plain int that :meth:`pin`, :meth:`unpin` and :meth:`forget`
+    bump whenever they change a pin or a sticky assignment — the only state
+    a placement depends on besides the fixed policy and seed.  While the
+    epoch stands still, ``shard_for(flow_id)`` returns what it returned
+    before, for every flow.
     """
 
     POLICIES = ("hash", "round_robin")
@@ -146,6 +154,8 @@ class FlowSharder:
         self.hash_seed = hash_seed
         self.window_limit = window_limit
         self.stats = ShardingStats()
+        #: Bumped whenever a pin or sticky assignment changes (class docstring).
+        self.epoch = 0
         self.flows = FlowTable()
         self._pin = self.flows.add_column("pin", "i", -1)
         self._sticky = self.flows.add_column("sticky", "i", -1)
@@ -197,9 +207,13 @@ class FlowSharder:
             raise ValueError("shard out of range")
         self.stats.pins += 1
         slot = self.flows.ensure(flow_id)
-        if self._pin[slot] < 0:
+        pinned = self._pin[slot]
+        if pinned == shard:
+            return
+        if pinned < 0:
             self._num_pins += 1
         self._pin[slot] = shard
+        self.epoch += 1
 
     def unpin(self, flow_id: int) -> None:
         """Remove an explicit pin; the policy takes over again."""
@@ -207,6 +221,7 @@ class FlowSharder:
         if slot >= 0 and self._pin[slot] >= 0:
             self._pin[slot] = -1
             self._num_pins -= 1
+            self.epoch += 1
             self._release_if_idle(slot, flow_id)
 
     def pinned_shard(self, flow_id: int) -> Optional[int]:
@@ -234,7 +249,10 @@ class FlowSharder:
         if self._pin[slot] >= 0:
             self._pin[slot] = -1
             self._num_pins -= 1
-        self._sticky[slot] = -1
+            self.epoch += 1
+        if self._sticky[slot] >= 0:
+            self._sticky[slot] = -1
+            self.epoch += 1
         self._release_if_idle(slot, flow_id)
 
     def _release_if_idle(self, slot: int, flow_id: int) -> None:

@@ -232,40 +232,16 @@ class ShardWorker:
     def _stamp_and_enqueue(self, packets: List[Packet], now_ns: int) -> int:
         """Stamp ``packets`` with their flows' pacing state, one batched enqueue.
 
-        RX bursts are bursty *per flow*, so the flow-state lookup is cached
-        across a run of same-flow packets within the batch; the modelled
-        ``flow_lookup`` charge stays per-packet (one batched charge), since
-        the cost model prices the hash-table probe a real per-packet
-        classifier performs, not this interpreter's memoisation.
+        The stamping is one :meth:`PacingTable.stamp_burst` call — one probe
+        loop per burst, the flow-state lookup cached across a run of
+        same-flow packets; the modelled ``flow_lookup`` charge stays
+        per-packet (one batched charge), since the cost model prices the
+        hash-table probe a real per-packet classifier performs, not this
+        interpreter's memoisation.
         """
-        pairs = []
-        append = pairs.append
-        shard_id = self.shard_id
-        rate_of = self.flow_rates.get
-        default_rate = self.default_rate_bps
-        pacing = self.pacing
-        touch = pacing.touch
-        stamp = pacing.stamp
-        last_flow = None
-        slot = -1
-        for packet in packets:
-            flow_id = packet.flow_id
-            if flow_id == last_flow:
-                send_at = now_ns if slot < 0 else stamp(slot, packet.size_bytes, now_ns)
-            else:
-                last_flow = flow_id
-                rate = rate_of(flow_id, default_rate)
-                if rate is None:
-                    slot = -1
-                    send_at = now_ns
-                else:
-                    # One probe: find-or-create the pacing slot and stamp.
-                    send_at = touch(flow_id, rate, packet.size_bytes, now_ns)
-                    slot = pacing.last_slot
-            metadata = packet.metadata
-            metadata["send_at_ns"] = send_at
-            metadata["shard"] = shard_id
-            append((send_at, packet))
+        pairs = self.pacing.stamp_burst(
+            packets, self.flow_rates.get, self.default_rate_bps, now_ns
+        )
         count = len(pairs)
         self.cost.charge("flow_lookup", count)
         queue = self.queue
@@ -481,11 +457,11 @@ class ShardWorker:
             packet.metadata["stolen_from"] = lease.victim_shard
             packet.metadata["lease_id"] = lease.lease_id
             packet.metadata["shard"] = self.shard_id
-        before = len(self.queue)
+        queued = len(self.queue)
         try:
             self.queue.enqueue_batch(lease.packets)
         finally:
-            self._backlog += len(self.queue) - before
+            self._backlog += len(self.queue) - queued
         if self._backlog > self.stats.backlog_peak:
             self.stats.backlog_peak = self._backlog
         self._charge_queue_delta()

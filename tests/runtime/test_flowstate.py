@@ -4,6 +4,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.model.transactions import RateLimit, ShapingTransaction
 from repro.runtime import FlowSharder, FlowTable, PacingTable, ShardedRuntime
@@ -236,6 +238,146 @@ class TestPacingTable:
         assert set(view) == {1}
         assert view[1].next_free_ns == before
         assert pacing.next_free_ns(1) == before
+
+
+def _chained_burst(table, packets, rate_of, default_rate, now_ns):
+    """The reference for ``stamp_burst``: one ``stamp(slot_for(...))`` a packet."""
+    pairs = []
+    for packet in packets:
+        rate = rate_of(packet.flow_id, default_rate)
+        if rate is None:
+            send_at = now_ns
+        else:
+            slot = table.slot_for(packet.flow_id, rate)
+            send_at = table.stamp(slot, packet.size_bytes, now_ns)
+        packet.metadata["send_at_ns"] = send_at
+        packet.metadata["shard"] = table.shard_id
+        pairs.append((send_at, packet))
+    return pairs
+
+
+def _table_state(table):
+    """Everything a pacing table holds: index shape, slots, every column."""
+    return {
+        "len": len(table),
+        "slot_limit": table.slot_limit,
+        "fill": (table._fill, table._tombs, table._cells),
+        "stats": table.stats,
+        "key": list(table.key),
+        "columns": {name: list(table.column(name)) for name in table._names},
+        "slots": {flow: table.lookup(flow) for flow in range(_BURST_FLOWS)},
+    }
+
+
+_BURST_FLOWS = 64
+_SATURATING_BPS = 1e-9  # one packet pushes next_free past the int64 bound
+_rate = st.sampled_from([None, 1e6, RATE_BPS, 10e9, _SATURATING_BPS])
+_burst_flow = st.integers(0, _BURST_FLOWS - 1)
+_burst_packet = st.tuples(_burst_flow, st.sampled_from([64, 1500, 1500, 9000]))
+_burst_step = st.one_of(
+    st.tuples(
+        st.just("burst"),
+        st.integers(0, 50_000),
+        # Runs of one flow (the same-flow shortcut) between single packets.
+        st.lists(
+            st.tuples(_burst_packet, st.integers(1, 4)), min_size=1, max_size=60
+        ),
+    ),
+    st.tuples(st.just("remove"), _burst_flow),
+    st.tuples(
+        st.just("install"),
+        _burst_flow,
+        st.sampled_from([1e6, RATE_BPS]),
+        st.sampled_from([0, 1500, 20_000]),
+    ),
+)
+
+
+class TestStampBurst:
+    """``stamp_burst`` against the chained ``stamp(slot_for(...))`` per packet."""
+
+    def _assert_same(self, steps, rates, default_rate):
+        burst_table, chained = PacingTable(shard_id=3), PacingTable(shard_id=3)
+        now = 0
+        for step in steps:
+            if step[0] == "burst":
+                now += step[1]
+                flows_sizes = [pair for pair, run in step[2] for _ in range(run)]
+                got, expected = (
+                    stamp(
+                        [Packet(flow_id=f, size_bytes=size) for f, size in flows_sizes],
+                        rates.get,
+                        default_rate,
+                        now,
+                    )
+                    for stamp in (
+                        burst_table.stamp_burst,
+                        lambda *args: _chained_burst(chained, *args),
+                    )
+                )
+                assert [send_at for send_at, _packet in got] == [
+                    send_at for send_at, _packet in expected
+                ]
+                assert [packet.metadata for _send_at, packet in got] == [
+                    packet.metadata for _send_at, packet in expected
+                ]
+                assert [(p.flow_id, p.size_bytes) for _send_at, p in got] == flows_sizes
+            elif step[0] == "remove":
+                assert burst_table.remove(step[1]) == chained.remove(step[1])
+            else:
+                _kind, flow, rate, burst_bytes = step
+                for table in (burst_table, chained):
+                    table.install(flow, ShapingTransaction("x", RateLimit(rate, burst_bytes)))
+            assert _table_state(burst_table) == _table_state(chained)
+        return burst_table
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(_burst_step, min_size=1, max_size=12),
+        rates=st.dictionaries(_burst_flow, _rate, max_size=24),
+        default_rate=_rate,
+    )
+    def test_burst_equals_chained_calls(self, steps, rates, default_rate):
+        self._assert_same(steps, rates, default_rate)
+
+    def test_mixed_sizes_and_rates_miss_the_gap_memo_correctly(self):
+        # Neighbouring packets that share a size but not a rate, then a rate
+        # but not a size: a memo keyed on either alone would stamp wrong.
+        rates = {1: 1e6, 2: RATE_BPS, 3: RATE_BPS}
+        packets = [((1, 1500), 1), ((2, 1500), 1), ((3, 64), 1), ((2, 64), 2), ((1, 64), 1)]
+        table = self._assert_same(
+            [("burst", 0, packets), ("burst", 10, packets)], rates, None
+        )
+        assert table.next_free_ns(1) == 2 * (12_000_000 + 512_000)
+
+    def test_stateless_flows_hold_no_slot(self):
+        table = self._assert_same(
+            [("burst", 5, [((7, 1500), 3), ((8, 64), 1), ((7, 1500), 1)])], {8: RATE_BPS}, None
+        )
+        assert 7 not in table and 8 in table
+
+    def test_rehash_in_the_middle_of_a_burst(self):
+        # 64 index cells rehash at 43 filled: one burst of 60 new flows into
+        # an empty table crosses that, and the flows after it must be probed
+        # in the rebuilt index.
+        packets = [((flow, 1500), 2) for flow in range(60)]
+        table = self._assert_same([("burst", 0, packets)], {}, RATE_BPS)
+        assert table.stats.rehashes >= 1 and len(table) == 60
+
+    def test_tombstones_are_reused_after_remove(self):
+        first = [((flow, 1500), 1) for flow in range(30)]
+        steps = [("burst", 0, first)]
+        steps += [("remove", flow) for flow in range(0, 30, 2)]
+        steps += [("burst", 100, first)]  # the removed flows come back
+        table = self._assert_same(steps, {}, RATE_BPS)
+        assert table.stats.recycles == 15 and table._tombs == 0
+
+    def test_a_saturating_rate_pins_next_free_at_the_int64_bound(self):
+        packets = [((1, 9000), 2), ((2, 1500), 1), ((1, 9000), 1)]
+        table = self._assert_same(
+            [("burst", 0, packets), ("burst", 10, packets)], {1: _SATURATING_BPS}, RATE_BPS
+        )
+        assert table.next_free_ns(1) == (1 << 63) - 1
 
 
 class TestShardingWindowBound:

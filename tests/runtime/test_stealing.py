@@ -184,6 +184,23 @@ class TestAcceptorSide:
         thief.finish_held_lease()
         assert thief.leases_held == 0
 
+    def test_cycles_stolen_counts_only_the_splice_on_a_thief_with_history(self):
+        # A thief that already spent cycles and still holds a backlog of its
+        # own: cycles_stolen is the cost of this splice alone (a fresh
+        # thief's zero cycles and empty queue cannot tell the difference).
+        victim = ShardWorker(0, default_rate_bps=RATE_BPS)
+        victim.mailbox.push_batch(_packets([3] * 8))
+        victim.ingest(now_ns=0)
+        lease = victim.grant_lease(1, 1, now_ns=0, max_packets=8, horizon_ns=100_000)
+        thief = ShardWorker(1, default_rate_bps=RATE_BPS)
+        thief.mailbox.push_batch(_packets([5] * 6))
+        thief.tick(now_ns=0, ingest_limit=None, drain_limit=2)
+        backlog, before = thief.backlog, thief.cost.total_cycles
+        assert backlog > 0 and before > 0
+        thief.accept_lease(lease, now_ns=0)
+        assert thief.steal.cycles_stolen == thief.cost.total_cycles - before
+        assert thief.backlog == backlog + len(lease.packets)
+
     def test_holder_cannot_donate(self):
         victim = ShardWorker(0)
         victim.mailbox.push_batch(_packets([3] * 4))

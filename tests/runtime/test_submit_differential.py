@@ -23,8 +23,12 @@ The stealing case therefore runs on two shards.
 
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.model.packet import Packet
-from repro.runtime import ShardedRuntime
+from repro.runtime import FlowSharder, ShardedRuntime
 from repro.runtime.faults import FaultEvent, FaultPlan
 from repro.runtime.sharder import DEFAULT_HASH_SEED, rss_hash
 
@@ -234,3 +238,198 @@ def test_loan_overrides_a_fresh_pin_for_a_drained_flow():
     assert outcome["packets_stolen"] > 0
     assert outcome["migrations_applied"] == 1
     assert [index for _now, index in outcome["departures"][mouse]] == [0, 1, 2, 3, 4]
+
+
+# -- placement caching --------------------------------------------------------
+#
+# Routing step 3 asks the sharder once per flow and keeps the answer in the
+# driver's ``placed`` column until ``FlowSharder.epoch`` moves.  The cases
+# below are the ones where a kept answer could go stale: the sharder is
+# edited *directly*, between bursts, for a flow that is idle but still holds
+# its slot (GC off, so the slot — and the cached placement — outlive the
+# drain).  Two shards with stealing on, for the reason in the module
+# docstring; each case runs through ``submit_batch`` (epoch checked at the
+# top of the burst) and through ``submit`` (checked in ``_route``).
+
+SLOW_RATE_BPS = 1e6  # 1500 B => 12 ms a packet: pacing state outlives a drain
+GAP_NS = 12_000_000
+
+
+def _flows_hashed_to(shard, count, num_shards=2):
+    flows = (
+        flow_id
+        for flow_id in range(1, 1_000)
+        if rss_hash(flow_id, DEFAULT_HASH_SEED) % num_shards == shard
+    )
+    return [next(flows) for _ in range(count)]
+
+
+def _offer(runtime, flow_ids, batched):
+    packets = [Packet(flow_id=flow_id, size_bytes=1500) for flow_id in flow_ids]
+    if batched:
+        runtime.submit_batch(packets)
+    else:
+        for packet in packets:
+            runtime.submit(packet)
+    return packets
+
+
+def _cached_runtime(batched, **kwargs):
+    """A two-shard runtime plus a flow whose placement on shard 0 is cached."""
+    runtime = ShardedRuntime(
+        2,
+        quantum_ns=QUANTUM_NS,
+        default_rate_bps=SLOW_RATE_BPS,
+        steal_enabled=True,
+        gc_interval_packets=None,
+        **kwargs,
+    )
+    (flow,) = _flows_hashed_to(0, 1)
+    _offer(runtime, [flow], batched)  # new flow: no slot to keep the answer in
+    runtime.run()
+    _offer(runtime, [flow], batched)  # idle, holds a slot: asked, and kept
+    runtime.run()
+    asked = runtime.sharder.stats.lookups
+    (packet,) = _offer(runtime, [flow], batched)
+    runtime.run()
+    assert runtime.sharder.stats.lookups == asked  # the kept answer was used
+    assert packet.metadata["shard"] == 0
+    return runtime, flow
+
+
+def _assert_moved_with_its_shaper(runtime, flow, batched, src, dst):
+    next_free = runtime.workers[src].pacing.next_free_ns(flow)
+    assert next_free > runtime.simulator.now_ns  # a fresh shaper would send now
+    migrations = runtime.migrations_applied
+    (packet,) = _offer(runtime, [flow], batched)
+    runtime.run()
+    assert packet.metadata["shard"] == dst
+    assert packet.metadata["send_at_ns"] == next_free
+    assert runtime.migrations_applied == migrations + 1
+    assert flow not in runtime.workers[src].pacing
+    assert runtime.workers[dst].pacing.next_free_ns(flow) == next_free + GAP_NS
+    assert not any(runtime.residual_state().values())
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_direct_pin_between_bursts_moves_an_idle_flow_that_holds_a_slot(batched):
+    runtime, flow = _cached_runtime(batched)
+    runtime.sharder.pin(flow, 1)
+    _assert_moved_with_its_shaper(runtime, flow, batched, src=0, dst=1)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("release", ["unpin", "forget"])
+def test_direct_unpin_or_forget_between_bursts_moves_the_flow_back(release, batched):
+    runtime, flow = _cached_runtime(batched)
+    runtime.sharder.pin(flow, 1)
+    _assert_moved_with_its_shaper(runtime, flow, batched, src=0, dst=1)
+    asked = runtime.sharder.stats.lookups
+    _offer(runtime, [flow], batched)
+    runtime.run()
+    assert runtime.sharder.stats.lookups == asked  # the pinned answer is kept too
+    getattr(runtime.sharder, release)(flow)  # forget drops the pin too
+    _assert_moved_with_its_shaper(runtime, flow, batched, src=1, dst=0)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_forget_re_places_a_sticky_round_robin_flow(batched):
+    runtime = ShardedRuntime(
+        2,
+        sharder=FlowSharder(2, policy="round_robin"),
+        quantum_ns=QUANTUM_NS,
+        default_rate_bps=SLOW_RATE_BPS,
+        steal_enabled=True,
+        gc_interval_packets=None,
+    )
+    first, second, third = 11, 12, 13  # sticky on shards 0, 1, 0; next is 1
+    for _ in range(3):  # new flow, then asked-and-kept, then kept
+        packets = _offer(runtime, [first, second, third], batched)
+        runtime.run()
+    assert [packet.metadata["shard"] for packet in packets] == [0, 1, 0]
+    runtime.sharder.forget(first)
+    _assert_moved_with_its_shaper(runtime, first, batched, src=0, dst=1)
+
+
+class _NeverCachedSharder(FlowSharder):
+    """A sharder whose epoch moves on every read.
+
+    The driver finds its cached placements out of date at every routing
+    decision and asks again — the twin the cached runtime must equal.
+    """
+
+    _reads = 0
+
+    @property
+    def epoch(self):
+        self._reads += 1
+        return self._reads
+
+    @epoch.setter
+    def epoch(self, _value):
+        pass
+
+
+_FLOWS = _flows_hashed_to(0, 4) + _flows_hashed_to(1, 2)
+_flow = st.sampled_from(_FLOWS)
+_operation = st.one_of(
+    st.tuples(st.just("burst"), st.lists(_flow, min_size=1, max_size=12)),
+    st.tuples(st.just("pin"), _flow, st.integers(0, 1)),
+    st.tuples(st.just("unpin"), _flow),
+    st.tuples(st.just("forget"), _flow),
+    st.tuples(st.just("idle")),
+)
+
+
+def _replay(operations, sharder, batched, policy):
+    """Apply ``operations`` directly, between partial runs; returns the outcome."""
+    runtime = ShardedRuntime(
+        2,
+        sharder=sharder(2, policy=policy),
+        quantum_ns=QUANTUM_NS,
+        default_rate_bps=RATE_BPS,
+        steal_enabled=True,
+        steal_min_backlog=1,
+        gc_interval_packets=64,  # slots are reclaimed, but not at every burst
+    )
+    arrivals: dict = {}
+    for operation in operations:
+        kind = operation[0]
+        if kind == "burst":
+            packets = _offer(runtime, operation[1], batched)
+            for packet in packets:
+                arrival = arrivals.get(packet.flow_id, 0)
+                arrivals[packet.flow_id] = arrival + 1
+                packet.annotate(arrival_index=arrival)
+            # Less than the burst needs to drain: the next operation finds
+            # some flows in flight (residency) and some idle (placement).
+            runtime.run(until_ns=runtime.simulator.now_ns + 2 * QUANTUM_NS)
+        elif kind == "idle":
+            runtime.run()
+        else:
+            getattr(runtime.sharder, kind)(*operation[1:])
+    runtime.run()
+    telemetry = runtime.telemetry()
+    return {
+        "departures": [
+            (now_ns, packet.flow_id, packet.metadata["arrival_index"], packet.metadata["shard"])
+            for now_ns, packet in runtime.transmit_log
+        ],
+        "total_cycles": telemetry.total_cycles,
+        "migrations_applied": telemetry.migrations_applied,
+        "packets_stolen": telemetry.packets_stolen,
+        "gc_reclaimed": telemetry.flow_state["gc_reclaimed"],
+        "residual_state": runtime.residual_state(),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    operations=st.lists(_operation, min_size=1, max_size=40),
+    policy=st.sampled_from(FlowSharder.POLICIES),
+)
+def test_cached_placement_equals_a_twin_that_asks_every_time(operations, policy):
+    cached = _replay(operations, FlowSharder, batched=True, policy=policy)
+    assert cached == _replay(operations, FlowSharder, batched=False, policy=policy)
+    assert cached == _replay(operations, _NeverCachedSharder, batched=False, policy=policy)
+    assert not any(cached["residual_state"].values())

@@ -103,14 +103,10 @@ def test_rebalancer_window_is_still_attributed_per_flow():
     runtime.stop()
 
 
-@pytest.mark.parametrize("policy", ["rebalance_off_steal_off", "rebalance_off_steal_on"])
-def test_unattributed_zipf_rows_match_the_committed_artifact(policy):
-    # The 4-shard Zipf rows of benchmarks/bench_sharding.py that run with no
-    # rebalancer, rebuilt from the artifact's own workload block: per-shard
-    # accounting alone must reproduce every modelled column exactly.  (The
-    # artifact's rebalance_on rows are not pinned here: they stopped
-    # reproducing when PR 7 moved the window onto FlowTable columns and the
-    # artifact was not regenerated — 63 migrations today against its 72.)
+def _replay_zipf_row(policy):
+    """One 4-shard Zipf row of benchmarks/bench_sharding.py, rebuilt from the
+    artifact's own workload block; asserts every modelled column both kinds
+    of row share and returns ``(runtime, telemetry, committed)``."""
     artifact = json.loads(ARTIFACT.read_text())
     workload = artifact["workload"]
     committed = artifact["scenarios"]["zipf"][policy]["4"]
@@ -122,6 +118,9 @@ def test_unattributed_zipf_rows_match_the_committed_artifact(policy):
         default_rate_bps=workload["flow_rate_bps"],
         quantum_ns=workload["quantum_ns"],
         batch_per_quantum=workload["batch_per_quantum"],
+        rebalance_interval_ns=(
+            workload["rebalance_interval_ns"] if policy.startswith("rebalance_on") else None
+        ),
         steal_enabled=policy.endswith("steal_on"),
         steal_min_backlog=workload["steal_min_backlog"],
         record_transmits=False,
@@ -136,11 +135,33 @@ def test_unattributed_zipf_rows_match_the_committed_artifact(policy):
     runtime.run()
     telemetry = runtime.telemetry()
     assert telemetry.transmitted == committed["transmitted"]
-    assert telemetry.migrations_applied == committed["migrations"] == 0
+    assert telemetry.migrations_applied == committed["migrations"]
     assert telemetry.total_cycles == committed["total_cycles"]
     assert telemetry.max_shard_cycles == committed["max_shard_cycles"]
     assert telemetry.packets_stolen == committed["packets_stolen"]
+    assert telemetry.steal_cycles == committed["steal_cycles"]
     assert telemetry.imbalance == committed["imbalance"]
     assert [s.transmitted for s in telemetry.shards] == committed["per_shard_transmitted"]
+    return runtime, telemetry, committed
+
+
+@pytest.mark.parametrize("policy", ["rebalance_off_steal_off", "rebalance_off_steal_on"])
+def test_unattributed_zipf_rows_match_the_committed_artifact(policy):
+    # The rows that run with no rebalancer: per-shard accounting alone must
+    # reproduce every modelled column exactly.
+    runtime, _telemetry, committed = _replay_zipf_row(policy)
+    assert committed["migrations"] == 0
     assert len(runtime.sharder.flows) == 0
     assert sum(runtime.sharder.shard_loads()) == committed["transmitted"]
+
+
+@pytest.mark.parametrize("policy", ["rebalance_on_steal_off", "rebalance_on_steal_on"])
+def test_rebalanced_zipf_rows_match_the_committed_artifact(policy):
+    # The rows a live rebalancer steers: every migration it plans from the
+    # per-flow window — and the driver applies from a kept placement that a
+    # re-pin must invalidate — has to land as committed.
+    _runtime, telemetry, committed = _replay_zipf_row(policy)
+    assert committed["migrations"] > 0
+    assert telemetry.rebalance_rounds == committed["rebalance_rounds"]
+    assert telemetry.steals_attempted == committed["steals_attempted"]
+    assert telemetry.steals_succeeded == committed["steals_succeeded"]
