@@ -84,8 +84,15 @@ class PIFOBlock:
     def remove(self, element: Any) -> bool:
         """Remove ``element`` wherever it currently sits; True when found.
 
-        Requires the backing queue to support ``remove`` (all bucketed FFS
-        queues do); falls back to False otherwise.
+        Requires the backing queue to support ``remove`` (cFFS and every
+        fixed-range bucketed queue do).  Over a queue that cannot — the
+        comparison-based baselines — removing a member raises instead of
+        reporting a miss, because a ``reinsert`` that went on to push would
+        leave the element in twice.
+
+        Raises:
+            TypeError: ``element`` is enqueued and the backing queue has no
+                ``remove``.
         """
         entry = self._membership.get(id(element))
         if entry is None:
@@ -93,7 +100,10 @@ class PIFOBlock:
         rank, stored = entry
         remover = getattr(self.queue, "remove", None)
         if remover is None:
-            return False
+            raise TypeError(
+                f"{type(self.queue).__name__} does not support remove(); "
+                f"PIFO {self.name!r} cannot remove or reinsert an enqueued element"
+            )
         if remover(rank, stored):
             del self._membership[id(element)]
             return True

@@ -3,6 +3,10 @@
 This package contains every queuing data structure the paper builds on,
 proposes, or compares against:
 
+* :class:`FixedRangeBucketQueue` — the bucket store and every operation of
+  the fixed-range families below, which are each an index over it; a new
+  bucketed family is three methods (``_mark_nonempty``, ``_mark_empty``,
+  ``_min_bucket``).
 * :class:`FFSQueue` / :class:`MultiWordFFSQueue` — single- and multi-word
   Find-First-Set bucketed queues over a fixed range.
 * :class:`HierarchicalFFSQueue` — the PIQ-style bitmap tree for large bucket
@@ -23,6 +27,7 @@ proposes, or compares against:
 from .base import (
     BucketSpec,
     EmptyQueueError,
+    FixedRangeBucketQueue,
     IntegerPriorityQueue,
     PriorityOutOfRangeError,
     QueueError,
@@ -69,6 +74,7 @@ __all__ = [
     "EmptyQueueError",
     "FFSBitmapTree",
     "FFSQueue",
+    "FixedRangeBucketQueue",
     "GradientQueue",
     "HierarchicalFFSQueue",
     "HierarchicalTimingWheel",

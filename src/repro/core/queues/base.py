@@ -14,13 +14,30 @@ All queues in this package therefore share the same contract:
 Every queue also records an :class:`~repro.cpu.cost_model.CycleAccount`-style
 operation trace through lightweight counters in :class:`QueueStats`, so the
 benchmark harness can compare both wall-clock time and modelled CPU cycles.
+
+The paper's efficient queues (Section 3) are one design: an array of FIFO
+buckets plus an *index* that finds the first non-empty one — an FFS word, a
+bitmap tree, the gradient's ``ceil(b / a)``.  :class:`FixedRangeBucketQueue`
+is that design written once: it owns the bucket store and every queue
+operation, and a family supplies its index as three hooks.
+
+Interpreter-level notes on the shared store (the modelled costs are unchanged
+by all of this):
+
+* bucket FIFOs are allocated lazily and recycled through a free list when
+  they drain, so a sparsely occupied queue with a large bucket count neither
+  preallocates thousands of deques nor throws emptied ones to the garbage
+  collector;
+* the batch paths hoist every repeated attribute lookup into locals and
+  settle the stats counters once per batch.
 """
 
 from __future__ import annotations
 
 import abc
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Deque, Iterable, Iterator, Optional
 
 
 class QueueError(Exception):
@@ -166,11 +183,12 @@ class BucketSpec:
 
 
 class IntegerPriorityQueue(abc.ABC):
-    """Abstract bucketed integer priority queue.
+    """Abstract integer priority queue: the surface every queue shares.
 
-    Concrete implementations differ only in how they locate the minimum
-    non-empty bucket; bucket storage (FIFO lists) and range checking are
-    shared here.
+    Queues over a fixed rank range differ only in how they locate the minimum
+    non-empty bucket; their bucket storage, range checking and operations are
+    :class:`FixedRangeBucketQueue`.  The moving-range queues and the
+    comparison-based baselines implement this surface on their own.
 
     Every class in the hierarchy declares ``__slots__``: queue objects are
     touched per packet, and slot access skips the per-instance ``__dict__``
@@ -283,6 +301,242 @@ class IntegerPriorityQueue(abc.ABC):
         return priority
 
 
+class FixedRangeBucketQueue(IntegerPriorityQueue):
+    """The bucket store and its operations; a subclass is the index over it.
+
+    Covers the fixed priority range ``[base_priority, base_priority +
+    num_buckets * granularity)``.  Everything a queue does — range check,
+    FIFO buckets, the six operations and :meth:`remove` — is written here
+    once.  A family supplies the three hooks below, each in *external* bucket
+    numbers (bucket 0 holds the smallest ranks), and charges its own
+    :class:`QueueStats` counters inside them; subclasses define none of the
+    operations themselves.
+
+    Bucket FIFOs live behind a free list: ``_buckets[i]`` is ``None`` while
+    bucket ``i`` is empty (the invariant every path relies on), a deque is
+    attached on first use, and a drained deque is recycled rather than
+    re-allocated on the next enqueue.
+    """
+
+    __slots__ = ("_buckets", "_free")
+
+    def __init__(self, spec: BucketSpec) -> None:
+        super().__init__(spec)
+        self._buckets: list[Optional[Deque[tuple[int, Any]]]] = [None] * spec.num_buckets
+        self._free: list[Deque[tuple[int, Any]]] = []
+
+    # -- the index: what a family supplies ----------------------------------
+
+    @abc.abstractmethod
+    def _mark_nonempty(self, bucket: int) -> None:
+        """``bucket`` just went from empty to non-empty."""
+
+    @abc.abstractmethod
+    def _mark_empty(self, bucket: int) -> None:
+        """``bucket`` just drained (not necessarily the minimum: ``remove``)."""
+
+    @abc.abstractmethod
+    def _min_bucket(self) -> int:
+        """The non-empty bucket to serve next, charged as one lookup.
+
+        The store only calls this on a non-empty queue.
+        """
+
+    # -- the store ------------------------------------------------------------
+
+    def _out_of_range(self, priority: int) -> PriorityOutOfRangeError:
+        base = self.spec.base_priority
+        return PriorityOutOfRangeError(
+            f"priority {priority} outside fixed range "
+            f"[{base}, {base + self.spec.horizon}) of {type(self).__name__}"
+        )
+
+    def _release(self, bucket: int, entries: Deque[tuple[int, Any]]) -> None:
+        """Detach a drained FIFO: the bucket reads empty, the deque is recycled."""
+        self._buckets[bucket] = None
+        self._free.append(entries)
+        self._mark_empty(bucket)
+
+    def enqueue(self, priority: int, item: Any) -> None:
+        priority = validate_priority(priority)
+        spec = self.spec
+        if not spec.contains(priority):
+            raise self._out_of_range(priority)
+        bucket = spec.bucket_for(priority)
+        stats = self.stats
+        stats.enqueues += 1
+        stats.bucket_lookups += 1
+        entries = self._buckets[bucket]
+        if entries is None:
+            free = self._free
+            entries = self._buckets[bucket] = free.pop() if free else deque()
+            self._mark_nonempty(bucket)
+        entries.append((priority, item))
+        self._size += 1
+
+    def extract_min(self) -> tuple[int, Any]:
+        if not self._size:
+            raise EmptyQueueError(f"extract_min from empty {type(self).__name__}")
+        bucket = self._min_bucket()
+        entries = self._buckets[bucket]
+        entry = entries.popleft()
+        if not entries:
+            self._release(bucket, entries)
+        self.stats.dequeues += 1
+        self._size -= 1
+        return entry
+
+    def peek_min(self) -> tuple[int, Any]:
+        if not self._size:
+            raise EmptyQueueError(f"peek_min from empty {type(self).__name__}")
+        return self._buckets[self._min_bucket()][0]
+
+    def enqueue_batch(self, pairs: Iterable[tuple[int, Any]]) -> int:
+        """Batched insert: one bucket lookup and index update per bucket.
+
+        Pairs append straight into their bucket FIFOs on hoisted locals; a
+        key set tracks the distinct buckets for the amortised
+        ``bucket_lookups`` charge, and counters settle once per batch.  On a
+        mid-batch validation error the inserted prefix stays enqueued and
+        counted, matching the base class's per-element default.
+        """
+        spec = self.spec
+        base = spec.base_priority
+        granularity = spec.granularity
+        hi = base + spec.horizon
+        buckets = self._buckets
+        free = self._free
+        mark_nonempty = self._mark_nonempty
+        seen: set[int] = set()
+        seen_add = seen.add
+        count = 0
+        try:
+            for pair in pairs:
+                priority = pair[0]
+                if type(priority) is not int:
+                    priority = validate_priority(priority)
+                    pair = (priority, pair[1])
+                if priority < base or priority >= hi:
+                    raise self._out_of_range(priority)
+                bucket = (priority - base) // granularity
+                seen_add(bucket)
+                entries = buckets[bucket]
+                if entries is None:
+                    entries = buckets[bucket] = free.pop() if free else deque()
+                    mark_nonempty(bucket)
+                entries.append(pair)
+                count += 1
+        finally:
+            stats = self.stats
+            stats.enqueues += count
+            stats.bucket_lookups += len(seen)
+            self._size += count
+        return count
+
+    def extract_min_batch(self, n: int) -> list[tuple[int, Any]]:
+        """Batched extract-min: one index lookup per bucket visited.
+
+        An index only moves when bucket occupancy does, so draining the
+        selected bucket before looking again visits the same buckets in the
+        same order as repeated single extractions.
+        """
+        if n < 0:
+            raise ValueError("batch size must be non-negative")
+        batch: list[tuple[int, Any]] = []
+        buckets = self._buckets
+        min_bucket = self._min_bucket
+        release = self._release
+        taken = 0
+        while taken < n and self._size:
+            bucket = min_bucket()
+            entries = buckets[bucket]
+            space = n - taken
+            if space >= len(entries):
+                take = len(entries)
+                batch.extend(entries)
+                entries.clear()
+                release(bucket, entries)
+            else:
+                take = space
+                popleft = entries.popleft
+                for _ in range(take):
+                    batch.append(popleft())
+            taken += take
+            self._size -= take
+        self.stats.dequeues += taken
+        return batch
+
+    def extract_due(
+        self, now: int, limit: Optional[int] = None
+    ) -> list[tuple[int, Any]]:
+        released: list[tuple[int, Any]] = []
+        buckets = self._buckets
+        min_bucket = self._min_bucket
+        release = self._release
+        spec = self.spec
+        base = spec.base_priority
+        granularity = spec.granularity
+        size = self._size
+        taken = 0
+        while size and (limit is None or taken < limit):
+            bucket = min_bucket()
+            entries = buckets[bucket]
+            # Whole-bucket fast path on the *selected* bucket (the approximate
+            # queue may select a non-extremal one): when its highest
+            # representable priority has passed, every entry is due and one
+            # extend replaces the per-element head checks.
+            if (
+                base + (bucket + 1) * granularity - 1 <= now
+                and (limit is None or limit - taken >= len(entries))
+            ):
+                count = len(entries)
+                taken += count
+                size -= count
+                released.extend(entries)
+                entries.clear()
+                release(bucket, entries)
+                continue
+            while entries and entries[0][0] <= now:
+                if limit is not None and taken >= limit:
+                    break
+                released.append(entries.popleft())
+                taken += 1
+                size -= 1
+            if not entries:
+                release(bucket, entries)
+                continue
+            break  # head not yet due, or the limit was reached
+        self.stats.dequeues += taken
+        self._size = size
+        return released
+
+    def remove(self, priority: int, item: Any) -> bool:
+        """Remove a specific ``(priority, item)`` pair in O(bucket length).
+
+        Bucketed queues support cheap removal, which pFabric and hClock use
+        heavily when a flow's rank changes (Section 2).  Returns True when
+        the element was found and removed.  An empty bucket is ``None``
+        behind the free list, so the miss path costs one load — no deque is
+        scanned.
+        """
+        priority = validate_priority(priority)
+        if not self.spec.contains(priority):
+            return False
+        bucket = self.spec.bucket_for(priority)
+        entries = self._buckets[bucket]
+        self.stats.bucket_lookups += 1
+        if entries is None:
+            return False
+        for index, entry in enumerate(entries):
+            if entry[0] == priority and entry[1] is item:
+                del entries[index]
+                self._size -= 1
+                if not entries:
+                    self._release(bucket, entries)
+                return True
+        return False
+
+
 def validate_priority(priority: int) -> int:
     """Validate that a rank is a (coercible) integer and return it as int.
 
@@ -301,6 +555,7 @@ __all__ = [
     "BucketSpec",
     "CounterStatsMixin",
     "EmptyQueueError",
+    "FixedRangeBucketQueue",
     "IntegerPriorityQueue",
     "PriorityOutOfRangeError",
     "QueueError",

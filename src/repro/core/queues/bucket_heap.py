@@ -7,203 +7,51 @@ grouping of equal ranks; only the search for the minimum non-empty bucket
 costs O(log B) heap operations, where B is the number of *non-empty* buckets.
 
 The heap holds bucket indices; a lazy-deletion scheme avoids O(n) removals:
-a bucket index may appear in the heap while the bucket is already empty, and
-such stale entries are popped and discarded during extraction.
+a bucket that ``remove`` drains from below the top stays in the heap, flagged,
+and the stale entry is popped and discarded when it surfaces — unless the
+bucket fills again first, in which case the entry is simply live again.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Deque, Iterable, Optional
 
-from .base import (
-    BucketSpec,
-    EmptyQueueError,
-    IntegerPriorityQueue,
-    PriorityOutOfRangeError,
-    validate_priority,
-)
+from .base import BucketSpec, EmptyQueueError, FixedRangeBucketQueue
 
 
-class BucketedHeapQueue(IntegerPriorityQueue):
+class BucketedHeapQueue(FixedRangeBucketQueue):
     """Bucketed integer priority queue whose occupancy index is a binary heap."""
 
-    __slots__ = ("_buckets", "_heap", "_in_heap")
+    __slots__ = ("_heap", "_in_heap")
 
     def __init__(self, spec: BucketSpec) -> None:
         super().__init__(spec)
-        self._buckets: list[Deque[tuple[int, Any]]] = [
-            deque() for _ in range(spec.num_buckets)
-        ]
         self._heap: list[int] = []
         self._in_heap = [False] * spec.num_buckets
 
-    def enqueue(self, priority: int, item: Any) -> None:
-        priority = validate_priority(priority)
-        if not self.spec.contains(priority):
-            raise PriorityOutOfRangeError(
-                f"priority {priority} outside fixed range of BucketedHeapQueue"
-            )
-        bucket = self.spec.bucket_for(priority)
-        self.stats.enqueues += 1
-        self.stats.bucket_lookups += 1
-        self._buckets[bucket].append((priority, item))
+    def _mark_nonempty(self, bucket: int) -> None:
         if not self._in_heap[bucket]:
             heapq.heappush(self._heap, bucket)
             self._in_heap[bucket] = True
             # Rough accounting: a push costs log2(len(heap)) sift steps.
             self.stats.heap_operations += max(1, len(self._heap).bit_length())
-        self._size += 1
+
+    def _mark_empty(self, bucket: int) -> None:
+        """Pop ``bucket`` if it tops the heap; below the top it waits, stale."""
+        heap = self._heap
+        if heap[0] == bucket:
+            heapq.heappop(heap)
+            self._in_heap[bucket] = False
+            self.stats.heap_operations += max(1, len(heap).bit_length())
 
     def _min_bucket(self) -> int:
         while self._heap:
             bucket = self._heap[0]
-            if self._buckets[bucket]:
+            if self._buckets[bucket] is not None:
                 return bucket
-            # Stale entry: the bucket drained since it was pushed.
-            heapq.heappop(self._heap)
-            self._in_heap[bucket] = False
-            self.stats.heap_operations += max(1, len(self._heap).bit_length())
+            # Stale: ``remove`` drained it while it sat below the top.
+            self._mark_empty(bucket)
         raise EmptyQueueError("no non-empty bucket")
-
-    def extract_min(self) -> tuple[int, Any]:
-        if self.empty:
-            raise EmptyQueueError("extract_min from empty BucketedHeapQueue")
-        bucket = self._min_bucket()
-        entry = self._buckets[bucket].popleft()
-        if not self._buckets[bucket]:
-            heapq.heappop(self._heap)
-            self._in_heap[bucket] = False
-            self.stats.heap_operations += max(1, len(self._heap).bit_length())
-        self.stats.dequeues += 1
-        self._size -= 1
-        return entry
-
-    def peek_min(self) -> tuple[int, Any]:
-        if self.empty:
-            raise EmptyQueueError("peek_min from empty BucketedHeapQueue")
-        bucket = self._min_bucket()
-        return self._buckets[bucket][0]
-
-    # -- batch operations -----------------------------------------------------
-
-    def _drop_min_bucket(self, bucket: int) -> None:
-        heapq.heappop(self._heap)
-        self._in_heap[bucket] = False
-        self.stats.heap_operations += max(1, len(self._heap).bit_length())
-
-    def enqueue_batch(self, pairs: Iterable[tuple[int, Any]]) -> int:
-        """Batched insert: at most one heap push per distinct bucket.
-
-        Direct-append shape: a key set tracks distinct buckets for the
-        amortised ``bucket_lookups`` charge, counters settle once, and a
-        mid-batch validation error leaves the inserted prefix enqueued and
-        counted (the base class's per-element behaviour).
-        """
-        spec = self.spec
-        base = spec.base_priority
-        granularity = spec.granularity
-        hi = base + spec.horizon
-        stats = self.stats
-        buckets = self._buckets
-        in_heap = self._in_heap
-        heap = self._heap
-        heappush = heapq.heappush
-        seen: set[int] = set()
-        seen_add = seen.add
-        count = 0
-        heap_ops = 0
-        try:
-            for pair in pairs:
-                priority = pair[0]
-                if type(priority) is not int:
-                    priority = validate_priority(priority)
-                    pair = (priority, pair[1])
-                if priority < base or priority >= hi:
-                    raise PriorityOutOfRangeError(
-                        f"priority {priority} outside fixed range of BucketedHeapQueue"
-                    )
-                bucket = (priority - base) // granularity
-                seen_add(bucket)
-                if not in_heap[bucket]:
-                    heappush(heap, bucket)
-                    in_heap[bucket] = True
-                    heap_ops += max(1, len(heap).bit_length())
-                buckets[bucket].append(pair)
-                count += 1
-        finally:
-            stats.enqueues += count
-            stats.bucket_lookups += len(seen)
-            stats.heap_operations += heap_ops
-            self._size += count
-        return count
-
-    def extract_min_batch(self, n: int) -> list[tuple[int, Any]]:
-        """Batched extract-min: one heap pop per bucket drained."""
-        if n < 0:
-            raise ValueError("batch size must be non-negative")
-        batch: list[tuple[int, Any]] = []
-        buckets = self._buckets
-        taken = 0
-        while taken < n and self._size:
-            bucket = self._min_bucket()
-            entries = buckets[bucket]
-            space = n - taken
-            if space >= len(entries):
-                take = len(entries)
-                batch.extend(entries)
-                entries.clear()
-                self._drop_min_bucket(bucket)
-            else:
-                take = space
-                popleft = entries.popleft
-                for _ in range(take):
-                    batch.append(popleft())
-            taken += take
-            self._size -= take
-        self.stats.dequeues += taken
-        return batch
-
-    def extract_due(
-        self, now: int, limit: Optional[int] = None
-    ) -> list[tuple[int, Any]]:
-        released: list[tuple[int, Any]] = []
-        buckets = self._buckets
-        spec = self.spec
-        base = spec.base_priority
-        granularity = spec.granularity
-        size = self._size
-        taken = 0
-        while size and (limit is None or taken < limit):
-            bucket = self._min_bucket()
-            entries = buckets[bucket]
-            # Whole-bucket fast path: bucket ceiling passed means every entry
-            # is due, so one extend replaces the per-element head checks.
-            if (
-                base + (bucket + 1) * granularity - 1 <= now
-                and (limit is None or limit - taken >= len(entries))
-            ):
-                count = len(entries)
-                taken += count
-                size -= count
-                released.extend(entries)
-                entries.clear()
-                self._drop_min_bucket(bucket)
-                continue
-            while entries and entries[0][0] <= now:
-                if limit is not None and taken >= limit:
-                    break
-                released.append(entries.popleft())
-                taken += 1
-                size -= 1
-            if not entries:
-                self._drop_min_bucket(bucket)
-                continue
-            break
-        self.stats.dequeues += taken
-        self._size = size
-        return released
 
 
 __all__ = ["BucketedHeapQueue"]

@@ -492,13 +492,15 @@ class SortedListQueue(IntegerPriorityQueue):
     def enqueue(self, priority: int, item: Any) -> None:
         priority = validate_priority(priority)
         self.stats.enqueues += 1
-        entry = (priority, next(self._counter), item)
-        # Linear scan from the tail (new packets usually have late ranks).
-        index = len(self._entries)
-        while index > 0 and self._entries[index - 1][:2] > entry[:2]:
-            index -= 1
-            self.stats.linear_scans += 1
-        self._entries.insert(index, entry)
+        entries = self._entries
+        # Modelled as a linear scan from the tail (new packets usually have
+        # late ranks), one ``linear_scans`` per entry passed.  Charged, not
+        # walked: the new entry's sequence number is the largest, so the scan
+        # stops right after the last entry of equal or smaller priority (the
+        # walked loop is the oracle in tests/core/queues/test_scan_oracle.py).
+        index = bisect.bisect_right(entries, priority, key=lambda entry: entry[0])
+        self.stats.linear_scans += len(entries) - index
+        entries.insert(index, (priority, next(self._counter), item))
         self._size += 1
 
     def extract_min(self) -> tuple[int, Any]:

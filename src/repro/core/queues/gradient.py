@@ -45,16 +45,9 @@ between changes of the coefficients; every lookup is still charged a division.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Any, Deque, Iterable, Optional
+from typing import Optional
 
-from .base import (
-    BucketSpec,
-    EmptyQueueError,
-    IntegerPriorityQueue,
-    PriorityOutOfRangeError,
-    validate_priority,
-)
+from .base import BucketSpec, EmptyQueueError, FixedRangeBucketQueue
 from .ffs import find_first_set
 
 
@@ -168,7 +161,7 @@ def fit_bucket_spec(
     )
 
 
-class GradientQueue(IntegerPriorityQueue):
+class GradientQueue(FixedRangeBucketQueue):
     """Exact gradient queue (Theorem 1) with a min-queue interface.
 
     Uses arbitrary-precision integers for the curvature coefficients, so any
@@ -177,40 +170,29 @@ class GradientQueue(IntegerPriorityQueue):
     why the approximate variant exists.
     """
 
-    __slots__ = ("_buckets", "_a", "_b", "_critical")
+    __slots__ = ("_a", "_b", "_critical")
 
     def __init__(self, spec: BucketSpec) -> None:
         super().__init__(spec)
-        self._buckets: list[Deque[tuple[int, Any]]] = [
-            deque() for _ in range(spec.num_buckets)
-        ]
         # Curvature coefficients over *internal* (reversed) indices.
         self._a = 0
         self._b = 0
         # ceil(b / a) for the current coefficients; None once they change.
         self._critical: Optional[int] = None
 
-    # -- internal index mapping -------------------------------------------
-
     def _internal(self, bucket: int) -> int:
         return self.spec.num_buckets - 1 - bucket
 
-    def _external(self, internal: int) -> int:
-        return self.spec.num_buckets - 1 - internal
-
-    # -- curvature maintenance ----------------------------------------------
-
-    def _weight(self, internal: int) -> int:
-        return 1 << internal
-
-    def _mark_nonempty(self, internal: int) -> None:
-        weight = self._weight(internal)
+    def _mark_nonempty(self, bucket: int) -> None:
+        internal = self._internal(bucket)
+        weight = 1 << internal
         self._a += weight
         self._b += internal * weight
         self._critical = None
 
-    def _mark_empty(self, internal: int) -> None:
-        weight = self._weight(internal)
+    def _mark_empty(self, bucket: int) -> None:
+        internal = self._internal(bucket)
+        weight = 1 << internal
         self._a -= weight
         self._b -= internal * weight
         self._critical = None
@@ -228,158 +210,16 @@ class GradientQueue(IntegerPriorityQueue):
             critical = self._critical = -((-self._b) // self._a)
         return critical
 
-    # -- queue operations ----------------------------------------------------
-
-    def enqueue(self, priority: int, item: Any) -> None:
-        priority = validate_priority(priority)
-        if not self.spec.contains(priority):
-            raise PriorityOutOfRangeError(
-                f"priority {priority} outside fixed range of GradientQueue"
-            )
-        bucket = self.spec.bucket_for(priority)
-        self.stats.enqueues += 1
-        self.stats.bucket_lookups += 1
-        was_empty = not self._buckets[bucket]
-        self._buckets[bucket].append((priority, item))
-        if was_empty:
-            self._mark_nonempty(self._internal(bucket))
-        self._size += 1
-
     def _min_bucket(self) -> int:
-        internal = self._critical_point()
-        return self._external(internal)
-
-    def extract_min(self) -> tuple[int, Any]:
-        if self.empty:
-            raise EmptyQueueError("extract_min from empty GradientQueue")
-        bucket = self._min_bucket()
-        entry = self._buckets[bucket].popleft()
-        if not self._buckets[bucket]:
-            self._mark_empty(self._internal(bucket))
-        self.stats.dequeues += 1
-        self._size -= 1
-        return entry
-
-    def peek_min(self) -> tuple[int, Any]:
-        if self.empty:
-            raise EmptyQueueError("peek_min from empty GradientQueue")
-        bucket = self._min_bucket()
-        return self._buckets[bucket][0]
-
-    # -- batch operations ----------------------------------------------------
-
-    def enqueue_batch(self, pairs: Iterable[tuple[int, Any]]) -> int:
-        """Batched insert: one curvature update per newly non-empty bucket.
-
-        Direct-append shape: a key set tracks distinct buckets for the
-        amortised ``bucket_lookups`` charge, counters settle once, and a
-        mid-batch validation error leaves the inserted prefix enqueued and
-        counted (the base class's per-element behaviour).
-        """
-        spec = self.spec
-        base = spec.base_priority
-        granularity = spec.granularity
-        hi = base + spec.horizon
-        stats = self.stats
-        buckets = self._buckets
-        seen: set[int] = set()
-        seen_add = seen.add
-        count = 0
-        try:
-            for pair in pairs:
-                priority = pair[0]
-                if type(priority) is not int:
-                    priority = validate_priority(priority)
-                    pair = (priority, pair[1])
-                if priority < base or priority >= hi:
-                    raise PriorityOutOfRangeError(
-                        f"priority {priority} outside fixed range of GradientQueue"
-                    )
-                bucket = (priority - base) // granularity
-                seen_add(bucket)
-                entries = buckets[bucket]
-                if not entries:
-                    self._mark_nonempty(self._internal(bucket))
-                entries.append(pair)
-                count += 1
-        finally:
-            stats.enqueues += count
-            stats.bucket_lookups += len(seen)
-            self._size += count
-        return count
-
-    def extract_min_batch(self, n: int) -> list[tuple[int, Any]]:
-        """Batched extract-min: one critical-point division per bucket."""
-        if n < 0:
-            raise ValueError("batch size must be non-negative")
-        batch: list[tuple[int, Any]] = []
-        buckets = self._buckets
-        taken = 0
-        while taken < n and self._size:
-            bucket = self._min_bucket()
-            entries = buckets[bucket]
-            space = n - taken
-            if space >= len(entries):
-                take = len(entries)
-                batch.extend(entries)
-                entries.clear()
-                self._mark_empty(self._internal(bucket))
-            else:
-                take = space
-                popleft = entries.popleft
-                for _ in range(take):
-                    batch.append(popleft())
-            taken += take
-            self._size -= take
-        self.stats.dequeues += taken
-        return batch
-
-    def extract_due(
-        self, now: int, limit: Optional[int] = None
-    ) -> list[tuple[int, Any]]:
-        released: list[tuple[int, Any]] = []
-        buckets = self._buckets
-        spec = self.spec
-        base = spec.base_priority
-        granularity = spec.granularity
-        size = self._size
-        taken = 0
-        while size and (limit is None or taken < limit):
-            bucket = self._min_bucket()
-            entries = buckets[bucket]
-            # Whole-bucket fast path: the bucket ceiling has passed, so every
-            # entry is due and one extend replaces the per-element checks.
-            if (
-                base + (bucket + 1) * granularity - 1 <= now
-                and (limit is None or limit - taken >= len(entries))
-            ):
-                count = len(entries)
-                taken += count
-                size -= count
-                released.extend(entries)
-                entries.clear()
-                self._mark_empty(self._internal(bucket))
-                continue
-            while entries and entries[0][0] <= now:
-                if limit is not None and taken >= limit:
-                    break
-                released.append(entries.popleft())
-                taken += 1
-                size -= 1
-            if not entries:
-                self._mark_empty(self._internal(bucket))
-                continue
-            break
-        self.stats.dequeues += taken
-        self._size = size
-        return released
+        # The reversal is its own inverse: internal -> external.
+        return self._internal(self._critical_point())
 
     def curvature_coefficients(self) -> tuple[int, int]:
         """The ``(a, b)`` coefficients, exposed for tests of Theorem 1."""
         return self._a, self._b
 
 
-class ApproximateGradientQueue(IntegerPriorityQueue):
+class ApproximateGradientQueue(FixedRangeBucketQueue):
     """Approximate gradient queue with one-step lookup (Section 3.1.2).
 
     Args:
@@ -404,7 +244,6 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
         "word_bits",
         "i0",
         "shift",
-        "_buckets",
         "_nonempty",
         "_occupied",
         "_weights",
@@ -447,9 +286,6 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
                 f"{physical_limit} for alpha={alpha}; coarsen the granularity "
                 f"(see repro.core.queues.gradient.fit_bucket_spec)"
             )
-        self._buckets: list[Deque[tuple[int, Any]]] = [
-            deque() for _ in range(spec.num_buckets)
-        ]
         self._nonempty = 0
         # Occupancy mask: bit k is set while external bucket k is non-empty.
         self._occupied = 0
@@ -523,7 +359,7 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
     def _min_bucket(self) -> int:
         """Locate the (approximately) minimum non-empty external bucket."""
         bucket = self._estimate_bucket()
-        if self._buckets[bucket]:
+        if self._buckets[bucket] is not None:
             selected = bucket
         else:
             selected = self._linear_search(bucket)
@@ -561,152 +397,6 @@ class ApproximateGradientQueue(IntegerPriorityQueue):
             return found
         self.stats.linear_scans += visited + start
         raise EmptyQueueError("no non-empty bucket found")
-
-    # -- queue operations --------------------------------------------------------
-
-    def enqueue(self, priority: int, item: Any) -> None:
-        priority = validate_priority(priority)
-        if not self.spec.contains(priority):
-            raise PriorityOutOfRangeError(
-                f"priority {priority} outside fixed range of ApproximateGradientQueue"
-            )
-        bucket = self.spec.bucket_for(priority)
-        self.stats.enqueues += 1
-        self.stats.bucket_lookups += 1
-        was_empty = not self._buckets[bucket]
-        self._buckets[bucket].append((priority, item))
-        if was_empty:
-            self._mark_nonempty(bucket)
-        self._size += 1
-
-    def extract_min(self) -> tuple[int, Any]:
-        if self.empty:
-            raise EmptyQueueError("extract_min from empty ApproximateGradientQueue")
-        bucket = self._min_bucket()
-        entry = self._buckets[bucket].popleft()
-        if not self._buckets[bucket]:
-            self._mark_empty(bucket)
-        self.stats.dequeues += 1
-        self._size -= 1
-        return entry
-
-    def peek_min(self) -> tuple[int, Any]:
-        if self.empty:
-            raise EmptyQueueError("peek_min from empty ApproximateGradientQueue")
-        bucket = self._min_bucket()
-        return self._buckets[bucket][0]
-
-    # -- batch operations ----------------------------------------------------------
-
-    def enqueue_batch(self, pairs: Iterable[tuple[int, Any]]) -> int:
-        """Batched insert: one curvature update per newly non-empty bucket.
-
-        Direct-append shape, as :meth:`GradientQueue.enqueue_batch`.
-        """
-        spec = self.spec
-        base = spec.base_priority
-        granularity = spec.granularity
-        hi = base + spec.horizon
-        stats = self.stats
-        buckets = self._buckets
-        seen: set[int] = set()
-        seen_add = seen.add
-        count = 0
-        try:
-            for pair in pairs:
-                priority = pair[0]
-                if type(priority) is not int:
-                    priority = validate_priority(priority)
-                    pair = (priority, pair[1])
-                if priority < base or priority >= hi:
-                    raise PriorityOutOfRangeError(
-                        f"priority {priority} outside fixed range of "
-                        "ApproximateGradientQueue"
-                    )
-                bucket = (priority - base) // granularity
-                seen_add(bucket)
-                entries = buckets[bucket]
-                if not entries:
-                    self._mark_nonempty(bucket)
-                entries.append(pair)
-                count += 1
-        finally:
-            stats.enqueues += count
-            stats.bucket_lookups += len(seen)
-            self._size += count
-        return count
-
-    def extract_min_batch(self, n: int) -> list[tuple[int, Any]]:
-        """Batched extract-min: one estimate (and fallback) per bucket.
-
-        The one-step estimate only changes when bucket occupancy changes, so
-        draining the selected bucket before re-estimating visits exactly the
-        same buckets in the same order as repeated single extractions.
-        """
-        if n < 0:
-            raise ValueError("batch size must be non-negative")
-        batch: list[tuple[int, Any]] = []
-        buckets = self._buckets
-        taken = 0
-        while taken < n and self._size:
-            bucket = self._min_bucket()
-            entries = buckets[bucket]
-            space = n - taken
-            if space >= len(entries):
-                take = len(entries)
-                batch.extend(entries)
-                entries.clear()
-                self._mark_empty(bucket)
-            else:
-                take = space
-                popleft = entries.popleft
-                for _ in range(take):
-                    batch.append(popleft())
-            taken += take
-            self._size -= take
-        self.stats.dequeues += taken
-        return batch
-
-    def extract_due(
-        self, now: int, limit: Optional[int] = None
-    ) -> list[tuple[int, Any]]:
-        released: list[tuple[int, Any]] = []
-        buckets = self._buckets
-        spec = self.spec
-        base = spec.base_priority
-        granularity = spec.granularity
-        size = self._size
-        taken = 0
-        while size and (limit is None or taken < limit):
-            bucket = self._min_bucket()
-            entries = buckets[bucket]
-            # Whole-bucket fast path on the *selected* bucket (which may be a
-            # non-extremal bucket on an estimate miss — the drain semantics
-            # are identical to the per-element loop either way).
-            if (
-                base + (bucket + 1) * granularity - 1 <= now
-                and (limit is None or limit - taken >= len(entries))
-            ):
-                count = len(entries)
-                taken += count
-                size -= count
-                released.extend(entries)
-                entries.clear()
-                self._mark_empty(bucket)
-                continue
-            while entries and entries[0][0] <= now:
-                if limit is not None and taken >= limit:
-                    break
-                released.append(entries.popleft())
-                taken += 1
-                size -= 1
-            if not entries:
-                self._mark_empty(bucket)
-                continue
-            break
-        self.stats.dequeues += taken
-        self._size = size
-        return released
 
     # -- error reporting (Figure 18) ----------------------------------------------
 

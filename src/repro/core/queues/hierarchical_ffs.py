@@ -11,31 +11,16 @@ the queue is configured (six FFS operations cover a billion buckets with
 The tree is stored as a flat list of levels; level 0 is the root word(s) and
 the last level has one bit per bucket.
 
-Interpreter-level notes (the modelled costs are unchanged by all of this):
-
-* the tree memoises the minimum occupied bucket, so a ``peek_min`` right
-  after a drain returns without re-walking the levels — the walk is only
-  repeated when the cached minimum was cleared;
-* bucket FIFOs are allocated lazily and recycled through a free list when
-  they drain, so a sparsely occupied queue with a large bucket count (20k
-  buckets per shard in the runtime) neither preallocates thousands of deques
-  nor throws emptied ones to the garbage collector;
-* the batch paths hoist every repeated attribute lookup into locals and
-  settle the stats counters once per batch.
+Interpreter-level note (the modelled costs are unchanged by it): the tree
+memoises the minimum occupied bucket, so a ``peek_min`` right after a drain
+returns without re-walking the levels — the walk is only repeated when the
+cached minimum was cleared.  The notes on the bucket store are in
+``base.py``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Iterable, Optional
-
-from .base import (
-    BucketSpec,
-    EmptyQueueError,
-    IntegerPriorityQueue,
-    PriorityOutOfRangeError,
-    validate_priority,
-)
+from .base import BucketSpec, EmptyQueueError, FixedRangeBucketQueue
 from .ffs import DEFAULT_WORD_WIDTH
 
 
@@ -180,233 +165,36 @@ class FFSBitmapTree:
             )
 
 
-class HierarchicalFFSQueue(IntegerPriorityQueue):
+class HierarchicalFFSQueue(FixedRangeBucketQueue):
     """Bucketed integer priority queue indexed by an FFS bitmap tree.
 
     Operates over a *fixed* priority range.  The circular variant
-    (:class:`repro.core.queues.circular_ffs.CircularFFSQueue`) reuses this
-    structure for a moving range.
-
-    Bucket FIFOs live behind a free list: ``_buckets[i]`` is ``None`` while
-    bucket ``i`` is empty (the invariant the fast paths rely on), a deque is
-    attached on first use, and a drained deque is recycled rather than
-    re-allocated on the next enqueue.
+    (:class:`repro.core.queues.circular_ffs.CircularFFSQueue`) reuses the
+    tree for a moving range.
     """
 
-    __slots__ = ("word_width", "_tree", "_buckets", "_free")
+    __slots__ = ("word_width", "_tree")
 
     def __init__(self, spec: BucketSpec, word_width: int = DEFAULT_WORD_WIDTH) -> None:
         super().__init__(spec)
         self.word_width = word_width
         self._tree = FFSBitmapTree(spec.num_buckets, word_width)
-        self._buckets: list[Optional[Deque[tuple[int, Any]]]] = [None] * spec.num_buckets
-        self._free: list[Deque[tuple[int, Any]]] = []
 
     @property
     def depth(self) -> int:
         """Number of bitmap levels (the constant in O(log_w N))."""
         return self._tree.depth
 
-    def enqueue(self, priority: int, item: Any) -> None:
-        priority = validate_priority(priority)
-        if not self.spec.contains(priority):
-            raise PriorityOutOfRangeError(
-                f"priority {priority} outside fixed range of HierarchicalFFSQueue"
-            )
-        bucket = self.spec.bucket_for(priority)
-        stats = self.stats
-        stats.enqueues += 1
-        stats.bucket_lookups += 1
-        entries = self._buckets[bucket]
-        if entries is None:
-            free = self._free
-            entries = free.pop() if free else deque()
-            self._buckets[bucket] = entries
-            stats.word_scans += self._tree.set(bucket)
-        entries.append((priority, item))
-        self._size += 1
+    def _mark_nonempty(self, bucket: int) -> None:
+        self.stats.word_scans += self._tree.set(bucket)
 
-    def _recycle(self, bucket: int, entries: Deque[tuple[int, Any]]) -> None:
-        """Return a drained bucket deque to the free list."""
-        self._buckets[bucket] = None
-        self._free.append(entries)
+    def _mark_empty(self, bucket: int) -> None:
+        self.stats.word_scans += self._tree.clear(bucket)
 
-    def extract_min(self) -> tuple[int, Any]:
-        if self.empty:
-            raise EmptyQueueError("extract_min from empty HierarchicalFFSQueue")
-        bucket, scanned = self._tree.first_set()
-        stats = self.stats
-        stats.word_scans += scanned
-        entries = self._buckets[bucket]
-        entry = entries.popleft()
-        if not entries:
-            stats.word_scans += self._tree.clear(bucket)
-            self._recycle(bucket, entries)
-        stats.dequeues += 1
-        self._size -= 1
-        return entry
-
-    def peek_min(self) -> tuple[int, Any]:
-        if self.empty:
-            raise EmptyQueueError("peek_min from empty HierarchicalFFSQueue")
+    def _min_bucket(self) -> int:
         bucket, scanned = self._tree.first_set()
         self.stats.word_scans += scanned
-        return self._buckets[bucket][0]
-
-    # -- batch operations -------------------------------------------------
-
-    def enqueue_batch(self, pairs: Iterable[tuple[int, Any]]) -> int:
-        """Batched insert: one bucket lookup and tree update per bucket.
-
-        Pairs append straight into their bucket FIFOs; a key set tracks the
-        distinct buckets for the amortised ``bucket_lookups`` charge.  On a
-        mid-batch validation error the inserted prefix stays enqueued and
-        counted, matching the base class's per-element default.
-        """
-        spec = self.spec
-        base = spec.base_priority
-        granularity = spec.granularity
-        hi = base + spec.horizon
-        stats = self.stats
-        buckets = self._buckets
-        free = self._free
-        tree = self._tree
-        seen: set[int] = set()
-        seen_add = seen.add
-        count = 0
-        scans = 0
-        try:
-            for pair in pairs:
-                priority = pair[0]
-                if type(priority) is not int:
-                    priority = validate_priority(priority)
-                    pair = (priority, pair[1])
-                if priority < base or priority >= hi:
-                    raise PriorityOutOfRangeError(
-                        f"priority {priority} outside fixed range of HierarchicalFFSQueue"
-                    )
-                bucket = (priority - base) // granularity
-                seen_add(bucket)
-                entries = buckets[bucket]
-                if entries is None:
-                    entries = free.pop() if free else deque()
-                    buckets[bucket] = entries
-                    scans += tree.set(bucket)
-                entries.append(pair)
-                count += 1
-        finally:
-            stats.enqueues += count
-            stats.bucket_lookups += len(seen)
-            stats.word_scans += scans
-            self._size += count
-        return count
-
-    def extract_min_batch(self, n: int) -> list[tuple[int, Any]]:
-        """Batched extract-min: one root-to-leaf walk per bucket visited."""
-        if n < 0:
-            raise ValueError("batch size must be non-negative")
-        batch: list[tuple[int, Any]] = []
-        buckets = self._buckets
-        tree = self._tree
-        scans = 0
-        taken = 0
-        while taken < n and self._size:
-            bucket, scanned = tree.first_set()
-            scans += scanned
-            entries = buckets[bucket]
-            space = n - taken
-            if space >= len(entries):
-                take = len(entries)
-                batch.extend(entries)
-                entries.clear()
-                scans += tree.clear(bucket)
-                self._recycle(bucket, entries)
-            else:
-                take = space
-                popleft = entries.popleft
-                for _ in range(take):
-                    batch.append(popleft())
-            taken += take
-            self._size -= take
-        stats = self.stats
-        stats.word_scans += scans
-        stats.dequeues += taken
-        return batch
-
-    def extract_due(
-        self, now: int, limit: Optional[int] = None
-    ) -> list[tuple[int, Any]]:
-        released: list[tuple[int, Any]] = []
-        buckets = self._buckets
-        tree = self._tree
-        spec = self.spec
-        base = spec.base_priority
-        granularity = spec.granularity
-        size = self._size
-        scans = 0
-        taken = 0
-        while size and (limit is None or taken < limit):
-            bucket, scanned = tree.first_set()
-            scans += scanned
-            entries = buckets[bucket]
-            # Whole-bucket fast path: when the bucket's highest representable
-            # priority has passed, every entry is due and one extend replaces
-            # the per-element head checks.
-            if (
-                base + (bucket + 1) * granularity - 1 <= now
-                and (limit is None or limit - taken >= len(entries))
-            ):
-                count = len(entries)
-                taken += count
-                size -= count
-                released.extend(entries)
-                entries.clear()
-                scans += tree.clear(bucket)
-                self._recycle(bucket, entries)
-                continue
-            while entries and entries[0][0] <= now:
-                if limit is not None and taken >= limit:
-                    break
-                released.append(entries.popleft())
-                taken += 1
-                size -= 1
-            if not entries:
-                scans += tree.clear(bucket)
-                self._recycle(bucket, entries)
-                continue
-            break
-        stats = self.stats
-        stats.word_scans += scans
-        stats.dequeues += taken
-        self._size = size
-        return released
-
-    def remove(self, priority: int, item: Any) -> bool:
-        """Remove a specific ``(priority, item)`` pair in O(bucket length).
-
-        Bucketed queues support cheap removal, which pFabric and hClock use
-        heavily when a flow's rank changes (Section 2).  Returns True when
-        the element was found and removed.  An empty bucket is ``None``
-        behind the free list, so the miss path costs one load — no deque is
-        scanned.
-        """
-        priority = validate_priority(priority)
-        if not self.spec.contains(priority):
-            return False
-        bucket = self.spec.bucket_for(priority)
-        queue = self._buckets[bucket]
-        self.stats.bucket_lookups += 1
-        if queue is None:
-            return False
-        for index, entry in enumerate(queue):
-            if entry[0] == priority and entry[1] is item:
-                del queue[index]
-                self._size -= 1
-                if not queue:
-                    self.stats.word_scans += self._tree.clear(bucket)
-                    self._recycle(bucket, queue)
-                return True
-        return False
+        return bucket
 
 
 __all__ = ["FFSBitmapTree", "HierarchicalFFSQueue"]

@@ -52,7 +52,9 @@ class TimingWheel:
         self.num_slots = num_slots
         self.granularity = granularity
         self.current_time = start_time
-        self._slots: list[Deque[tuple[int, Any]]] = [deque() for _ in range(num_slots)]
+        # Slot FIFOs are attached on first insert (``None`` until then): a
+        # wheel with millions of slots allocates only the ones it uses.
+        self._slots: list[Optional[Deque[tuple[int, Any]]]] = [None] * num_slots
         self._size = 0
         # Reused by advance_to for the not-yet-due holdback of a scanned
         # slot, so the per-slot visit allocates nothing.
@@ -103,7 +105,10 @@ class TimingWheel:
         self.insertions += 1
         effective = self._effective_timestamp(timestamp)
         slot = self._slot_index(effective)
-        self._slots[slot].append((effective, item))
+        entries = self._slots[slot]
+        if entries is None:
+            entries = self._slots[slot] = deque()
+        entries.append((effective, item))
         self._size += 1
 
     def insert_batch(self, pairs: Iterable[tuple[int, Any]]) -> int:
@@ -174,7 +179,7 @@ class TimingWheel:
         """
         best: Optional[int] = None
         for slot in self._slots:
-            for timestamp, _item in slot:
+            for timestamp, _item in slot or ():
                 if best is None or timestamp < best:
                     best = timestamp
         return best

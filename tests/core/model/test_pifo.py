@@ -1,8 +1,9 @@
 """Unit tests for the PIFO block."""
 
+import pytest
 
 from repro.core.model import PIFOBlock
-from repro.core.queues import BinaryHeapQueue, BucketSpec
+from repro.core.queues import BinaryHeapQueue, BucketSpec, RBTreeQueue, SortedListQueue
 
 
 def make_pifo(buckets=128, **kwargs):
@@ -78,11 +79,14 @@ class TestMembershipAndReordering:
         pifo.reinsert(element, 4)
         assert pifo.rank_of(element) == 4
 
-    def test_remove_unsupported_backing_queue(self):
-        pifo = PIFOBlock(
-            BucketSpec(num_buckets=16), queue_factory=lambda spec: BinaryHeapQueue(spec)
-        )
+    @pytest.mark.parametrize("family", [BinaryHeapQueue, RBTreeQueue, SortedListQueue])
+    def test_remove_unsupported_backing_queue(self, family):
+        pifo = PIFOBlock(BucketSpec(num_buckets=16), queue_factory=family)
         element = object()
+        assert pifo.remove(element) is False  # not a member: a miss
         pifo.push(3, element)
-        # BinaryHeapQueue has no remove(); PIFOBlock reports failure.
-        assert not pifo.remove(element)
+        # The comparison baselines have no remove(); reporting a miss here
+        # would let reinsert() push the element in a second time.
+        with pytest.raises(TypeError, match=family.__name__):
+            pifo.reinsert(element, 1)
+        assert len(pifo) == 1 and pifo.rank_of(element) == 3

@@ -4,16 +4,12 @@ import pytest
 
 from repro.core.queues import BucketSpec, EmptyQueueError, PriorityOutOfRangeError
 from repro.core.queues.ffs import (
-    Bitmap,
     FFSQueue,
     MultiWordFFSQueue,
-    clear_bit,
     find_first_set,
     find_last_set,
     popcount,
-    set_bit,
 )
-from repro.core.queues.ffs import test_bit as bit_is_set
 
 
 class TestBitPrimitives:
@@ -33,17 +29,6 @@ class TestBitPrimitives:
         assert find_last_set(1) == 0
         with pytest.raises(ValueError):
             find_last_set(0)
-
-    def test_set_clear_test_bit(self):
-        word = 0
-        word = set_bit(word, 5)
-        assert bit_is_set(word, 5)
-        assert not bit_is_set(word, 4)
-        word = clear_bit(word, 5)
-        assert word == 0
-
-    def test_clear_bit_idempotent(self):
-        assert clear_bit(0b100, 5) == 0b100
 
     def test_popcount(self):
         assert popcount(0) == 0
@@ -71,39 +56,6 @@ class TestBitPrimitives:
             popcount(-1)
         with pytest.raises(ValueError):
             count_set_bits(-(1 << 40))
-
-
-class TestBitmap:
-    def test_set_and_first(self):
-        bitmap = Bitmap(16)
-        bitmap.set(7)
-        bitmap.set(3)
-        assert bitmap.first_set() == 3
-        assert bitmap.last_set() == 7
-
-    def test_clear(self):
-        bitmap = Bitmap(8)
-        bitmap.set(2)
-        bitmap.clear(2)
-        assert not bitmap.any
-
-    def test_out_of_range_raises(self):
-        bitmap = Bitmap(8)
-        with pytest.raises(IndexError):
-            bitmap.set(8)
-        with pytest.raises(IndexError):
-            bitmap.test(-1)
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            Bitmap(0)
-
-    def test_clear_all(self):
-        bitmap = Bitmap(8)
-        bitmap.set(1)
-        bitmap.set(5)
-        bitmap.clear_all()
-        assert not bitmap.any
 
 
 class TestFFSQueue:

@@ -26,6 +26,7 @@ from repro.core.queues import (
     BucketSpec,
     CircularFFSQueue,
     CircularGradientQueue,
+    FFSQueue,
     GradientQueue,
     HierarchicalFFSQueue,
     MultiWordFFSQueue,
@@ -60,7 +61,7 @@ FAMILIES = {
 }
 
 
-def schedule(moving):
+def schedule(moving, num_buckets=NUM_BUCKETS):
     """``(due_by, [(rank, item), ...])`` per step, from one seeded stream."""
     draw = random.Random(SEED).randrange
     steps = []
@@ -76,8 +77,8 @@ def schedule(moving):
                 pairs.append((base + ahead, first + i))
             due_by = base
         else:
-            pairs = [(draw(NUM_BUCKETS), first + i) for i in range(BATCH)]
-            due_by = NUM_BUCKETS if step >= FILL_STEPS else -1
+            pairs = [(draw(num_buckets), first + i) for i in range(BATCH)]
+            due_by = num_buckets if step >= FILL_STEPS else -1
         steps.append((due_by, pairs))
     return steps
 
@@ -176,3 +177,20 @@ def test_circular_adapter_window_operations_match_golden(driver):
     queue = CircularGradientQueue(SPEC)
     DRIVERS[driver](queue, schedule(True))
     assert queue.merged_stats() == GOLDEN_MERGED[driver]
+
+
+#: A single-word queue holds at most 64 buckets, so it gets the fixed-range
+#: stream drawn over 64 ranks.  Captured at the commit before the bucketed
+#: families moved onto one shared store (PR 21).
+WORD_BUCKETS = 64
+GOLDEN_FFS = {
+    "batched": counters(bucket_lookups=2_462, word_scans=1_135),
+    "per_packet": counters(bucket_lookups=3_072, word_scans=5_400),
+}
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_single_word_ffs_counters_match_golden(driver):
+    queue = FFSQueue(BucketSpec(num_buckets=WORD_BUCKETS))
+    assert DRIVERS[driver](queue, schedule(False, WORD_BUCKETS)) == RANKS
+    assert queue.stats.as_dict() == GOLDEN_FFS[driver]

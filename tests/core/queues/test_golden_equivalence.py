@@ -103,9 +103,6 @@ def queue_factories():
     }
 
 
-#: Which queue types expose remove().
-SUPPORTS_REMOVE = {"hierarchical_ffs", "circular_ffs"}
-
 priorities = st.integers(min_value=0, max_value=MAX_PRIORITY)
 
 operations = st.lists(
@@ -167,7 +164,7 @@ def _run_interleaving(name, factory, ops) -> None:
                 continue
             assert queue.peek_min() == model.peek_min(), name
         elif op == "remove":
-            if name not in SUPPORTS_REMOVE or not live:
+            if not live:
                 continue
             priority, item = live[arg % len(live)]
             assert queue.remove(priority, item) is True, name
@@ -206,8 +203,7 @@ def test_free_list_reuse_is_invisible(ops):
     before the random interleaving runs, so a stale free-listed deque would
     surface as a mismatch.
     """
-    for name in ("hierarchical_ffs", "circular_ffs"):
-        factory = queue_factories()[name]
+    for name, factory in queue_factories().items():
         queue = factory()
         # Occupy every bucket, then drain to push all deques through the
         # free list.

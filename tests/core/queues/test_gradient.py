@@ -96,7 +96,7 @@ class TestExactGradientQueue:
 def _entries(queue):
     """Peek at the internal buckets of a gradient queue (test helper)."""
     for bucket in queue._buckets:
-        for entry in bucket:
+        for entry in bucket or ():
             yield entry
 
 

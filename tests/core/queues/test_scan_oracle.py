@@ -1,7 +1,8 @@
 """The walked scans, kept as the oracle for the charged ones.
 
-``ApproximateGradientQueue._linear_search`` and
-``MultiWordFFSQueue._min_bucket`` model a sequential scan.  ``src/`` computes
+``ApproximateGradientQueue._linear_search``,
+``MultiWordFFSQueue._min_bucket`` and ``SortedListQueue.enqueue`` model a
+sequential scan.  ``src/`` computes
 what the scan finds and how many steps it takes from an occupancy mask and
 adds that count to the ``QueueStats`` counter; the loops that *perform* the
 scan live here, as the reference the charged form must match: same selected
@@ -26,7 +27,9 @@ from repro.core.queues import (
     EmptyQueueError,
     GradientQueue,
     MultiWordFFSQueue,
+    SortedListQueue,
 )
+from repro.core.queues.base import validate_priority
 from repro.core.queues.ffs import find_first_set
 
 # -- the walked loops ----------------------------------------------------------
@@ -104,6 +107,21 @@ class WalkedMultiWordFFSQueue(MultiWordFFSQueue):
         return walked_multiword_min_bucket(self)
 
 
+class WalkedSortedListQueue(SortedListQueue):
+    """Insertion by walking from the tail, one ``linear_scans`` per entry passed."""
+
+    def enqueue(self, priority, item):
+        priority = validate_priority(priority)
+        self.stats.enqueues += 1
+        entry = (priority, next(self._counter), item)
+        index = len(self._entries)
+        while index > 0 and self._entries[index - 1][:2] > entry[:2]:
+            index -= 1
+            self.stats.linear_scans += 1
+        self._entries.insert(index, entry)
+        self._size += 1
+
+
 # -- driving both with the same operations ---------------------------------------
 
 
@@ -149,6 +167,8 @@ def state(queue):
     if isinstance(queue, ApproximateGradientQueue):
         observed["curvature"] = (queue._a, queue._b)
         observed["errors"] = (queue._selections, queue._selection_error_total)
+    if isinstance(queue, SortedListQueue):
+        observed["stored"] = list(queue._entries)
     return observed
 
 
@@ -156,7 +176,7 @@ def assert_same_after_every_operation(charged, walked, ops):
     for serial, op in enumerate(ops):
         assert apply(charged, op, serial) == apply(walked, op, serial), op
         assert state(charged) == state(walked), op
-        if len(charged):
+        if len(charged) and hasattr(charged, "_min_bucket"):
             # The selected bucket itself (both sides are charged the lookup).
             assert charged._min_bucket() == walked._min_bucket(), op
             assert state(charged) == state(walked), op
@@ -187,6 +207,14 @@ def test_charged_word_scan_equals_walked(data):
         WalkedMultiWordFFSQueue(spec, word_width=word_width),
         data.draw(operations(num_buckets)),
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(operations(12))
+def test_charged_tail_scan_equals_walked(ops):
+    # Twelve ranks over up to 60 operations: ties and out-of-order arrivals
+    # in nearly every stream.
+    assert_same_after_every_operation(SortedListQueue(), WalkedSortedListQueue(), ops)
 
 
 # -- the named cases -----------------------------------------------------------------
@@ -324,6 +352,23 @@ class TestWordScanCases:
             assert queue.extract_due(199) == [(131, "same word")]
         assert state(charged) == state(walked)
         assert charged._nonzero_words == 0 and not any(charged._words)
+
+
+class TestTailScanCases:
+    def test_tie_goes_behind_every_equal_rank(self):
+        for queue in (SortedListQueue(), WalkedSortedListQueue()):
+            queue.enqueue_batch([(5, "a"), (5, "b"), (9, "c")])
+            scans = queue.stats.linear_scans
+            queue.enqueue(5, "d")  # passes 9 only, stops behind both 5s
+            assert queue.stats.linear_scans == scans + 1
+            assert queue.extract_min_batch(4) == [(5, "a"), (5, "b"), (5, "d"), (9, "c")]
+
+    def test_smallest_rank_passes_the_whole_list(self):
+        for queue in (SortedListQueue(), WalkedSortedListQueue()):
+            for rank in (7, 3, 7, 1):
+                queue.enqueue(rank, rank)
+            assert queue.stats.linear_scans == 0 + 1 + 0 + 3
+            assert [rank for rank, _ in queue.extract_all()] == [1, 3, 7, 7]
 
 
 # -- the memoised critical point ---------------------------------------------------

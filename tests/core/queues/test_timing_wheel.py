@@ -101,6 +101,21 @@ class TestTimingWheel:
         wheel.insert(7, "b")
         assert sorted(wheel.peek_slots()) == [2, 7]
 
+    def test_slot_fifos_are_attached_on_first_insert_only(self):
+        # Carousel at 1 us slots is a 2,000,000-slot wheel: building it must
+        # not build 2,000,000 FIFOs, and walking the untouched slots still
+        # counts every one of them.
+        wheel = TimingWheel(num_slots=2_000_000, granularity=1_000)
+        wheel.insert(5_500, "a")
+        wheel.insert(5_900, "b")
+        wheel.insert(1_999_000_000, "far")
+        assert wheel._slots.count(None) == 2_000_000 - 2
+        assert wheel.next_due_time() == 5_500
+        assert wheel.advance_to(7_000) == [(5_500, "a"), (5_900, "b")]
+        assert wheel.slot_advances == 8
+        assert (wheel.insertions, wheel.overflow_insertions, wheel.stale_insertions) == (3, 0, 0)
+        assert len(wheel) == 1
+
 
 class TestHierarchicalTimingWheel:
     def test_insert_beyond_inner_horizon_goes_to_outer_level(self):
