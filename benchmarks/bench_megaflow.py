@@ -187,6 +187,7 @@ def _check_engines_agree(num_ops: int = 2_000, universe: int = 400) -> None:
             dict_engine.kill(flow_id)
             array_engine.kill(flow_id)
     assert len(array_engine) == len(dict_engine)
+    _assert_front_empty(array_engine)  # repeat touches: hits a front would keep
 
 
 ENGINES = [DictEngine, ArrayEngine]
@@ -210,8 +211,21 @@ def _measure_bytes_per_flow(engine_cls, num_flows: int) -> float:
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
+    _assert_front_empty(engine)
     del engine
     return held / num_flows
+
+
+def _assert_front_empty(engine) -> None:
+    """The array engine's measured bytes are the arrays', not a dict's.
+
+    ``ArrayEngine.touch`` probes the index itself, so the flow table's
+    bounded dict front (filled by ``lookup`` / ``ensure`` hits) stays
+    empty here.  A refactor that routes the touch through ``ensure`` would
+    fill it and quietly spend the >= 4x bytes/flow margin on dict entries.
+    """
+    if isinstance(engine, ArrayEngine):
+        assert not engine._front, f"{len(engine._front)} flows in the front"
 
 
 def _measure_touch_ops(engine_cls, num_flows: int, flow_ids: list, rounds: int) -> float:

@@ -11,9 +11,14 @@ from typing import Any, Deque, Dict, Iterator, Optional
 _packet_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Packet:
     """A packet as seen by the scheduler.
+
+    Slotted (no per-packet ``__dict__``) and compared by identity: every
+    constructed packet draws a unique ``packet_id``, so field equality only
+    ever held between a packet and a copy of it, and removing a packet from
+    a list no longer compares eight fields per candidate.
 
     Attributes:
         flow_id: identifier of the flow/class the packet belongs to.
@@ -37,7 +42,7 @@ class Packet:
     departure_ns: Optional[int] = None
     priority_class: int = 0
     metadata: Dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     def annotate(self, **annotations: Any) -> "Packet":
         """Attach annotations (returns self for chaining)."""

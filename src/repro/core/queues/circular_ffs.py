@@ -316,10 +316,13 @@ class CircularFFSQueue(IntegerPriorityQueue):
         exactly like the base class's per-element default.
         """
         stats = self.stats
-        lo, hi = self.primary_range
-        _slo, shi = self.secondary_range
-        granularity = self.spec.granularity
-        num_buckets = self.spec.num_buckets
+        spec = self.spec
+        granularity = spec.granularity
+        num_buckets = spec.num_buckets
+        span = num_buckets * granularity
+        lo = self.h_index  # primary_range / secondary_range, without the calls
+        hi = lo + span
+        shi = hi + span
         last = num_buckets - 1
         allow_stale = self.allow_stale
         primary = self._primary
@@ -428,7 +431,9 @@ class CircularFFSQueue(IntegerPriorityQueue):
         stats = self.stats
         taken = 0
         while self._size and (limit is None or taken < limit):
-            window = self._advance_to_nonempty()
+            window = self._primary
+            if not window.size:
+                window = self._advance_to_nonempty()
             bucket, scanned = window.tree.first_set()
             scans = scanned
             entries = window.buckets[bucket]

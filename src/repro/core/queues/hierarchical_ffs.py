@@ -77,7 +77,8 @@ class FFSBitmapTree:
 
     def set(self, bucket: int) -> int:
         """Mark ``bucket`` occupied; returns the number of words touched."""
-        self._check(bucket)
+        if not 0 <= bucket < self.num_buckets:
+            self._check(bucket)
         cached = self._cached_min
         if cached >= 0:
             if bucket < cached:
@@ -101,7 +102,8 @@ class FFSBitmapTree:
 
     def clear(self, bucket: int) -> int:
         """Mark ``bucket`` empty, propagating up; returns words touched."""
-        self._check(bucket)
+        if not 0 <= bucket < self.num_buckets:
+            self._check(bucket)
         cached = self._cached_min
         if cached >= 0 and bucket <= cached:
             self._cached_min = -1
@@ -159,6 +161,7 @@ class FFSBitmapTree:
         self._cached_min = -1
 
     def _check(self, bucket: int) -> None:
+        # set() / clear() test the range inline and call this only to raise.
         if not 0 <= bucket < self.num_buckets:
             raise IndexError(
                 f"bucket {bucket} outside bitmap tree of {self.num_buckets} buckets"

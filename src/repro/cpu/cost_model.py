@@ -147,10 +147,21 @@ class CostModel:
             raise KeyError(f"unknown operation {operation!r}") from exc
 
     def charge(self, operation: str, count: float = 1.0) -> float:
-        """Charge ``count`` occurrences of ``operation``; returns cycles charged."""
-        cycles = self.cost_of(operation)
-        self.account.charge(operation, cycles, count)
-        return cycles * count
+        """Charge ``count`` occurrences of ``operation``; returns cycles charged.
+
+        :meth:`cost_of` and :meth:`CycleAccount.charge`, written out in one
+        frame: the shard workers call this several times a tick.
+        """
+        try:
+            cost = self.costs[operation]
+        except KeyError as exc:
+            raise KeyError(f"unknown operation {operation!r}") from exc
+        total = cost.cycles * count
+        account = self.account
+        account.cycles += total
+        by_operation = account.by_operation
+        by_operation[operation] = by_operation.get(operation, 0.0) + total
+        return total
 
     def charge_queue_stats(self, stats: Mapping[str, int]) -> float:
         """Charge a queue's operation counters (see ``QueueStats.as_dict``)."""

@@ -63,13 +63,6 @@ class EventHandle:
             self._simulator.notify_cancelled()
         return True
 
-    def _fire(self) -> None:
-        callback = self._callback
-        assert callback is not None
-        self._callback = None
-        self._fired = True
-        callback()
-
 
 class Simulator:
     """A minimal discrete-event simulator (nanosecond clock).
@@ -78,7 +71,9 @@ class Simulator:
     sequence number keeps same-time events in scheduling order, which keeps
     packet orderings deterministic.  ``schedule`` / ``schedule_at`` return a
     cancellable :class:`EventHandle`; cancelled entries are skipped lazily
-    when they surface at the head of the heap.
+    when they surface at the head of the heap.  The heap list keeps its
+    identity for the simulator's lifetime (compaction filters it in place),
+    so :meth:`run` holds it in a local across callbacks.
     """
 
     def __init__(self) -> None:
@@ -98,36 +93,42 @@ class Simulator:
         """Schedule ``callback`` at absolute ``time_ns`` (>= now)."""
         if time_ns < self.now_ns:
             raise ValueError("cannot schedule in the past")
-        handle = EventHandle(time_ns, callback, simulator=self)
+        handle = EventHandle(time_ns, callback, self)
         heapq.heappush(self._events, (time_ns, next(self._sequence), handle))
         return handle
-
-    def _discard_cancelled_head(self) -> bool:
-        """Drop cancelled events off the head; True when one was dropped."""
-        if self._events and self._events[0][2].cancelled:
-            heapq.heappop(self._events)
-            if self._cancelled_pending > 0:
-                self._cancelled_pending -= 1
-            return True
-        return False
 
     def run(self, until_ns: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the horizon / event budget / queue exhaustion.
 
         Returns the number of events processed by this call (cancelled
         events are discarded without counting against ``max_events``).
+
+        One loop does the whole dispatch: a cancelled head (its handle's
+        callback already ``None``) is popped and uncounted, a live one is
+        popped, marked fired and called — no helper method per event.  The
+        horizon and budget are checked against the first *live* head, so a
+        run stopped by them leaves no cancelled entry in front.
         """
+        events = self._events
+        heappop = heapq.heappop
         processed = 0
-        while self._events:
-            if self._discard_cancelled_head():
+        while events:
+            time_ns, _seq, handle = events[0]
+            callback = handle._callback
+            if callback is None:
+                heappop(events)
+                if self._cancelled_pending > 0:
+                    self._cancelled_pending -= 1
                 continue
-            if until_ns is not None and self._events[0][0] > until_ns:
+            if until_ns is not None and time_ns > until_ns:
                 break
             if max_events is not None and processed >= max_events:
                 break
-            time_ns, _seq, handle = heapq.heappop(self._events)
+            heappop(events)
             self.now_ns = time_ns
-            handle._fire()
+            handle._callback = None
+            handle._fired = True
+            callback()
             processed += 1
         self._processed += processed
         return processed
@@ -141,10 +142,10 @@ class Simulator:
         self._cancelled_pending += 1
         # Compact when the heap is mostly corpses so a cancel-heavy workload
         # (timer re-programming) cannot grow the heap without bound.
-        if self._cancelled_pending > 64 and self._cancelled_pending > len(self._events) // 2:
-            live = [entry for entry in self._events if entry[2].active]
-            heapq.heapify(live)
-            self._events = live
+        events = self._events
+        if self._cancelled_pending > 64 and self._cancelled_pending > len(events) // 2:
+            events[:] = [entry for entry in events if entry[2].active]
+            heapq.heapify(events)
             self._cancelled_pending = 0
 
     def cancel(self, handle: EventHandle) -> bool:

@@ -19,7 +19,12 @@ fq_flow`` in preallocated arenas rather than boxed allocations:
   sparse flow id to a **dense slot**; registered columns are flat
   :mod:`array`-module buffers indexed by slot (four to eight bytes per flow
   per column, no per-flow objects anywhere); dead flows push their slot
-  onto a free list so churn recycles without allocation.
+  onto a free list so churn recycles without allocation.  A **bounded dict
+  front** (at most ``_FRONT_CAP`` entries) answers the flows a probe
+  already found: the Fibonacci hash on a boxed int costs several times a
+  whole ``dict`` lookup, so a hot flow pays the probe chain once, while
+  the front's fixed size keeps bytes per flow set by the arrays, not by
+  a dict entry per flow.
 * :class:`PacingTable` — the shaping columns one shard worker needs
   (``rate_bps`` / ``burst_bytes`` / ``next_free_ns`` / ``credit_bytes``),
   with a :meth:`PacingTable.stamp` that reproduces
@@ -78,6 +83,10 @@ _I64_MAX = (1 << 63) - 1
 #: Initial index size (power of two; grows at 2/3 fill like CPython's dict).
 _MIN_CELLS = 64
 
+#: Most flows a table's dict front holds (see :class:`FlowTable`): every
+#: flow of the shaped workload (1,024) fits, a churn storm's millions do not.
+_FRONT_CAP = 1024
+
 
 @dataclass(slots=True)
 class FlowStateStats(CounterStatsMixin):
@@ -121,6 +130,19 @@ class FlowTable:
     Flow ids must be non-negative (``key[slot] == -1`` marks a free slot);
     this is the invariant every packet source in the repo already upholds.
 
+    In front of the index sits ``_front``, a plain ``dict`` of flow id ->
+    slot that :meth:`lookup` and :meth:`ensure` read first; the per-burst
+    loops (``ShardedRuntime.submit_batch``, :meth:`PacingTable.stamp_burst`)
+    read it inline with ``dict.get``.  A flow enters it only when a probe
+    *finds* it — never on create, so one-packet churn flows stay out — and
+    only while it holds fewer than ``_FRONT_CAP`` entries: unbounded, the
+    front would be a dict entry per flow (~116 B) on top of the arrays'
+    few bytes and undo what the columns are for.  A kept flow -> slot
+    answer is good until :meth:`remove` (or :meth:`PacingTable.expire`,
+    which carries a copy of its tail), the one place the front forgets:
+    slots never move while a flow lives (a rehash rebuilds the index, not
+    the slots), so nothing else can make an entry stale.
+
     This class is deliberately policy-free: the pacing semantics live in
     :class:`PacingTable`, placement columns in the sharder, ownership
     columns in the runtime — all as columns over this one engine.
@@ -130,6 +152,7 @@ class FlowTable:
         "stats",
         "key",
         "created",
+        "_front",
         "_index",
         "_cells",
         "_mask",
@@ -150,6 +173,7 @@ class FlowTable:
         self.key = array("q")
         #: True when the most recent :meth:`ensure` created its slot.
         self.created = False
+        self._front: Dict[int, int] = {}
         self._cells = _MIN_CELLS
         self._mask = _MIN_CELLS - 1
         self._shift = 64 - _MIN_CELLS.bit_length() + 1
@@ -190,7 +214,11 @@ class FlowTable:
     # -- index -------------------------------------------------------------
 
     def lookup(self, flow_id: int) -> int:
-        """Slot of ``flow_id``, or ``-1`` when absent (one probe chain)."""
+        """Slot of ``flow_id``, or ``-1`` when absent (front, then one probe chain)."""
+        front = self._front
+        slot = front.get(flow_id)
+        if slot is not None:
+            return slot
         index = self._index
         mask = self._mask
         key = self.key
@@ -200,6 +228,8 @@ class FlowTable:
             if slot == _EMPTY:
                 return -1
             if slot != _TOMB and key[slot] == flow_id:
+                if len(front) < _FRONT_CAP:
+                    front[flow_id] = slot
                 return slot
             cell = (cell + 1) & mask
 
@@ -210,6 +240,11 @@ class FlowTable:
         once per flow without a second probe (checking a flag beats
         allocating a ``(slot, created)`` tuple on a per-packet path).
         """
+        front = self._front
+        slot = front.get(flow_id)
+        if slot is not None:
+            self.created = False
+            return slot
         index = self._index
         mask = self._mask
         key = self.key
@@ -223,6 +258,8 @@ class FlowTable:
                 if reuse < 0:
                     reuse = cell
             elif key[slot] == flow_id:
+                if len(front) < _FRONT_CAP:
+                    front[flow_id] = slot
                 self.created = False
                 return slot
             cell = (cell + 1) & mask
@@ -240,6 +277,7 @@ class FlowTable:
 
     def remove(self, flow_id: int) -> bool:
         """Free the flow's slot (recycled by the next insert); False if absent."""
+        self._front.pop(flow_id, None)
         index = self._index
         mask = self._mask
         key = self.key
@@ -343,8 +381,9 @@ class FlowTable:
                 yield flow_id, slot
 
     def memory_bytes(self) -> int:
-        """Actual bytes held by the index, key, free list and every column."""
-        total = sys.getsizeof(self._index) + sys.getsizeof(self.key)
+        """Actual bytes held by the front, index, key, free list and every column."""
+        total = sys.getsizeof(self._front)
+        total += sys.getsizeof(self._index) + sys.getsizeof(self.key)
         total += sys.getsizeof(self._free)
         for column in self._columns:
             total += sys.getsizeof(column)
@@ -419,34 +458,40 @@ class PacingTable(FlowTable):
 
         One bound-method call and one probe replace the three-call chain,
         which is what a packet-rate loop over millions of flows actually
-        pays for.  The probe duplicates :meth:`ensure`'s loop *including*
-        the insert epilogue, because under churn a quarter of touches are
-        creations and delegating those to ``slot_for`` would probe the
-        chain twice.  The resolved slot is left in :attr:`last_slot` for
-        callers with their own columns to update — the same no-tuple idiom
-        as :attr:`FlowTable.created` (which this method does not maintain;
-        creation is signalled by the rate write alone).  The index is
+        pays for.  The probe duplicates :meth:`ensure`'s (front, then
+        chain) *including* the insert epilogue, because under churn a
+        quarter of touches are creations and delegating those to
+        ``slot_for`` would probe the chain twice.  The resolved slot is
+        left in :attr:`last_slot` for callers with their own columns to
+        update — the same no-tuple idiom as :attr:`FlowTable.created`
+        (which this method does not maintain; creation is signalled by the
+        rate write alone).  The index is
         re-read every call because a rehash replaces it.  The stamp
         arithmetic is kept textually identical to :meth:`stamp` (and
         therefore to ``ShapingTransaction.stamp``); the equivalence tests
         pin both.
         """
-        index = self._index
-        key = self.key
-        mask = self._mask
-        cell = ((flow_id * _FIB) & _MASK64) >> self._shift
-        reuse = -1
-        while True:
-            slot = index[cell]
-            if slot == _EMPTY:
-                slot = -1
-                break
-            if slot == _TOMB:
-                if reuse < 0:
-                    reuse = cell
-            elif key[slot] == flow_id:
-                break
-            cell = (cell + 1) & mask
+        front = self._front
+        slot = front.get(flow_id)
+        if slot is None:
+            index = self._index
+            key = self.key
+            mask = self._mask
+            cell = ((flow_id * _FIB) & _MASK64) >> self._shift
+            reuse = -1
+            while True:
+                slot = index[cell]
+                if slot == _EMPTY:
+                    slot = -1
+                    break
+                if slot == _TOMB:
+                    if reuse < 0:
+                        reuse = cell
+                elif key[slot] == flow_id:
+                    if len(front) < _FRONT_CAP:
+                        front[flow_id] = slot
+                    break
+                cell = (cell + 1) & mask
         if slot < 0:
             slot = self._alloc_slot(flow_id)
             if reuse >= 0:
@@ -490,13 +535,17 @@ class PacingTable(FlowTable):
         run of same-flow packets — RX bursts are bursty *per flow* — probes
         once, and the serialisation gap ``int(size_bytes * 8 / rate * 1e9)``
         is recomputed only when ``(size_bytes, rate)`` differs from the
-        previous packet's.  The probe, the insert epilogue and the stamp
+        previous packet's.  A flow the front holds skips the probe; one it
+        does not is probed and, when found, kept — the rule of
+        :meth:`lookup`.  The probe, the insert epilogue and the stamp
         arithmetic are kept textually identical to :meth:`touch`; the
         equivalence tests pin the two against each other column for column.
         """
         pairs = []
         append = pairs.append
         shard_id = self.shard_id
+        front = self._front
+        front_get = front.get
         index = self._index
         key = self.key
         mask = self._mask
@@ -516,7 +565,7 @@ class PacingTable(FlowTable):
                 rate_bps = rate_of(flow_id, default_rate)
                 if rate_bps is None:
                     slot = -1
-                else:
+                elif (slot := front_get(flow_id)) is None:
                     cell = ((flow_id * _FIB) & _MASK64) >> shift
                     reuse = -1
                     while True:
@@ -528,6 +577,8 @@ class PacingTable(FlowTable):
                             if reuse < 0:
                                 reuse = cell
                         elif key[slot] == flow_id:
+                            if len(front) < _FRONT_CAP:
+                                front[flow_id] = slot
                             break
                         cell = (cell + 1) & mask
                     if slot < 0:
@@ -598,6 +649,37 @@ class PacingTable(FlowTable):
         next_free = transaction.next_free_ns
         self._next_free[slot] = next_free if next_free < _I64_MAX else _I64_MAX
         self._credit[slot] = transaction.credit_bytes
+
+    def expire(self, flow_id: int, now_ns: int) -> bool:
+        """Drop the flow's pacing state once its ``next_free_ns`` has passed.
+
+        True when the flow holds no state here afterwards: it had none, or
+        it had expired and is removed.  The flow GC's question, answered in
+        one probe that keeps nothing in the front — the sweep visits idle
+        flows, which a churn workload removes as fast as it finds them.
+        The removal tail is :meth:`remove`'s, kept textually identical.
+        """
+        index = self._index
+        mask = self._mask
+        key = self.key
+        cell = ((flow_id * _FIB) & _MASK64) >> self._shift
+        while True:
+            slot = index[cell]
+            if slot == _EMPTY:
+                return True
+            if slot != _TOMB and key[slot] == flow_id:
+                break
+            cell = (cell + 1) & mask
+        if self._next_free[slot] > now_ns:
+            return False
+        self._front.pop(flow_id, None)
+        index[cell] = _TOMB
+        self._tombs += 1
+        key[slot] = -1
+        self._free.append(slot)
+        self._size -= 1
+        self.stats.removes += 1
+        return True
 
     # -- queries -----------------------------------------------------------
     # lookup/remove/__contains__/__len__/items/memory_bytes are inherited.

@@ -556,7 +556,8 @@ class ShardedRuntime:
         # Departures are recorded per drain and expanded on read: see the
         # transmit_log property.
         self._transmit_log: List[tuple[int, Packet]] = []
-        self._unread_drains: List[tuple[int, List[Packet]]] = []
+        self._unread_packets: List[Packet] = []
+        self._unread_drains = array("q")  # now_ns, count; now_ns, count; ...
         self.ingress_drops = 0
         self.migrations_applied = 0
         self.gc_interval_packets = gc_interval_packets
@@ -590,6 +591,14 @@ class ShardedRuntime:
         self._in_flight: Dict[int, int] = {}
         self._gc_cursor = 0
         self._tick_handles: List[Optional[EventHandle]] = [None] * num_shards
+        # One timer callback per shard, built once, so arming a tick
+        # allocates no closure.  Written here, not as a functools.partial:
+        # a callback's __module__ is how a tracer tells which layer it
+        # belongs to, and a partial's is functools.
+        tick = self._tick
+        self._tick_callbacks: List[Callable[[], None]] = [
+            (lambda shard=shard: tick(shard)) for shard in range(num_shards)
+        ]
         self._rebalance_handle: Optional[EventHandle] = None
         # -- the fault plane and its supervision state ----------------------
         # All of this is inert on a clean run: the seam hooks guard on
@@ -644,6 +653,10 @@ class ShardedRuntime:
             else None
         )
         self._ingress_handles: List[Optional[EventHandle]] = [None] * ingress_cores
+        ingress_tick = self._ingress_tick
+        self._ingress_callbacks: List[Callable[[], None]] = [
+            (lambda lane=lane: ingress_tick(lane)) for lane in range(ingress_cores)
+        ]
         self._mailboxes = [worker.mailbox for worker in self.workers]
         if self.ingress_cores:
             for mailbox in self._mailboxes:
@@ -840,14 +853,16 @@ class ShardedRuntime:
                 packet.metadata["e2e_ns"] = now
                 packet.metadata["mbox_ns"] = now
         # Route the whole burst first — the rule of _route, inline, with the
-        # one flow-table probe per packet kept for the commit below.  Loans
-        # change only inside ticks and pins never inside a burst, so one
-        # check of each covers the burst.
+        # one flow-table probe per packet kept for the commit below (the
+        # table's dict front answers a flow it already found; only the rest
+        # probe).  Loans change only inside ticks and pins never inside a
+        # burst, so one check of each covers the burst.
         if self._placed_epoch != self.sharder.epoch:
             self._reset_placements()
         by_shard: Dict[int, List[Packet]] = {}
         slots_by_shard: Dict[int, List[int]] = {}
         get_group = by_shard.get
+        front_get = self.flows._front.get
         lookup = self.flows.lookup
         home_col = self._home
         placed_col = self._placed
@@ -856,7 +871,9 @@ class ShardedRuntime:
         loan_shard = self.sharder.loan_shard if self.sharder.has_loans else None
         for packet in packets:
             flow_id = packet.flow_id
-            slot = lookup(flow_id)
+            slot = front_get(flow_id)
+            if slot is None:
+                slot = lookup(flow_id)
             shard = loan_shard(flow_id) if loan_shard is not None else None
             if shard is None:
                 if slot < 0:
@@ -959,7 +976,7 @@ class ShardedRuntime:
         if handle is not None and handle.active:
             return
         self._ingress_handles[lane] = self.simulator.schedule_at(
-            self.simulator.now_ns, lambda lane=lane: self._ingress_tick(lane)
+            self.simulator.now_ns, self._ingress_callbacks[lane]
         )
 
     def _wake_stalled_ingress(self) -> None:
@@ -984,7 +1001,7 @@ class ShardedRuntime:
                     continue  # already due this instant
                 self.simulator.cancel(handle)
             self._ingress_handles[lane] = self.simulator.schedule_at(
-                now, lambda lane=lane: self._ingress_tick(lane)
+                now, self._ingress_callbacks[lane]
             )
 
     def _ingress_tick(self, lane: int) -> None:
@@ -1021,7 +1038,7 @@ class ShardedRuntime:
         if next_ns is None:
             return  # the next offer() wakes this core
         self._ingress_handles[lane] = self.simulator.schedule_at(
-            next_ns, lambda lane=lane: self._ingress_tick(lane)
+            next_ns, self._ingress_callbacks[lane]
         )
 
     def _ingress_deliver(self, shard: int, packets: List[Packet]) -> int:
@@ -1093,7 +1110,7 @@ class ShardedRuntime:
             # tick forward so the new packet is stamped promptly.
             self.simulator.cancel(handle)
         self._tick_handles[shard] = self.simulator.schedule_at(
-            now, lambda shard=shard: self._tick(shard)
+            now, self._tick_callbacks[shard]
         )
 
     def _tick(self, shard: int) -> None:
@@ -1141,15 +1158,18 @@ class ShardedRuntime:
         This runs once per drained packet for the whole runtime, so every
         per-packet lookup is hoisted into a local before the loop and the
         optional branches (callback, open leases) are resolved once per call
-        rather than once per packet.  The transmit log takes one entry per
-        call — ``released`` itself, which this method therefore owns: every
-        caller hands over a list nothing else keeps (``drain_due`` and
-        ``end_lease`` build theirs fresh).
+        rather than once per packet.  The transmit log keeps no object per
+        call either: the packets extend one flat list and ``(now, count)``
+        goes into an ``array('q')``, so a drain leaves nothing behind for
+        CPython's cyclic collector to count or walk.
         """
         if not released:
             return
         if self.record_transmits:
-            self._unread_drains.append((now, released))
+            self._unread_packets.extend(released)
+            drains = self._unread_drains
+            drains.append(now)
+            drains.append(len(released))
         finished: List[FlowLease] = []
         in_flight = self._in_flight
         count_of = in_flight.get
@@ -1362,7 +1382,7 @@ class ShardedRuntime:
             # packets deliberately don't count: _finish_lease wakes then).
             return
         self._tick_handles[shard] = self.simulator.schedule_at(
-            next_ns, lambda shard=shard: self._tick(shard)
+            next_ns, self._tick_callbacks[shard]
         )
 
     def _gc_flow_state(self, now_ns: int) -> None:
@@ -1857,26 +1877,30 @@ class ShardedRuntime:
 
         One persistent flat list: the same object on every read, so edits
         made in place are still there on the next one.  The hot path logs
-        one ``(now_ns, released)`` entry per *drain*
-        (:meth:`_deliver`); a read appends the per-packet view of the drains
-        logged since the previous read, letting go of each drain as it is
-        expanded so the log is never held twice.  Whoever reads the log pays
-        for the per-packet tuples, at the read; a run that never reads it
-        never allocates them.  Empty with ``record_transmits=False``.
+        per *drain* (:meth:`_deliver`): the released packets onto one flat
+        list, ``(now_ns, count)`` onto an integer array; a read appends the
+        per-packet view of everything logged since the previous read.
+        Whoever reads the log pays for the per-packet tuples, at the read; a
+        run that never reads it never allocates them.  Empty with
+        ``record_transmits=False``.
         """
         log = self._transmit_log
-        drains = self._unread_drains
-        if drains:
-            drains.reverse()
-            while drains:
-                now, released = drains.pop()
-                log.extend(zip(itertools.repeat(now), released))
+        packets = self._unread_packets
+        if packets:
+            drains = self._unread_drains
+            times = itertools.chain.from_iterable(
+                map(itertools.repeat, drains[::2], drains[1::2])
+            )
+            log.extend(zip(times, packets))
+            packets.clear()
+            del drains[:]
         return log
 
     @transmit_log.setter
     def transmit_log(self, entries: List[tuple[int, Packet]]) -> None:
         self._transmit_log = entries
-        self._unread_drains.clear()
+        self._unread_packets.clear()
+        del self._unread_drains[:]
 
     @property
     def pending(self) -> int:

@@ -18,12 +18,14 @@ BESS worker is in a real deployment.  It owns, privately:
 * a :class:`~repro.cpu.cost_model.CostModel` account charging the shard's
   data-structure work, so runtime telemetry can locate the bottleneck core.
 
-Each scheduling quantum the owning runtime calls :meth:`ingest` (drain the
-mailbox, stamp, one batched enqueue) and :meth:`drain_due` (one batched
-release of everything whose timestamp passed).  The worker performs no
-global coordination — all cross-shard decisions live in the sharder and the
-runtime driver — but it does expose the two *ends* of the work-stealing
-protocol (see :mod:`repro.runtime.stealing`):
+Each scheduling quantum the owning runtime calls :meth:`tick`: the work of
+:meth:`ingest` (drain the mailbox, stamp, one batched enqueue) then of
+:meth:`drain_due` (one batched release of everything whose timestamp
+passed), with the queue's operation counters charged to the cost model once
+at the end.  The worker performs no global coordination — all cross-shard
+decisions live in the sharder and the runtime driver — but it does expose
+the two *ends* of the work-stealing protocol (see
+:mod:`repro.runtime.stealing`):
 
 * the **donor** side (:meth:`grant_lease` / :meth:`end_lease`): hand an
   imminent due window to an idle sibling, marking each touched flow *on
@@ -200,22 +202,18 @@ class ShardWorker:
         qdisc's flow GC has).  Charged like FQ's per-flow GC scan.
         """
         self.cost.charge("gc_scan")
-        pacing = self.pacing
-        slot = pacing.lookup(flow_id)
-        if slot < 0:
-            return True
-        if pacing.next_free_at(slot) <= now_ns:
-            pacing.remove(flow_id)
-            return True
-        return False
+        return self.pacing.expire(flow_id, now_ns)
 
     def _charge_queue_delta(self) -> None:
         """Charge the queue operations performed since the last settlement.
 
-        Runs twice a tick, so it subtracts the cost-mapped counters against
+        Runs once a tick, so it subtracts the cost-mapped counters against
         :attr:`_queue_snapshot` in place rather than building a delta object:
         the same operations, charged in the same order, as
-        ``cost.charge_queue_stats(stats.diff(snapshot).as_dict())``.
+        ``cost.charge_queue_stats(stats.diff(snapshot).as_dict())``.  How
+        often it runs changes no modelled number: every cost is a whole
+        number of cycles, so each operation's float total is exact however
+        the counts are grouped into charges.
         """
         stats = self.queue.stats
         settled = self._queue_snapshot
@@ -237,13 +235,13 @@ class ShardWorker:
         same-flow packets; the modelled ``flow_lookup`` charge stays
         per-packet (one batched charge), since the cost model prices the
         hash-table probe a real per-packet classifier performs, not this
-        interpreter's memoisation.
+        interpreter's memoisation.  The queue work is left unsettled; the
+        caller settles it (see :meth:`tick`).
         """
         pairs = self.pacing.stamp_burst(
             packets, self.flow_rates.get, self.default_rate_bps, now_ns
         )
-        count = len(pairs)
-        self.cost.charge("flow_lookup", count)
+        self.cost.charge("flow_lookup", len(pairs))
         queue = self.queue
         before = len(queue)
         try:
@@ -258,18 +256,25 @@ class ShardWorker:
             stats.ingested += count
             if self._backlog > stats.backlog_peak:
                 stats.backlog_peak = self._backlog
-            self._charge_queue_delta()
         return count
 
     def ingest(self, now_ns: int, limit: Optional[int] = None) -> int:
         """Drain the mailbox, stamp timestamps, one batched enqueue.
 
-        Returns the number of packets moved into the shard's queue.
-        Arrivals for a flow that is on loan are deferred unstamped — the
-        flow's pacing state travelled with the lease, and stamping with a
-        fresh shaper would regrant the burst — and are stamped in arrival
-        order when the lease returns (:meth:`end_lease`).
+        Returns the number of packets moved into the shard's queue, with
+        the queue work already charged to :attr:`cost`.  Arrivals for a
+        flow that is on loan are deferred unstamped — the flow's pacing
+        state travelled with the lease, and stamping with a fresh shaper
+        would regrant the burst — and are stamped in arrival order when
+        the lease returns (:meth:`end_lease`).
         """
+        try:
+            return self._ingest(now_ns, limit)
+        finally:
+            self._charge_queue_delta()
+
+    def _ingest(self, now_ns: int, limit: Optional[int]) -> int:
+        """:meth:`ingest` without the settlement."""
         batch = self.mailbox.drain(limit)
         if not batch:
             return 0
@@ -302,7 +307,15 @@ class ShardWorker:
         released — the thief holds earlier packets of that flow, and
         releasing these now would overtake them.  They flush, still in
         per-flow FIFO order, when the lease returns (:meth:`end_lease`).
+        Returns with the queue work charged to :attr:`cost`.
         """
+        try:
+            return self._drain_due(now_ns, limit)
+        finally:
+            self._charge_queue_delta()
+
+    def _drain_due(self, now_ns: int, limit: Optional[int]) -> List[Packet]:
+        """:meth:`drain_due` without the settlement."""
         drained = self.queue.extract_due(now_ns, limit=limit)
         self._backlog -= len(drained)
         if self.queue_wait is not None:
@@ -323,7 +336,6 @@ class ShardWorker:
         else:
             released = [packet for _send_at, packet in drained]
         self.stats.transmitted += len(released)
-        self._charge_queue_delta()
         return released
 
     def tick(self, now_ns: int, ingest_limit: Optional[int], drain_limit: Optional[int]) -> List[Packet]:
@@ -331,15 +343,22 @@ class ShardWorker:
 
         Charges the fixed per-invocation cost a real worker loop pays
         (module call, prefetch, loop setup) on top of the per-packet work.
+        The queue work of both halves is settled once, after the drain —
+        the same cycles, per operation and in total, as :meth:`ingest`
+        then :meth:`drain_due`, which settle one each.
         """
         self.stats.ticks += 1
         self.cost.charge("batch_overhead")
-        mailbox_before = len(self.mailbox)
-        ingested = self.ingest(now_ns, ingest_limit)
-        # Deferring on-loan arrivals consumes mailbox items without an
-        # enqueue; that is still work, not an idle tick.
-        consumed = ingested or len(self.mailbox) != mailbox_before
-        released = self.drain_due(now_ns, drain_limit)
+        mailbox = self.mailbox
+        mailbox_before = len(mailbox)
+        try:
+            ingested = self._ingest(now_ns, ingest_limit)
+            # Deferring on-loan arrivals consumes mailbox items without an
+            # enqueue; that is still work, not an idle tick.
+            consumed = ingested or len(mailbox) != mailbox_before
+            released = self._drain_due(now_ns, drain_limit)
+        finally:
+            self._charge_queue_delta()
         if not consumed and not released:
             self.stats.idle_ticks += 1
         return released
@@ -434,7 +453,10 @@ class ShardWorker:
         self._deferred_count -= len(released) + len(reingest)
         self.stats.transmitted += len(released)
         if reingest:
-            self._stamp_and_enqueue(reingest, now_ns)
+            try:
+                self._stamp_and_enqueue(reingest, now_ns)
+            finally:
+                self._charge_queue_delta()
         self.steal.leases_returned += 1
         return released
 

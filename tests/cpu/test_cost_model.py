@@ -50,6 +50,14 @@ class TestCostModel:
         with pytest.raises(KeyError):
             model.cost_of("warp_drive")
 
+    def test_charging_an_unknown_operation_raises_and_charges_nothing(self):
+        model = CostModel()
+        model.charge("enqueue", 3)
+        with pytest.raises(KeyError, match="warp_drive"):
+            model.charge("warp_drive")
+        assert model.breakdown() == {"enqueue": 36.0}
+        assert model.total_cycles == 36.0
+
     def test_charge_returns_total(self):
         model = CostModel()
         per_op = model.cost_of("ffs_word")

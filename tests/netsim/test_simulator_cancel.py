@@ -140,6 +140,57 @@ class TestHeapCompaction:
         assert other.fired
 
 
+class TestRunLoopUnderCallbacks:
+    """``run`` dispatches inline; callbacks that reshape the heap mid-run."""
+
+    def test_callback_cancels_the_next_head(self):
+        simulator = Simulator()
+        fired = []
+        handles = [
+            simulator.schedule_at(t, lambda t=t: fired.append(t)) for t in range(10, 60, 10)
+        ]
+
+        def cancel_next():
+            fired.append("cancel")
+            assert handles[1].cancel()  # the head right behind this event
+            simulator.schedule_at(simulator.now_ns, lambda: fired.append("same-instant"))
+
+        simulator.schedule_at(15, cancel_next)
+        assert simulator.run(until_ns=20) == 3
+        assert fired == [10, "cancel", "same-instant"]
+        assert simulator.pending_events == 3
+        assert simulator.processed_events == 3
+        assert handles[1].cancelled and not handles[1].fired
+        assert simulator.run() == 3
+        assert fired == [10, "cancel", "same-instant", 30, 40, 50]
+        assert simulator.pending_events == 0
+        assert simulator.processed_events == 6
+
+    def test_callback_triggers_compaction_mid_run(self):
+        simulator = Simulator()
+        fired = []
+        handles = [
+            simulator.schedule_at(t, lambda t=t: fired.append(t)) for t in range(1, 201)
+        ]
+        sizes = []
+
+        def cancel_most():
+            for handle in handles[20:180]:
+                handle.cancel()
+            sizes.append(len(simulator._events))
+            # Scheduled after the compaction: must land in the heap run pops.
+            simulator.schedule_at(simulator.now_ns + 1, lambda: fired.append("late"))
+
+        simulator.schedule_at(10, cancel_most)
+        assert simulator.run(max_events=15) == 15
+        assert sizes and sizes[0] < 100  # the corpses were dropped mid-run
+        assert simulator.pending_events == 200 + 2 - 160 - 15
+        simulator.run()
+        assert fired == [*range(1, 12), "late", *range(12, 21), *range(181, 201)]
+        assert simulator.processed_events == 200 - 160 + 2
+        assert simulator.pending_events == 0
+
+
 class TestRuntimeTimerPattern:
     def test_reprogramming_pattern_stays_bounded(self):
         # The shard-timer idiom: schedule a wakeup, cancel it, pull it
