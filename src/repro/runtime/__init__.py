@@ -11,7 +11,7 @@ instance per core, flows spread across instances by an RSS-style hash:
   records which flows are on loan to a work-stealing thief.  Its
   ``epoch`` counter moves whenever a pin or sticky assignment changes, so
   a caller may keep ``shard_for`` answers until it does (the driver keeps
-  one per flow, see ``ShardedRuntime._route``).
+  one per flow, see ``ShardedRuntime._route_burst``).
 * :class:`~repro.runtime.mailbox.Mailbox` — the batched SPSC ingress-to-shard
   handoff, with high/low watermark hysteresis (pause / resume edges) the
   ingress backpressure hangs off.

@@ -41,12 +41,15 @@ runtime already makes for the mailbox-to-queue leg.
 from __future__ import annotations
 
 import abc
-from collections import deque
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from itertools import groupby, repeat
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .mailbox import Mailbox
 from .observability import LogHistogram
+from .sharder import FlowSharder
 from ..core.model.packet import Packet
 from ..core.queues.base import CounterStatsMixin
 from ..cpu import CostModel
@@ -86,59 +89,121 @@ class IngressStats(CounterStatsMixin):
 class RxRing:
     """The NIC-facing receive ring of one ingress core.
 
-    A bounded FIFO of ``(arrival_ns, packet)`` pairs with the two pieces of
-    bookkeeping the admission policies need: per-flow occupancy counts (for
-    longest-queue drop) and arrival timestamps at the head (for sojourn-time
-    drop).  ``capacity`` is *nominal*: the ring itself never refuses a push —
+    A bounded FIFO held as two columns side by side — the resident packets
+    in one list, their arrival times in an ``array('q')`` — read from a
+    moving head index, so an arrival costs no object of its own: a burst is
+    one ``list`` extend plus one array extend (:meth:`push_burst`), and a
+    pull takes its window as one slice of each (:meth:`IngressCore.pull`
+    reads the columns directly).  The consumed prefix is cut off once it
+    outgrows the live part, or dropped whole when the ring empties.
+
+    Per-flow occupancy counts (longest-queue drop reads them) are kept only
+    once somebody reads them: :meth:`count_flows` builds them from the
+    resident packets, after which every push and pop maintains them.  An
+    ingress core calls it up front when its admission policy declares
+    :attr:`AdmissionPolicy.reads_flow_counts`; with any other policy, or
+    none, the ring keeps no counts at all.
+
+    ``capacity`` is *nominal*: the ring itself never refuses a push —
     whether to exceed capacity (backpressure growth) or drop (admission) is
     the ingress core's decision, so the mechanics live here and the policy
     stays pluggable.
     """
 
-    __slots__ = ("capacity", "peak", "_items", "_flow_counts")
+    __slots__ = ("capacity", "peak", "_packets", "_arrivals", "_head", "_flow_counts")
+
+    #: Consumed entries tolerated in front of the head before a cut.
+    _COMPACT_AT = 1024
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.peak = 0
-        self._items: Deque[Tuple[int, Packet]] = deque()
-        self._flow_counts: Dict[int, int] = {}
+        self._packets: List[Packet] = []
+        self._arrivals = array("q")
+        self._head = 0
+        self._flow_counts: Optional[Dict[int, int]] = None
 
     def push(self, arrival_ns: int, packet: Packet) -> None:
         """Append one arrival (unconditionally; admission decided upstream)."""
-        self._items.append((arrival_ns, packet))
+        self._packets.append(packet)
+        self._arrivals.append(arrival_ns)
         counts = self._flow_counts
-        counts[packet.flow_id] = counts.get(packet.flow_id, 0) + 1
-        if len(self._items) > self.peak:
-            self.peak = len(self._items)
+        if counts is not None:
+            counts[packet.flow_id] = counts.get(packet.flow_id, 0) + 1
+        size = len(self._packets) - self._head
+        if size > self.peak:
+            self.peak = size
+
+    def push_burst(self, arrival_ns: int, packets: List[Packet]) -> None:
+        """Append a whole burst arriving at ``arrival_ns``, in order."""
+        self._packets += packets
+        self._arrivals.extend(repeat(arrival_ns, len(packets)))
+        counts = self._flow_counts
+        if counts is not None:
+            for packet in packets:
+                counts[packet.flow_id] = counts.get(packet.flow_id, 0) + 1
+        size = len(self._packets) - self._head
+        if size > self.peak:
+            self.peak = size
+
+    def _advance(self, count: int) -> None:
+        """Consume the ``count`` oldest residents."""
+        packets = self._packets
+        head = self._head
+        counts = self._flow_counts
+        if counts is not None:
+            for index in range(head, head + count):
+                self._forget(packets[index].flow_id)
+        head += count
+        if head >= len(packets):
+            packets.clear()
+            del self._arrivals[:]
+            head = 0
+        elif head >= self._COMPACT_AT and 2 * head >= len(packets):
+            del packets[:head]
+            del self._arrivals[:head]
+            head = 0
+        self._head = head
 
     def _forget(self, flow_id: int) -> None:
-        count = self._flow_counts[flow_id] - 1
+        counts = self._flow_counts
+        count = counts[flow_id] - 1
         if count:
-            self._flow_counts[flow_id] = count
+            counts[flow_id] = count
         else:
-            del self._flow_counts[flow_id]
+            del counts[flow_id]
 
     def head(self) -> Tuple[int, Packet]:
         """The oldest resident ``(arrival_ns, packet)`` pair."""
-        return self._items[0]
+        return self._arrivals[self._head], self._packets[self._head]
 
     def pop(self) -> Tuple[int, Packet]:
         """Remove and return the oldest resident pair."""
-        arrival_ns, packet = self._items.popleft()
-        self._forget(packet.flow_id)
-        return arrival_ns, packet
+        pair = self.head()
+        self._advance(1)
+        return pair
+
+    def count_flows(self) -> Dict[int, int]:
+        """Resident packets per flow; counting starts with the first call."""
+        counts = self._flow_counts
+        if counts is None:
+            counts = self._flow_counts = {}
+            for packet in self._packets[self._head:]:
+                counts[packet.flow_id] = counts.get(packet.flow_id, 0) + 1
+        return counts
 
     def flow_count(self, flow_id: int) -> int:
         """Resident packets of ``flow_id``."""
-        return self._flow_counts.get(flow_id, 0)
+        return self.count_flows().get(flow_id, 0)
 
     def fattest_flow(self) -> Optional[int]:
         """The flow with the most resident packets (``None`` when empty)."""
-        if not self._flow_counts:
+        counts = self.count_flows()
+        if not counts:
             return None
-        return max(self._flow_counts, key=self._flow_counts.__getitem__)
+        return max(counts, key=counts.__getitem__)
 
     def drop_newest(self, flow_id: int) -> Optional[Packet]:
         """Remove the *newest* resident packet of ``flow_id``.
@@ -149,27 +214,29 @@ class RxRing:
         with the per-flow FIFO contract.  O(ring) scan from the tail; drops
         are the rare path by construction.
         """
-        items = self._items
-        for index in range(len(items) - 1, -1, -1):
-            if items[index][1].flow_id == flow_id:
-                _arrival, packet = items[index]
-                del items[index]
-                self._forget(flow_id)
+        packets = self._packets
+        for index in range(len(packets) - 1, self._head - 1, -1):
+            packet = packets[index]
+            if packet.flow_id == flow_id:
+                del packets[index]
+                del self._arrivals[index]
+                if self._flow_counts is not None:
+                    self._forget(flow_id)
                 return packet
         return None
 
     @property
     def over_capacity(self) -> bool:
         """True while occupancy exceeds the nominal capacity."""
-        return len(self._items) > self.capacity
+        return len(self) > self.capacity
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._packets) - self._head
 
     @property
     def empty(self) -> bool:
         """True when no arrivals await classification."""
-        return not self._items
+        return self._head >= len(self._packets)
 
 
 class AdmissionPolicy(abc.ABC):
@@ -188,9 +255,14 @@ class AdmissionPolicy(abc.ABC):
     Policies are per-core (each ingress core gets its own instance via the
     runtime's ``admission=`` factory), so state like CoDel's drop clock
     never leaks across cores.
+
+    A policy that reads the ring's per-flow occupancy sets
+    :attr:`reads_flow_counts`, so its core keeps those counts from the
+    start; every other ring keeps none.
     """
 
     name: str = "admission"
+    reads_flow_counts: bool = False
 
     def on_arrival(
         self, ring: RxRing, packet: Packet, now_ns: int
@@ -233,6 +305,7 @@ class FlowFairDropPolicy(AdmissionPolicy):
     """
 
     name = "fair_drop"
+    reads_flow_counts = True
 
     def on_arrival(
         self, ring: RxRing, packet: Packet, now_ns: int
@@ -336,6 +409,32 @@ def make_admission_factory(
     return admission
 
 
+def _rooms(mailboxes: List[Mailbox]) -> Optional[List[int]]:
+    """Packets each mailbox takes before its high watermark (or capacity).
+
+    0 while paused, ``sys.maxsize`` for an unbounded mailbox, and ``None``
+    when no mailbox is bounded at all.  A pull that fills a room lands the
+    mailbox exactly *at* its high watermark, so it pauses and its ``on_low``
+    edge wakes the stalled core.
+    """
+    rooms = []
+    bounded = False
+    for mailbox in mailboxes:
+        if mailbox.paused:
+            rooms.append(0)
+            bounded = True
+            continue
+        limit = mailbox.high_watermark
+        if limit is None:
+            limit = mailbox.capacity
+        if limit is None:
+            rooms.append(sys.maxsize)
+        else:
+            rooms.append(limit - len(mailbox))
+            bounded = True
+    return rooms if bounded else None
+
+
 class IngressCore:
     """One RX core: a bounded ring drained by batched classify + handoff.
 
@@ -375,6 +474,8 @@ class IngressCore:
             raise ValueError("pull_batch must be positive")
         self.core_id = core_id
         self.ring = RxRing(ring_capacity)
+        if admission is not None and admission.reads_flow_counts:
+            self.ring.count_flows()
         self.pull_batch = pull_batch
         self.admission = admission
         self.backpressure = backpressure
@@ -409,13 +510,12 @@ class IngressCore:
                 if room < len(packets):
                     stats.rx_dropped += len(packets) - room
                     packets = packets[:room]
-            grown = 0
-            for packet in packets:
-                ring.push(now_ns, packet)
-                if ring.over_capacity:
-                    grown += 1
+            before = len(ring)
+            ring.push_burst(now_ns, packets)
             admitted = len(packets)
-            stats.ring_grown += grown
+            if before + admitted > ring.capacity:
+                # The pushes that left the ring above capacity, one by one.
+                stats.ring_grown += before + admitted - max(before, ring.capacity)
         else:
             self.cost.charge("admission_check", len(packets))
             for packet in packets:
@@ -437,20 +537,38 @@ class IngressCore:
     def pull(
         self,
         now_ns: int,
-        route: Callable[[int], int],
+        route: Callable[[List[Packet], Optional[List[int]]], Tuple[dict, dict]],
         mailboxes: List[Mailbox],
-        deliver: Callable[[int, List[Packet]], int],
+        deliver: Callable[[int, List[Packet], List[int]], int],
     ) -> int:
         """One ingress quantum: classify up to ``pull_batch`` head packets.
 
-        ``route`` maps a flow id to its shard (the runtime passes its
-        residency-aware router, so in-flight flows keep following their
-        packets); ``deliver`` pushes one per-shard group and returns how
-        many the mailbox accepted.  The loop stops early — leaving the
-        blocking packet at the ring head — when a destination mailbox is
-        paused or one more packet would push it to its high watermark /
-        capacity; per-flow FIFO is safe because the *whole ring* waits, not
-        just the blocked flow.
+        ``route(packets, rooms)`` is the runtime's burst router
+        (:meth:`ShardedRuntime._route_burst
+        <repro.runtime.runtime.ShardedRuntime._route_burst>`): it returns
+        ``(groups, slots)``, two dicts keyed by destination shard holding the
+        routed packets in ring order and, aligned with them, the flow-table
+        slot routing found for each (``-1``: none).  It routes per flow, and
+        stops at the first packet whose shard already got ``rooms[shard]``
+        packets of the call, leaving that packet and all behind it
+        unrouted.  ``deliver(shard, packets, slots)`` pushes one per-shard
+        group and returns how many the mailbox accepted.
+
+        Backpressure: a destination's room is its distance to the high
+        watermark (or capacity), 0 while paused — read once per shard per
+        pull, which is exact because nothing drains a mailbox between
+        classify and deliver (``rooms`` is ``None`` when no mailbox is
+        bounded).  The first packet that does not fit stays at the ring
+        head; per-flow FIFO is safe because the *whole ring* waits, not just
+        the blocked flow.
+
+        With no head-dropping policy the whole head window is routed in one
+        call and taken as one slice of the ring's columns.  A policy that
+        overrides :meth:`AdmissionPolicy.on_head` decides the head packet by
+        packet — each verdict needs that packet's sojourn and moves the
+        policy's state, so none may be asked past the packet that blocks —
+        and each survivor is routed on its own.  Delivered packets' sojourns
+        are recorded once per run of equal arrival times.
 
         Returns the number of packets delivered downstream.
         """
@@ -463,45 +581,43 @@ class IngressCore:
             stats.idle_ticks += 1
             self.stalled = False
             return 0
+        rooms = _rooms(mailboxes) if self.backpressure else None
+        budget = self.pull_batch
         policy = self.admission
-        backpressure = self.backpressure
-        groups: Dict[int, List[Packet]] = {}
-        sojourn_by_shard: Dict[int, List[int]] = {}
-        taken = 0
         head_drops = 0
-        blocked = False
-        while not ring.empty and taken < self.pull_batch:
-            arrival_ns, packet = ring.head()
-            if policy is not None and policy.on_head(ring, now_ns - arrival_ns, now_ns):
-                ring.pop()
-                stats.rx_dropped += 1
-                head_drops += 1
-                continue
-            shard = route(packet.flow_id)
-            group = groups.get(shard)
-            pending = 0 if group is None else len(group)
-            mailbox = mailboxes[shard]
-            if backpressure:
-                limit = mailbox.high_watermark
-                if limit is None:
-                    limit = mailbox.capacity
-                if mailbox.paused or (
-                    limit is not None and len(mailbox) + pending + 1 > limit
-                ):
-                    # One more packet would cross the destination's high
-                    # watermark: stop the pull here.  Delivering the group
-                    # below lands occupancy exactly *at* the watermark, so
-                    # the mailbox pauses and its on_low edge wakes us.
+        if policy is None or type(policy).on_head is AdmissionPolicy.on_head:
+            start = ring._head
+            packets = ring._packets[start:start + budget]
+            groups, slots = route(packets, rooms)
+            taken = sum(map(len, groups.values()))
+            blocked = taken < len(packets)
+            arrivals = ring._arrivals[start:start + taken]
+            ring._advance(taken)
+        else:
+            groups, slots = {}, {}
+            packets = []
+            arrivals = array("q")
+            blocked = False
+            while len(packets) < budget and not ring.empty:
+                arrival_ns, packet = ring.head()
+                if policy.on_head(ring, now_ns - arrival_ns, now_ns):
+                    ring.pop()
+                    head_drops += 1
+                    continue
+                routed, routed_slots = route([packet], rooms)
+                if not routed:
                     blocked = True
                     break
-            ring.pop()
-            if group is None:
-                groups[shard] = [packet]
-                sojourn_by_shard[shard] = [now_ns - arrival_ns]
-            else:
-                group.append(packet)
-                sojourn_by_shard[shard].append(now_ns - arrival_ns)
-            taken += 1
+                ring.pop()
+                ((shard, _group),) = routed.items()
+                groups.setdefault(shard, []).append(packet)
+                slots.setdefault(shard, []).extend(routed_slots[shard])
+                if rooms is not None:
+                    rooms[shard] -= 1
+                packets.append(packet)
+                arrivals.append(arrival_ns)
+            taken = len(packets)
+            stats.rx_dropped += head_drops
         # One charge per operation per pull, not per packet: every cost is
         # integer-valued, so n charges of c and one charge of n*c leave the
         # account byte-identical (pinned in tests/cpu/test_cost_model.py).
@@ -512,22 +628,59 @@ class IngressCore:
         if taken:
             cost.charge("flow_lookup", taken)
         delivered = 0
-        record_sojourn = self.sojourn_hist.record
+        short: Optional[Dict[int, int]] = None
         for shard, group in groups.items():
             cost.charge("lock")  # the cross-core mailbox handoff
-            accepted = deliver(shard, group)
+            accepted = deliver(shard, group, slots[shard])
             delivered += accepted
-            for sojourn_ns in sojourn_by_shard[shard][:accepted]:
-                record_sojourn(sojourn_ns)
+            if accepted < len(group):
+                if short is None:
+                    short = {}
+                short[shard] = accepted
+        if delivered:
+            self._record_sojourns(now_ns, packets, arrivals, groups, short)
         stats.classified += taken
         stats.delivered += delivered
         self.stalled = blocked
         if blocked:
             stats.stalled_ticks += 1
             stats.stall_cycles += cost.cost_of("rx_poll")
-        if taken == 0 and head_drops == 0 and not blocked:
-            stats.idle_ticks += 1
         return delivered
+
+    def _record_sojourns(
+        self,
+        now_ns: int,
+        packets: List[Packet],
+        arrivals: array,
+        groups: Dict[int, List[Packet]],
+        short: Optional[Dict[int, int]],
+    ) -> None:
+        """Record the ring sojourn of every delivered packet.
+
+        ``arrivals`` belong to the taken packets, which lead ``packets`` in
+        ring order.  A group the mailbox (or a handoff fault) cut short
+        delivered ``short[shard]`` packets, and those are counted as its
+        first ones; when no group was cut, the delivered packets are exactly
+        the taken ones.
+        """
+        record = self.sojourn_hist.record
+        if short is None:
+            first = arrivals[0]
+            if arrivals.count(first) == len(arrivals):
+                record(now_ns - first, len(arrivals))
+            else:
+                for arrival_ns, run in groupby(arrivals):
+                    record(now_ns - arrival_ns, len(list(run)))
+            return
+        shard_of = {
+            packet.flow_id: shard for shard, group in groups.items() for packet in group
+        }
+        quota = {shard: short.get(shard, len(group)) for shard, group in groups.items()}
+        for packet, arrival_ns in zip(packets, arrivals):
+            shard = shard_of[packet.flow_id]
+            if quota[shard]:
+                quota[shard] -= 1
+                record(now_ns - arrival_ns)
 
     def next_wake_ns(self, now_ns: int, quantum_ns: int) -> Optional[int]:
         """When this core's next pull should fire (``None`` = go idle).
@@ -549,6 +702,54 @@ class IngressCore:
     def backlog(self) -> int:
         """Packets resident in this core's RX ring."""
         return len(self.ring)
+
+
+class IngressLanes:
+    """Spreads NIC bursts over ingress lanes, asking each flow's lane once.
+
+    ``sharder`` is the lane map (:meth:`FlowSharder.for_ingress
+    <repro.runtime.sharder.FlowSharder.for_ingress>`).  Its answer for a
+    flow is kept, for at most :attr:`KEPT` flows, until the sharder's
+    ``epoch`` moves — the contract under which a ``shard_for`` answer stays
+    true — and then every kept answer is dropped at once.
+    """
+
+    __slots__ = ("sharder", "_kept", "_epoch")
+
+    #: Most flows whose lane is kept.
+    KEPT = 4096
+
+    def __init__(self, sharder: FlowSharder) -> None:
+        self.sharder = sharder
+        self._kept: Dict[int, int] = {}
+        self._epoch = sharder.epoch
+
+    def spread(self, packets: List[Packet]) -> Dict[int, List[Packet]]:
+        """Each lane's packets of the burst, in burst order."""
+        sharder = self.sharder
+        if sharder.num_shards == 1:
+            return {0: packets}
+        kept = self._kept
+        if self._epoch != sharder.epoch:
+            kept.clear()
+            self._epoch = sharder.epoch
+        kept_lane = kept.get
+        lane_for = sharder.shard_for
+        groups: Dict[int, List[Packet]] = {}
+        get_group = groups.get
+        for packet in packets:
+            flow_id = packet.flow_id
+            lane = kept_lane(flow_id)
+            if lane is None:
+                lane = lane_for(flow_id)
+                if len(kept) < self.KEPT:
+                    kept[flow_id] = lane
+            group = get_group(lane)
+            if group is None:
+                groups[lane] = [packet]
+            else:
+                group.append(packet)
+        return groups
 
 
 @dataclass
@@ -592,6 +793,7 @@ __all__ = [
     "CoDelPolicy",
     "FlowFairDropPolicy",
     "IngressCore",
+    "IngressLanes",
     "IngressStats",
     "IngressTelemetry",
     "RxRing",

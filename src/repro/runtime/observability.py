@@ -92,8 +92,12 @@ class LogHistogram:
 
     # -- recording ---------------------------------------------------------
 
-    def record(self, value: int) -> None:
-        """Record one non-negative sample (negative clamps to zero)."""
+    def record(self, value: int, times: int = 1) -> None:
+        """Record ``times`` equal non-negative samples (negative clamps to zero).
+
+        ``record(v, n)`` leaves count, sum, min, max and every bucket exactly
+        as ``n`` calls of ``record(v)`` would.
+        """
         if value < 0:
             value = 0
         elif value > MAX_TRACKABLE_NS:
@@ -103,9 +107,9 @@ class LogHistogram:
         else:
             shift = value.bit_length() - 1 - self.precision
             index = shift * self._sub + (value >> shift)
-        self.counts[index] += 1
-        self.count += 1
-        self.sum += value
+        self.counts[index] += times
+        self.count += times
+        self.sum += value * times
         if self.min_value is None or value < self.min_value:
             self.min_value = value
         if value > self.max_value:

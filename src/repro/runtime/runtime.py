@@ -57,7 +57,7 @@ import itertools
 import sys
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .backend import (
     ExecutionBackend,
@@ -68,7 +68,7 @@ from .backend import (
 )
 from .faults import FaultPlan, FaultStats
 from .flowstate import FlowTable
-from .ingress import IngressCore, IngressTelemetry, make_admission_factory
+from .ingress import IngressCore, IngressLanes, IngressTelemetry, make_admission_factory
 from .mailbox import MailboxStats
 from .observability import FlightRecorder, GaugeValue, LogHistogram, MetricsTimeline
 from .sharder import FlowSharder, ShardRebalancer
@@ -579,7 +579,7 @@ class ShardedRuntime:
         self.gc_sweep_limit = gc_sweep_limit
         # Per-flow ownership state, columnised (see repro.runtime.flowstate):
         # home shard, and the sharder's placement cached per slot (-1: not
-        # asked yet, or invalidated — see _route step 3).
+        # asked yet, or invalidated — see _route_burst step 3).
         self.flows = FlowTable()
         self._home = self.flows.add_column("home", "i", -1)
         self._placed = self.flows.add_column("placed", "i", -1)
@@ -652,6 +652,7 @@ class ShardedRuntime:
             if ingress_cores
             else None
         )
+        self._lanes = IngressLanes(self._ingress_sharder) if ingress_cores else None
         self._ingress_handles: List[Optional[EventHandle]] = [None] * ingress_cores
         ingress_tick = self._ingress_tick
         self._ingress_callbacks: List[Callable[[], None]] = [
@@ -680,46 +681,75 @@ class ShardedRuntime:
 
     # -- ingress -----------------------------------------------------------
 
-    def _route(self, flow_id: int) -> int:
-        """Shard for the next packet of ``flow_id`` (residency beats placement).
+    def _route_burst(
+        self, packets: List[Packet], rooms: Optional[List[int]] = None
+    ) -> Tuple[Dict[int, List[Packet]], Dict[int, List[int]]]:
+        """Route a burst: the one place the routing rule is written down.
 
-        The one place the routing rule is written down; :meth:`submit_batch`
-        applies the same three steps inline to a whole burst.
+        :meth:`submit`, :meth:`submit_batch` and the RX pull all call it.
+        Returns each shard's packets in burst order and, aligned with them,
+        the flow-table slot found for each (``-1``: none yet), which the
+        commit reuses instead of probing again.  With ``rooms`` (the pull's
+        backpressure) the burst stops at the first packet whose shard
+        already got ``rooms[shard]`` of it; the rest stay unrouted.
+
+        Per packet, residency beats placement:
 
         1. A flow whose due window is on loan to a thief stays owned by the
            victim that granted the lease, even in the instant its in-flight
            count touches zero mid-delivery — migrating right then would
            strand the pacing state travelling with the lease.
         2. A flow with packets in flight follows them to its home shard.
-        3. Otherwise the sharder's (possibly re-pinned) placement applies —
-           asked once per flow, not once per packet: the answer is kept in
-           the ``placed`` column for as long as the flow holds a slot and
-           :attr:`FlowSharder.epoch` stands still.  Any pin, unpin or
-           forget that changes a placement (a rebalancing round, a crash
-           recovery, a direct call on :attr:`sharder`) moves the epoch, and
-           the next routing decision drops every cached answer at once.  A
-           flow with no slot yet has nowhere to keep one and asks.
+        3. Otherwise the sharder's (possibly re-pinned) placement applies,
+           asked once per flow and kept in the ``placed`` column while the
+           flow holds a slot and :attr:`FlowSharder.epoch` stands still; any
+           pin, unpin or forget that changes a placement moves the epoch and
+           drops every kept answer.  A flow with no slot yet asks.
 
-        Pure lookup — home/migration state only changes once a packet is
-        actually accepted (:meth:`_commit_group`), so a dropped packet never
-        registers a migration.
+        Loans change only inside shard ticks and pins never inside a burst,
+        so one check of each covers the burst.  Pure lookup: home and
+        migration state change only once a packet is accepted
+        (:meth:`_commit_group`).
         """
-        loan = self.sharder.loan_shard(flow_id)
-        if loan is not None:
-            return loan
-        slot = self.flows.lookup(flow_id)
-        if slot < 0:
-            return self.sharder.shard_for(flow_id)
-        if flow_id in self._in_flight:
-            home = self._home[slot]
-            if home >= 0:
-                return home
         if self._placed_epoch != self.sharder.epoch:
             self._reset_placements()
-        shard = self._placed[slot]
-        if shard < 0:
-            shard = self._placed[slot] = self.sharder.shard_for(flow_id)
-        return shard
+        by_shard: Dict[int, List[Packet]] = {}
+        slots_by_shard: Dict[int, List[int]] = {}
+        get_group = by_shard.get
+        front_get = self.flows._front.get
+        lookup = self.flows.lookup
+        home_col = self._home
+        placed_col = self._placed
+        in_flight = self._in_flight
+        shard_for = self.sharder.shard_for
+        loan_shard = self.sharder.loan_shard if self.sharder.has_loans else None
+        for packet in packets:
+            flow_id = packet.flow_id
+            slot = front_get(flow_id)
+            if slot is None:
+                slot = lookup(flow_id)
+            shard = loan_shard(flow_id) if loan_shard is not None else None
+            if shard is None:
+                if slot < 0:
+                    shard = shard_for(flow_id)
+                elif flow_id in in_flight and home_col[slot] >= 0:
+                    shard = home_col[slot]
+                else:
+                    shard = placed_col[slot]
+                    if shard < 0:
+                        shard = placed_col[slot] = shard_for(flow_id)
+            group = get_group(shard)
+            if group is None:
+                if rooms is not None and rooms[shard] <= 0:
+                    break
+                by_shard[shard] = [packet]
+                slots_by_shard[shard] = [slot]
+            else:
+                if rooms is not None and len(group) >= rooms[shard]:
+                    break
+                group.append(packet)
+                slots_by_shard[shard].append(slot)
+        return by_shard, slots_by_shard
 
     def _reset_placements(self) -> None:
         """Drop every cached placement: the sharder's epoch moved."""
@@ -728,30 +758,25 @@ class ShardedRuntime:
         self._placed_epoch = self.sharder.epoch
 
     def _commit_group(
-        self,
-        group: List[Packet],
-        slots: Optional[List[int]],
-        shard: int,
-        taken: int,
+        self, group: List[Packet], slots: List[int], shard: int, taken: int
     ) -> None:
         """Record the accepted prefix ``group[:taken]`` on ``shard``.
 
         The single commit seam of every submit path.  ``slots`` carries the
-        flow-table slot routing already found for each packet (``-1``: the
-        flow had no entry, so it is created here — and found again if the
-        same new flow comes twice in one burst); ``None`` means routing kept
-        none and every packet probes.  A carried slot cannot go stale
-        between routing and here: slots only die in the GC sweep, which
-        runs from :meth:`_deliver`, never inside a submit.
+        flow-table slot routing found for each packet (``-1``: the flow had
+        no entry, so it is created here — and found again if the same new
+        flow comes twice in one burst).  A carried slot cannot go stale: slots
+        only die in the GC sweep, which runs from :meth:`_deliver`, never
+        inside a submit or a pull.
 
         The first packet landing on a new home completes the migration: the
         flow's pacing state moves with it (an RFS-style flow-state handoff),
         so ``_next_free_ns`` and the remaining burst credit survive and the
         flow cannot exceed its configured rate by hopping shards.
 
-        Per-flow load-window attribution (:meth:`FlowSharder.record`) has
-        one reader, the rebalancer, and only a rebalancing round ever resets
-        it; with none attached the burst is accounted per shard only.
+        Per-flow load-window attribution (:meth:`FlowSharder.record_burst`)
+        has one reader, the rebalancer, and only a rebalancing round ever
+        resets it; with none attached the group is accounted per shard only.
         """
         if not taken:
             return
@@ -759,10 +784,9 @@ class ShardedRuntime:
         home_col = self._home
         in_flight = self._in_flight
         count_of = in_flight.get
-        record = self.sharder.record if self.rebalancer is not None else None
         if taken < len(group):
             group = group[:taken]  # zip below stops the slots there too
-        for packet, slot in zip(group, itertools.repeat(-1) if slots is None else slots):
+        for packet, slot in zip(group, slots):
             flow_id = packet.flow_id
             if slot < 0:
                 slot = ensure(flow_id)
@@ -775,9 +799,9 @@ class ShardedRuntime:
                         self.workers[shard].adopt_shaper(flow_id, shaper)
                 home_col[slot] = shard
             in_flight[flow_id] = count_of(flow_id, 0) + 1
-            if record is not None:
-                record(flow_id, shard)
-        if record is None:
+        if self.rebalancer is not None:
+            self.sharder.record_burst([packet.flow_id for packet in group], shard)
+        else:
             self.sharder.record_shard(shard, taken)
 
     def _take_handoff_drops(self, shard: int, count: int) -> int:
@@ -817,7 +841,8 @@ class ShardedRuntime:
             self._arm_timeline()
         if self.ingress_cores:
             return self._offer_ingress([packet]) == 1
-        shard = self._route(packet.flow_id)
+        by_shard, slots_by_shard = self._route_burst([packet])
+        ((shard, _group),) = by_shard.items()
         if self._faults is not None and self._take_handoff_drops(shard, 1):
             return False
         if self.latency_histograms:
@@ -827,7 +852,7 @@ class ShardedRuntime:
         if not self.workers[shard].mailbox.push(packet):
             self.ingress_drops += 1
             return False
-        self._commit_group([packet], None, shard, 1)
+        self._commit_group([packet], slots_by_shard[shard], shard, 1)
         self._wake_shard(shard)
         self._wake_idle_thieves(shard)
         self._arm_rebalance()
@@ -852,45 +877,7 @@ class ShardedRuntime:
             for packet in packets:
                 packet.metadata["e2e_ns"] = now
                 packet.metadata["mbox_ns"] = now
-        # Route the whole burst first — the rule of _route, inline, with the
-        # one flow-table probe per packet kept for the commit below (the
-        # table's dict front answers a flow it already found; only the rest
-        # probe).  Loans change only inside ticks and pins never inside a
-        # burst, so one check of each covers the burst.
-        if self._placed_epoch != self.sharder.epoch:
-            self._reset_placements()
-        by_shard: Dict[int, List[Packet]] = {}
-        slots_by_shard: Dict[int, List[int]] = {}
-        get_group = by_shard.get
-        front_get = self.flows._front.get
-        lookup = self.flows.lookup
-        home_col = self._home
-        placed_col = self._placed
-        in_flight = self._in_flight
-        shard_for = self.sharder.shard_for
-        loan_shard = self.sharder.loan_shard if self.sharder.has_loans else None
-        for packet in packets:
-            flow_id = packet.flow_id
-            slot = front_get(flow_id)
-            if slot is None:
-                slot = lookup(flow_id)
-            shard = loan_shard(flow_id) if loan_shard is not None else None
-            if shard is None:
-                if slot < 0:
-                    shard = shard_for(flow_id)
-                elif flow_id in in_flight and home_col[slot] >= 0:
-                    shard = home_col[slot]
-                else:
-                    shard = placed_col[slot]
-                    if shard < 0:
-                        shard = placed_col[slot] = shard_for(flow_id)
-            group = get_group(shard)
-            if group is None:
-                by_shard[shard] = [packet]
-                slots_by_shard[shard] = [slot]
-            else:
-                group.append(packet)
-                slots_by_shard[shard].append(slot)
+        by_shard, slots_by_shard = self._route_burst(packets)
         accepted = 0
         faults = self._faults
         for shard, group in by_shard.items():
@@ -941,19 +928,12 @@ class ShardedRuntime:
         policy.  With pure backpressure everything is admitted — the rings
         grow instead of dropping.
         """
-        assert self._ingress_sharder is not None
         now = self.simulator.now_ns
         if self.latency_histograms:
             # The e2e clock starts at submission — RX-ring wait included.
             for packet in packets:
                 packet.metadata["e2e_ns"] = now
-        if len(self.ingress_cores) == 1:
-            groups: Dict[int, List[Packet]] = {0: packets}
-        else:
-            groups = {}
-            lane_for = self._ingress_sharder.shard_for
-            for packet in packets:
-                groups.setdefault(lane_for(packet.flow_id), []).append(packet)
+        groups = self._lanes.spread(packets)
         admitted = 0
         for lane, group in groups.items():
             core = self.ingress_cores[lane]
@@ -1021,7 +1001,7 @@ class ShardedRuntime:
             return
         if self._wedged and lane in self._wedged:
             return
-        delivered = core.pull(now, self._route, self._mailboxes, self._ingress_deliver)
+        delivered = core.pull(now, self._route_burst, self._mailboxes, self._ingress_deliver)
         if self.tracer is not None:
             self.tracer.emit(
                 now,
@@ -1041,12 +1021,13 @@ class ShardedRuntime:
             next_ns, self._ingress_callbacks[lane]
         )
 
-    def _ingress_deliver(self, shard: int, packets: List[Packet]) -> int:
-        """Land one classified per-shard group in its mailbox (core -> core)."""
+    def _ingress_deliver(self, shard: int, packets: List[Packet], slots: List[int]) -> int:
+        """Land one routed group in its mailbox; its slots go on to the commit."""
         if self._faults is not None:
             dropped = self._take_handoff_drops(shard, len(packets))
             if dropped:
                 packets = packets[dropped:]
+                slots = slots[dropped:]
                 if not packets:
                     return 0
         mailbox = self._mailboxes[shard]
@@ -1064,7 +1045,7 @@ class ShardedRuntime:
                 "mailbox_handoff",
                 {"offered": len(packets), "accepted": taken},
             )
-        self._commit_group(packets, None, shard, taken)
+        self._commit_group(packets, slots, shard, taken)
         if taken or before:
             self._wake_shard(shard)
             self._wake_idle_thieves(shard)

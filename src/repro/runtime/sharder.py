@@ -17,6 +17,7 @@ skew — only migration can.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -338,6 +339,26 @@ class FlowSharder:
         self._wpkts[slot] += packets
         self._wshard[slot] = shard
         self._window_shard_packets[shard] += packets
+
+    def record_burst(self, flow_ids: List[int], shard: int) -> None:
+        """:meth:`record` one packet per entry of ``flow_ids``, in order.
+
+        One call per distinct flow carries that flow's packet count whenever
+        no window eviction can fire inside the burst — the window holds at
+        most ``window_limit`` flows even if every flow of the burst is new —
+        and the result is then exactly the per-packet one: the same counts,
+        and slots taken in order of each flow's first packet.  Otherwise an
+        eviction could pick its victim by a count a later packet had already
+        added to, so the packets are recorded one by one.
+        """
+        counts = Counter(flow_ids)
+        if self._num_window + len(counts) <= self.window_limit:
+            record = self.record
+            for flow_id, packets in counts.items():
+                record(flow_id, shard, packets)
+        else:
+            for flow_id in flow_ids:
+                self.record(flow_id, shard)
 
     def record_shard(self, shard: int, packets: int) -> None:
         """Account ``packets`` handled by ``shard`` with no per-flow attribution.

@@ -6,6 +6,8 @@ edge), the runtime wiring (``ingress_cores=N``), and the telemetry rows the
 bottleneck analysis reads.
 """
 
+import gc
+
 import pytest
 
 from repro.core.model.packet import Packet
@@ -26,6 +28,31 @@ QUANTUM_NS = 10_000
 
 def _packets(flow_ids, size_bytes=1500):
     return [Packet(flow_id=flow_id, size_bytes=size_bytes) for flow_id in flow_ids]
+
+
+def _router(shard_of):
+    """A burst router for ``IngressCore.pull`` over a per-flow shard map.
+
+    The runtime's router contract without its flow table: groups in ring
+    order, slot ``-1`` for every packet, and a stop at the first packet
+    whose shard has no room left.
+    """
+
+    def route(packets, rooms):
+        groups, slots = {}, {}
+        for packet in packets:
+            shard = shard_of(packet.flow_id)
+            if rooms is not None and len(groups.get(shard, ())) >= rooms[shard]:
+                break
+            groups.setdefault(shard, []).append(packet)
+            slots.setdefault(shard, []).append(-1)
+        return groups, slots
+
+    return route
+
+
+def _deliver_to(mailboxes):
+    return lambda shard, group, slots: mailboxes[shard].push_batch(group)
 
 
 def _flow_sequences(transmit_log):
@@ -68,6 +95,35 @@ class TestRxRing:
     def test_validation(self):
         with pytest.raises(ValueError):
             RxRing(capacity=0)
+
+
+def _tracked_objects():
+    gc.collect()
+    return len(gc.get_objects())
+
+
+def test_the_rx_ring_keeps_no_tracked_object_per_packet():
+    # 10k packets offered in NIC bursts, all resident at once, then pulled
+    # through two mailboxes; the packets exist before the first count.
+    packets = _packets([flow % 40 for flow in range(10_000)])
+    bursts = [packets[index:index + 128] for index in range(0, len(packets), 128)]
+    core = IngressCore(0, ring_capacity=512, pull_batch=64)
+    mailboxes = [Mailbox(), Mailbox()]
+    route = _router(lambda flow: flow % 2)
+    deliver = _deliver_to(mailboxes)
+    core.offer(_packets([1, 2]), now_ns=0)  # warm-up: the ring's columns exist
+    core.pull(0, route, mailboxes, deliver)
+    before = _tracked_objects()
+    for index, burst in enumerate(bursts):
+        core.offer(burst, now_ns=index)
+    assert len(core.ring) == len(packets) and core.stats.ring_grown > 0
+    assert _tracked_objects() - before < 64
+    while not core.ring.empty:
+        core.pull(len(bursts), route, mailboxes, deliver)
+        for mailbox in mailboxes:
+            mailbox.drain()
+    assert core.stats.delivered == len(packets) + 2
+    assert _tracked_objects() - before < 64
 
 
 class TestAdmissionPolicies:
@@ -146,12 +202,7 @@ class TestAdmissionPolicies:
 class TestIngressCorePull:
     def _deliver_all(self, core, mailboxes, now=0):
         sharder = FlowSharder(len(mailboxes))
-        return core.pull(
-            now,
-            sharder.shard_for,
-            mailboxes,
-            lambda shard, group: mailboxes[shard].push_batch(group),
-        )
+        return core.pull(now, _router(sharder.shard_for), mailboxes, _deliver_to(mailboxes))
 
     def test_classify_groups_and_delivers_in_ring_order(self):
         core = IngressCore(0, ring_capacity=64, pull_batch=64)
@@ -177,10 +228,7 @@ class TestIngressCorePull:
         core = IngressCore(0, ring_capacity=64, pull_batch=64)
         core.offer(_packets([1] * 6), now_ns=0)
         mailbox = Mailbox(capacity=8, high_watermark=4, low_watermark=1)
-        delivered = core.pull(
-            0, lambda _flow: 0, [mailbox],
-            lambda shard, group: mailbox.push_batch(group),
-        )
+        delivered = core.pull(0, _router(lambda _flow: 0), [mailbox], _deliver_to([mailbox]))
         # The pull stops once delivery would land occupancy at the high
         # watermark: exactly 4 delivered, mailbox paused, 2 left in the ring.
         assert delivered == 4
@@ -224,10 +272,7 @@ class TestIngressCorePull:
         mailboxes = [Mailbox()]
 
         def pull(now):
-            return core.pull(
-                now, lambda _flow: 0, mailboxes,
-                lambda shard, group: mailboxes[shard].push_batch(group),
-            )
+            return core.pull(now, _router(lambda _flow: 0), mailboxes, _deliver_to(mailboxes))
 
         # First pull: sojourn 10 us is over target, which only *arms* the
         # interval clock (a burst that drains within an interval is a good

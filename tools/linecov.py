@@ -1,16 +1,20 @@
-"""Statement coverage of one source directory under a pytest run, stdlib only.
+"""Statement coverage of one source file or directory under a pytest run.
 
-The CI floors use ``pytest-cov``, which the offline build container lacks.
-This is the fallback: a ``sys.settrace`` line recorder over the files under
-``SOURCE`` and an ``ast`` count of their statements.
+The CI floors use ``pytest-cov``, which an offline machine may lack.  This
+is the stdlib fallback: a ``sys.settrace`` line recorder over ``SOURCE`` (one
+``.py`` file, or every one under a directory) and an ``ast`` count of their
+statements.
 
     python tools/linecov.py src/repro/core/queues -q tests/core
     python tools/linecov.py src/repro/runtime --fail-under 85 -q
+    python tools/linecov.py src/repro/runtime/ingress.py -q tests/runtime/test_ingress.py
 
 Everything after ``SOURCE`` (and ``--fail-under N``) goes to pytest.  A
 statement is an ``ast.stmt`` that is not a docstring and does not sit under a
 line marked ``pragma: no cover``; it is covered when its first line ran.  The
 count is close to coverage.py's, not identical (no branch or ``else`` arcs).
+A ``SOURCE`` with no statements at all (a typo, an empty directory) is an
+error, not a pass.
 """
 
 from __future__ import annotations
@@ -71,15 +75,22 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
+    if source.is_file():
+        root, paths = source.parent, [source]
+    else:
+        root, paths = source, sorted(source.rglob("*.py"))
     total = covered = 0
-    for path in sorted(source.rglob("*.py")):
+    for path in paths:
         statements = statement_lines(path)
         hit = statements & ran[str(path)]
         missed = sorted(statements - hit)
         total += len(statements)
         covered += len(hit)
-        print(f"{path.relative_to(source)!s:28} {len(hit):5} / {len(statements):5}  missed: {missed}")
-    percent = 100.0 * covered / total if total else 100.0
+        print(f"{path.relative_to(root)!s:28} {len(hit):5} / {len(statements):5}  missed: {missed}")
+    if not total:
+        print(f"no statements under {source}", file=sys.stderr)
+        return 2
+    percent = 100.0 * covered / total
     print(f"TOTAL {covered} / {total} statements = {percent:.1f}% (floor {floor:g}%)")
     return int(status) or int(percent < floor)
 
