@@ -36,6 +36,11 @@ class EiffelQdisc(Qdisc):
         num_buckets: timestamp buckets (20k, as in the paper's deployment).
         queue: optionally inject a different integer queue (the approximate
             gradient queue, for ablations); defaults to cFFS.
+        timer_granularity_ns: watchdog timer resolution; defaults to one
+            bucket (``horizon_ns // num_buckets``).
+
+    Under :class:`~repro.runtime.adapters.MultiQueueQdisc` each instance is
+    one per-core child; packets never move between children.
     """
 
     name = "eiffel"
@@ -118,65 +123,6 @@ class EiffelQdisc(Qdisc):
     def queue_occupancy(self) -> int:
         """Packets currently held in the timestamp queue."""
         return self._backlog
-
-    # -- work-stealing surface (the mq root's donor/acceptor protocol) -----
-
-    def grant_due_window(
-        self, now_ns: int, max_packets: int, horizon_ns: int
-    ) -> Optional[tuple[List[tuple[int, Packet]], QueueStats]]:
-        """Donor side: extract the window due by ``now + horizon`` for a thief.
-
-        Returns ``(pairs, queue_delta)`` — the stamp-ordered ``(send_at,
-        packet)`` prefix of each touched flow, plus the queue-operation
-        delta of the extraction, which is *not* charged here: on real
-        hardware the thief core performs these pops, so the delta rides to
-        the acceptor (see :meth:`splice_due_window`) and the donor pays only
-        the cross-core handoff lock.  Per-flow pacing state stays on this
-        qdisc — unlike the sharded runtime's flow leases, flows keep hashing
-        to this child, and the shaper's ``next_free_ns`` already lies past
-        every stolen stamp, so later arrivals stamp (and therefore release)
-        after the stolen window without any deferral machinery.
-
-        Returns ``None`` when there is nothing stealable.
-        """
-        if max_packets <= 0 or self._backlog == 0:
-            return None
-        stolen = self._queue.extract_due(now_ns + horizon_ns, limit=max_packets)
-        delta = self._queue.stats.diff(self._queue_snapshot)
-        self._queue_snapshot = self._queue.stats.snapshot()
-        if not stolen:
-            # The peek that found nothing stealable is still this core's work.
-            self.softirq_cost.charge_queue_stats(delta.as_dict())
-            return None
-        self._backlog -= len(stolen)
-        self.softirq_cost.charge("lock")
-        return stolen, delta
-
-    def splice_due_window(
-        self, pairs: List[tuple[int, Packet]], queue_delta: QueueStats
-    ) -> int:
-        """Acceptor side: adopt a stolen window, stamps preserved.
-
-        The packets re-enter through one batched enqueue and release via the
-        normal timer-driven drain at exactly the times the victim would have
-        released them.  The victim's measured extraction delta plus this
-        re-enqueue and the handoff lock are charged to *this* child's
-        softirq account — the cycles stealing moves off the bottleneck core.
-        """
-        cost = self.softirq_cost
-        cost.charge("lock")
-        cost.charge_queue_stats(queue_delta.as_dict())
-        before = len(self._queue)
-        try:
-            self._queue.enqueue_batch(pairs)
-        finally:
-            # Backlog follows the queue's actual growth even if a
-            # fixed-range ablation queue rejects a stamp mid-batch.
-            self._backlog += len(self._queue) - before
-            self._queue_snapshot = charge_stats_delta(
-                cost, self._queue.stats, self._queue_snapshot
-            )
-        return len(pairs)
 
 
 __all__ = ["EiffelQdisc"]

@@ -177,7 +177,6 @@ from .stealing import (
     StealChannelStats,
     StealRequest,
     StealStats,
-    StealTuner,
 )
 from .worker import ShardWorker, ShardWorkerStats
 
@@ -226,7 +225,6 @@ __all__ = [
     "StealChannelStats",
     "StealRequest",
     "StealStats",
-    "StealTuner",
     "TailDropPolicy",
     "ThreadBackend",
     "WorkerSpec",

@@ -17,6 +17,9 @@ Both adapters are substrate-facing and clock-free: they never touch the
 runtime's execution backend (:mod:`repro.runtime.backend`) — a sharded port
 or mq qdisc is driven by its substrate's own event loop, simulated or not —
 so they compose unchanged whichever backend drives :class:`ShardedRuntime`.
+Neither moves a packet between sub-queues once classified: cross-core work
+stealing belongs to :class:`ShardedRuntime`, whose flow leases carry the
+pacing state and deferral that make such a move order-safe.
 """
 
 from __future__ import annotations
@@ -29,11 +32,6 @@ from ..kernel.qdisc import Qdisc
 from ..netsim.elements import PortQueue
 
 
-def _send_at_key(packet: Packet) -> int:
-    """Stamp of a shaped packet (0 for unshaped ones, which are due at once)."""
-    return packet.metadata.get("send_at_ns", 0)
-
-
 class ShardedPortQueue(PortQueue):
     """A multi-queue switch port: N sub-queues behind one PortQueue facade.
 
@@ -43,28 +41,19 @@ class ShardedPortQueue(PortQueue):
             DropTailEcnQueue(capacity_packets=64)``.
         sharder: flow classifier; defaults to RSS-style hashing.
         arbiter: TX arbitration — ``"rr"`` (round-robin rings, the NIC
-            default; composes with ``steal_enabled``) or ``"priority"``
-            (serve the ring whose head packet ranks best, re-arbitrated per
-            packet; requires every sub-queue to expose ``head_priority()``,
-            as :class:`~repro.netsim.elements.PFabricPortQueue` does —
-            the arbitration a multi-queue pFabric port needs, since RR
-            would let mice wait behind an elephant's ring turns).
+            default) or ``"priority"`` (serve the ring whose head packet
+            ranks best, re-arbitrated per packet; requires every sub-queue
+            to expose ``head_priority()``, as
+            :class:`~repro.netsim.elements.PFabricPortQueue` does — the
+            arbitration a multi-queue pFabric port needs, since RR would let
+            mice wait behind an elephant's ring turns).
 
     ``capacity_packets`` of the facade is the sum over sub-queues; ``drops``
     and ``enqueued`` counters aggregate the per-shard events observed through
     this adapter.  Dequeue services the sub-queues round-robin starting after
     the last-served shard, which is how NIC round-robin TX arbitration
-    interleaves its rings.
-
-    With ``steal_enabled`` the TX arbiter runs work stealing at *quota*
-    granularity: the pull share of empty rings is donated to the loaded ones
-    within each arbitration pass, so a skewed port fills the NIC pull in
-    fewer passes.  Packets never change rings, so per-ring (and therefore
-    per-flow) FIFO is untouchable and the pull remains work-conserving;
-    what the knob may change is the *inter-ring interleaving* of a pull
-    when several loaded rings coexist with empty ones (larger per-ring
-    quotas produce longer runs from each ring) — the same latitude RR
-    arbiters already have.  ``quota_steals`` counts the donated passes.
+    interleaves its rings.  Packets never change rings, so per-ring (and
+    therefore per-flow) FIFO holds under either arbiter.
     """
 
     ARBITERS = ("rr", "priority")
@@ -74,7 +63,6 @@ class ShardedPortQueue(PortQueue):
         num_shards: int,
         queue_factory: Callable[[int], PortQueue],
         sharder: Optional[FlowSharder] = None,
-        steal_enabled: bool = False,
         arbiter: str = "rr",
     ) -> None:
         if num_shards <= 0:
@@ -89,9 +77,7 @@ class ShardedPortQueue(PortQueue):
         super().__init__(sum(queue.capacity_packets for queue in self.shards))
         self.num_shards = num_shards
         self.sharder = sharder or FlowSharder(num_shards)
-        self.steal_enabled = steal_enabled
         self.arbiter = arbiter
-        self.quota_steals = 0
         self._next_rr = 0
 
     def shard_for(self, packet: Packet) -> int:
@@ -159,15 +145,7 @@ class ShardedPortQueue(PortQueue):
         return None
 
     def dequeue_batch(self, n: int) -> List[Packet]:
-        """One NIC pull: round-robin bursts over the non-empty sub-queues.
-
-        With stealing enabled the per-pass quota divides over the *loaded*
-        rings only — empty rings donate their share, so one pass can fill
-        the pull from a single deep ring.  The pull stays work-conserving
-        and per-ring FIFO is untouched; inter-ring interleaving may differ
-        from the steal-off arbitration (longer per-ring runs), and the
-        shrinking extra passes over the same rings disappear.
-        """
+        """One NIC pull: round-robin bursts over the non-empty sub-queues."""
         batch: List[Packet] = []
         if self.arbiter == "priority":
             # Strict cross-ring priority re-arbitrates per packet: the head
@@ -182,17 +160,9 @@ class ShardedPortQueue(PortQueue):
         while len(batch) < n:
             start = self._next_rr
             progressed = False
-            divisor = self.num_shards
-            if self.steal_enabled:
-                loaded = sum(1 for queue in self.shards if len(queue))
-                if loaded == 0:
-                    break
-                if loaded < self.num_shards:
-                    self.quota_steals += 1
-                    divisor = loaded
             for offset in range(self.num_shards):
                 shard = (start + offset) % self.num_shards
-                quota = max(1, (n - len(batch)) // divisor)
+                quota = max(1, (n - len(batch)) // self.num_shards)
                 pulled = self.shards[shard].dequeue_batch(min(quota, n - len(batch)))
                 if pulled:
                     batch.extend(pulled)
@@ -216,6 +186,7 @@ class MultiQueueQdisc(Qdisc):
         child_factory: builds child ``shard`` — any existing qdisc works,
             e.g. ``lambda shard: EiffelQdisc(default_rate_bps=1e9)``.
         sharder: flow classifier; defaults to RSS-style hashing.
+        timer_granularity_ns: the root's watchdog timer resolution.
 
     The root performs no queueing of its own: packets hash straight into a
     child (as skbs hash to a per-CPU transmit queue), ``dequeue_due`` drains
@@ -225,25 +196,8 @@ class MultiQueueQdisc(Qdisc):
     root mirrors every child delta into its own system/softirq accounts so
     drivers that sample only the root — ``KernelSimulation``'s
     ``IntervalSample`` — see the whole machine; :meth:`max_child_cycles`
-    exposes the bottleneck-core view.
-
-    Work stealing (``steal_enabled``): after the round-robin drain, an idle
-    child — backlog zero, its core about to sleep — takes over the imminent
-    due window of the deepest sibling (backlog at or above
-    ``steal_min_backlog``) through the child qdiscs' donor/acceptor surface
-    (:meth:`~repro.kernel.eiffel_qdisc.EiffelQdisc.grant_due_window` /
-    ``splice_due_window``); children lacking that surface simply never
-    participate.  The handoff is order-safe per flow: the stolen window is a
-    stamp-ordered prefix (later arrivals stamp after it on the victim), and
-    because a coalesced timer fire may find one flow's due packets on both
-    children at once, a steal-enabled root merges each fire's releases by
-    stamp (stable sort) instead of returning raw round-robin child order.
-    The one residual caveat is an explicitly truncating ``budget`` that
-    splits a due window across fires mid-flow — the default budget never
-    truncates, and the sharded runtime's lease deferral (PR 3) is the
-    machinery to reach for where bounded budgets matter.  Extraction cycles
-    ride the stolen window to the thief's core account, which is what
-    lowers :meth:`max_child_cycles` under skewed hashing.
+    exposes the bottleneck-core view.  A flow always hashes to the same
+    child, so per-flow release order is the child's own.
     """
 
     name = "mq"
@@ -254,30 +208,13 @@ class MultiQueueQdisc(Qdisc):
         child_factory: Callable[[int], Qdisc],
         sharder: Optional[FlowSharder] = None,
         timer_granularity_ns: int = 1,
-        steal_enabled: bool = False,
-        steal_batch: int = 64,
-        steal_horizon_ns: int = 1_000_000,
-        steal_min_backlog: int = 8,
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if steal_batch <= 0:
-            raise ValueError("steal_batch must be positive")
-        if steal_horizon_ns < 0:
-            raise ValueError("steal_horizon_ns must be non-negative")
-        if steal_min_backlog <= 0:
-            raise ValueError("steal_min_backlog must be positive")
         super().__init__(timer_granularity_ns=timer_granularity_ns)
         self.num_shards = num_shards
         self.children: List[Qdisc] = [child_factory(shard) for shard in range(num_shards)]
         self.sharder = sharder or FlowSharder(num_shards)
-        self.steal_enabled = steal_enabled
-        self.steal_batch = steal_batch
-        self.steal_horizon_ns = steal_horizon_ns
-        self.steal_min_backlog = steal_min_backlog
-        self.steals = 0
-        self.packets_stolen = 0
-        self._stolen_pending = 0
         self._next_rr = 0
         self._child_cost_snapshots = [(0.0, 0.0)] * num_shards
 
@@ -316,69 +253,7 @@ class MultiQueueQdisc(Qdisc):
                 released.extend(child_released)
                 self._next_rr = (shard + 1) % self.num_shards
         self.stats.dequeued += len(released)
-        if self.steal_enabled:
-            if released and self._stolen_pending:
-                # While a stolen window is outstanding, one flow's due
-                # packets may sit on two children at once (the stolen
-                # prefix on the thief, later stamps on the victim), and a
-                # coarse or coalesced fire drains both in round-robin child
-                # order — which would emit the victim's later stamps first.
-                # Merge the fire's releases by stamp (stable, preserving
-                # FIFO on ties; unstamped packets key 0, i.e. due at once).
-                # With no steal outstanding the raw round-robin order is
-                # returned untouched, so flipping the knob costs nothing
-                # until a lease actually lands.
-                released.sort(key=_send_at_key)
-                for packet in released:
-                    if packet.metadata.pop("mq_stolen", None):
-                        self._stolen_pending -= 1
-            self._steal_pass(now_ns)
         return released
-
-    def _steal_pass(self, now_ns: int) -> None:
-        """One bounded steal after the drain: idlest child robs the deepest.
-
-        Runs at most one handoff per ``dequeue_due`` call, the same "one
-        lease at a time" bound the sharded runtime applies.  The thief must
-        be completely idle (its core would otherwise sleep) *and* below the
-        mean of the children's cycle accounts — the runtime's cycle-fair
-        thief gate, which stops a freshly fed thief from ping-ponging
-        handoff locks while the victim still pays the stamping path.  The
-        victim's backlog must clear the steal floor: between near-equal
-        children the handoff lock would cost more than the relief.
-        """
-        cycles = [child.total_cycles() for child in self.children]
-        mean_cycles = sum(cycles) / self.num_shards
-        thief = None
-        victim = None
-        victim_backlog = self.steal_min_backlog - 1
-        for shard, child in enumerate(self.children):
-            backlog = child.backlog
-            if (
-                backlog == 0
-                and thief is None
-                and cycles[shard] <= mean_cycles
-                and hasattr(child, "splice_due_window")
-            ):
-                thief = shard
-            elif backlog > victim_backlog and hasattr(child, "grant_due_window"):
-                victim, victim_backlog = shard, backlog
-        if thief is None or victim is None:
-            return
-        window = self.children[victim].grant_due_window(
-            now_ns, self.steal_batch, self.steal_horizon_ns
-        )
-        if window is None:
-            return
-        pairs, delta = window
-        for _send_at, packet in pairs:
-            packet.metadata["mq_stolen"] = True
-        self.children[thief].splice_due_window(pairs, delta)
-        self._absorb_child_costs(victim)
-        self._absorb_child_costs(thief)
-        self.steals += 1
-        self.packets_stolen += len(pairs)
-        self._stolen_pending += len(pairs)
 
     def soonest_deadline_ns(self, now_ns: int) -> Optional[int]:
         deadlines = [

@@ -72,11 +72,15 @@ from .ingress import IngressCore, IngressLanes, IngressTelemetry, make_admission
 from .mailbox import MailboxStats
 from .observability import FlightRecorder, GaugeValue, LogHistogram, MetricsTimeline
 from .sharder import FlowSharder, ShardRebalancer
-from .stealing import FlowLease, StealChannel, StealRequest, StealStats, StealTuner
+from .stealing import FlowLease, StealChannel, StealRequest, StealStats
 from .worker import QueueFactory, ShardWorker, ShardWorkerStats
 from ..core.model.packet import Packet
 from ..core.queues import QueueStats
 from ..netsim.simulator import EventHandle, Simulator
+
+#: Bound on each shard's parked steal requests (the bounded cross-core
+#: request ring; overflow is dropped and counted, never blocked on).
+STEAL_CHANNEL_CAPACITY = 8
 
 
 @dataclass
@@ -250,10 +254,9 @@ class ShardedRuntime:
             mapping is safe).
         horizon_ns / num_buckets / queue_factory / mailbox_capacity: per
             shard worker configuration (see :class:`ShardWorker`).
-        rebalancer: optional skew-aware rebalancer; requires
-            ``rebalance_interval_ns``.
-        rebalance_interval_ns: period of the rebalancing sweep; when set
-            without an explicit ``rebalancer`` a default one is built.
+        rebalance_interval_ns: period of the skew-aware rebalancing sweep
+            (a :class:`~repro.runtime.sharder.ShardRebalancer` over
+            ``sharder``); ``None`` (the default) never rebalances.
         steal_enabled: turn on cross-shard work stealing — an idle shard
             parks a steal request at the busiest sibling and takes over its
             next due window under an order-preserving flow lease.
@@ -264,13 +267,6 @@ class ShardedRuntime:
         steal_min_backlog: smallest victim backlog worth stealing from —
             below this the handoff overhead outweighs the relief, and under
             balanced load it keeps shards from churning work back and forth.
-        steal_channel_capacity: bound on each shard's parked steal requests
-            (the bounded cross-core request ring; overflow is dropped and
-            counted, never blocked on).
-        steal_adaptive: derive the effective steal batch/horizon from an
-            EWMA of observed lease sizes (:class:`StealTuner`); the
-            configured ``steal_batch`` / ``steal_horizon_ns`` become
-            ceilings the tuner shrinks toward what victims actually grant.
         ingress_cores: number of asynchronous RX cores in front of the
             shards (0 keeps the historical synchronous ingress).  With
             ingress cores, :meth:`submit` / :meth:`submit_batch` land in a
@@ -289,15 +285,14 @@ class ShardedRuntime:
             quantum, as NAPI polls outpace scheduler ticks).
         ingress_backpressure: honour mailbox watermarks (pause the pull and
             grow the ring); off, an unarmed ring tail-drops at capacity.
+            With ingress cores and a bounded ``mailbox_capacity`` every
+            shard mailbox pauses the pull at ``capacity`` and resumes at
+            ``capacity // 2``; otherwise mailboxes carry no watermarks.
         ingress_hash_seed: seed of the RSS lane hash (flow -> RX core);
             defaults to the decorrelated constant
             :data:`~repro.runtime.sharder.INGRESS_HASH_SEED`.  The scenario
             compiler threads a spec-level seed through here so one seed pins
             every random stream of an experiment.
-        mailbox_high_watermark / mailbox_low_watermark: backpressure
-            thresholds of every shard mailbox; default to ``capacity`` and
-            ``capacity // 2`` when ingress cores are configured with a
-            bounded ``mailbox_capacity``.
         on_transmit: callback ``(packet, now_ns)`` run for every released
             packet (the NIC side).
         record_transmits: record departures for :attr:`transmit_log`
@@ -388,14 +383,11 @@ class ShardedRuntime:
         num_buckets: int = 20_000,
         queue_factory: Optional[QueueFactory] = None,
         mailbox_capacity: Optional[int] = None,
-        rebalancer: Optional[ShardRebalancer] = None,
         rebalance_interval_ns: Optional[int] = None,
         steal_enabled: bool = False,
         steal_batch: int = 64,
         steal_horizon_ns: Optional[int] = None,
         steal_min_backlog: int = 8,
-        steal_channel_capacity: int = 8,
-        steal_adaptive: bool = False,
         ingress_cores: int = 0,
         admission: "str | Callable[[], object] | None" = None,
         rx_ring_capacity: int = 512,
@@ -403,8 +395,6 @@ class ShardedRuntime:
         ingress_quantum_ns: Optional[int] = None,
         ingress_backpressure: bool = True,
         ingress_hash_seed: Optional[int] = None,
-        mailbox_high_watermark: Optional[int] = None,
-        mailbox_low_watermark: Optional[int] = None,
         ingest_per_quantum: Optional[int] = None,
         shard_backlog_limit: Optional[int] = None,
         on_transmit: Optional[Callable[[Packet, int], None]] = None,
@@ -425,8 +415,6 @@ class ShardedRuntime:
             raise ValueError("quantum_ns must be positive")
         if batch_per_quantum <= 0:
             raise ValueError("batch_per_quantum must be positive")
-        if rebalancer is not None and rebalance_interval_ns is None:
-            raise ValueError("rebalancer requires rebalance_interval_ns")
         if rebalance_interval_ns is not None and rebalance_interval_ns <= 0:
             raise ValueError("rebalance_interval_ns must be positive")
         if steal_batch <= 0:
@@ -435,8 +423,6 @@ class ShardedRuntime:
             raise ValueError("steal_horizon_ns must be non-negative")
         if steal_min_backlog <= 0:
             raise ValueError("steal_min_backlog must be positive")
-        if steal_channel_capacity <= 0:
-            raise ValueError("steal_channel_capacity must be positive")
         if gc_interval_packets is not None and gc_interval_packets <= 0:
             raise ValueError("gc_interval_packets must be positive")
         if gc_sweep_limit is not None and gc_sweep_limit <= 0:
@@ -474,7 +460,7 @@ class ShardedRuntime:
             conflicts = []
             if steal_enabled:
                 conflicts.append("steal_enabled")
-            if rebalancer is not None or rebalance_interval_ns is not None:
+            if rebalance_interval_ns is not None:
                 conflicts.append("rebalancing")
             if ingress_cores:
                 conflicts.append("ingress_cores")
@@ -514,21 +500,15 @@ class ShardedRuntime:
         self.quantum_ns = quantum_ns
         self.batch_per_quantum = batch_per_quantum
         self.rebalance_interval_ns = rebalance_interval_ns
-        if rebalance_interval_ns is not None and rebalancer is None:
-            rebalancer = ShardRebalancer(self.sharder)
-        self.rebalancer = rebalancer
+        self.rebalancer = (
+            ShardRebalancer(self.sharder) if rebalance_interval_ns is not None else None
+        )
         self.on_transmit = on_transmit
         self.record_transmits = record_transmits
-        if (
-            ingress_cores > 0
-            and mailbox_capacity is not None
-            and mailbox_high_watermark is None
-        ):
-            # Backpressure needs a pause edge before the mailbox can drop:
-            # default the watermarks so a bounded mailbox pauses the RX pull
-            # at capacity and resumes once half-drained.
-            mailbox_high_watermark = mailbox_capacity
-            mailbox_low_watermark = mailbox_capacity // 2
+        # Backpressure needs a pause edge before the mailbox can drop: with
+        # ingress cores, a bounded mailbox pauses the RX pull at capacity and
+        # resumes once half-drained.
+        bounded_ingress = ingress_cores > 0 and mailbox_capacity is not None
         # One canonical kwargs dict builds every worker — the runtime's own
         # (below) and the identical replicas a parallel backend constructs
         # in its shard processes/threads (see _worker_spec).
@@ -539,15 +519,15 @@ class ShardedRuntime:
             num_buckets=num_buckets,
             queue_factory=queue_factory,
             mailbox_capacity=mailbox_capacity,
-            mailbox_high_watermark=mailbox_high_watermark,
-            mailbox_low_watermark=mailbox_low_watermark,
+            mailbox_high_watermark=mailbox_capacity if bounded_ingress else None,
+            mailbox_low_watermark=mailbox_capacity // 2 if bounded_ingress else None,
             latency_histograms=latency_histograms,
         )
         self.workers: List[ShardWorker] = [
             ShardWorker(shard_id, **self._worker_config)
             for shard_id in range(num_shards)
         ]
-        if ingest_per_quantum is None and ingress_cores > 0 and mailbox_capacity is not None:
+        if ingest_per_quantum is None and bounded_ingress:
             # A bounded mailbox only exerts backpressure if the shard's
             # per-quantum stamping budget is bounded too.
             ingest_per_quantum = batch_per_quantum
@@ -565,12 +545,8 @@ class ShardedRuntime:
         self.steal_batch = steal_batch
         self.steal_horizon_ns = quantum_ns if steal_horizon_ns is None else steal_horizon_ns
         self.steal_min_backlog = steal_min_backlog
-        self.steal_adaptive = steal_adaptive
-        self._steal_tuner: Optional[StealTuner] = (
-            StealTuner(self.steal_batch, self.steal_horizon_ns) if steal_adaptive else None
-        )
         self._steal_channels: List[StealChannel] = [
-            StealChannel(capacity=steal_channel_capacity) for _ in range(num_shards)
+            StealChannel(capacity=STEAL_CHANNEL_CAPACITY) for _ in range(num_shards)
         ]
         self._loan_inbox: List[List[FlowLease]] = [[] for _ in range(num_shards)]
         self._open_leases: Dict[int, list] = {}
@@ -1201,8 +1177,7 @@ class ShardedRuntime:
         """
         worker = self.workers[shard]
         channel = self._steal_channels[shard]
-        steal_batch, steal_horizon_ns = self._steal_params()
-        cutoff = now + steal_horizon_ns
+        cutoff = now + self.steal_horizon_ns
         while len(channel):
             if worker.flows_on_loan or worker.leases_held or not worker.has_work_by(cutoff):
                 break  # one lease out at a time / holding stolen work / nothing stealable
@@ -1230,8 +1205,8 @@ class ShardedRuntime:
                 thief_worker.steal.requests_stale += 1
                 continue
             lease = worker.grant_lease(
-                next(self._lease_seq), request.thief_shard, now, steal_batch,
-                steal_horizon_ns,
+                next(self._lease_seq), request.thief_shard, now, self.steal_batch,
+                self.steal_horizon_ns,
             )
             if lease is None:
                 # The donor refused despite the loop-top checks (kept
@@ -1239,8 +1214,6 @@ class ShardedRuntime:
                 # braces): leave the request parked for a later tick.
                 break
             channel.pop()
-            if self._steal_tuner is not None:
-                self._steal_tuner.observe(len(lease.packets))
             for flow_id in lease.flow_ids:
                 self.sharder.lend(flow_id, shard)
             self._open_leases[lease.lease_id] = [lease, len(lease.packets)]
@@ -1260,17 +1233,6 @@ class ShardedRuntime:
             self._wake_shard(request.thief_shard)
             if self.lease_deadline_ns is not None:
                 self._arm_supervision()
-
-    def _steal_params(self) -> tuple[int, int]:
-        """Effective ``(steal_batch, steal_horizon_ns)`` for the next grant.
-
-        The adaptive tuner (``steal_adaptive=True``) shrinks both knobs
-        toward the EWMA of observed lease sizes; otherwise the configured
-        values apply unchanged.
-        """
-        if self._steal_tuner is not None:
-            return self._steal_tuner.batch, self._steal_tuner.horizon_ns
-        return self.steal_batch, self.steal_horizon_ns
 
     def _maybe_request_steal(self, shard: int, now: int) -> None:
         """Thief role: when empty, park a steal request at the busiest sibling.

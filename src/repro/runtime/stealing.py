@@ -153,88 +153,6 @@ class StealChannel:
         return not self._requests
 
 
-class StealTuner:
-    """Adaptive steal sizing: an EWMA of observed lease sizes drives the knobs.
-
-    The configured ``steal_batch`` / ``steal_horizon_ns`` are treated as
-    *ceilings*; the tuner only ever shrinks them toward what victims actually
-    hand over.  When every lease comes back small (shallow due windows — the
-    common case between bursts), a full-sized grant just makes the donor scan
-    a wide horizon for packets that are not there, so the tuner narrows both
-    knobs; when leases fill the batch again the EWMA climbs and the knobs
-    recover toward their ceilings within a few observations.
-
-    Shrinking is strictly safe for the FIFO protocol: a smaller batch or
-    horizon changes only *how much* of a victim's due window one lease
-    carries, never its stamp-ordered-prefix shape, so every ordering argument
-    of :class:`FlowLease` applies unchanged (the differential tests pin this).
-
-    The effective batch is ``clamp(round(2 * ewma), min_batch, base_batch)``
-    — twice the typical lease size, so a victim that starts handing over
-    fuller windows has headroom to be observed doing it — and the horizon
-    scales proportionally with the batch (floored at ``min_horizon_ns`` so a
-    run of empty observations cannot pin stealing off permanently).
-    """
-
-    __slots__ = (
-        "base_batch",
-        "base_horizon_ns",
-        "alpha",
-        "min_batch",
-        "min_horizon_ns",
-        "ewma",
-        "observations",
-    )
-
-    def __init__(
-        self,
-        base_batch: int,
-        base_horizon_ns: int,
-        alpha: float = 0.25,
-        min_batch: int = 1,
-        min_horizon_ns: Optional[int] = None,
-    ) -> None:
-        if base_batch <= 0:
-            raise ValueError("base_batch must be positive")
-        if base_horizon_ns < 0:
-            raise ValueError("base_horizon_ns must be non-negative")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if not 0 < min_batch <= base_batch:
-            raise ValueError("min_batch must be in [1, base_batch]")
-        self.base_batch = base_batch
-        self.base_horizon_ns = base_horizon_ns
-        self.alpha = alpha
-        self.min_batch = min_batch
-        # An eighth of the ceiling keeps a sliver of lookahead even after a
-        # long run of single-packet leases.
-        self.min_horizon_ns = (
-            base_horizon_ns // 8 if min_horizon_ns is None else min_horizon_ns
-        )
-        # Start at the ceiling: the first grants behave exactly like the
-        # non-adaptive configuration until real lease sizes arrive.
-        self.ewma = float(base_batch)
-        self.observations = 0
-
-    def observe(self, lease_size: int) -> None:
-        """Feed one granted lease's packet count into the EWMA."""
-        if lease_size < 0:
-            raise ValueError("lease_size must be non-negative")
-        self.ewma += self.alpha * (lease_size - self.ewma)
-        self.observations += 1
-
-    @property
-    def batch(self) -> int:
-        """Effective ``steal_batch`` for the next grant."""
-        return max(self.min_batch, min(self.base_batch, round(2.0 * self.ewma)))
-
-    @property
-    def horizon_ns(self) -> int:
-        """Effective ``steal_horizon_ns`` for the next grant."""
-        scaled = self.base_horizon_ns * self.batch // self.base_batch
-        return max(self.min_horizon_ns, scaled)
-
-
 @dataclass
 class FlowLease:
     """An atomic, order-preserving handoff of one due window to a thief.
@@ -268,5 +186,4 @@ __all__ = [
     "StealChannelStats",
     "StealRequest",
     "StealStats",
-    "StealTuner",
 ]

@@ -185,6 +185,10 @@ class TestMultiQueueQdisc:
             lambda shard: EiffelQdisc(default_rate_bps=rate_bps),
         )
 
+    def test_rejects_zero_shards(self):
+        with pytest.raises(ValueError, match="num_shards"):
+            self._mq(num_shards=0)
+
     def test_hashes_packets_to_children(self):
         mq = self._mq()
         for flow in range(64):
@@ -259,6 +263,104 @@ class TestMultiQueueQdisc:
         )
         mq.reset_costs()
         assert mq.total_cycles() == 0
+
+    # A skewed mq root: every flow pinned to child 0, child 1 left idle.
+    SKEW_FLOWS = 4
+    SKEW_PACKETS_PER_FLOW = 8
+
+    def _skewed_mq(self):
+        from repro.runtime import FlowSharder, MultiQueueQdisc
+
+        sharder = FlowSharder(2)
+        for flow in range(self.SKEW_FLOWS):
+            sharder.pin(flow, 0)
+        return MultiQueueQdisc(
+            2, lambda shard: EiffelQdisc(default_rate_bps=1e9), sharder=sharder
+        )
+
+    def _skewed_packets(self):
+        return [
+            Packet(flow_id=flow, size_bytes=1500)
+            for _ in range(self.SKEW_PACKETS_PER_FLOW)
+            for flow in range(self.SKEW_FLOWS)
+        ]
+
+    @staticmethod
+    def _drive_to_drain(mq):
+        """Timer-driven release loop: fire at each soonest deadline until empty."""
+        released = []
+        now = 0
+        for _ in range(10_000):
+            released.extend(mq.dequeue_due(now))
+            if mq.backlog == 0:
+                break
+            deadline = mq.soonest_deadline_ns(now)
+            assert deadline is not None
+            now = max(deadline, now + 1)
+        assert mq.backlog == 0, "drive loop failed to drain the mq root"
+        return released
+
+    @staticmethod
+    def _stamps_by_flow(released):
+        per_flow = {}
+        for packet in released:
+            per_flow.setdefault(packet.flow_id, []).append(
+                packet.metadata["send_at_ns"]
+            )
+        return per_flow
+
+    def test_timer_driven_drain_conserves_packets(self):
+        mq = self._skewed_mq()
+        packets = self._skewed_packets()
+        for packet in packets:
+            mq.enqueue_packet(packet, now_ns=0)
+        assert mq.children[0].backlog == len(packets)
+        released = self._drive_to_drain(mq)
+        assert sorted(p.packet_id for p in released) == sorted(
+            p.packet_id for p in packets
+        )
+
+    def test_timer_driven_release_order_follows_stamps(self):
+        mq = self._skewed_mq()
+        for packet in self._skewed_packets():
+            mq.enqueue_packet(packet, now_ns=0)
+        released = self._drive_to_drain(mq)
+        for flow, stamps in self._stamps_by_flow(released).items():
+            assert stamps == sorted(stamps), f"flow {flow} released out of order"
+
+    def test_coalesced_fire_keeps_per_flow_stamp_order(self):
+        """A late timer that coalesces many deadlines into one ``dequeue_due``
+        drains every child in one call; each flow still leaves in stamp order."""
+        mq = self._mq(num_shards=2)
+        for _ in range(4):
+            for flow in range(16):
+                mq.enqueue_packet(Packet(flow_id=flow, size_bytes=1500), now_ns=0)
+        assert all(child.backlog for child in mq.children)
+        released = mq.dequeue_due(0)
+        released += mq.dequeue_due(12_000)
+        released += mq.dequeue_due(10_000_000)
+        assert mq.backlog == 0
+        for flow, stamps in self._stamps_by_flow(released).items():
+            assert stamps == sorted(stamps), (
+                f"flow {flow} reordered under a coalesced fire: {stamps}"
+            )
+
+    def test_idle_child_is_never_touched(self):
+        mq = self._skewed_mq()
+        for packet in self._skewed_packets():
+            mq.enqueue_packet(packet, now_ns=0)
+        self._drive_to_drain(mq)
+        assert mq.children[0].total_cycles() > 0
+        assert mq.children[1].total_cycles() == 0
+
+    def test_timer_driven_cost_mirroring_is_exact(self):
+        mq = self._skewed_mq()
+        for packet in self._skewed_packets():
+            mq.enqueue_packet(packet, now_ns=0)
+        self._drive_to_drain(mq)
+        assert mq.total_cycles() == pytest.approx(
+            sum(child.total_cycles() for child in mq.children)
+        )
 
     def test_runs_under_kernel_simulation(self):
         from repro.kernel import KernelSimulation

@@ -275,6 +275,19 @@ class TestShardedPortQueue:
         first_pass = [port.shard_for(packet) for packet in pulled[: quota * len(occupied)]]
         assert set(first_pass) == set(occupied)
 
+    def test_single_dequeue_round_robins_rings(self):
+        port = self._port(num_shards=2)
+        flow_a = next(f for f in range(64) if port.sharder.shard_for(f) == 0)
+        flow_b = next(f for f in range(64) if port.sharder.shard_for(f) == 1)
+        port.enqueue_batch([Packet(flow_id=flow_a) for _ in range(2)])
+        port.enqueue_batch([Packet(flow_id=flow_b) for _ in range(2)])
+        assert [port.dequeue().flow_id for _ in range(4)] == [flow_a, flow_b] * 2
+        assert port.dequeue() is None
+
+    def test_rejects_zero_shards(self):
+        with pytest.raises(ValueError, match="num_shards"):
+            self._port(num_shards=0)
+
     def test_per_flow_fifo_within_port(self):
         port = self._port()
         for sequence in range(6):
@@ -286,6 +299,42 @@ class TestShardedPortQueue:
             per_flow.setdefault(packet.flow_id, []).append(packet.metadata["sequence"])
         for flow, sequences in per_flow.items():
             assert sequences == sorted(sequences), f"flow {flow} reordered"
+
+    def _skewed_port(self):
+        """Two rings with every flow pinned to ring 0; ring 1 stays empty."""
+        from repro.runtime import FlowSharder, ShardedPortQueue
+
+        sharder = FlowSharder(2)
+        for flow in range(8):
+            sharder.pin(flow, 0)
+        return ShardedPortQueue(
+            2, lambda shard: DropTailEcnQueue(capacity_packets=64), sharder=sharder
+        )
+
+    def test_empty_port_pull_returns_nothing(self):
+        port = self._skewed_port()
+        assert port.dequeue_batch(8) == []
+        assert port.dequeue() is None
+        assert len(port) == 0
+
+    def test_one_deep_ring_fills_the_pull_in_fifo_order(self):
+        port = self._skewed_port()
+        port.enqueue_batch([Packet(flow_id=0, metadata={"seq": i}) for i in range(30)])
+        batch = port.dequeue_batch(16)
+        assert [packet.metadata["seq"] for packet in batch] == list(range(16))
+        assert len(port) == 14
+        assert len(port.shards[1]) == 0
+
+    def test_bounded_pull_takes_exactly_n_from_loaded_rings(self):
+        port = self._port(num_shards=2, capacity=64)
+        for flow in range(8):
+            port.enqueue_batch([Packet(flow_id=flow) for _ in range(4)])
+        assert all(len(ring) for ring in port.shards)
+        pulled = port.dequeue_batch(8)
+        assert len(pulled) == 8
+        assert len(port) == 24
+        # Both loaded rings contribute to a pull that neither can exhaust.
+        assert {port.shard_for(packet) for packet in pulled} == {0, 1}
 
     def test_drops_aggregate_from_subqueues(self):
         port = self._port(num_shards=2, capacity=2)
@@ -310,3 +359,94 @@ class TestShardedPortQueue:
         simulator.run()
         assert len(delivered) == 24
         assert link.transmitted_packets == 24
+
+
+class TestShardedPortQueuePriorityArbiter:
+    """arbiter="priority": strict priority holds across rings, not just
+    within them (the multi-queue pFabric port of the Figure 19 variant)."""
+
+    def _pfabric_port(self, num_shards=2):
+        from repro.runtime import ShardedPortQueue
+
+        return ShardedPortQueue(
+            num_shards,
+            lambda shard: PFabricPortQueue(),
+            arbiter="priority",
+        )
+
+    @staticmethod
+    def _packet(flow_id, remaining):
+        packet = Packet(flow_id=flow_id, size_bytes=1500)
+        packet.metadata["remaining_bytes"] = remaining
+        return packet
+
+    def test_dequeue_serves_best_head_across_rings(self):
+        port = self._pfabric_port()
+        sharder = port.sharder
+        # Find one flow per ring, then put the high-priority (small
+        # remaining) packet on one ring and bulk on the other.
+        flow_a = next(f for f in range(64) if sharder.shard_for(f) == 0)
+        flow_b = next(f for f in range(64) if sharder.shard_for(f) == 1)
+        port.enqueue(self._packet(flow_a, remaining=9_000_000))
+        port.enqueue(self._packet(flow_a, remaining=9_000_000 - 1500))
+        port.enqueue(self._packet(flow_b, remaining=3_000))
+        # RR starting at ring 0 would emit flow_a first; priority
+        # arbitration must serve the near-finished mouse immediately.
+        released = port.dequeue()
+        assert released.flow_id == flow_b
+        # Then the elephant's packets, re-arbitrated per packet.
+        assert [port.dequeue().flow_id for _ in range(2)] == [flow_a, flow_a]
+        assert port.dequeue() is None
+
+    def test_dequeue_batch_rearbitrates_per_packet(self):
+        port = self._pfabric_port()
+        sharder = port.sharder
+        flow_a = next(f for f in range(64) if sharder.shard_for(f) == 0)
+        flow_b = next(f for f in range(64) if sharder.shard_for(f) == 1)
+        # Interleaved priorities across the two rings: the pull must come
+        # out in global priority order, not ring-quota runs.
+        port.enqueue_batch(
+            [
+                self._packet(flow_a, remaining=6_000),
+                self._packet(flow_a, remaining=4_500),
+                self._packet(flow_b, remaining=3_000),
+                self._packet(flow_b, remaining=1_500),
+            ]
+        )
+        batch = port.dequeue_batch(4)
+        priorities = [p.metadata["remaining_bytes"] for p in batch]
+        assert priorities == sorted(priorities)
+        assert port.dequeue_batch(4) == []
+
+    def test_head_priority_skips_lazily_evicted_corpses(self):
+        # A pFabric eviction leaves a corpse in the priority index; its
+        # stale (better) priority must not leak into the arbitration hint,
+        # or the arbiter would pick this ring and emit a *worse* packet
+        # than a sibling's genuine head — the exact inversion the priority
+        # arbiter exists to prevent.
+        queue = PFabricPortQueue(capacity_packets=2)
+        low = self._packet(1, remaining=1_500)  # priority 1
+        bulk = self._packet(2, remaining=15_000)  # priority 10
+        queue.enqueue(low)
+        queue.enqueue(bulk)
+        # Arrival at priority 2 evicts the priority-10 packet (corpse stays
+        # in the index under priority 10).
+        assert queue.enqueue(self._packet(3, remaining=3_000))
+        assert queue.dequeue() is low
+        assert queue.dequeue().flow_id == 3
+        assert len(queue) == 0
+        assert queue.head_priority() is None
+        # A genuinely worse packet arrives: the hint must report *its*
+        # priority, not the corpse's stale 10.
+        queue.enqueue(self._packet(4, remaining=75_000))
+        assert queue.head_priority() == 50
+
+    def test_priority_arbiter_requires_head_priority(self):
+        from repro.runtime import ShardedPortQueue
+
+        with pytest.raises(ValueError):
+            ShardedPortQueue(
+                2, lambda shard: DropTailEcnQueue(), arbiter="priority"
+            )
+        with pytest.raises(ValueError):
+            ShardedPortQueue(2, lambda shard: DropTailEcnQueue(), arbiter="weird")

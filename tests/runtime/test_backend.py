@@ -20,7 +20,10 @@ import repro.runtime.backend as backend_module
 from repro.core.model.packet import Packet
 from repro.core.queues import CircularFFSQueue
 from repro.runtime import (
+    FaultPlan,
+    FlightRecorder,
     Mailbox,
+    MetricsTimeline,
     ProcessBackend,
     ShardedRuntime,
     SimulatedBackend,
@@ -211,6 +214,10 @@ class TestParallelConfigGuards:
             ({"rebalance_interval_ns": 100_000}, "rebalancing"),
             ({"ingress_cores": 1}, "ingress_cores"),
             ({"on_transmit": lambda packet, now: None}, "on_transmit"),
+            ({"fault_plan": FaultPlan([])}, "fault_plan"),
+            ({"lease_deadline_ns": 100_000}, "lease_deadline_ns"),
+            ({"tracer": FlightRecorder()}, "tracer"),
+            ({"metrics_timeline": MetricsTimeline()}, "metrics_timeline"),
         ],
     )
     def test_non_decomposable_features_rejected(self, kwargs, conflict):

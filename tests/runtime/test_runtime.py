@@ -10,7 +10,7 @@ import pytest
 from repro.core.model.packet import Packet
 from repro.core.model.transactions import RateLimit, ShapingTransaction
 from repro.core.queues import BucketSpec, CircularFFSQueue, QueueStats
-from repro.runtime import FlowSharder, ShardRebalancer, ShardedRuntime
+from repro.runtime import FlowSharder, ShardedRuntime
 
 RATE_BPS = 1e9
 QUANTUM_NS = 10_000
@@ -180,8 +180,6 @@ class TestShardedRuntime:
             ShardedRuntime(2, quantum_ns=0)
         with pytest.raises(ValueError):
             ShardedRuntime(2, sharder=FlowSharder(3))
-        with pytest.raises(ValueError):
-            ShardedRuntime(2, rebalancer=ShardRebalancer(FlowSharder(2)))
 
 
 class TestSingleShardEquivalence:
