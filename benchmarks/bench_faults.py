@@ -8,19 +8,11 @@ packets were at risk (lost with the crashed shard's private state, salvaged
 from its mailbox, or dropped at the injected seam) — next to the proof that
 the run still completed with every packet accounted for.
 
-Two halves:
-
-* **simulated** — ``shard_crash`` / ``shard_stall`` / ``ingress_wedge`` /
-  ``handoff_drop`` on the simulated backend: recovery latency comes from the
-  runtime's ``recovery_log`` (failure timestamp to recovery sweep, in
-  simulated ns), packets-at-risk from ``FaultStats``, and every row asserts
-  its conservation law (``transmitted + lost == accepted``).
-* **process** — ``child_crash`` / ``shm_corrupt`` / ``child_hang`` on the
-  :class:`~repro.runtime.backend.ProcessBackend`: the child really dies (or
-  wedges) and the parent's supervised restart replays its schedule; the
-  artifact records the wall-clock overhead of the restart against a clean
-  run of the same workload, plus the restart log entry (reason, exit code,
-  acked watermark).
+Every kind — ``shard_crash`` / ``shard_stall`` / ``ingress_wedge`` /
+``handoff_drop`` — runs on the simulated backend: recovery latency comes
+from the runtime's ``recovery_log`` (failure timestamp to recovery sweep, in
+simulated ns), packets-at-risk from ``FaultStats``, and every row asserts its
+conservation law (``transmitted + lost == accepted``).
 
 Results land in ``BENCH_faults.json`` at the repo root.  Run standalone
 (``python benchmarks/bench_faults.py``) to regenerate it with full workload
@@ -30,13 +22,12 @@ recovery contract only.
 
 import json
 import os
-import time
 from pathlib import Path
 
 from conftest import report
 
 from repro.core.model.packet import Packet
-from repro.runtime import FaultEvent, FaultPlan, ProcessBackend, ShardedRuntime
+from repro.runtime import FaultEvent, FaultPlan, ShardedRuntime
 
 ARTIFACT_PATH = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
 
@@ -50,24 +41,12 @@ PACKET_BYTES = 100
 FULL_PACKETS = 2_000
 SMOKE_PACKETS = 240
 
-PROC_RATE_BPS = 1e9
-PROC_QUANTUM_NS = 10_000
-FULL_PROC_BURSTS = 12
-SMOKE_PROC_BURSTS = 6
-PROC_PER_BURST = 16
-
 #: Single-event schedules, far enough in to catch the pipeline mid-flight.
 SIMULATED_PLANS = {
     "shard_crash": FaultPlan([FaultEvent("shard_crash", target=0, at=3)]),
     "shard_stall": FaultPlan([FaultEvent("shard_stall", target=1, at=3)]),
     "ingress_wedge": FaultPlan([FaultEvent("ingress_wedge", target=0, at=2)]),
     "handoff_drop": FaultPlan([FaultEvent("handoff_drop", target=0, count=4)]),
-}
-
-PROCESS_FAULTS = {
-    "child_crash": {0: ("child_crash", 2)},
-    "shm_corrupt": {1: ("shm_corrupt", 2)},
-    "child_hang": {0: ("child_hang", 2)},
 }
 
 
@@ -121,47 +100,7 @@ def _simulated_run(num_packets: int, kind: str, plan) -> dict:
     }
 
 
-def _process_workload(runtime, bursts: int) -> int:
-    offered = 0
-    for t in range(bursts):
-        runtime.submit_at(
-            t * 50_000,
-            [Packet(flow_id=f, size_bytes=1500) for f in range(PROC_PER_BURST)],
-        )
-        offered += PROC_PER_BURST
-    return offered
-
-
-def _process_run(bursts: int, faults) -> dict:
-    backend = ProcessBackend(
-        restart_backoff_s=0.01,
-        hang_timeout_s=0.3,
-        faults=faults,
-    )
-    runtime = ShardedRuntime(
-        2,
-        default_rate_bps=PROC_RATE_BPS,
-        quantum_ns=PROC_QUANTUM_NS,
-        backend=backend,
-    )
-    offered = _process_workload(runtime, bursts)
-    start = time.perf_counter()
-    runtime.run()
-    elapsed = time.perf_counter() - start
-    assert runtime.transmitted == offered, (
-        f"{runtime.transmitted} transmitted != {offered} offered"
-    )
-    return {
-        "offered": offered,
-        "transmitted": runtime.transmitted,
-        "wall_sec": elapsed,
-        "restart_log": list(backend.restart_log),
-    }
-
-
-def run_fault_sweep(
-    num_packets: int = FULL_PACKETS, proc_bursts: int = FULL_PROC_BURSTS
-) -> dict:
+def run_fault_sweep(num_packets: int = FULL_PACKETS) -> dict:
     """Benchmark every fault kind; assert the recovery contract per row."""
     simulated = {"disarmed": _simulated_run(num_packets, "disarmed", None)}
     for kind, plan in SIMULATED_PLANS.items():
@@ -169,24 +108,13 @@ def run_fault_sweep(
         row["drain_overhead_ns"] = row["drain_ns"] - simulated["disarmed"]["drain_ns"]
         simulated[kind] = row
 
-    process = {"clean": _process_run(proc_bursts, None)}
-    for kind, faults in PROCESS_FAULTS.items():
-        row = _process_run(proc_bursts, faults)
-        (entry,) = row["restart_log"]
-        row["restart_overhead_sec"] = row["wall_sec"] - process["clean"]["wall_sec"]
-        row["restart_reason"] = entry["reason"]
-        row["exit_code"] = entry["exit_code"]
-        process[kind] = row
-
     return {
         "benchmark": "fault_recovery",
         "description": (
             "Recovery time and packets-at-risk per injected fault kind: "
             "simulated-plane faults (crash/stall/wedge/handoff-drop) report "
-            "recovery latency in simulated ns from the runtime recovery log; "
-            "process-backend faults (child death/hang/shm corruption) report "
-            "the wall-clock overhead of the supervised child restart.  Every "
-            "row asserts conservation: transmitted + counted losses == "
+            "recovery latency in simulated ns from the runtime recovery log.  "
+            "Every row asserts conservation: transmitted + counted losses == "
             "accepted."
         ),
         "workload": {
@@ -197,13 +125,6 @@ def run_fault_sweep(
                 "flow_rate_bps": RATE_BPS,
                 "packet_bytes": PACKET_BYTES,
             },
-            "process": {
-                "bursts": proc_bursts,
-                "per_burst": PROC_PER_BURST,
-                "num_shards": 2,
-                "flow_rate_bps": PROC_RATE_BPS,
-                "quantum_ns": PROC_QUANTUM_NS,
-            },
             "seed": SEED,
         },
         "host": {
@@ -211,7 +132,6 @@ def run_fault_sweep(
             "ci": bool(os.environ.get("CI")),
         },
         "simulated": simulated,
-        "process": process,
     }
 
 
@@ -237,15 +157,6 @@ def _format_sweep(results: dict) -> str:
             f"{kind:<16}{row['recoveries']:<12}{recovery:<14}"
             f"{lost:<7}{row['packets_salvaged']:<10}{row['transmitted']:<12}"
         )
-    lines.append("")
-    lines.append(f"{'child fault':<16}{'restarts':<10}{'overhead s':<12}{'exit':<6}")
-    for kind, row in results["process"].items():
-        if kind == "clean":
-            continue
-        lines.append(
-            f"{kind:<16}{len(row['restart_log']):<10}"
-            f"{row['restart_overhead_sec']:<12.3f}{row['exit_code']:<6}"
-        )
     host = results["host"]
     lines.append(f"host: cpu_count={host['cpu_count']} ci={host['ci']}")
     return "\n".join(lines)
@@ -257,7 +168,7 @@ def _format_sweep(results: dict) -> str:
 def test_fault_recovery_sweep(benchmark, tmp_path):
     results = benchmark.pedantic(
         run_fault_sweep,
-        kwargs={"num_packets": SMOKE_PACKETS, "proc_bursts": SMOKE_PROC_BURSTS},
+        kwargs={"num_packets": SMOKE_PACKETS},
         rounds=1,
         iterations=1,
     )
@@ -273,8 +184,6 @@ def test_fault_recovery_sweep(benchmark, tmp_path):
     for kind in SIMULATED_PLANS:
         assert simulated[kind]["recoveries"] >= (0 if kind == "handoff_drop" else 1), kind
     assert simulated["handoff_drop"]["handoff_drops"] == 4
-    for kind in PROCESS_FAULTS:
-        assert len(results["process"][kind]["restart_log"]) == 1, kind
 
 
 if __name__ == "__main__":

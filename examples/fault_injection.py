@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fault injection walkthrough: break the runtime on purpose, watch it heal.
 
-Four short acts over the same sharded, paced workload:
+Three short acts over the same sharded, paced workload:
 
 1. a seeded :class:`~repro.runtime.FaultPlan` crashes a shard mid-run — the
    supervision sweep re-homes its flows, salvages its mailbox, and the run
@@ -9,21 +9,13 @@ Four short acts over the same sharded, paced workload:
 2. an overdue work-stealing lease is escalated by the watchdog and reclaimed
    through the victim;
 3. the same faults as *data*: a ``[faults]`` block inside a scenario TOML,
-   so a chaos schedule replays exactly from the scenario seed;
-4. a real child process dies under the ProcessBackend and the parent's
-   supervised restart replays its schedule.
+   so a chaos schedule replays exactly from the scenario seed.
 
 Run:  python examples/fault_injection.py
 """
 
 from repro.core.model import Packet
-from repro.runtime import (
-    FaultEvent,
-    FaultPlan,
-    FlowSharder,
-    ProcessBackend,
-    ShardedRuntime,
-)
+from repro.runtime import FaultEvent, FaultPlan, FlowSharder, ShardedRuntime
 from repro.scenario import dump_toml, load_toml, run_scenario
 
 
@@ -120,33 +112,7 @@ supervise_interval_ns = 100_000
           f"(asserted by the scenario's invariant net)")
 
 
-def child_restart_demo() -> None:
-    print("\n=== Act 4: a real worker process dies and is restarted ===")
-    backend = ProcessBackend(
-        restart_backoff_s=0.01,
-        faults={0: ("child_crash", 2)},  # shard 0's child dies after burst 2
-    )
-    runtime = ShardedRuntime(
-        2, default_rate_bps=1e9, quantum_ns=10_000, backend=backend
-    )
-    offered = 0
-    for t in range(6):
-        runtime.submit_at(
-            t * 50_000, [Packet(flow_id=f, size_bytes=1500) for f in range(8)]
-        )
-        offered += 8
-    runtime.run()
-    (entry,) = backend.restart_log
-    print(f"  restart log      : shard {entry['shard']} {entry['reason']} "
-          f"(exit code {entry['exit_code']}) after acking "
-          f"{entry['acked_bursts']} bursts; attempt {entry['attempt']}, "
-          f"backoff {entry['backoff_s']:.2f}s")
-    print(f"  replay           : {runtime.transmitted} of {offered} delivered "
-          "after the fresh child re-ran the schedule")
-
-
 if __name__ == "__main__":
     crash_and_recover_demo()
     lease_reclamation_demo()
     scenario_chaos_demo()
-    child_restart_demo()

@@ -113,17 +113,17 @@ def show_figure_specs_as_toml() -> None:
 def show_a_spec_built_in_python() -> None:
     print("\n--- bonus: the same layer from Python ---\n")
     spec = ScenarioSpec(
-        name="two-shards-on-threads",
+        name="two-shards-in-processes",
         seed=7,
         topology=TopologySpec(kind="runtime"),
         policy=PolicyTreeSpec(default_rate_bps=10e9),
         traffic=TrafficSpec(num_flows=8, total_packets=512),
-        runtime=RuntimeSpec(shards=2, backend="thread"),
+        runtime=RuntimeSpec(shards=2, backend="process"),
     )
     result = run_scenario(spec)
     print(
-        f"  {spec.name}: the statically decomposable subset runs on real\n"
-        f"  OS threads through the same spec — {result.summary()}"
+        f"  {spec.name}: the statically decomposable subset runs one forked\n"
+        f"  OS process per shard through the same spec — {result.summary()}"
     )
 
 

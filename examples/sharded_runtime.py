@@ -130,7 +130,7 @@ def drive_backend(backend: str):
     sampler = ZipfFlowSampler(NUM_FLOWS, skew=1.2, rng=random.Random(7))
     flow_ids = sampler.sample_flows(NUM_PACKETS)
     # submit_at is the backend-portable way to drive a timed workload: the
-    # simulated backend schedules the burst as a clock event, a parallel
+    # simulated backend schedules the burst as a clock event, the process
     # backend buffers it into the schedule run() fans out to the shard cores.
     for index in range(0, NUM_PACKETS, INGRESS_BURST):
         chunk = flow_ids[index : index + INGRESS_BURST]

@@ -36,8 +36,6 @@ class EiffelQdisc(Qdisc):
         num_buckets: timestamp buckets (20k, as in the paper's deployment).
         queue: optionally inject a different integer queue (the approximate
             gradient queue, for ablations); defaults to cFFS.
-        timer_granularity_ns: watchdog timer resolution; defaults to one
-            bucket (``horizon_ns // num_buckets``).
 
     Under :class:`~repro.runtime.adapters.MultiQueueQdisc` each instance is
     one per-core child; packets never move between children.
@@ -52,14 +50,13 @@ class EiffelQdisc(Qdisc):
         horizon_ns: int = 2_000_000_000,
         num_buckets: int = 20_000,
         queue: Optional[IntegerPriorityQueue] = None,
-        timer_granularity_ns: Optional[int] = None,
     ) -> None:
         if horizon_ns <= 0 or num_buckets <= 0:
             raise ValueError("horizon_ns and num_buckets must be positive")
         granularity = max(1, horizon_ns // num_buckets)
-        # The timer cannot usefully be finer than a bucket: all packets in a
-        # bucket share one deadline, so one fire per occupied bucket suffices.
-        super().__init__(timer_granularity_ns=timer_granularity_ns or granularity)
+        # The watchdog timer resolves one bucket: all packets in a bucket
+        # share one deadline, so one fire per occupied bucket suffices.
+        super().__init__(timer_granularity_ns=granularity)
         self.flow_rates = dict(flow_rates or {})
         self.default_rate_bps = default_rate_bps
         self._queue = queue or CircularFFSQueue(

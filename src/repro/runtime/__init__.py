@@ -49,13 +49,11 @@ instance per core, flows spread across instances by an RSS-style hash:
   runtime and whoever runs its loops: the default
   :class:`~repro.runtime.backend.SimulatedBackend` keeps the historical
   one-clock behaviour bit-for-bit, while
-  :class:`~repro.runtime.backend.ProcessBackend` runs one shard per OS
-  process (the SPSC mailbox handoff crossing address spaces over the
-  shared-memory rings of :mod:`repro.runtime.shm`) and
-  :class:`~repro.runtime.backend.ThreadBackend` runs one shard per thread
-  — real wall-clock parallelism with modelled results identical to the
-  simulation (``benchmarks/bench_parallel.py`` puts the measured speedup
-  next to the modelled curve).
+  :class:`~repro.runtime.backend.ProcessBackend` is its differential
+  oracle: one forked OS process per shard (the SPSC mailbox handoff
+  crossing address spaces over the shared-memory rings of
+  :mod:`repro.runtime.shm`), modelled results identical to the simulation,
+  and any child failure raised rather than recovered.
 * :class:`~repro.runtime.flowstate.FlowTable` /
   :class:`~repro.runtime.flowstate.PacingTable` — the million-flow state
   engine: sparse flow ids mapped to dense slots by open addressing, every
@@ -74,13 +72,11 @@ instance per core, flows spread across instances by an RSS-style hash:
 * :class:`~repro.runtime.faults.FaultPlan` /
   :class:`~repro.runtime.faults.FaultStats` — the deterministic
   fault-injection plane: seeded, spec-driven fault schedules (shard
-  crash/stall, mailbox handoff drops, ingress wedges, process-child
-  death/hang, shm frame corruption) armed at the runtime's existing seams,
-  zero-cost when disarmed, paired with the supervision machinery inside
+  crash/stall, mailbox handoff drops, ingress wedges) armed at the
+  runtime's existing seams, zero-cost when disarmed, paired with the
+  supervision machinery inside
   :class:`~repro.runtime.runtime.ShardedRuntime` (heartbeat watchdog, lease
-  reclamation, crashed-shard re-homing with pacing salvage) and the bounded
-  retry-with-backoff child restart of
-  :class:`~repro.runtime.backend.ProcessBackend`
+  reclamation, crashed-shard re-homing with pacing salvage)
   (``benchmarks/bench_faults.py`` measures recovery time and
   packets-at-risk per fault type).
 * :class:`~repro.runtime.observability.LogHistogram` /
@@ -135,13 +131,11 @@ from .backend import (
     ShardClockDriver,
     ShardResult,
     SimulatedBackend,
-    ThreadBackend,
     WorkerSpec,
     free_threaded,
 )
 from .faults import (
     FAULT_KINDS,
-    PROCESS_FAULT_KINDS,
     RUNTIME_FAULT_KINDS,
     FaultEvent,
     FaultPlan,
@@ -206,7 +200,6 @@ __all__ = [
     "MetricsTimeline",
     "Migration",
     "MultiQueueQdisc",
-    "PROCESS_FAULT_KINDS",
     "ProcessBackend",
     "RUNTIME_FAULT_KINDS",
     "RuntimeTelemetry",
@@ -226,7 +219,6 @@ __all__ = [
     "StealRequest",
     "StealStats",
     "TailDropPolicy",
-    "ThreadBackend",
     "WorkerSpec",
     "free_threaded",
     "make_admission_factory",

@@ -186,7 +186,6 @@ class MultiQueueQdisc(Qdisc):
         child_factory: builds child ``shard`` — any existing qdisc works,
             e.g. ``lambda shard: EiffelQdisc(default_rate_bps=1e9)``.
         sharder: flow classifier; defaults to RSS-style hashing.
-        timer_granularity_ns: the root's watchdog timer resolution.
 
     The root performs no queueing of its own: packets hash straight into a
     child (as skbs hash to a per-CPU transmit queue), ``dequeue_due`` drains
@@ -207,11 +206,10 @@ class MultiQueueQdisc(Qdisc):
         num_shards: int,
         child_factory: Callable[[int], Qdisc],
         sharder: Optional[FlowSharder] = None,
-        timer_granularity_ns: int = 1,
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        super().__init__(timer_granularity_ns=timer_granularity_ns)
+        super().__init__()
         self.num_shards = num_shards
         self.children: List[Qdisc] = [child_factory(shard) for shard in range(num_shards)]
         self.sharder = sharder or FlowSharder(num_shards)

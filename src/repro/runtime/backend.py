@@ -4,24 +4,22 @@ Everything the sharded runtime models — per-shard tick loops, batched
 mailbox drains, deadline sleeps — was designed as one worker loop per CPU
 core, then multiplexed onto a single :class:`~repro.netsim.simulator.Simulator`
 because a simulation only has one thread.  This module extracts that choice
-into an object.  :class:`~repro.runtime.runtime.ShardedRuntime` now drives
-its workers through an :class:`ExecutionBackend`:
+into an object.  :class:`~repro.runtime.runtime.ShardedRuntime` drives its
+workers through an :class:`ExecutionBackend`:
 
 * :class:`SimulatedBackend` (the default) reproduces the historical
   behaviour bit-for-bit: every shard's tick events interleave on the shared
-  simulated clock, and the differential suite pins the equivalence.
-* :class:`ProcessBackend` runs **one OS process per shard**.  The ingress
-  handoff that the simulated path models with the in-process SPSC
-  :class:`~repro.runtime.mailbox.Mailbox` crosses the address-space boundary
+  simulated clock.  Every modelled number the benchmarks report comes from
+  here.
+* :class:`ProcessBackend` is the differential oracle for that clock: it
+  forks **one OS process per shard**, streams the shard's arrival schedule
   over a :class:`~repro.runtime.shm.ShmRing` (a shared-memory SPSC byte
-  ring); each child replays its shard's arrival schedule against a *private*
-  virtual clock using :class:`ShardClockDriver`, so the modelled results are
-  identical to the simulated run while the interpreter work — stamping,
-  bitmap scans, batch drains — executes in parallel on real cores.
-* :class:`ThreadBackend` runs one thread per shard with a plain in-process
-  handoff.  Under the GIL it demonstrates the seam without speedup; on a
-  free-threaded CPython build (:func:`free_threaded` true) the same code
-  scales like the process backend without pickling or fork overhead.
+  ring), lets the child replay it on a *private* virtual clock with
+  :class:`ShardClockDriver`, and joins the children's results.  The modelled
+  results must equal the simulated run's; any child failure raises.  It
+  does not beat the simulated backend on wall clock (the transport and the
+  fork cost more than the replay saves on two cores), so it is kept for
+  proof, not for speed.
 
 Why per-shard replay is exact
 -----------------------------
@@ -39,9 +37,9 @@ heap — so per-flow packet sequences, departure times, queue counters and
 cycle accounts all match the simulated backend exactly.  The differential
 suite (``tests/runtime/test_backend_differential.py``) asserts this.
 
-Cross-shard *wall-clock* interleaving is of course not deterministic — that
-is the point of running on real cores — so the only backend-defined order
-is the tie order of same-nanosecond departures across different shards.
+Cross-shard *wall-clock* interleaving is not deterministic, so the only
+backend-defined order is the tie order of same-nanosecond departures across
+different shards.
 """
 
 from __future__ import annotations
@@ -49,14 +47,12 @@ from __future__ import annotations
 import abc
 import multiprocessing
 import os
-import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from .faults import FaultPlan
 from .mailbox import MailboxStats
 from .observability import LogHistogram
 from .shm import RING_EMPTY, ShmFrameCorrupt, ShmRing
@@ -72,10 +68,9 @@ Burst = Tuple[int, List[Packet]]
 def free_threaded() -> bool:
     """True on a CPython build running with the GIL disabled.
 
-    :class:`ThreadBackend` is correct either way; this is the gate for
-    expecting *speedup* from it (``sys._is_gil_enabled()`` exists on 3.13+
-    free-threading builds and returns False when threads truly run in
-    parallel).
+    Part of the host fingerprint a wall-clock measurement is reported with
+    (``sys._is_gil_enabled()`` exists on 3.13+ free-threading builds and
+    returns False when threads truly run in parallel).
     """
     import sys
 
@@ -280,11 +275,11 @@ class ExecutionBackend(abc.ABC):
     A backend receives timed submissions (:meth:`submit_at`) and, on
     :meth:`run`, executes the whole workload.  ``parallel`` distinguishes
     the two families: the simulated backend shares one clock with the
-    runtime's own event wiring, parallel backends buffer the schedule and
-    fan it out to real cores at run time.
+    runtime's own event wiring, the process backend buffers the schedule
+    and fans it out to one child per shard at run time.
     """
 
-    #: True for backends that execute shards on real OS cores/threads.
+    #: True for backends that execute shards in their own OS processes.
     parallel: bool = False
 
     def bind(self, runtime) -> None:
@@ -330,14 +325,88 @@ class SimulatedBackend(ExecutionBackend):
         return self.simulator.run(until_ns=until_ns, max_events=max_events)
 
 
-class ParallelBackend(ExecutionBackend):
-    """Shared machinery of the real-core backends: buffer, partition, fan out.
+#: Byte capacity of each per-shard ring: it must hold one whole pickled
+#: burst, and 1 MiB comfortably fits a 128-packet one.
+RING_CAPACITY = 1 << 20
+#: A run in which no child makes progress for this long raises.
+RESULT_TIMEOUT_S = 300.0
+#: Exit code of a child that popped a corrupt shared-memory frame.
+EXIT_FRAME_CORRUPT = 70
+
+
+def _shard_worker_main(spec: WorkerSpec, ring_name: str, conn) -> None:
+    """Child-process entry point: drain the shm ring into a clock driver.
+
+    Records are ``(when_ns, [packets])`` bursts in nondecreasing time order;
+    the ``None`` sentinel is end-of-schedule.  The result (or a formatted
+    traceback) returns over ``conn``; the ring mapping is always detached.
+    A corrupt shared-memory frame means the transport itself is
+    compromised, so the child exits with :data:`EXIT_FRAME_CORRUPT` instead
+    of reporting over a channel it can no longer trust.
+    """
+    ring = ShmRing(name=ring_name)
+    try:
+        try:
+            driver = ShardClockDriver(spec)
+            empty_polls = 0
+            while True:
+                try:
+                    record = ring.pop()
+                except ShmFrameCorrupt:
+                    os._exit(EXIT_FRAME_CORRUPT)
+                if record is RING_EMPTY:
+                    # The producer is still feeding: spin briefly (the ring
+                    # is usually refilled within microseconds), then back off
+                    # so a slow feeder does not see a core burned on polling.
+                    empty_polls += 1
+                    time.sleep(0 if empty_polls < 200 else 0.0005)
+                    continue
+                empty_polls = 0
+                if record is None:
+                    break
+                when_ns, packets = record
+                driver.on_arrival(when_ns, packets)
+            conn.send(driver.finish())
+        except BaseException:
+            conn.send(_ChildError(spec.shard_id, traceback.format_exc()))
+        finally:
+            conn.close()
+    finally:
+        ring.close()
+
+
+@dataclass
+class _Child:
+    """One shard's child process, its ring and pipe, and what is left to feed."""
+
+    shard: int
+    proc: Any
+    ring: ShmRing
+    conn: Any
+    #: Records not yet pushed into the ring (bursts, then the ``None`` EOF).
+    queue: Deque[Optional[Burst]]
+    result: Optional[ShardResult] = None
+
+
+class ProcessBackend(ExecutionBackend):
+    """One forked OS process per shard, fed over shared-memory SPSC rings.
 
     Submissions are buffered until :meth:`run`, then stable-sorted by time
     (preserving submission order at equal instants, the shared simulator's
     tie rule) and partitioned per shard with the runtime's static hash.
-    Concrete backends implement :meth:`_execute` over the per-shard
-    schedules and return one :class:`ShardResult` per shard.
+    The parent then plays the ingress core: it streams each shard's bursts
+    into that shard's :class:`~repro.runtime.shm.ShmRing`, interleaving
+    across rings so no child starves while another's ring is full, and
+    collects one picklable :class:`ShardResult` per child over a pipe.
+
+    Any failure raises :class:`RuntimeError` on the spot, naming the shard:
+    a child that reports a traceback, a child that exits without a result
+    (with its exit code; :data:`EXIT_FRAME_CORRUPT` after a failed CRC), and
+    a run in which no child makes progress for :data:`RESULT_TIMEOUT_S`.
+    Nothing is restarted.  Teardown is unconditional: whatever interrupts
+    the run — ``KeyboardInterrupt`` included — live children are terminated
+    (``terminate()`` then ``kill()``) and every shared-memory segment is
+    unlinked before the exception propagates.
     """
 
     parallel = True
@@ -357,7 +426,7 @@ class ParallelBackend(ExecutionBackend):
             raise ValueError("when_ns must be non-negative")
         if self.results is not None:
             raise RuntimeError(
-                "parallel backends execute one buffered schedule per run(); "
+                "the process backend executes one buffered schedule per run(); "
                 "create a fresh runtime for another workload"
             )
         batch = list(packets)
@@ -369,7 +438,7 @@ class ParallelBackend(ExecutionBackend):
     ) -> int:
         if until_ns is not None or max_events is not None:
             raise ValueError(
-                "parallel backends run the buffered schedule to completion; "
+                "the process backend runs the buffered schedule to completion; "
                 "until_ns/max_events apply only to the simulated backend"
             )
         if self.results is not None:
@@ -389,289 +458,8 @@ class ParallelBackend(ExecutionBackend):
         self.results = self._execute(specs, schedules)
         return sum(result.events_processed for result in self.results)
 
-    @abc.abstractmethod
-    def _execute(
-        self, specs: List[WorkerSpec], schedules: List[List[Burst]]
-    ) -> List[ShardResult]:
-        """Run every shard's schedule to completion; one result per shard."""
-
-
-#: Exit code of a child that popped a corrupt shared-memory frame.
-EXIT_FRAME_CORRUPT = 70
-#: Exit code of a child killed by an armed ``child_crash`` fault.
-EXIT_FAULT_CRASH = 71
-
-
-def _shard_worker_main(
-    spec: WorkerSpec,
-    ring_name: str,
-    conn,
-    ack_every: int = 1,
-    fault: Optional[Tuple[str, int]] = None,
-) -> None:
-    """Child-process entry point: drain the shm ring into a clock driver.
-
-    Records are ``(when_ns, [packets])`` bursts in nondecreasing time order;
-    the ``None`` sentinel is end-of-schedule.  After every ``ack_every``
-    consumed bursts the child sends ``("ack", bursts_done)`` over ``conn`` —
-    the progress watermark the parent's supervision uses for hang detection
-    and restart telemetry.  The result (or a formatted traceback) returns
-    over the same pipe; the ring mapping is always detached.
-
-    Failure semantics: a corrupt shared-memory frame means the transport
-    itself is compromised, so the child dies abruptly with
-    :data:`EXIT_FRAME_CORRUPT` rather than report over a channel it can no
-    longer trust — the parent restarts it on a fresh ring.  An armed
-    ``child_crash``/``child_hang`` fault (deterministic injection, keyed to
-    the burst ordinal) likewise bypasses the clean ``_ChildError`` path:
-    those faults exist to exercise the parent's death/hang supervision.
-    """
-    ring = ShmRing(name=ring_name)
-    fault_kind, fault_at = fault if fault is not None else (None, 0)
-    try:
-        try:
-            driver = ShardClockDriver(spec)
-            bursts_done = 0
-            empty_polls = 0
-            while True:
-                try:
-                    record = ring.pop()
-                except ShmFrameCorrupt:
-                    os._exit(EXIT_FRAME_CORRUPT)
-                if record is RING_EMPTY:
-                    # The producer is still feeding: spin briefly (the ring
-                    # is usually refilled within microseconds), then back off
-                    # so a slow feeder does not see a core burned on polling.
-                    empty_polls += 1
-                    time.sleep(0 if empty_polls < 200 else 0.0005)
-                    continue
-                empty_polls = 0
-                if record is None:
-                    break
-                bursts_done += 1
-                if fault_at == bursts_done:
-                    if fault_kind == "child_crash":
-                        os._exit(EXIT_FAULT_CRASH)
-                    if fault_kind == "child_hang":
-                        while True:  # wedged forever; parent escalates
-                            time.sleep(3600)
-                when_ns, packets = record
-                driver.on_arrival(when_ns, packets)
-                if bursts_done % ack_every == 0:
-                    conn.send(("ack", bursts_done))
-            conn.send(driver.finish())
-        except BaseException:
-            conn.send(_ChildError(spec.shard_id, traceback.format_exc()))
-        finally:
-            conn.close()
-    finally:
-        ring.close()
-
-
-@dataclass
-class _ChildState:
-    """Supervision record for one shard's child process (one incarnation)."""
-
-    spec: WorkerSpec
-    schedule: List[Burst]
-    proc: Any = None
-    ring: Optional[ShmRing] = None
-    conn: Any = None
-    #: Remaining records to feed this incarnation (bursts + ``None`` EOF).
-    queue: Deque[Optional[Burst]] = field(default_factory=deque)
-    #: Bursts made visible in the ring this incarnation.
-    bursts_pushed: int = 0
-    #: The child's acknowledged-consumption watermark (this incarnation).
-    acked: int = 0
-    #: Incarnations started so far (1 = the original child).
-    attempts: int = 1
-    result: Optional[ShardResult] = None
-    #: ``monotonic()`` of the last feed/ack progress, for hang detection.
-    last_progress: float = 0.0
-    #: One-shot armed process fault ``(kind, at_burst)`` — first child only.
-    fault: Optional[Tuple[str, int]] = None
-    #: Burst ordinal after which the parent corrupts the ring frame (one-shot).
-    corrupt_at: Optional[int] = None
-
-
-class ProcessBackend(ParallelBackend):
-    """One OS process per shard, fed over shared-memory SPSC rings.
-
-    The parent plays the ingress core: it streams each shard's timed bursts
-    into that shard's :class:`~repro.runtime.shm.ShmRing` (single producer —
-    the parent; single consumer — the child), interleaving across rings so
-    no child starves while another's ring is full.  Children replay their
-    schedules on private virtual clocks (:class:`ShardClockDriver`) and
-    return picklable :class:`ShardResult` snapshots over a pipe.
-
-    **Supervision and restart.**  Each child acknowledges consumed bursts
-    over its pipe; the parent drains those acks on every pump pass (keeping
-    the pipe from filling and deadlocking the child) and maintains a
-    per-shard progress watermark.  A child that dies without delivering a
-    result — or stops advancing its watermark for ``hang_timeout_s`` — is
-    killed and restarted on a **fresh ring and pipe** with bounded
-    exponential backoff, up to ``max_restarts`` times.  Because a shard
-    child is a pure function of its arrival schedule (the invariant the
-    whole parallel seam rests on), the restart simply re-feeds the buffered
-    schedule from burst zero and the replay is exact; the dead incarnation's
-    acked watermark is recorded in :attr:`restart_log`.  A child that
-    *reports* a failure (a pickled traceback over the pipe) is a
-    deterministic application error and is raised immediately — restarting
-    it would fail identically.
-
-    Teardown is unconditional: whatever interrupts the pump —
-    ``KeyboardInterrupt`` included — live children are terminated (with
-    ``terminate()`` → ``kill()`` escalation) and every shared-memory segment
-    ever created is unlinked before the exception propagates.
-
-    Args:
-        ring_capacity: byte capacity of each per-shard ring (must hold at
-            least one full pickled burst; 1 MiB comfortably fits the
-            benchmark's 128-packet bursts).
-        result_timeout_s: how long to wait for one child's result after its
-            last observed progress, before declaring the run wedged.
-        max_restarts: restarts allowed per shard before giving up (0 turns
-            the supervisor into detect-and-raise).
-        restart_backoff_s: sleep before the first restart of a shard;
-            doubles on each further attempt of the same shard.
-        hang_timeout_s: declare a live child hung (and restart it) when its
-            watermark stalls this long; ``None`` disables hang restarts and
-            leaves only the ``result_timeout_s`` backstop.
-        ack_every: child acks every N consumed bursts (1 = tightest
-            watermark; larger values trade supervision lag for pipe traffic).
-        faults: armed process faults — a :class:`~repro.runtime.faults.FaultPlan`
-            (its ``child_crash``/``child_hang``/``shm_corrupt`` events) or a
-            mapping ``{shard: (kind, at_burst)}``.  Faults are one-shot: a
-            restarted child runs clean.
-    """
-
-    def __init__(
-        self,
-        ring_capacity: int = 1 << 20,
-        result_timeout_s: float = 300.0,
-        *,
-        max_restarts: int = 2,
-        restart_backoff_s: float = 0.05,
-        hang_timeout_s: Optional[float] = None,
-        ack_every: int = 1,
-        faults: "Optional[FaultPlan | Mapping[int, Tuple[str, int]]]" = None,
-    ) -> None:
-        super().__init__()
-        if max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
-        if restart_backoff_s < 0:
-            raise ValueError("restart_backoff_s must be non-negative")
-        if hang_timeout_s is not None and hang_timeout_s <= 0:
-            raise ValueError("hang_timeout_s must be positive (or None)")
-        if ack_every <= 0:
-            raise ValueError("ack_every must be positive")
-        self.ring_capacity = ring_capacity
-        self.result_timeout_s = result_timeout_s
-        self.max_restarts = max_restarts
-        self.restart_backoff_s = restart_backoff_s
-        self.hang_timeout_s = hang_timeout_s
-        self.ack_every = ack_every
-        self._faults = faults
-        #: One dict per restart: shard, attempt, reason, exit code, the dead
-        #: incarnation's acked watermark, and the backoff slept before it.
-        self.restart_log: List[dict] = []
-
-    def _fault_for(self, shard: int) -> Optional[Tuple[str, int]]:
-        if self._faults is None:
-            return None
-        if isinstance(self._faults, FaultPlan):
-            return self._faults.process_fault(shard)
-        return self._faults.get(shard)
-
     def _feed_hook(self) -> None:
         """Called once per pump-loop pass (test seam for interrupt injection)."""
-
-    # -- child lifecycle ---------------------------------------------------
-
-    def _spawn(self, ctx, state: _ChildState, all_rings: List[ShmRing]) -> None:
-        """Start a fresh incarnation: new ring, new pipe, full re-feed."""
-        state.ring = ShmRing(capacity=self.ring_capacity)
-        all_rings.append(state.ring)
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        state.conn = parent_conn
-        state.queue = deque(state.schedule)
-        state.queue.append(None)
-        state.bursts_pushed = 0
-        state.acked = 0
-        fault = state.fault
-        if fault is not None and fault[0] == "shm_corrupt":
-            state.corrupt_at = fault[1]
-            fault = None
-        state.fault = None  # one-shot: a restarted child runs clean
-        state.proc = ctx.Process(
-            target=_shard_worker_main,
-            args=(state.spec, state.ring.name, child_conn, self.ack_every, fault),
-            daemon=True,
-            name=f"repro-shard-{state.spec.shard_id}",
-        )
-        state.proc.start()
-        child_conn.close()  # parent's copy; the child holds the write end
-        state.last_progress = time.monotonic()
-
-    def _reap(self, proc, shard: int) -> None:
-        """Join a child, escalating terminate() → kill() if it lingers."""
-        if proc is None:
-            return
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=10.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=10.0)
-                if proc.is_alive():
-                    raise RuntimeError(
-                        f"shard {shard} worker (pid {proc.pid}) survived both "
-                        f"terminate() and kill(); exit code {proc.exitcode}"
-                    )
-        else:
-            proc.join(timeout=10.0)
-
-    def _restart(self, ctx, state: _ChildState, all_rings: List[ShmRing], reason: str) -> None:
-        """Replace a dead/hung child, or raise when the retry budget is spent."""
-        shard = state.spec.shard_id
-        self._reap(state.proc, shard)
-        exit_code = state.proc.exitcode
-        state.conn.close()
-        state.ring.close()
-        state.ring.unlink()
-        if state.attempts > self.max_restarts:
-            if reason == "died" and state.queue:
-                raise RuntimeError(
-                    f"shard {shard} worker died before consuming its schedule "
-                    f"(exit code {exit_code}, attempt {state.attempts})"
-                )
-            if reason == "died":
-                raise RuntimeError(
-                    f"shard {shard} worker exited without a result "
-                    f"(exit code {exit_code}, attempt {state.attempts})"
-                )
-            raise RuntimeError(
-                f"shard {shard} worker hung (no progress past burst "
-                f"{state.acked} for {self.hang_timeout_s}s, exit code "
-                f"{exit_code}, attempt {state.attempts})"
-            )
-        backoff = self.restart_backoff_s * (2 ** (state.attempts - 1))
-        if backoff:
-            time.sleep(backoff)
-        self.restart_log.append(
-            {
-                "shard": shard,
-                "attempt": state.attempts,
-                "reason": reason,
-                "exit_code": exit_code,
-                "acked_bursts": state.acked,
-                "backoff_s": backoff,
-            }
-        )
-        state.attempts += 1
-        self._spawn(ctx, state, all_rings)
-
-    # -- the supervised pump ----------------------------------------------
 
     def _execute(
         self, specs: List[WorkerSpec], schedules: List[List[Burst]]
@@ -680,154 +468,103 @@ class ProcessBackend(ParallelBackend):
         # queue_factory) is inherited by the child, not pickled; only the
         # packet stream crosses via the shm rings.
         ctx = multiprocessing.get_context("fork")
-        states = [
-            _ChildState(
-                spec=specs[shard],
-                schedule=schedules[shard],
-                fault=self._fault_for(shard),
-            )
-            for shard in range(len(specs))
-        ]
-        all_rings: List[ShmRing] = []
+        rings: List[ShmRing] = []
+        children: List[_Child] = []
         try:
-            for state in states:
-                self._spawn(ctx, state, all_rings)
-            self._pump(ctx, states, all_rings)
-            return [state.result for state in states]  # type: ignore[misc]
+            for spec, schedule in zip(specs, schedules):
+                ring = ShmRing(capacity=RING_CAPACITY)
+                rings.append(ring)
+                parent_conn, child_conn = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_shard_worker_main,
+                    args=(spec, ring.name, child_conn),
+                    daemon=True,
+                    name=f"repro-shard-{spec.shard_id}",
+                )
+                proc.start()
+                child_conn.close()  # parent's copy; the child holds the write end
+                children.append(
+                    _Child(spec.shard_id, proc, ring, parent_conn, deque([*schedule, None]))
+                )
+            self._pump(children)
+            return [child.result for child in children]  # type: ignore[misc]
         finally:
-            for state in states:
-                if state.conn is not None:
-                    state.conn.close()
-            for state in states:
-                self._reap(state.proc, state.spec.shard_id)
-            for ring in all_rings:
+            for child in children:
+                child.conn.close()
+            for child in children:
+                _reap(child.proc, child.shard)
+            for ring in rings:
                 ring.close()
                 ring.unlink()
 
-    def _drain_pipe(self, state: _ChildState) -> bool:
-        """Consume acks/result/error waiting on a child's pipe; True on any."""
-        shard = state.spec.shard_id
-        progressed = False
-        while state.result is None and state.conn.poll(0):
-            try:
-                message = state.conn.recv()
-            except EOFError:
-                break  # child closed its end; death handling decides next
-            progressed = True
-            state.last_progress = time.monotonic()
-            if isinstance(message, tuple) and message and message[0] == "ack":
-                state.acked = message[1]
-            elif isinstance(message, _ChildError):
-                raise RuntimeError(f"shard {shard} worker failed:\n{message.message}")
-            else:
-                state.result = message
-        return progressed
+    def _pump(self, children: List[_Child]) -> None:
+        """Feed every ring and collect every result; raise on any failure.
 
-    def _pump(self, ctx, states: List[_ChildState], all_rings: List[ShmRing]) -> None:
-        """Feed, supervise, and collect every shard until all results land.
-
-        One loop does all three jobs so no pipe goes undrained while a ring
-        is being fed (a full pipe blocks the child's ack ``send``, a blocked
-        child stops popping its ring, and the feed would deadlock).
+        One loop does both jobs so no child's pipe goes unread while another
+        child's ring is being fed.
         """
-        while any(state.result is None for state in states):
+        last_progress = time.monotonic()
+        while any(child.result is None for child in children):
             progressed = False
-            for state in states:
-                if state.result is not None:
+            for child in children:
+                if child.result is not None:
                     continue
-                shard = state.spec.shard_id
-                if self._drain_pipe(state):
-                    progressed = True
-                if state.result is not None:
-                    continue
-                ring = state.ring
-                while state.queue:
-                    record = state.queue[0]
-                    corrupt = (
-                        record is not None
-                        and state.corrupt_at == state.bursts_pushed + 1
-                    )
-                    pushed = (
-                        ring.push_corrupted(record) if corrupt else ring.push(record)
-                    )
-                    if not pushed:
-                        break
-                    state.queue.popleft()
-                    if record is not None:
-                        state.bursts_pushed += 1
-                        if corrupt:
-                            state.corrupt_at = None  # one-shot
-                    state.last_progress = time.monotonic()
-                    progressed = True
-                if not state.proc.is_alive():
-                    # Drain any message that raced the death: a clean result
-                    # or a reported failure beats the restart path.
-                    if self._drain_pipe(state):
-                        progressed = True
-                    if state.result is not None:
-                        continue
-                    self._restart(ctx, state, all_rings, reason="died")
+                if child.conn.poll(0):
+                    _receive(child)
                     progressed = True
                     continue
-                stalled_s = time.monotonic() - state.last_progress
-                if (
-                    self.hang_timeout_s is not None
-                    and stalled_s > self.hang_timeout_s
-                ):
-                    self._restart(ctx, state, all_rings, reason="hung")
+                queue = child.queue
+                while queue and child.ring.push(queue[0]):
+                    queue.popleft()
                     progressed = True
-                elif stalled_s > self.result_timeout_s:
-                    raise RuntimeError(
-                        f"shard {shard} produced no result within "
-                        f"{self.result_timeout_s:.0f}s (exit code "
-                        f"{state.proc.exitcode})"
-                    )
+                if not child.proc.is_alive():
+                    # A result or traceback may have raced the exit; if not,
+                    # the pipe reads EOF and the exit code is reported.
+                    _receive(child)
+                    progressed = True
             self._feed_hook()
-            if not progressed:
+            if progressed:
+                last_progress = time.monotonic()
+            elif time.monotonic() - last_progress > RESULT_TIMEOUT_S:
+                waiting = [child.shard for child in children if child.result is None]
+                raise RuntimeError(
+                    f"shards {waiting} made no progress within "
+                    f"{RESULT_TIMEOUT_S:.0f}s"
+                )
+            else:
                 time.sleep(0.0002)
 
 
-class ThreadBackend(ParallelBackend):
-    """One thread per shard; the in-process variant of the parallel seam.
+def _receive(child: _Child) -> None:
+    """Take the message waiting on a child's pipe: its result, or raise."""
+    try:
+        message = child.conn.recv()
+    except EOFError:
+        child.proc.join(timeout=10.0)
+        raise RuntimeError(
+            f"shard {child.shard} worker exited without a result "
+            f"(exit code {child.proc.exitcode})"
+        ) from None
+    if isinstance(message, _ChildError):
+        raise RuntimeError(f"shard {child.shard} worker failed:\n{message.message}")
+    child.result = message
 
-    No rings and no pickling — each thread owns its schedule outright.
-    Under the GIL the threads time-slice (correctness demonstrated, no
-    speedup); on a free-threaded build (:func:`free_threaded`) the same
-    code parallelises.  ``gil_enabled`` records which world a run saw.
-    """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.gil_enabled = not free_threaded()
-
-    def _execute(
-        self, specs: List[WorkerSpec], schedules: List[List[Burst]]
-    ) -> List[ShardResult]:
-        results: List[Optional[ShardResult]] = [None] * len(specs)
-        failures: List[BaseException] = []
-
-        def run_shard(shard: int) -> None:
-            try:
-                driver = ShardClockDriver(specs[shard])
-                for when_ns, packets in schedules[shard]:
-                    driver.on_arrival(when_ns, packets)
-                results[shard] = driver.finish()
-            except BaseException as exc:  # re-raised on join
-                failures.append(exc)
-
-        threads = [
-            threading.Thread(
-                target=run_shard, args=(shard,), name=f"repro-shard-{shard}"
-            )
-            for shard in range(len(specs))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-        return results  # type: ignore[return-value]
+def _reap(proc, shard: int) -> None:
+    """Join a child, escalating terminate() → kill() if it lingers."""
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(timeout=10.0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=10.0)
+            if proc.is_alive():
+                raise RuntimeError(
+                    f"shard {shard} worker (pid {proc.pid}) survived both "
+                    f"terminate() and kill(); exit code {proc.exitcode}"
+                )
+    else:
+        proc.join(timeout=10.0)
 
 
 def resolve_backend(
@@ -835,22 +572,18 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Normalise a runtime's ``backend=`` argument into a backend instance.
 
-    Accepts ``"simulated"`` / ``"process"`` / ``"thread"`` or a ready
-    instance.  ``simulator`` only composes with the simulated backend — a
-    shared clock has no meaning for shards running on their own cores.
+    Accepts ``"simulated"`` / ``"process"`` or a ready instance.
+    ``simulator`` only composes with the simulated backend — a shared clock
+    has no meaning for shards running on their own cores.
     """
     if isinstance(backend, str):
         if backend == "simulated":
             return SimulatedBackend(simulator)
-        if backend == "process":
-            resolved: ExecutionBackend = ProcessBackend()
-        elif backend == "thread":
-            resolved = ThreadBackend()
-        else:
+        if backend != "process":
             raise ValueError(
-                f"unknown backend {backend!r}; "
-                "choose from 'simulated', 'process', 'thread'"
+                f"unknown backend {backend!r}; choose from 'simulated', 'process'"
             )
+        resolved: ExecutionBackend = ProcessBackend()
     elif isinstance(backend, ExecutionBackend):
         resolved = backend
     else:
@@ -863,12 +596,10 @@ def resolve_backend(
 __all__ = [
     "Burst",
     "ExecutionBackend",
-    "ParallelBackend",
     "ProcessBackend",
     "ShardClockDriver",
     "ShardResult",
     "SimulatedBackend",
-    "ThreadBackend",
     "WorkerSpec",
     "free_threaded",
     "resolve_backend",

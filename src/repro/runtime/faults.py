@@ -1,8 +1,8 @@
 """Deterministic fault injection for the sharded runtime.
 
-Every layer the runtime has grown — real OS processes over shared-memory
-rings, cross-shard ownership leases, an ingress pipeline with backpressure —
-assumed until now that nothing ever fails.  This module makes failure a
+Every layer the runtime has grown — cross-shard ownership leases, an
+ingress pipeline with backpressure — assumed until now that nothing ever
+fails.  This module makes failure a
 first-class, *replayable* part of the experiment matrix instead of an
 untested code path: a :class:`FaultPlan` is a seeded, spec-driven schedule
 of faults armed at the runtime's existing seams, and the recovery machinery
@@ -21,12 +21,10 @@ it exercises lives next to each seam:
 * ``ingress_wedge`` — an ingress core stops pulling its RX ring (a wedged
   NAPI poller); arrivals keep landing in the ring until the supervisor
   un-wedges the core.
-* ``child_crash`` / ``child_hang`` / ``shm_corrupt`` — the process-backend
-  faults: a shard child dies mid-schedule, hangs forever, or pops a torn
-  shared-memory frame (see :class:`~repro.runtime.shm.ShmFrameCorrupt`).
-  These are consumed by :class:`~repro.runtime.backend.ProcessBackend`,
-  whose bounded retry-with-backoff restart replays the crashed shard's
-  buffered arrival schedule.
+
+Every kind fires on the shared simulated clock.  The process backend has no
+fault kinds: it is a differential oracle, and a child that dies or pops a
+torn frame makes the run raise.
 
 Injection hooks are **zero-cost when disarmed**: the runtime holds ``None``
 instead of a plan and every seam guards on one ``is not None`` check, so the
@@ -54,11 +52,8 @@ from ..core.queues.base import CounterStatsMixin
 #: Faults injected into the simulated runtime's own seams.
 RUNTIME_FAULT_KINDS = ("shard_crash", "shard_stall", "handoff_drop", "ingress_wedge")
 
-#: Faults consumed by the process execution backend.
-PROCESS_FAULT_KINDS = ("child_crash", "child_hang", "shm_corrupt")
-
 #: Every fault kind a plan may carry.
-FAULT_KINDS = RUNTIME_FAULT_KINDS + PROCESS_FAULT_KINDS
+FAULT_KINDS = RUNTIME_FAULT_KINDS
 
 
 @dataclass(frozen=True)
@@ -68,9 +63,9 @@ class FaultEvent:
     ``target`` is a shard id (or an ingress lane for ``ingress_wedge``).
     ``at`` is the 1-based ordinal of the logical step the fault fires on:
     the target shard's tick for ``shard_crash``/``shard_stall``, the lane's
-    RX pull for ``ingress_wedge``, the consumed burst for the process
-    faults.  ``handoff_drop`` instead uses ``count`` — how many packets the
-    handoff seam swallows — and fires from the first packet offered.
+    RX pull for ``ingress_wedge``.  ``handoff_drop`` instead uses ``count``
+    — how many packets the handoff seam swallows — and fires from the first
+    packet offered.
     """
 
     kind: str
@@ -141,7 +136,6 @@ class FaultPlan:
         self._wedge_queues: Dict[int, Deque[FaultEvent]] = {}
         self._wedge_pulls: Dict[int, int] = {}
         self._handoff_budget: Dict[int, int] = {}
-        self._process: Dict[int, FaultEvent] = {}
         by_shard: Dict[int, List[FaultEvent]] = {}
         by_lane: Dict[int, List[FaultEvent]] = {}
         for event in self.events:
@@ -149,12 +143,10 @@ class FaultPlan:
                 by_shard.setdefault(event.target, []).append(event)
             elif event.kind == "ingress_wedge":
                 by_lane.setdefault(event.target, []).append(event)
-            elif event.kind == "handoff_drop":
+            else:  # handoff_drop
                 self._handoff_budget[event.target] = (
                     self._handoff_budget.get(event.target, 0) + event.count
                 )
-            else:  # process fault: first one per shard wins
-                self._process.setdefault(event.target, event)
         for shard, entries in by_shard.items():
             entries.sort(key=lambda event: event.at)
             self._shard_queues[shard] = deque(entries)
@@ -246,13 +238,6 @@ class FaultPlan:
         self._handoff_budget[shard] = budget - taken
         return taken
 
-    def process_fault(self, shard: int) -> Optional[Tuple[str, int]]:
-        """The ``(kind, at_burst)`` process fault armed for ``shard``, if any."""
-        event = self._process.get(shard)
-        if event is None:
-            return None
-        return event.kind, event.at
-
     # -- introspection -----------------------------------------------------
 
     @property
@@ -268,16 +253,6 @@ class FaultPlan:
         """Ingress lanes targeted by wedge events."""
         return tuple(sorted({e.target for e in self.events if e.kind == "ingress_wedge"}))
 
-    @property
-    def has_runtime_faults(self) -> bool:
-        """True when any event targets the simulated runtime's seams."""
-        return any(event.kind in RUNTIME_FAULT_KINDS for event in self.events)
-
-    @property
-    def has_process_faults(self) -> bool:
-        """True when any event targets the process backend."""
-        return any(event.kind in PROCESS_FAULT_KINDS for event in self.events)
-
     def describe(self) -> List[dict]:
         """JSON-friendly listing of every armed event (telemetry/debugging)."""
         return [event.as_dict() for event in self.events]
@@ -288,7 +263,6 @@ class FaultPlan:
 
 __all__ = [
     "FAULT_KINDS",
-    "PROCESS_FAULT_KINDS",
     "RUNTIME_FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",

@@ -315,11 +315,12 @@ class ShardedRuntime:
         backend: who executes the shard loops — ``"simulated"`` (the
             default: every shard multiplexed onto one simulator clock,
             bit-identical to the historical behaviour), ``"process"`` (one
-            OS process per shard over shared-memory rings), ``"thread"``
-            (one thread per shard), or a ready
+            forked OS process per shard over shared-memory rings: the
+            differential oracle of the simulated clock, raising on any child
+            failure), or a ready
             :class:`~repro.runtime.backend.ExecutionBackend` instance.
-            Parallel backends take timed workloads through
-            :meth:`submit_at` and require the *statically decomposable*
+            The process backend takes timed workloads through
+            :meth:`submit_at` and requires the *statically decomposable*
             configuration: no stealing, no rebalancer, no ingress cores and
             no ``on_transmit`` callback (each shard must be a pure function
             of its own arrival schedule); the flow-state GC sweep is
@@ -332,7 +333,7 @@ class ShardedRuntime:
             machinery that recovers from them.  ``None`` (the default) keeps
             every hook on a single ``is not None`` guard — the clean path's
             modelled cycle accounts are byte-identical with no plan armed.
-            Simulated backend only.
+            Simulated backend only: the process backend injects no faults.
         lease_deadline_ns: watchdog deadline on outstanding
             :class:`~repro.runtime.stealing.FlowLease`\\ s — a thief that has
             not released a stolen window within this bound is presumed hung
@@ -644,7 +645,7 @@ class ShardedRuntime:
         self.backend.bind(self)
 
     def _worker_spec(self, shard: int) -> WorkerSpec:
-        """The recipe a parallel backend uses to replicate one shard's loop."""
+        """The recipe the process backend uses to replicate one shard's loop."""
         return WorkerSpec(
             shard_id=shard,
             worker_kwargs=dict(self._worker_config),

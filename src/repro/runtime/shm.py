@@ -36,8 +36,8 @@ correctness and a safety hole.  Every record therefore carries its length
 and a CRC-32 of its payload; :meth:`ShmRing.pop` validates both and raises
 the typed :class:`ShmFrameCorrupt` instead of decoding a torn frame.  The
 head cursor is deliberately *not* advanced past a corrupt frame, so the
-failure is sticky and the supervising side can diagnose or discard the
-whole ring (the process backend restarts the consumer on a fresh ring).
+failure is sticky: the process backend's child exits with
+:data:`~repro.runtime.backend.EXIT_FRAME_CORRUPT` and the parent raises.
 """
 
 from __future__ import annotations
@@ -174,18 +174,6 @@ class ShmRing:
     def push(self, record: Any) -> bool:
         """Pickle and write one record; False when the ring is full."""
         return self.push_bytes(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def push_corrupted(self, record: Any) -> bool:
-        """Write one record whose stored CRC is deliberately wrong.
-
-        Race-free fault injection for a *live* consumer: the bad CRC is in
-        place before the tail cursor makes the record visible, so the
-        consumer's pop deterministically raises :class:`ShmFrameCorrupt`
-        (unlike :meth:`corrupt_last_record`, which mutates bytes the consumer
-        may already have read).  Producer side only, like :meth:`push`.
-        """
-        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        return self._push_framed(payload, zlib.crc32(payload) ^ 0xFFFFFFFF)
 
     # -- consumer side -----------------------------------------------------
 

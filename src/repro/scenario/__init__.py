@@ -64,9 +64,9 @@ hash) via :func:`derive_seed`.
     ``sharding`` ("hash" | "round_robin"), ``stealing`` (false),
     ``steal_batch`` (64), ``steal_min_backlog`` (8),
     ``rebalance_interval_ns`` ("none"), ``gc_interval_packets`` (4096),
-    ``gc_sweep_limit`` ("none"), ``backend`` ("simulated" | "process" |
-    "thread"; parallel backends reject stealing / rebalancing / ingress
-    cores at validation time).
+    ``gc_sweep_limit`` ("none"), ``backend`` ("simulated" | "process";
+    the process backend, the simulated clock's differential oracle,
+    rejects stealing / rebalancing / ingress cores at validation time).
 
 ``[faults]``
     Deterministic fault injection (runtime kind, simulated backend only).
@@ -105,7 +105,7 @@ Validation rejections are typed (:class:`ScenarioSpecError` subclasses with
 a ``field`` attribute): :class:`UnknownNameError` (unknown names, dangling
 cross-references), :class:`OversubscribedError` (rx_burst > ring, loads
 outside (0, 1], overload with backpressure off and no admission),
-:class:`BackendIncompatibleError` (cross-shard knobs under a parallel
+:class:`BackendIncompatibleError` (cross-shard knobs under the process
 backend), :class:`MalformedSpecError` (bad TOML, wrong types, bad ranges).
 
 :mod:`repro.scenario.fuzz` draws random valid specs for the property suite;

@@ -202,9 +202,9 @@ def chaos_scenario_specs(max_shards: int = 4, max_ingress_cores: int = 2):
 
 
 def parallel_backend_specs(max_shards: int = 4):
-    """Strategy for specs on the ``process``/``thread`` backends.
+    """Strategy for specs on the ``process`` backend.
 
-    Parallel backends reject stealing, rebalancing and ingress cores at
+    The process backend rejects stealing, rebalancing and ingress cores at
     validation time, so this strategy simply never draws them — the
     statically decomposable subset of the scenario space.
     """
@@ -226,7 +226,7 @@ def parallel_backend_specs(max_shards: int = 4):
             ),
             runtime=RuntimeSpec(
                 shards=draw(st.integers(min_value=1, max_value=max_shards)),
-                backend=draw(st.sampled_from(("thread", "process"))),
+                backend="process",
             ),
         )
         return validate(spec)

@@ -40,7 +40,7 @@ QUEUE_NAMES = ("circular_ffs", "hierarchical_ffs", "gradient", "approx_gradient"
 ADMISSION_NAMES = ("none", "tail_drop", "fair_drop", "codel")
 
 #: Execution backends of the sharded runtime.
-BACKEND_NAMES = ("simulated", "process", "thread")
+BACKEND_NAMES = ("simulated", "process")
 
 #: Flow placement policies of the sharder.
 SHARDING_NAMES = ("hash", "round_robin")
@@ -81,7 +81,7 @@ class OversubscribedError(ScenarioSpecError):
 
 
 class BackendIncompatibleError(ScenarioSpecError):
-    """A knob that requires cross-shard coordination under a parallel backend."""
+    """A knob that requires cross-shard coordination under the process backend."""
 
 
 class MalformedSpecError(ScenarioSpecError):
@@ -468,9 +468,9 @@ def _validate_runtime(spec: ScenarioSpec) -> None:
             "end-to-end histogram to evaluate the bound against otherwise)",
         )
 
-    # Parallel backends need statically decomposable shards: every knob that
-    # coordinates across shards at runtime is rejected with its own field.
-    if spec.runtime.backend in ("process", "thread"):
+    # The process backend needs statically decomposable shards: every knob
+    # that coordinates across shards at runtime is rejected with its own field.
+    if spec.runtime.backend == "process":
         backend = spec.runtime.backend
         if spec.runtime.stealing:
             raise BackendIncompatibleError(

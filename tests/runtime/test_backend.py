@@ -1,16 +1,18 @@
 """Unit tests for the execution-backend layer.
 
 Covers the shared-memory SPSC ring transport, backend resolution and the
-parallel-configuration guards, the process/thread backends' end-to-end
-behaviour (conservation, telemetry merge, child failure propagation, clean
-teardown under interruption), and the mailbox watermark edge-settlement
-contract the backends rely on.  The simulated-vs-parallel equivalence
-itself lives in ``test_backend_differential.py``.
+parallel-configuration guards, the process backend's end-to-end behaviour
+(conservation, telemetry merge, child failure propagation, clean teardown
+after a run and under interruption), and the mailbox watermark
+edge-settlement contract the backends rely on.  The simulated-vs-process
+equivalence itself lives in ``test_backend_differential.py``, and the
+detect-and-raise cases for dying children in ``test_faults.py``.
 """
 
 import multiprocessing
 import os
 import pickle
+import sys
 import time
 from multiprocessing import shared_memory
 
@@ -27,7 +29,6 @@ from repro.runtime import (
     ProcessBackend,
     ShardedRuntime,
     SimulatedBackend,
-    ThreadBackend,
     free_threaded,
 )
 from repro.runtime.backend import resolve_backend
@@ -157,16 +158,6 @@ class TestShmRing:
             ring.close()
             ring.unlink()
 
-    def test_push_corrupted_writes_a_bad_crc(self):
-        ring = ShmRing(capacity=256)
-        try:
-            assert ring.push_corrupted({"flow": 9})
-            with pytest.raises(ShmFrameCorrupt, match="frame CRC mismatch"):
-                ring.pop()
-        finally:
-            ring.close()
-            ring.unlink()
-
     def test_torn_length_header_raises(self):
         ring = ShmRing(capacity=256)
         try:
@@ -180,16 +171,17 @@ class TestShmRing:
 
 
 class TestBackendResolution:
-    def test_unknown_name_rejected(self):
+    @pytest.mark.parametrize("name", ["gpu", "thread"])
+    def test_unknown_name_rejected(self, name):
         with pytest.raises(ValueError, match="unknown backend"):
-            ShardedRuntime(1, backend="gpu")
+            ShardedRuntime(1, backend=name)
 
     def test_wrong_type_rejected(self):
         with pytest.raises(TypeError):
             resolve_backend(42, None)
 
     def test_instance_passes_through(self):
-        backend = ThreadBackend()
+        backend = ProcessBackend()
         runtime = ShardedRuntime(1, backend=backend)
         assert runtime.backend is backend
 
@@ -204,6 +196,10 @@ class TestBackendResolution:
         runtime = ShardedRuntime(1)
         assert isinstance(runtime.backend, SimulatedBackend)
         assert runtime.simulator is runtime.backend.simulator
+
+    def test_free_threaded_reads_the_interpreter(self):
+        probe = getattr(sys, "_is_gil_enabled", None)
+        assert free_threaded() is (probe is not None and not probe())
 
 
 class TestParallelConfigGuards:
@@ -222,27 +218,27 @@ class TestParallelConfigGuards:
     )
     def test_non_decomposable_features_rejected(self, kwargs, conflict):
         with pytest.raises(ValueError, match=conflict):
-            ShardedRuntime(2, backend="thread", **kwargs)
+            ShardedRuntime(2, backend="process", **kwargs)
 
     def test_global_gc_auto_disabled(self):
-        runtime = ShardedRuntime(2, backend="thread", gc_interval_packets=4096)
+        runtime = ShardedRuntime(2, backend="process", gc_interval_packets=4096)
         assert runtime.gc_interval_packets is None
         # ...and stays configurable on the simulated backend.
         assert ShardedRuntime(2, gc_interval_packets=4096).gc_interval_packets == 4096
 
     def test_submit_at_rejects_negative_time(self):
-        runtime = ShardedRuntime(1, backend="thread")
+        runtime = ShardedRuntime(1, backend="process")
         with pytest.raises(ValueError, match="non-negative"):
             runtime.submit_at(-1, _packets([1]))
 
     def test_until_ns_rejected_on_parallel_run(self):
-        runtime = ShardedRuntime(1, backend="thread", default_rate_bps=RATE_BPS)
+        runtime = ShardedRuntime(1, backend="process", default_rate_bps=RATE_BPS)
         runtime.submit_batch(_packets([1]))
         with pytest.raises(ValueError, match="to completion"):
             runtime.run(until_ns=1_000_000)
 
     def test_one_schedule_per_runtime(self):
-        runtime = ShardedRuntime(1, backend="thread", default_rate_bps=RATE_BPS)
+        runtime = ShardedRuntime(1, backend="process", default_rate_bps=RATE_BPS)
         runtime.submit_batch(_packets([1, 2]))
         assert runtime.pending == 2
         first = runtime.run()
@@ -321,6 +317,17 @@ class TestProcessBackend:
             runtime.run()
         assert _reap_children() == []
 
+    def test_clean_run_unlinks_every_segment(self, monkeypatch):
+        _RingSpy.created = []
+        monkeypatch.setattr(backend_module, "ShmRing", _RingSpy)
+        runtime = self._run(3, [flow % 7 for flow in range(63)])
+        assert runtime.transmitted == 63
+        assert len(_RingSpy.created) == 3
+        assert _reap_children() == []
+        for name in _RingSpy.created:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
     def test_interrupted_run_tears_down_processes_and_segments(self, monkeypatch):
         class InterruptingBackend(ProcessBackend):
             def _feed_hook(self):
@@ -358,35 +365,52 @@ class TestProcessBackend:
         assert runtime.transmitted == 4
 
 
-class TestThreadBackend:
-    def test_conservation_and_gil_flag(self):
-        backend = ThreadBackend()
-        assert backend.gil_enabled == (not free_threaded())
-        runtime = ShardedRuntime(
-            3,
-            default_rate_bps=RATE_BPS,
-            quantum_ns=QUANTUM_NS,
-            backend=backend,
-        )
-        runtime.submit_batch(_packets([flow % 9 for flow in range(180)]))
-        runtime.run()
-        assert runtime.transmitted == 180
-        telemetry = runtime.telemetry()
-        assert sum(shard.transmitted for shard in telemetry.shards) == 180
+class TestWorkerMainInProcess:
+    """The child's entry point, called in this process over a real ring.
 
-    def test_thread_failure_propagates(self):
+    Forked children are invisible to coverage and to a debugger; running
+    ``_shard_worker_main`` here pins the replay the children perform.
+    """
+
+    BURSTS = [(0, [1, 2, 3, 1]), (QUANTUM_NS, [2, 2, 4]), (5 * QUANTUM_NS, [1])]
+
+    def _main(self, spec):
+        ring = ShmRing(capacity=1 << 16)
+        receiver, sender = multiprocessing.Pipe(duplex=False)
+        try:
+            for when_ns, flow_ids in self.BURSTS:
+                assert ring.push((when_ns, _packets(flow_ids)))
+            assert ring.push(None)
+            backend_module._shard_worker_main(spec, ring.name, sender)
+            return receiver.recv()
+        finally:
+            receiver.close()
+            ring.close()
+            ring.unlink()
+
+    def test_replay_matches_the_simulated_shard(self):
+        kwargs = dict(default_rate_bps=RATE_BPS, quantum_ns=QUANTUM_NS, gc_interval_packets=None)
+        simulated = ShardedRuntime(1, **kwargs)
+        for when_ns, flow_ids in self.BURSTS:
+            simulated.submit_at(when_ns, _packets(flow_ids))
+        simulated.run()
+        spec = ShardedRuntime(1, backend="process", **kwargs)._worker_spec(0)
+        result = self._main(spec)
+        assert [(now, p.flow_id) for now, p in result.transmits] == [
+            (now, p.flow_id) for now, p in simulated.transmit_log
+        ]
+        assert result.cycles == simulated.telemetry().total_cycles
+        assert result.end_ns == simulated.simulator.now_ns
+
+    def test_failure_is_sent_as_a_traceback(self):
         def factory(spec):
-            raise ZeroDivisionError("injected thread failure")
+            raise ZeroDivisionError("injected replay failure")
 
-        # Workers are built lazily per thread from the spec; the parent's own
-        # eager construction must be bypassed by building the runtime first.
-        runtime = ShardedRuntime(
-            1, default_rate_bps=RATE_BPS, quantum_ns=QUANTUM_NS, backend="thread"
-        )
-        runtime._worker_config["queue_factory"] = factory
-        runtime.submit_batch(_packets([1]))
-        with pytest.raises(ZeroDivisionError):
-            runtime.run()
+        spec = ShardedRuntime(1, backend="process")._worker_spec(0)
+        spec.worker_kwargs["queue_factory"] = factory  # only the replay fails
+        message = self._main(spec)
+        assert isinstance(message, backend_module._ChildError)
+        assert "injected replay failure" in message.message
 
 
 class TestMailboxEdgeSettlement:
@@ -453,7 +477,7 @@ class TestMailboxEdgeSettlement:
 class TestStatsPickleRoundTrip:
     def test_shard_result_round_trips(self):
         runtime = ShardedRuntime(
-            1, default_rate_bps=RATE_BPS, quantum_ns=QUANTUM_NS, backend="thread"
+            1, default_rate_bps=RATE_BPS, quantum_ns=QUANTUM_NS, backend="process"
         )
         runtime.submit_batch(_packets([1, 2, 3, 1, 2]))
         runtime.run()

@@ -1,8 +1,8 @@
 """Differential equivalence of the execution backends.
 
 The backend refactor's load-bearing claim: for any statically decomposable
-configuration, the parallel backends (per-shard replay on private virtual
-clocks) produce **bit-identical modelled results** to the simulated backend
+configuration, the process backend (per-shard replay on private virtual
+clocks) produces **bit-identical modelled results** to the simulated backend
 (all shards multiplexed on one clock).  These tests drive the same timed
 workload through both and compare everything observable — per-flow packet
 sequences, departure timestamps, cycle accounts, queue/mailbox counters.
@@ -13,6 +13,7 @@ examples are few and small; the fixed multi-shard cases carry the breadth.
 
 import copy
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -81,14 +82,16 @@ def _burst_workload(num_bursts, burst_size, num_flows, gap_ns):
 
 
 class TestFixedDifferential:
-    def test_four_shards_all_backends_identical(self):
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
+    def test_process_matches_simulated_at_every_shard_count(self, num_shards):
         bursts = _burst_workload(
             num_bursts=30, burst_size=64, num_flows=37, gap_ns=7_000
         )
-        reference = _run_workload("simulated", bursts, num_shards=4)
+        reference = _run_workload("simulated", bursts, num_shards=num_shards)
         assert reference["transmitted"] == 30 * 64
-        _assert_equivalent(reference, _run_workload("process", bursts, num_shards=4))
-        _assert_equivalent(reference, _run_workload("thread", bursts, num_shards=4))
+        _assert_equivalent(
+            reference, _run_workload("process", bursts, num_shards=num_shards)
+        )
 
     def test_equal_timestamp_ties_preserved(self):
         # Several bursts at the *same* instant, interleaved with bursts one
@@ -101,7 +104,6 @@ class TestFixedDifferential:
             )
         reference = _run_workload("simulated", bursts, num_shards=3)
         _assert_equivalent(reference, _run_workload("process", bursts, num_shards=3))
-        _assert_equivalent(reference, _run_workload("thread", bursts, num_shards=3))
 
     def test_bounded_mailbox_drops_identically(self):
         bursts = _burst_workload(num_bursts=6, burst_size=48, num_flows=5, gap_ns=2_000)
@@ -182,12 +184,12 @@ class TestHypothesisDifferential:
             max_size=12,
         ),
     )
-    def test_multi_shard_thread_matches_simulated(self, num_shards, bursts):
+    def test_multi_shard_process_matches_simulated(self, num_shards, bursts):
         workload = [
             (when_ns, [Packet(flow_id=f, size_bytes=1500) for f in flows])
             for when_ns, flows in bursts
         ]
         reference = _run_workload("simulated", workload, num_shards=num_shards)
         _assert_equivalent(
-            reference, _run_workload("thread", workload, num_shards=num_shards)
+            reference, _run_workload("process", workload, num_shards=num_shards)
         )

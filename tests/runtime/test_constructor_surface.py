@@ -13,7 +13,7 @@ import inspect
 import pytest
 
 from repro.kernel import EiffelQdisc
-from repro.runtime import MultiQueueQdisc, ShardedPortQueue, ShardedRuntime
+from repro.runtime import MultiQueueQdisc, ProcessBackend, ShardedPortQueue, ShardedRuntime
 
 SHARDED_RUNTIME = (
     "num_shards",
@@ -57,18 +57,9 @@ SHARDED_RUNTIME = (
 SURFACES = [
     (ShardedRuntime, SHARDED_RUNTIME),
     (ShardedPortQueue, ("num_shards", "queue_factory", "sharder", "arbiter")),
-    (MultiQueueQdisc, ("num_shards", "child_factory", "sharder", "timer_granularity_ns")),
-    (
-        EiffelQdisc,
-        (
-            "flow_rates",
-            "default_rate_bps",
-            "horizon_ns",
-            "num_buckets",
-            "queue",
-            "timer_granularity_ns",
-        ),
-    ),
+    (MultiQueueQdisc, ("num_shards", "child_factory", "sharder")),
+    (EiffelQdisc, ("flow_rates", "default_rate_bps", "horizon_ns", "num_buckets", "queue")),
+    (ProcessBackend, ()),
 ]
 
 

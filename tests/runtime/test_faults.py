@@ -4,23 +4,26 @@ Each test arms one seam of the deterministic fault plane
 (:mod:`repro.runtime.faults`) and asserts the recovery contract: the run
 completes, every packet is either delivered or attributed to a counted
 loss, recovered flows keep per-flow FIFO, and nothing is stranded after
-drain.  The process-backend half exercises the supervised child restart
-(death, hang, and shared-memory frame corruption) end-to-end.
+drain.  The process backend has no fault kinds: its half checks that a child
+which dies or pops a corrupt shared-memory frame makes the run raise at the
+parent, naming the shard and the exit code, with nothing left behind.
 """
 
 import multiprocessing
+import os
+import pickle
 import time
+import zlib
+from multiprocessing import shared_memory
 
 import pytest
 
+import repro.runtime.backend as backend_module
 from repro.core.model.packet import Packet
 from repro.runtime import FaultEvent, FaultPlan, FaultStats, ShardedRuntime
-from repro.runtime.backend import (
-    EXIT_FAULT_CRASH,
-    EXIT_FRAME_CORRUPT,
-    ProcessBackend,
-)
+from repro.runtime.backend import EXIT_FRAME_CORRUPT
 from repro.runtime.sharder import FlowSharder
+from repro.runtime.shm import RING_EMPTY, ShmRing
 
 #: Slow pacing so shards tick many times (fault trigger ordinals exist).
 RATE_BPS = 8e6
@@ -55,9 +58,10 @@ def _assert_residual_clean(runtime):
 
 
 class TestFaultPlan:
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["meteor_strike", "child_crash"])
+    def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultEvent("meteor_strike")
+            FaultEvent(kind)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -249,77 +253,108 @@ class TestLeaseDeadlineEscalation:
         _assert_residual_clean(runtime)
 
 
-class TestProcessFaultRecovery:
-    def _run(self, backend, num_shards=2, bursts=6, per_burst=8):
+class _BadCrcRing(ShmRing):
+    """A ring whose producer writes the second burst with a flipped CRC.
+
+    The bad CRC is in place before the tail cursor makes the record visible,
+    so the live child's pop deterministically raises ``ShmFrameCorrupt``.
+    """
+
+    def __init__(self, capacity=1 << 20, name=None):
+        super().__init__(capacity=capacity, name=name)
+        self.bursts = 0
+
+    def push(self, record):
+        if record is not None:
+            self.bursts += 1
+            if self.bursts == 2:
+                payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+                return self._push_framed(payload, zlib.crc32(payload) ^ 0xFFFFFFFF)
+        return super().push(record)
+
+
+class TestProcessFailuresRaise:
+    """The process backend detects a failed child and raises; it never respawns."""
+
+    def _run(self, num_shards=2, bursts=6, per_burst=8):
         runtime = ShardedRuntime(
-            num_shards,
-            default_rate_bps=1e9,
-            quantum_ns=10_000,
-            backend=backend,
+            num_shards, default_rate_bps=1e9, quantum_ns=10_000, backend="process"
         )
-        offered = 0
         for t in range(bursts):
             runtime.submit_at(t * 50_000, _packets(range(per_burst), size_bytes=1500))
-            offered += per_burst
         runtime.run()
-        return runtime, offered
 
-    def test_child_crash_is_restarted_and_replayed(self):
-        backend = ProcessBackend(restart_backoff_s=0.01, faults={0: ("child_crash", 2)})
-        runtime, offered = self._run(backend)
-        assert runtime.transmitted == offered
-        (entry,) = backend.restart_log
-        assert entry["shard"] == 0
-        assert entry["reason"] == "died"
-        assert entry["exit_code"] == EXIT_FAULT_CRASH
-        _assert_flow_fifo(runtime)
+    def _watch(self, monkeypatch, ring_class=ShmRing):
+        """Record every ring segment the parent creates and every child it forks.
+
+        A missed death would otherwise stall for the full result timeout, so
+        it is cut to seconds: a regression fails fast instead of hanging.
+        """
+        monkeypatch.setattr(backend_module, "RESULT_TIMEOUT_S", 10.0)
+        created, started = [], []
+
+        class Ring(ring_class):
+            def __init__(self, capacity=1 << 20, name=None):
+                super().__init__(capacity=capacity, name=name)
+                if name is None:
+                    created.append(self.name)
+
+        monkeypatch.setattr(backend_module, "ShmRing", Ring)
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(process):
+            started.append(process.name)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+        return created, started
+
+    def _assert_torn_down(self, created):
         assert _reap_children() == []
+        for name in created:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
-    def test_shm_corruption_kills_and_restarts_on_fresh_ring(self):
-        backend = ProcessBackend(restart_backoff_s=0.01, faults={1: ("shm_corrupt", 2)})
-        runtime, offered = self._run(backend)
-        assert runtime.transmitted == offered
-        (entry,) = backend.restart_log
-        assert entry["shard"] == 1
-        assert entry["exit_code"] == EXIT_FRAME_CORRUPT
-        assert _reap_children() == []
+    @pytest.mark.parametrize("exit_code", [3, 0])
+    def test_child_exiting_mid_schedule_raises_with_its_exit_code(
+        self, monkeypatch, exit_code
+    ):
+        real_main = backend_module._shard_worker_main
 
-    def test_hung_child_is_detected_by_watermark_and_restarted(self):
-        backend = ProcessBackend(
-            restart_backoff_s=0.01,
-            hang_timeout_s=0.3,
-            faults={0: ("child_hang", 2)},
-        )
-        runtime, offered = self._run(backend)
-        assert runtime.transmitted == offered
-        (entry,) = backend.restart_log
-        assert entry["reason"] == "hung"
-        assert entry["acked_bursts"] == 1  # watermark froze after burst 1
-        assert _reap_children() == []
+        def exits_after_one_burst(spec, ring_name, conn):
+            if spec.shard_id != 1:
+                return real_main(spec, ring_name, conn)
+            ring = ShmRing(name=ring_name)
+            while ring.pop() is RING_EMPTY:
+                time.sleep(0.001)
+            os._exit(exit_code)
 
-    def test_faults_accept_a_fault_plan(self):
-        plan = FaultPlan([FaultEvent("child_crash", target=0, at=1)])
-        backend = ProcessBackend(restart_backoff_s=0.01, faults=plan)
-        runtime, offered = self._run(backend)
-        assert runtime.transmitted == offered
-        assert backend.restart_log[0]["exit_code"] == EXIT_FAULT_CRASH
+        monkeypatch.setattr(backend_module, "_shard_worker_main", exits_after_one_burst)
+        created, started = self._watch(monkeypatch)
+        with pytest.raises(
+            RuntimeError,
+            match=rf"shard 1 worker exited without a result \(exit code {exit_code}\)",
+        ):
+            self._run()
+        assert started == ["repro-shard-0", "repro-shard-1"]  # no respawn
+        self._assert_torn_down(created)
 
-    def test_restart_budget_exhaustion_names_shard_and_exit_code(self):
-        backend = ProcessBackend(
-            restart_backoff_s=0.01, max_restarts=0, faults={0: ("child_crash", 1)}
-        )
-        runtime = ShardedRuntime(
-            1, default_rate_bps=1e9, quantum_ns=10_000, backend=backend
-        )
-        runtime.submit_batch(_packets(range(8), size_bytes=1500))
-        with pytest.raises(RuntimeError, match=rf"shard 0 .*exit code {EXIT_FAULT_CRASH}"):
-            runtime.run()
-        assert _reap_children() == []
+    def test_bad_crc_frame_raises_naming_the_corrupt_frame_exit_code(self, monkeypatch):
+        created, started = self._watch(monkeypatch, ring_class=_BadCrcRing)
+        with pytest.raises(
+            RuntimeError, match=rf"exited without a result \(exit code {EXIT_FRAME_CORRUPT}\)"
+        ):
+            self._run()
+        assert len(started) == 2  # no respawn
+        self._assert_torn_down(created)
 
-    def test_constructor_rejects_bad_knobs(self):
-        with pytest.raises(ValueError, match="max_restarts"):
-            ProcessBackend(max_restarts=-1)
-        with pytest.raises(ValueError, match="hang_timeout_s"):
-            ProcessBackend(hang_timeout_s=0)
-        with pytest.raises(ValueError, match="ack_every"):
-            ProcessBackend(ack_every=0)
+    def test_run_without_progress_raises_after_the_result_timeout(self, monkeypatch):
+        def hangs(spec, ring_name, conn):
+            time.sleep(3600)
+
+        monkeypatch.setattr(backend_module, "_shard_worker_main", hangs)
+        created, _started = self._watch(monkeypatch)
+        monkeypatch.setattr(backend_module, "RESULT_TIMEOUT_S", 0.3)
+        with pytest.raises(RuntimeError, match=r"no progress within"):
+            self._run(num_shards=1, bursts=1)
+        self._assert_torn_down(created)

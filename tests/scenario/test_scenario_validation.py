@@ -17,6 +17,7 @@ import pytest
 from repro.scenario import (
     AssertionSpec,
     BackendIncompatibleError,
+    FaultsSpec,
     IngressSpec,
     MalformedSpecError,
     OversubscribedError,
@@ -64,6 +65,7 @@ def _runtime_spec(**overrides):
         ("policy", PolicyTreeSpec(queue="fifo"), "policy.queue"),
         ("runtime", RuntimeSpec(sharding="random"), "runtime.sharding"),
         ("runtime", RuntimeSpec(backend="gpu"), "runtime.backend"),
+        ("runtime", RuntimeSpec(backend="thread"), "runtime.backend"),
         ("ingress", IngressSpec(admission="red"), "ingress.admission"),
         ("traffic", TrafficSpec(pattern="bursty"), "traffic.pattern"),
     ],
@@ -181,24 +183,25 @@ def test_fabric_load_above_one_is_oversubscribed():
     _reject(spec, OversubscribedError, "traffic.loads")
 
 
-# -- parallel-backend incompatibilities ---------------------------------------
+# -- process-backend incompatibilities ----------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["process", "thread"])
 @pytest.mark.parametrize(
-    "runtime, ingress, field_name",
+    "runtime, ingress, faults, field_name",
     [
-        (dict(stealing=True), dict(), "runtime.stealing"),
-        (dict(rebalance_interval_ns=1_000_000), dict(),
+        (dict(stealing=True), dict(), dict(), "runtime.stealing"),
+        (dict(rebalance_interval_ns=1_000_000), dict(), dict(),
          "runtime.rebalance_interval_ns"),
-        (dict(), dict(cores=2), "ingress.cores"),
+        (dict(), dict(cores=2), dict(), "ingress.cores"),
+        (dict(), dict(), dict(kinds=("shard_crash",)), "faults.kinds"),
     ],
 )
-def test_parallel_backends_reject_cross_shard_knobs(backend, runtime, ingress,
-                                                    field_name):
+def test_the_process_backend_rejects_cross_shard_knobs(runtime, ingress, faults,
+                                                       field_name):
     spec = _runtime_spec(
-        runtime=RuntimeSpec(shards=2, backend=backend, **runtime),
+        runtime=RuntimeSpec(shards=2, backend="process", **runtime),
         ingress=IngressSpec(**ingress),
+        faults=FaultsSpec(**faults),
     )
     _reject(spec, BackendIncompatibleError, field_name)
 
