@@ -73,11 +73,10 @@ instance per core, flows spread across instances by an RSS-style hash:
   :class:`~repro.runtime.faults.FaultStats` — the deterministic
   fault-injection plane: seeded, spec-driven fault schedules (shard
   crash/stall, mailbox handoff drops, ingress wedges) armed at the
-  runtime's existing seams, zero-cost when disarmed, paired with the
-  supervision machinery inside
-  :class:`~repro.runtime.runtime.ShardedRuntime` (heartbeat watchdog, lease
-  reclamation, crashed-shard re-homing with pacing salvage)
-  (``benchmarks/bench_faults.py`` measures recovery time and
+  runtime's existing seams, zero-cost when disarmed, fired and recovered
+  by the runtime's :class:`~repro.runtime.faults.Supervisor` (watchdog
+  sweep, lease-deadline escalation, crashed-shard restart with pacing
+  salvage) (``benchmarks/bench_faults.py`` measures recovery time and
   packets-at-risk per fault type).
 * :class:`~repro.runtime.observability.LogHistogram` /
   :class:`~repro.runtime.observability.FlightRecorder` /
@@ -134,13 +133,7 @@ from .backend import (
     WorkerSpec,
     free_threaded,
 )
-from .faults import (
-    FAULT_KINDS,
-    RUNTIME_FAULT_KINDS,
-    FaultEvent,
-    FaultPlan,
-    FaultStats,
-)
+from .faults import FAULT_KINDS, FaultEvent, FaultPlan, FaultStats
 from .flowstate import FlowStateStats, FlowTable, PacingTable
 from .ingress import (
     AdmissionPolicy,
@@ -201,7 +194,6 @@ __all__ = [
     "Migration",
     "MultiQueueQdisc",
     "ProcessBackend",
-    "RUNTIME_FAULT_KINDS",
     "RuntimeTelemetry",
     "RxRing",
     "ShardClockDriver",

@@ -1,12 +1,13 @@
-"""Deterministic fault injection for the sharded runtime.
+"""Deterministic fault injection for the sharded runtime, and its supervisor.
 
 Every layer the runtime has grown — cross-shard ownership leases, an
 ingress pipeline with backpressure — assumed until now that nothing ever
 fails.  This module makes failure a
 first-class, *replayable* part of the experiment matrix instead of an
 untested code path: a :class:`FaultPlan` is a seeded, spec-driven schedule
-of faults armed at the runtime's existing seams, and the recovery machinery
-it exercises lives next to each seam:
+of faults armed at the runtime's existing seams, and one
+:class:`Supervisor` per armed runtime fires them there and recovers from
+them:
 
 * ``shard_crash`` / ``shard_stall`` — fired as a shard is about to run its
   N-th tick.  A crash loses the core's private state (timestamp queue and
@@ -26,10 +27,10 @@ Every kind fires on the shared simulated clock.  The process backend has no
 fault kinds: it is a differential oracle, and a child that dies or pops a
 torn frame makes the run raise.
 
-Injection hooks are **zero-cost when disarmed**: the runtime holds ``None``
-instead of a plan and every seam guards on one ``is not None`` check, so the
-modelled cycle accounts of a clean run are byte-identical with the module
-imported or not.
+Injection hooks are **zero-cost when disarmed**: a runtime with neither a
+plan nor a lease deadline holds ``None`` instead of a supervisor and every
+seam guards on one ``is not None`` check, so the modelled cycle accounts of
+a clean run are byte-identical with the module imported or not.
 
 Determinism: :meth:`FaultPlan.from_seed` draws every event from one
 ``random.Random(seed)`` stream, and firing is keyed to *logical* progress
@@ -45,15 +46,28 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .mailbox import MailboxStats
+from .observability import FlightRecorder, LogHistogram
+from .stealing import FlowLease, StealStats
+from .worker import ShardWorker, ShardWorkerStats
+from ..core.model.packet import Packet
+from ..core.queues import QueueStats
 from ..core.queues.base import CounterStatsMixin
 
-#: Faults injected into the simulated runtime's own seams.
-RUNTIME_FAULT_KINDS = ("shard_crash", "shard_stall", "handoff_drop", "ingress_wedge")
+if TYPE_CHECKING:
+    from ..netsim.simulator import EventHandle
+    from .runtime import ShardedRuntime
 
-#: Every fault kind a plan may carry.
-FAULT_KINDS = RUNTIME_FAULT_KINDS
+#: Every fault kind a plan may carry: the simulated runtime's own seams.
+FAULT_KINDS = ("shard_crash", "shard_stall", "handoff_drop", "ingress_wedge")
+
+#: The ``residual_state()`` gauges the fault plane owns; all read zero once
+#: every failure is recovered (and always on an unarmed runtime).
+RESIDUAL_KEYS = (
+    "dead_shards", "stalled_shards", "wedged_ingress_cores", "orphaned_lease_returns"
+)
 
 
 @dataclass(frozen=True)
@@ -136,23 +150,17 @@ class FaultPlan:
         self._wedge_queues: Dict[int, Deque[FaultEvent]] = {}
         self._wedge_pulls: Dict[int, int] = {}
         self._handoff_budget: Dict[int, int] = {}
-        by_shard: Dict[int, List[FaultEvent]] = {}
-        by_lane: Dict[int, List[FaultEvent]] = {}
-        for event in self.events:
+        # A stable sort: events of one target with equal ordinals keep
+        # their plan order.
+        for event in sorted(self.events, key=lambda event: event.at):
             if event.kind in ("shard_crash", "shard_stall"):
-                by_shard.setdefault(event.target, []).append(event)
+                self._shard_queues.setdefault(event.target, deque()).append(event)
             elif event.kind == "ingress_wedge":
-                by_lane.setdefault(event.target, []).append(event)
+                self._wedge_queues.setdefault(event.target, deque()).append(event)
             else:  # handoff_drop
                 self._handoff_budget[event.target] = (
                     self._handoff_budget.get(event.target, 0) + event.count
                 )
-        for shard, entries in by_shard.items():
-            entries.sort(key=lambda event: event.at)
-            self._shard_queues[shard] = deque(entries)
-        for lane, entries in by_lane.items():
-            entries.sort(key=lambda event: event.at)
-            self._wedge_queues[lane] = deque(entries)
 
     @classmethod
     def from_seed(
@@ -160,7 +168,7 @@ class FaultPlan:
         seed: int,
         *,
         num_shards: int,
-        kinds: Sequence[str] = RUNTIME_FAULT_KINDS,
+        kinds: Sequence[str] = FAULT_KINDS,
         events: int = 1,
         max_tick: int = 32,
         max_handoff_drops: int = 4,
@@ -240,31 +248,311 @@ class FaultPlan:
 
     # -- introspection -----------------------------------------------------
 
-    @property
-    def max_shard_target(self) -> int:
-        """Largest shard id any shard-targeted event names (-1 when none)."""
-        targets = [
-            event.target for event in self.events if event.kind != "ingress_wedge"
-        ]
-        return max(targets, default=-1)
-
-    @property
-    def wedge_lanes(self) -> Tuple[int, ...]:
-        """Ingress lanes targeted by wedge events."""
-        return tuple(sorted({e.target for e in self.events if e.kind == "ingress_wedge"}))
+    def check_targets(self, num_shards: int, ingress_lanes: int) -> None:
+        """Raise ``ValueError`` unless every event names a shard or lane that exists."""
+        shards = [event.target for event in self.events if event.kind != "ingress_wedge"]
+        if max(shards, default=-1) >= num_shards:
+            raise ValueError(
+                f"fault plan targets shard {max(shards)} "
+                f"but only {num_shards} shards exist"
+            )
+        for lane in sorted({e.target for e in self.events if e.kind == "ingress_wedge"}):
+            if lane >= ingress_lanes:
+                raise ValueError(
+                    f"fault plan wedges ingress lane {lane} but only "
+                    f"{ingress_lanes} ingress cores exist"
+                )
 
     def describe(self) -> List[dict]:
         """JSON-friendly listing of every armed event (telemetry/debugging)."""
         return [event.as_dict() for event in self.events]
 
-    def __len__(self) -> int:
-        return len(self.events)
+
+@dataclass
+class ShardRecord:
+    """One shard's counters as its telemetry row reads them.
+
+    A crash-restart replaces the worker object, but the supervisor keeps the
+    dead incarnation's record and adds it back on every read
+    (:meth:`Supervisor.fold`): work done survives any number of restarts.
+    """
+
+    shard_id: int
+    stats: ShardWorkerStats
+    queue_stats: QueueStats
+    mailbox: MailboxStats
+    steals: StealStats
+    cycles: float
+    mailbox_wait: Optional[LogHistogram] = None
+    queue_wait: Optional[LogHistogram] = None
+
+    @classmethod
+    def of(cls, worker: ShardWorker) -> "ShardRecord":
+        """Copies of ``worker``'s counters (its mailbox, which outlives a
+        crash, is read live)."""
+        mailbox_wait, queue_wait = worker.mailbox_wait, worker.queue_wait
+        return cls(
+            worker.shard_id, worker.stats.snapshot(), worker.queue_stats_snapshot(),
+            worker.mailbox.stats, worker.steal.snapshot(), worker.cost.total_cycles,
+            mailbox_wait.snapshot() if mailbox_wait is not None else None,
+            queue_wait.snapshot() if queue_wait is not None else None,
+        )
+
+
+class Supervisor:
+    """The fault plane of one :class:`~repro.runtime.runtime.ShardedRuntime`.
+
+    The driver builds one only when a plan or a lease deadline is armed.
+    It owns the plan, the dead / stalled / wedged maps, the lease returns
+    banked for a dead victim, the crashed incarnations' records and the
+    supervision timer, and books into the driver's ``fault_stats`` and
+    ``recovery_log`` (which an unarmed runtime reports as zeros and empty).
+
+    The driver asks one question per seam (:meth:`frozen`,
+    :meth:`tick_blocked`, :meth:`trim_handoff`, ...).  The other way, the
+    supervisor reads only the driver's ``simulator``, ``workers``,
+    ``ingress_cores``, ``tracer`` and whether ``_open_leases`` is empty, and
+    calls only ``_restart_shard`` (the crash transplant),
+    ``_overdue_thieves``, ``_kick_shard`` and ``_wake_ingress``.
+    """
+
+    def __init__(
+        self, runtime: "ShardedRuntime", plan: Optional[FaultPlan],
+        lease_deadline_ns: Optional[int], interval_ns: int,
+    ) -> None:
+        self._runtime = runtime
+        #: Empty when only a lease deadline is armed: every poll then misses.
+        self.plan = plan if plan is not None else FaultPlan(())
+        self.lease_deadline_ns = lease_deadline_ns
+        self.interval_ns = interval_ns
+        self.stats: FaultStats = runtime.fault_stats
+        self.recovery_log: List[dict] = runtime.recovery_log
+        self.tracer: Optional[FlightRecorder] = runtime.tracer
+        self._dead: Dict[int, int] = {}  # shard -> crashed_at_ns
+        self._stalled: Dict[int, int] = {}  # shard -> stalled_at_ns
+        self._wedged: Dict[int, int] = {}  # ingress lane -> wedged_at_ns
+        self._orphan_returns: Dict[int, List[FlowLease]] = {}
+        self._retired: Dict[int, List[ShardRecord]] = {}
+        self._handle: Optional["EventHandle"] = None
+
+    # -- the driver's questions, one per seam ---------------------------------
+
+    def frozen(self, shard: int) -> bool:
+        """True while ``shard`` is dead or stalled: it cannot be woken or lent work."""
+        return shard in self._dead or shard in self._stalled
+
+    def is_dead(self, shard: int) -> bool:
+        """True while ``shard`` awaits its restart."""
+        return shard in self._dead
+
+    def is_wedged(self, lane: int) -> bool:
+        """True while RX ``lane`` is wedged: it ignores wakes until the sweep."""
+        return lane in self._wedged
+
+    def tick_blocked(self, shard: int, now: int) -> bool:
+        """Poll the plan before ``shard`` ticks; True when the tick must not run.
+
+        A due crash marks the shard dead: its tick chain stops, wakes are
+        suppressed, and its state sits untouched until the sweep restarts it
+        (detection latency is part of the modelled recovery time).  A due
+        stall just freezes the tick chain.  A dead shard's stale timer is
+        blocked too.
+        """
+        action = self.plan.next_shard_action(shard)
+        if action is None:
+            return shard in self._dead
+        if action == "shard_crash":
+            self._dead[shard] = now
+            self.stats.crashes_injected += 1
+        else:
+            self._stalled[shard] = now
+            self.stats.stalls_injected += 1
+        self._injected(now, f"shard-{shard}", {"kind": action})
+        return True
+
+    def rx_blocked(self, lane: int, now: int) -> bool:
+        """Poll the plan before RX ``lane`` pulls; True when the pull must not run.
+
+        A wedged poller neither pulls nor reschedules: arrivals keep landing
+        in the ring until the sweep un-wedges the lane.
+        """
+        if not self.plan.next_wedge(lane):
+            return lane in self._wedged
+        self._wedged[lane] = now
+        self.stats.wedges_injected += 1
+        self._injected(now, f"rx-{lane}", {"kind": "ingress_wedge"})
+        return True
+
+    def trim_handoff(
+        self, shard: int, packets: List[Packet], slots: List[int]
+    ) -> Tuple[List[Packet], List[int]]:
+        """Cut what an armed ``handoff_drop`` eats off the head of a routed group.
+
+        The seam loses the packets before anything commits — no route, no
+        pending count — so only the fault ledger (and the tracer) sees
+        them.  Returns the surviving packets and their flow-table slots.
+        """
+        dropped = self.plan.take_handoff_drops(shard, len(packets))
+        if not dropped:
+            return packets, slots
+        self.stats.handoff_drops += dropped
+        if self.tracer is not None:
+            now = self._runtime.simulator.now_ns
+            payload = {"kind": "handoff_drop", "count": dropped}
+            self.tracer.emit(now, f"shard-{shard}", "fault_inject", payload)
+        return packets[dropped:], slots[dropped:]
+
+    def bank_return(self, lease: FlowLease) -> bool:
+        """Keep a lease coming back to a dead victim; True when it was banked.
+
+        The victim's restart takes it back (:meth:`take_returns`); the dead
+        core's deferred work for these flows is already part of its loss.
+        """
+        if lease.victim_shard not in self._dead:
+            return False
+        self._orphan_returns.setdefault(lease.victim_shard, []).append(lease)
+        return True
+
+    def take_returns(self, shard: int) -> List[FlowLease]:
+        """The lease returns banked while ``shard`` lay dead."""
+        return self._orphan_returns.pop(shard, [])
+
+    def lease_granted(self) -> None:
+        """A lease went out: watch its deadline, when one is set."""
+        if self.lease_deadline_ns is not None:
+            self._arm()
+
+    @property
+    def unresolved(self) -> bool:
+        """True while any injected failure awaits the sweep."""
+        return bool(self._dead or self._stalled or self._wedged)
+
+    def residual(self) -> Dict[str, int]:
+        """The fault plane's :data:`RESIDUAL_KEYS` gauges."""
+        orphans = sum(len(leases) for leases in self._orphan_returns.values())
+        return dict(
+            zip(RESIDUAL_KEYS, (len(self._dead), len(self._stalled), len(self._wedged), orphans))
+        )
+
+    def fold(self, worker: ShardWorker) -> ShardRecord:
+        """``worker``'s record with every crashed incarnation of its shard added in.
+
+        Live counters first, then the retirees in crash order, so the float
+        cycle sums add up in the same order on every read.
+        """
+        record = ShardRecord.of(worker)
+        retirees = self._retired.get(worker.shard_id)
+        if retirees:
+            for retired in retirees:
+                record.stats.merge(retired.stats)
+                record.queue_stats.merge(retired.queue_stats)
+                record.steals.merge(retired.steals)
+                record.cycles += retired.cycles
+                if record.mailbox_wait is not None:
+                    record.mailbox_wait.merge(retired.mailbox_wait)
+                if record.queue_wait is not None:
+                    record.queue_wait.merge(retired.queue_wait)
+            # merge() sums every field; a peak must take the max.
+            peaks = [retired.stats.backlog_peak for retired in retirees]
+            record.stats.backlog_peak = max(worker.stats.backlog_peak, *peaks)
+        return record
+
+    # -- the supervision sweep ---------------------------------------------
+
+    def cancel(self) -> None:
+        """Drop the pending sweep, if any."""
+        if self._handle is not None and self._handle.active:
+            self._runtime.simulator.cancel(self._handle)
+        self._handle = None
+
+    def _injected(self, now: int, track: str, payload: dict) -> None:
+        if self.tracer is not None:
+            self.tracer.emit(now, track, "fault_inject", payload)
+        self._arm()
+
+    def _arm(self) -> None:
+        """Guarantee a sweep within one supervise interval.
+
+        Armed only at injection sites and lease grants (under a deadline) —
+        a clean runtime never schedules one.
+        """
+        handle = self._handle
+        if handle is not None and handle.active:
+            return
+        self._handle = self._runtime.simulator.schedule(self.interval_ns, self._sweep)
+
+    def _sweep(self) -> None:
+        """One supervision sweep: restart the dead, unfreeze the stuck.
+
+        Detection is structural, not heartbeat-guesswork: a healthy shard
+        with queued or mailbox work *always* has a tick timer armed (the
+        self-perpetuating tick chain), so "work pending and no timer" is a
+        precise liveness predicate — deadline-sleeping shards keep their
+        far-off timer and never false-positive.  Re-arms itself only while
+        unresolved failures (or open leases under a deadline) remain; future
+        faults re-arm at their injection sites, so a plan entry beyond the
+        run's horizon can never keep the event loop alive.
+        """
+        self._handle = None
+        runtime = self._runtime
+        now = runtime.simulator.now_ns
+        stats = self.stats
+        for shard in sorted(self._dead):
+            self._restart(shard, self._dead.pop(shard), now)
+        if self.lease_deadline_ns is not None:
+            for thief in runtime._overdue_thieves(now - self.lease_deadline_ns):
+                # Escalate-to-restart: a thief sitting on a lease past its
+                # deadline is presumed hung.  Crash it — the standard
+                # recovery reclaims every lease it holds and its victims
+                # resume their deferred flows.
+                stats.deadline_escalations += 1
+                self._restart(thief, now, now)
+        for shard in range(len(runtime.workers)):
+            stalled_at = self._stalled.pop(shard, None) if self._stalled else None
+            if stalled_at is not None:
+                stats.stalls_cleared += 1
+                self._recovered(now, {"kind": "shard_stall", "shard": shard}, stalled_at)
+                runtime._kick_shard(shard)
+            elif runtime._kick_shard(shard):
+                # Liveness belt for failure modes no flag marked.
+                stats.watchdog_kicks += 1
+        for lane in sorted(self._wedged):
+            wedged_at = self._wedged.pop(lane)
+            stats.wedges_cleared += 1
+            self._recovered(now, {"kind": "ingress_wedge", "lane": lane}, wedged_at)
+            if not runtime.ingress_cores[lane].ring.empty:
+                runtime._wake_ingress(lane)
+        if self.unresolved or (self.lease_deadline_ns is not None and runtime._open_leases):
+            self._arm()
+
+    def _restart(self, shard: int, crashed_at: int, now: int) -> None:
+        # Keep the dead incarnation's counters before the transplant dumps
+        # its state (the dump drains the queue through the worker's stats).
+        dead = self._runtime.workers[shard]
+        self._retired.setdefault(shard, []).append(ShardRecord.of(dead))
+        lost, salvaged = self._runtime._restart_shard(shard, now)
+        self.stats.shards_recovered += 1
+        where = {"kind": "shard_crash", "shard": shard}
+        self._recovered(now, where, crashed_at, packets_lost=lost, packets_salvaged=salvaged)
+
+    def _recovered(self, now: int, where: dict, failed_at: int, **losses: int) -> None:
+        """Book one recovery: the counters, the log entry and the trace event."""
+        self.stats.recoveries += 1
+        self.stats.recovery_ns_total += now - failed_at
+        self.recovery_log.append(
+            {**where, "failed_at_ns": failed_at, "recovered_at_ns": now, **losses}
+        )
+        if self.tracer is not None:
+            payload = {**where, "failed_at_ns": failed_at, **losses}
+            self.tracer.emit(now, "supervisor", "fault_recover", payload)
 
 
 __all__ = [
     "FAULT_KINDS",
-    "RUNTIME_FAULT_KINDS",
+    "RESIDUAL_KEYS",
     "FaultEvent",
     "FaultPlan",
     "FaultStats",
+    "ShardRecord",
+    "Supervisor",
 ]

@@ -20,6 +20,10 @@ multi-core scheduler runs one worker loop per CPU against shared wall time:
   paced far into the future;
 * a periodic **rebalancing** sweep (optional) asks the skew-aware
   :class:`~repro.runtime.sharder.ShardRebalancer` for hot-flow migrations;
+* **faults** (optional): with a :class:`~repro.runtime.faults.FaultPlan` or
+  a lease deadline, a :class:`~repro.runtime.faults.Supervisor` fires the
+  planned faults at the seams and runs the recovery sweep; the crash
+  transplant it calls stays here (:meth:`ShardedRuntime._restart_shard`);
 * **work stealing** (optional): a shard that goes idle parks a bounded
   :class:`~repro.runtime.stealing.StealRequest` at the busiest sibling; at
   that victim's next safe point the driver hands the thief a
@@ -66,14 +70,14 @@ from .backend import (
     WorkerSpec,
     resolve_backend,
 )
-from .faults import FaultPlan, FaultStats
+from .faults import RESIDUAL_KEYS, FaultPlan, FaultStats, ShardRecord, Supervisor
 from .flowstate import FlowTable
 from .ingress import IngressCore, IngressLanes, IngressTelemetry, make_admission_factory
 from .mailbox import MailboxStats
 from .observability import FlightRecorder, GaugeValue, LogHistogram, MetricsTimeline
 from .sharder import FlowSharder, ShardRebalancer
 from .stealing import FlowLease, StealChannel, StealRequest, StealStats
-from .worker import QueueFactory, ShardWorker, ShardWorkerStats
+from .worker import QueueFactory, ShardWorker
 from ..core.model.packet import Packet
 from ..core.queues import QueueStats
 from ..netsim.simulator import EventHandle, Simulator
@@ -81,24 +85,6 @@ from ..netsim.simulator import EventHandle, Simulator
 #: Bound on each shard's parked steal requests (the bounded cross-core
 #: request ring; overflow is dropped and counted, never blocked on).
 STEAL_CHANNEL_CAPACITY = 8
-
-
-@dataclass
-class _RetiredShard:
-    """Final counters of a crashed worker incarnation, folded into telemetry.
-
-    A crash-restart replaces the worker object, but the work its dead
-    incarnation already did must stay visible — per-shard telemetry rows
-    merge these snapshots with the live worker's counters so ingested /
-    transmitted / cycles survive any number of restarts.
-    """
-
-    stats: ShardWorkerStats
-    queue_stats: QueueStats
-    steals: StealStats
-    cycles: float
-    mailbox_wait: Optional[LogHistogram] = None
-    queue_wait: Optional[LogHistogram] = None
 
 
 @dataclass
@@ -327,26 +313,23 @@ class ShardedRuntime:
             auto-disabled for the same reason (its trigger is a
             runtime-global packet count).  See :mod:`repro.runtime.backend`
             for why per-shard replay is then exact.
-        fault_plan: optional :class:`~repro.runtime.faults.FaultPlan` arming
-            deterministic faults at the runtime's seams (shard crash/stall,
-            mailbox handoff drops, ingress ring wedge) and the supervision
-            machinery that recovers from them.  ``None`` (the default) keeps
-            every hook on a single ``is not None`` guard — the clean path's
-            modelled cycle accounts are byte-identical with no plan armed.
-            Simulated backend only: the process backend injects no faults.
-        lease_deadline_ns: watchdog deadline on outstanding
+        fault_plan: optional :class:`~repro.runtime.faults.FaultPlan` of
+            deterministic faults (shard crash/stall, mailbox handoff drops,
+            ingress ring wedge).  With it or ``lease_deadline_ns`` set the
+            runtime builds a :class:`~repro.runtime.faults.Supervisor` that
+            fires the faults at the seams and recovers from them; with
+            neither (the default) it holds ``None``, every seam guards on one
+            ``is not None`` check, and the modelled cycle accounts are
+            byte-identical.  Simulated backend only.
+        lease_deadline_ns: deadline on outstanding
             :class:`~repro.runtime.stealing.FlowLease`\\ s — a thief that has
-            not released a stolen window within this bound is presumed hung
-            and crash-restarted by the supervisor, which reclaims the lease
-            (the victim resumes its deferred flows; the thief's private
-            queue, including the unfinished stolen packets, is the loss).
-            ``None`` (the default) trusts thieves forever, the historical
-            behaviour.
-        supervise_interval_ns: period of the supervision sweep while any
-            fault or open-lease deadline is being watched (defaults to two
-            quanta — the detection latency of a crash).  The sweep only
-            runs while something needs watching; an idle clean runtime
-            schedules no supervision events at all.
+            not released a stolen window within it is presumed hung and
+            crash-restarted by the supervisor, which reclaims the lease (the
+            thief's private queue, stolen packets included, is the loss).
+            ``None`` (the default) trusts thieves forever.
+        supervise_interval_ns: period of the supervisor's sweep (defaults to
+            two quanta — the detection latency of a crash).  The sweep only
+            runs while something needs watching.  Simulated backend only.
         latency_histograms: arm the per-seam latency histograms — mailbox
             wait (push → ingest), shard-queue sojourn (stamp → drain) and
             end-to-end submit → transmit, each a
@@ -445,39 +428,24 @@ class ShardedRuntime:
         if supervise_interval_ns is not None and supervise_interval_ns <= 0:
             raise ValueError("supervise_interval_ns must be positive")
         if fault_plan is not None:
-            if fault_plan.max_shard_target >= num_shards:
-                raise ValueError(
-                    f"fault plan targets shard {fault_plan.max_shard_target} "
-                    f"but only {num_shards} shards exist"
-                )
-            for lane in fault_plan.wedge_lanes:
-                if lane >= ingress_cores:
-                    raise ValueError(
-                        f"fault plan wedges ingress lane {lane} but only "
-                        f"{ingress_cores} ingress cores exist"
-                    )
+            fault_plan.check_targets(num_shards, ingress_cores)
         self.backend = resolve_backend(backend, simulator)
         if self.backend.parallel:
-            conflicts = []
-            if steal_enabled:
-                conflicts.append("steal_enabled")
-            if rebalance_interval_ns is not None:
-                conflicts.append("rebalancing")
-            if ingress_cores:
-                conflicts.append("ingress_cores")
-            if on_transmit is not None:
-                conflicts.append("on_transmit")
-            if fault_plan is not None:
-                conflicts.append("fault_plan")
-            if lease_deadline_ns is not None:
-                conflicts.append("lease_deadline_ns")
             # The latency histograms do decompose (per-shard, merged like
             # counter snapshots) — but the tracer and timeline observe the
             # runtime-global seams, which only the shared clock has.
-            if tracer is not None:
-                conflicts.append("tracer")
-            if metrics_timeline is not None:
-                conflicts.append("metrics_timeline")
+            armed = {
+                "steal_enabled": steal_enabled,
+                "rebalancing": rebalance_interval_ns is not None,
+                "ingress_cores": ingress_cores > 0,
+                "on_transmit": on_transmit is not None,
+                "fault_plan": fault_plan is not None,
+                "lease_deadline_ns": lease_deadline_ns is not None,
+                "supervise_interval_ns": supervise_interval_ns is not None,
+                "tracer": tracer is not None,
+                "metrics_timeline": metrics_timeline is not None,
+            }
+            conflicts = [name for name, on in armed.items() if on]
             if conflicts:
                 raise ValueError(
                     "parallel backends need statically decomposable shards; "
@@ -577,31 +545,11 @@ class ShardedRuntime:
             (lambda shard=shard: tick(shard)) for shard in range(num_shards)
         ]
         self._rebalance_handle: Optional[EventHandle] = None
-        # -- the fault plane and its supervision state ----------------------
-        # All of this is inert on a clean run: the seam hooks guard on
-        # `self._faults is not None`, the failure maps stay empty (their
-        # truthiness is the fast-path check), and the supervision timer is
-        # armed only at injection / lease-grant sites.
-        self._faults = fault_plan
-        self.fault_stats = FaultStats()
-        self.lease_deadline_ns = lease_deadline_ns
-        self.supervise_interval_ns = (
-            2 * quantum_ns if supervise_interval_ns is None else supervise_interval_ns
-        )
-        self._dead: Dict[int, int] = {}  # shard -> crashed_at_ns
-        self._stalled: Dict[int, int] = {}  # shard -> stalled_at_ns
-        self._wedged: Dict[int, int] = {}  # ingress lane -> wedged_at_ns
-        self._orphan_returns: Dict[int, List[FlowLease]] = {}
-        self._retired_shards: Dict[int, List[_RetiredShard]] = {}
-        self._supervise_handle: Optional[EventHandle] = None
-        #: One entry per recovery event (crash restart, stall clear, wedge
-        #: clear, deadline escalation) with failure/recovery timestamps.
-        self.recovery_log: List[dict] = []
         # -- the observability plane ----------------------------------------
-        # Same gating discipline as the fault plane: disarmed, the tracer
-        # and timeline are None (one `is not None` guard per seam) and the
-        # latency stamps are never written, so a clean run stays
-        # byte-identical; armed, nothing here charges modelled cycles.
+        # Disarmed, the tracer and timeline are None (one `is not None`
+        # guard per seam) and the latency stamps are never written, so a
+        # clean run stays byte-identical; armed, nothing here charges
+        # modelled cycles.
         self.latency_histograms = latency_histograms
         self.tracer = tracer
         self.timeline = metrics_timeline
@@ -609,6 +557,19 @@ class ShardedRuntime:
             LogHistogram() if latency_histograms else None
         )
         self._timeline_handle: Optional[EventHandle] = None
+        # -- the fault plane ------------------------------------------------
+        # The driver keeps the ledger, so an unarmed runtime reports zeros;
+        # the Supervisor that fires faults and recovers from them exists
+        # only with a plan or a lease deadline, behind the same one-guard
+        # discipline as the observability plane.
+        self.fault_stats = FaultStats()
+        #: One entry per recovery event (crash restart, stall clear, wedge
+        #: clear, deadline escalation) with failure/recovery timestamps.
+        self.recovery_log: List[dict] = []
+        self._supervisor: Optional[Supervisor] = None
+        if fault_plan is not None or lease_deadline_ns is not None:
+            interval = 2 * quantum_ns if supervise_interval_ns is None else supervise_interval_ns
+            self._supervisor = Supervisor(self, fault_plan, lease_deadline_ns, interval)
         # -- the asynchronous ingress layer --------------------------------
         admission_factory = make_admission_factory(admission)
         self.ingress_quantum_ns = (
@@ -781,24 +742,6 @@ class ShardedRuntime:
         else:
             self.sharder.record_shard(shard, taken)
 
-    def _take_handoff_drops(self, shard: int, count: int) -> int:
-        """Packets an armed handoff-drop fault eats off the head of a group.
-
-        The seam loses them before anything commits — no route, no pending
-        count — so only the fault ledger (and the tracer) sees them.
-        """
-        dropped = self._faults.take_handoff_drops(shard, count)
-        if dropped:
-            self.fault_stats.handoff_drops += dropped
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self.simulator.now_ns,
-                    f"shard-{shard}",
-                    "fault_inject",
-                    {"kind": "handoff_drop", "count": dropped},
-                )
-        return dropped
-
     def submit(self, packet: Packet) -> bool:
         """Offer one packet to the runtime; False when it was dropped.
 
@@ -819,9 +762,12 @@ class ShardedRuntime:
         if self.ingress_cores:
             return self._offer_ingress([packet]) == 1
         by_shard, slots_by_shard = self._route_burst([packet])
-        ((shard, _group),) = by_shard.items()
-        if self._faults is not None and self._take_handoff_drops(shard, 1):
-            return False
+        ((shard, group),) = by_shard.items()
+        slots = slots_by_shard[shard]
+        if self._supervisor is not None:
+            group, slots = self._supervisor.trim_handoff(shard, group, slots)
+            if not group:
+                return False
         if self.latency_histograms:
             now = self.simulator.now_ns
             packet.metadata["e2e_ns"] = now
@@ -829,7 +775,7 @@ class ShardedRuntime:
         if not self.workers[shard].mailbox.push(packet):
             self.ingress_drops += 1
             return False
-        self._commit_group([packet], slots_by_shard[shard], shard, 1)
+        self._commit_group(group, slots, shard, 1)
         self._wake_shard(shard)
         self._wake_idle_thieves(shard)
         self._arm_rebalance()
@@ -856,16 +802,13 @@ class ShardedRuntime:
                 packet.metadata["mbox_ns"] = now
         by_shard, slots_by_shard = self._route_burst(packets)
         accepted = 0
-        faults = self._faults
+        supervisor = self._supervisor
         for shard, group in by_shard.items():
             slots = slots_by_shard[shard]
-            if faults is not None:
-                dropped = self._take_handoff_drops(shard, len(group))
-                if dropped:
-                    group = group[dropped:]
-                    slots = slots[dropped:]
-                    if not group:
-                        continue
+            if supervisor is not None:
+                group, slots = supervisor.trim_handoff(shard, group, slots)
+                if not group:
+                    continue
             mailbox = self.workers[shard].mailbox
             before = len(mailbox)
             taken = mailbox.push_batch(group)
@@ -927,7 +870,7 @@ class ShardedRuntime:
         arrivals; only :meth:`_wake_stalled_ingress` (the watermark resume
         edge) ever pulls an armed retry forward.
         """
-        if self._wedged and lane in self._wedged:
+        if self._supervisor is not None and self._supervisor.is_wedged(lane):
             return  # a wedged poller ignores wakes until the supervisor acts
         handle = self._ingress_handles[lane]
         if handle is not None and handle.active:
@@ -950,7 +893,7 @@ class ShardedRuntime:
         for lane, core in enumerate(self.ingress_cores):
             if not core.stalled or core.ring.empty:
                 continue
-            if self._wedged and lane in self._wedged:
+            if self._supervisor is not None and self._supervisor.is_wedged(lane):
                 continue
             handle = self._ingress_handles[lane]
             if handle is not None and handle.active:
@@ -965,19 +908,8 @@ class ShardedRuntime:
         core = self.ingress_cores[lane]
         self._ingress_handles[lane] = None
         now = self.simulator.now_ns
-        if self._faults is not None and self._faults.next_wedge(lane):
-            # The RX poller wedges: no pull, no reschedule.  Arrivals keep
-            # landing in the ring until the supervisor un-wedges the lane.
-            self._wedged[lane] = now
-            self.fault_stats.wedges_injected += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    now, f"rx-{lane}", "fault_inject", {"kind": "ingress_wedge"}
-                )
-            self._arm_supervision()
-            return
-        if self._wedged and lane in self._wedged:
-            return
+        if self._supervisor is not None and self._supervisor.rx_blocked(lane, now):
+            return  # wedged: no pull, no reschedule
         delivered = core.pull(now, self._route_burst, self._mailboxes, self._ingress_deliver)
         if self.tracer is not None:
             self.tracer.emit(
@@ -1000,13 +932,10 @@ class ShardedRuntime:
 
     def _ingress_deliver(self, shard: int, packets: List[Packet], slots: List[int]) -> int:
         """Land one routed group in its mailbox; its slots go on to the commit."""
-        if self._faults is not None:
-            dropped = self._take_handoff_drops(shard, len(packets))
-            if dropped:
-                packets = packets[dropped:]
-                slots = slots[dropped:]
-                if not packets:
-                    return 0
+        if self._supervisor is not None:
+            packets, slots = self._supervisor.trim_handoff(shard, packets, slots)
+            if not packets:
+                return 0
         mailbox = self._mailboxes[shard]
         before = len(mailbox)
         if self.latency_histograms:
@@ -1055,9 +984,7 @@ class ShardedRuntime:
 
     def _wake_shard(self, shard: int) -> None:
         """Guarantee the shard ticks within one quantum of new work."""
-        if (self._dead and shard in self._dead) or (
-            self._stalled and shard in self._stalled
-        ):
+        if self._supervisor is not None and self._supervisor.frozen(shard):
             return  # a dead or frozen core cannot be woken; supervision will
         handle = self._tick_handles[shard]
         now = self.simulator.now_ns
@@ -1075,13 +1002,8 @@ class ShardedRuntime:
         worker = self.workers[shard]
         now = self.simulator.now_ns
         self._tick_handles[shard] = None
-        if self._faults is not None:
-            action = self._faults.next_shard_action(shard)
-            if action is not None:
-                self._inject_shard_fault(shard, action, now)
-                return  # the tick never runs; no next tick is scheduled
-        if self._dead and shard in self._dead:
-            return  # stale timer of a crashed core
+        if self._supervisor is not None and self._supervisor.tick_blocked(shard, now):
+            return  # a fault fired, or the stale timer of a crashed core
         inbox = self._loan_inbox[shard]
         if inbox:
             # Thief role, first: splice freshly granted leases into this
@@ -1195,8 +1117,7 @@ class ShardedRuntime:
                 or thief_worker.leases_held
                 or thief_worker.flows_on_loan
                 or self._loan_inbox[request.thief_shard]
-                or (self._dead and request.thief_shard in self._dead)
-                or (self._stalled and request.thief_shard in self._stalled)
+                or (self._supervisor is not None and self._supervisor.frozen(request.thief_shard))
             ):
                 # The thief found its own work since parking the request —
                 # or already has a lease granted (possibly still sitting in
@@ -1232,8 +1153,8 @@ class ShardedRuntime:
                     },
                 )
             self._wake_shard(request.thief_shard)
-            if self.lease_deadline_ns is not None:
-                self._arm_supervision()
+            if self._supervisor is not None:
+                self._supervisor.lease_granted()
 
     def _maybe_request_steal(self, shard: int, now: int) -> None:
         """Thief role: when empty, park a steal request at the busiest sibling.
@@ -1269,7 +1190,7 @@ class ShardedRuntime:
         for other, pending in enumerate(loads):
             if other == shard:
                 continue
-            if self._dead and other in self._dead:
+            if self._supervisor is not None and self._supervisor.is_dead(other):
                 continue  # a corpse's backlog is being recovered, not robbed
             if pending > victim_pending:
                 victim, victim_pending = other, pending
@@ -1295,12 +1216,13 @@ class ShardedRuntime:
                 "lease_return",
                 {"lease_id": lease.lease_id, "victim": lease.victim_shard},
             )
-        if self._dead and lease.victim_shard in self._dead:
-            # The donor died while its lease was out.  Bank the return for
-            # the replacement worker: shapers re-install and the sharder's
-            # loan entry clears at recovery (the dead core's deferred work
-            # for these flows is already part of its crash loss).
-            self._orphan_returns.setdefault(lease.victim_shard, []).append(lease)
+        self._return_lease(lease, now)
+
+    def _return_lease(self, lease: FlowLease, now: int) -> None:
+        """Give a finished or reclaimed lease back to its victim, which
+        re-adopts the travelled shapers and flushes its deferred flows (a
+        dead victim's return is banked for its restart)."""
+        if self._supervisor is not None and self._supervisor.bank_return(lease):
             return
         victim = self.workers[lease.victim_shard]
         flushed = victim.end_lease(lease, now)
@@ -1426,177 +1348,60 @@ class ShardedRuntime:
         if any(worker.pending for worker in self.workers):
             self._arm_rebalance()
 
-    # -- fault injection and supervision -----------------------------------
+    # -- recovery: what the supervisor asks of the driver ------------------
 
-    def _inject_shard_fault(self, shard: int, action: str, now: int) -> None:
-        """Arm one shard fault (fires from the victim's own tick).
-
-        A crash marks the shard dead — its tick chain stops, wakes are
-        suppressed, and its private state sits untouched until the
-        supervision sweep performs the restart (detection latency is part of
-        the modelled recovery time).  A stall just freezes the tick chain.
-        """
-        if action == "shard_crash":
-            self._dead[shard] = now
-            self.fault_stats.crashes_injected += 1
-        else:
-            self._stalled[shard] = now
-            self.fault_stats.stalls_injected += 1
-        if self.tracer is not None:
-            self.tracer.emit(now, f"shard-{shard}", "fault_inject", {"kind": action})
-        self._arm_supervision()
-
-    def _arm_supervision(self) -> None:
-        """Guarantee a supervision sweep within one supervise interval.
-
-        Armed only at fault-injection sites and lease grants (when a lease
-        deadline is configured) — a clean runtime never schedules one.
-        """
-        handle = self._supervise_handle
-        if handle is not None and handle.active:
-            return
-        self._supervise_handle = self.simulator.schedule(
-            self.supervise_interval_ns, self._supervise_tick
+    def _overdue_thieves(self, granted_before: int) -> List[int]:
+        """Thieves holding a lease granted before ``granted_before``, in shard order."""
+        return sorted(
+            {
+                lease.thief_shard
+                for lease, _remaining in self._open_leases.values()
+                if lease.granted_at_ns < granted_before
+            }
         )
 
-    def _supervise_tick(self) -> None:
-        """One supervision sweep: restart the dead, unfreeze the stuck.
+    def _kick_shard(self, shard: int) -> bool:
+        """Wake ``shard`` if it has work but no tick armed; True when woken.
 
-        Detection is structural, not heartbeat-guesswork: a healthy shard
-        with queued or mailbox work *always* has a tick timer armed (the
-        self-perpetuating tick chain), so "work pending and no timer" is a
-        precise liveness predicate — deadline-sleeping shards keep their
-        far-off timer and never false-positive.  Re-arms itself only while
-        unresolved failures (or open leases under a deadline) remain; future
-        faults re-arm at their injection sites, so a plan entry beyond the
-        run's horizon can never keep the event loop alive.
+        A healthy shard with work always has a tick armed.  A granted lease
+        still in the inbox counts as work: only a thief stalled since the
+        grant can hold one with no tick armed (the grant wakes the thief).
         """
-        self._supervise_handle = None
-        now = self.simulator.now_ns
-        stats = self.fault_stats
-        if self._dead:
-            for shard in sorted(self._dead):
-                if shard in self._dead:
-                    self._recover_shard(shard, now)
-        if self.lease_deadline_ns is not None and self._open_leases:
-            deadline = self.lease_deadline_ns
-            overdue = sorted(
-                {
-                    entry[0].thief_shard
-                    for entry in self._open_leases.values()
-                    if now - entry[0].granted_at_ns > deadline
-                }
-            )
-            for thief in overdue:
-                # Escalate-to-restart: a thief sitting on a lease past its
-                # deadline is presumed hung.  Crash it — the standard
-                # recovery reclaims every lease it holds and its victims
-                # resume their deferred flows.
-                stats.deadline_escalations += 1
-                self._dead[thief] = now
-                self._recover_shard(thief, now)
-        for shard, worker in enumerate(self.workers):
-            stalled_at = self._stalled.pop(shard, None) if self._stalled else None
-            handle = self._tick_handles[shard]
-            armed = handle is not None and handle.active
-            has_work = worker.backlog > 0 or len(worker.mailbox) > 0
-            if stalled_at is not None:
-                stats.stalls_cleared += 1
-                stats.recoveries += 1
-                stats.recovery_ns_total += now - stalled_at
-                self.recovery_log.append(
-                    {
-                        "kind": "shard_stall",
-                        "shard": shard,
-                        "failed_at_ns": stalled_at,
-                        "recovered_at_ns": now,
-                    }
-                )
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        now,
-                        "supervisor",
-                        "fault_recover",
-                        {"kind": "shard_stall", "shard": shard, "failed_at_ns": stalled_at},
-                    )
-                if (has_work or self._loan_inbox[shard]) and not armed:
-                    self._wake_shard(shard)
-            elif has_work and not armed:
-                # Liveness belt for failure modes no flag marked.
-                stats.watchdog_kicks += 1
-                self._wake_shard(shard)
-        if self._wedged:
-            for lane in sorted(self._wedged):
-                wedged_at = self._wedged.pop(lane)
-                stats.wedges_cleared += 1
-                stats.recoveries += 1
-                stats.recovery_ns_total += now - wedged_at
-                self.recovery_log.append(
-                    {
-                        "kind": "ingress_wedge",
-                        "lane": lane,
-                        "failed_at_ns": wedged_at,
-                        "recovered_at_ns": now,
-                    }
-                )
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        now,
-                        "supervisor",
-                        "fault_recover",
-                        {"kind": "ingress_wedge", "lane": lane, "failed_at_ns": wedged_at},
-                    )
-                if not self.ingress_cores[lane].ring.empty:
-                    self._wake_ingress(lane)
-        if (
-            self._dead
-            or self._stalled
-            or self._wedged
-            or (self.lease_deadline_ns is not None and self._open_leases)
-        ):
-            self._arm_supervision()
+        handle = self._tick_handles[shard]
+        if handle is not None and handle.active:
+            return False
+        worker = self.workers[shard]
+        if worker.backlog > 0 or len(worker.mailbox) > 0 or self._loan_inbox[shard]:
+            self._wake_shard(shard)
+            return True
+        return False
 
-    def _recover_shard(self, shard: int, now: int) -> None:
+    def _restart_shard(self, shard: int, now: int) -> Tuple[int, int]:
         """Crash-restart one shard: salvage what survives, account the loss.
 
+        The supervisor keeps the dead incarnation's counters, calls this,
+        and books the returned ``(packets lost, packets salvaged)``.
         Ordering matters:
 
-        1. snapshot the dead incarnation's counters *before* dumping its
-           state (the dump drains the queue through its own stats);
-        2. reclaim every lease the dead shard held as thief — each victim
+        1. reclaim every lease the dead shard held as thief — each victim
            re-adopts its travelled shapers and flushes its deferred flows;
-           stolen packets still queued on the thief die in step 3, and a
+           stolen packets still queued on the thief die in step 2, and a
            lease that never left the handoff inbox loses its whole burst;
-        3. dump the core-private state: queued and lease-deferred packets
+        2. dump the core-private state: queued and lease-deferred packets
            are the crash loss, written off against the flow table;
-        4. build the replacement and transplant what survives — the mailbox
+        3. build the replacement and transplant what survives — the mailbox
            *object* (a producer-owned ring whose buffered arrivals replay
            into the fresh worker, keeping the ingress ``on_low`` wiring and
            stats continuity), open-loan markers for flows this shard had
            lent out, banked lease returns that arrived while it lay dead,
            and pacing state of flows that still have packets in flight here
            (:meth:`PacingTable.detach` → ``install``);
-        5. flows homed here with nothing in flight re-home lazily: the home
+        4. flows homed here with nothing in flight re-home lazily: the home
            clears, the next packet routes by policy, and the re-armed
            rebalancer re-pins from fresh load figures.
         """
-        crashed_at = self._dead.pop(shard)
         old = self.workers[shard]
         stats = self.fault_stats
-        self._retired_shards.setdefault(shard, []).append(
-            _RetiredShard(
-                stats=old.stats.snapshot(),
-                queue_stats=old.queue_stats_snapshot(),
-                steals=old.steal.snapshot(),
-                cycles=old.cost.total_cycles,
-                mailbox_wait=(
-                    old.mailbox_wait.snapshot() if old.mailbox_wait is not None else None
-                ),
-                queue_wait=(
-                    old.queue_wait.snapshot() if old.queue_wait is not None else None
-                ),
-            )
-        )
         in_flight = self._in_flight
 
         def write_off(packets) -> None:
@@ -1619,18 +1424,9 @@ class ShardedRuntime:
             if lease_id in inbox_ids:
                 # Granted but never accepted: the burst died in the handoff.
                 write_off([packet for _send_at, packet in lease.packets])
-            if self._dead and lease.victim_shard in self._dead:
-                # The victim crashed in the same sweep and is not yet
-                # rebuilt: bank the return for its own recovery pass.
-                self._orphan_returns.setdefault(lease.victim_shard, []).append(lease)
-                continue
-            victim = self.workers[lease.victim_shard]
-            flushed = victim.end_lease(lease, now)
-            for flow_id in lease.flow_ids:
-                self.sharder.restore(flow_id)
-            self._deliver(flushed, now)
-            if victim.pending:
-                self._wake_shard(lease.victim_shard)
+            # A victim that crashed in the same sweep and is not yet
+            # rebuilt has the return banked for its own restart.
+            self._return_lease(lease, now)
         lost, loaned = old.crash_dump()
         write_off(lost)
         mailbox = old.mailbox
@@ -1639,7 +1435,7 @@ class ShardedRuntime:
         # Same object, not a copy: self._mailboxes[shard] and the ingress
         # on_low wiring keep pointing at it, and its stats run on.
         fresh.mailbox = mailbox
-        for lease in self._orphan_returns.pop(shard, ()):
+        for lease in self._supervisor.take_returns(shard):
             # Leases that came back while this shard lay dead: re-adopt the
             # travelled shapers; the deferred work died in the dump above.
             for flow_id, shaper in lease.shapers.items():
@@ -1666,35 +1462,10 @@ class ShardedRuntime:
                 stats.flows_rehomed += 1
                 self.sharder.forget(flow_id)
         self.workers[shard] = fresh
-        stats.shards_recovered += 1
-        stats.recoveries += 1
-        stats.recovery_ns_total += now - crashed_at
-        self.recovery_log.append(
-            {
-                "kind": "shard_crash",
-                "shard": shard,
-                "failed_at_ns": crashed_at,
-                "recovered_at_ns": now,
-                "packets_lost": len(lost),
-                "packets_salvaged": len(mailbox),
-            }
-        )
-        if self.tracer is not None:
-            self.tracer.emit(
-                now,
-                "supervisor",
-                "fault_recover",
-                {
-                    "kind": "shard_crash",
-                    "shard": shard,
-                    "failed_at_ns": crashed_at,
-                    "packets_lost": len(lost),
-                    "packets_salvaged": len(mailbox),
-                },
-            )
         self._arm_rebalance()
         if len(mailbox):
             self._wake_shard(shard)
+        return len(lost), len(mailbox)
 
     # -- metrics timeline --------------------------------------------------
 
@@ -1721,15 +1492,14 @@ class ShardedRuntime:
         if (
             self.pending
             or self._open_leases
-            or self._dead
-            or self._stalled
-            or self._wedged
+            or (self._supervisor is not None and self._supervisor.unresolved)
         ):
             self._arm_timeline()
 
     def _timeline_gauges(self) -> Dict[str, GaugeValue]:
         """One gauge sample: the runtime's load picture at this instant."""
         workers = self.workers
+        faults = self._fault_residual()
         gauges: Dict[str, GaugeValue] = {
             "shard_backlog": {str(w.shard_id): w.backlog for w in workers},
             "mailbox_occupancy": {str(w.shard_id): len(w.mailbox) for w in workers},
@@ -1739,8 +1509,8 @@ class ShardedRuntime:
             "pacing_flows": sum(len(w.pacing) for w in workers),
             "open_leases": len(self._open_leases),
             "flows_on_loan": sum(w.flows_on_loan for w in workers),
-            "dead_shards": len(self._dead),
-            "stalled_shards": len(self._stalled),
+            "dead_shards": faults["dead_shards"],
+            "stalled_shards": faults["stalled_shards"],
         }
         if self.ingress_cores:
             gauges["rx_ring_depth"] = {
@@ -1795,23 +1565,15 @@ class ShardedRuntime:
         """Cancel every outstanding shard, ingress, and rebalancing timer."""
         if self.simulator is None:
             return  # parallel backends hold no timers in this process
-        for shard, handle in enumerate(self._tick_handles):
+        handles = self._tick_handles + self._ingress_handles
+        for handle in (*handles, self._rebalance_handle, self._timeline_handle):
             if handle is not None and handle.active:
                 self.simulator.cancel(handle)
-            self._tick_handles[shard] = None
-        for lane, handle in enumerate(self._ingress_handles):
-            if handle is not None and handle.active:
-                self.simulator.cancel(handle)
-            self._ingress_handles[lane] = None
-        if self._rebalance_handle is not None and self._rebalance_handle.active:
-            self.simulator.cancel(self._rebalance_handle)
-        self._rebalance_handle = None
-        if self._supervise_handle is not None and self._supervise_handle.active:
-            self.simulator.cancel(self._supervise_handle)
-        self._supervise_handle = None
-        if self._timeline_handle is not None and self._timeline_handle.active:
-            self.simulator.cancel(self._timeline_handle)
-        self._timeline_handle = None
+        self._tick_handles[:] = [None] * len(self._tick_handles)
+        self._ingress_handles[:] = [None] * len(self._ingress_handles)
+        self._rebalance_handle = self._timeline_handle = None
+        if self._supervisor is not None:
+            self._supervisor.cancel()
 
     # -- introspection -----------------------------------------------------
 
@@ -1887,88 +1649,52 @@ class ShardedRuntime:
                 for core in self.ingress_cores
                 if core.stalled and not core.ring.empty
             ),
-            "dead_shards": len(self._dead),
-            "stalled_shards": len(self._stalled),
-            "wedged_ingress_cores": len(self._wedged),
-            "orphaned_lease_returns": sum(
-                len(leases) for leases in self._orphan_returns.values()
-            ),
+            **self._fault_residual(),
         }
+
+    def _fault_residual(self) -> Dict[str, int]:
+        """The fault plane's residual gauges (all zero on an unarmed runtime)."""
+        if self._supervisor is None:
+            return dict.fromkeys(RESIDUAL_KEYS, 0)
+        return self._supervisor.residual()
 
     @property
     def transmitted(self) -> int:
         """Packets released by all shards."""
-        results = self.backend.results if self.backend.parallel else None
-        if results is not None:
-            return sum(result.stats.transmitted for result in results)
-        total = sum(worker.stats.transmitted for worker in self.workers)
-        if self._retired_shards:
-            total += sum(
-                retired.stats.transmitted
-                for retirees in self._retired_shards.values()
-                for retired in retirees
-            )
-        return total
+        return sum(record.stats.transmitted for record in self._shard_records())
 
-    def _shard_telemetry(self) -> List[ShardTelemetry]:
-        """Per-shard telemetry rows — live workers, or joined shard results."""
+    def _shard_records(self) -> List[ShardRecord]:
+        """Every shard's counters: the joined shard results of a parallel
+        run, else the live workers with their crashed incarnations folded in."""
         results = self.backend.results if self.backend.parallel else None
         if results is not None:
             return [
-                ShardTelemetry(
-                    shard_id=result.shard_id,
-                    ingested=result.stats.ingested,
-                    transmitted=result.stats.transmitted,
-                    ticks=result.stats.ticks,
-                    idle_ticks=result.stats.idle_ticks,
-                    backlog_peak=result.stats.backlog_peak,
-                    cycles=result.cycles,
-                    queue_stats=result.queue_stats,
-                    mailbox=result.mailbox,
-                    steals=StealStats(),
+                ShardRecord(
+                    r.shard_id, r.stats, r.queue_stats, r.mailbox, StealStats(), r.cycles,
+                    r.mailbox_wait, r.queue_wait,
                 )
-                for result in results
+                for r in results
             ]
-        rows = []
-        for worker in self.workers:
-            stats = worker.stats
-            queue_stats = worker.queue_stats_snapshot()
-            steals = worker.steal.snapshot()
-            cycles = worker.cost.total_cycles
-            retirees = (
-                self._retired_shards.get(worker.shard_id)
-                if self._retired_shards
-                else None
+        fold = ShardRecord.of if self._supervisor is None else self._supervisor.fold
+        return [fold(worker) for worker in self.workers]
+
+    def _shard_telemetry(self) -> List[ShardTelemetry]:
+        """Per-shard telemetry rows, one per :meth:`_shard_records` entry."""
+        return [
+            ShardTelemetry(
+                shard_id=record.shard_id,
+                ingested=record.stats.ingested,
+                transmitted=record.stats.transmitted,
+                ticks=record.stats.ticks,
+                idle_ticks=record.stats.idle_ticks,
+                backlog_peak=record.stats.backlog_peak,
+                cycles=record.cycles,
+                queue_stats=record.queue_stats,
+                mailbox=record.mailbox,
+                steals=record.steals,
             )
-            if retirees:
-                # Fold the crashed incarnations' final counters back in so
-                # a restart never makes work disappear from telemetry.
-                stats = stats.snapshot()
-                for retired in retirees:
-                    stats.merge(retired.stats)
-                    queue_stats.merge(retired.queue_stats)
-                    steals.merge(retired.steals)
-                    cycles += retired.cycles
-                # merge() sums every field; a peak must take the max.
-                stats.backlog_peak = max(
-                    worker.stats.backlog_peak,
-                    *(retired.stats.backlog_peak for retired in retirees),
-                )
-            rows.append(
-                ShardTelemetry(
-                    shard_id=worker.shard_id,
-                    ingested=stats.ingested,
-                    transmitted=stats.transmitted,
-                    ticks=stats.ticks,
-                    idle_ticks=stats.idle_ticks,
-                    backlog_peak=stats.backlog_peak,
-                    cycles=cycles,
-                    queue_stats=queue_stats,
-                    mailbox=worker.mailbox.stats,
-                    steals=steals,
-                )
-            )
-        return rows
+            for record in self._shard_records()
+        ]
 
     def _latency_telemetry(self) -> Dict[str, LogHistogram]:
         """Merge the per-seam latency histograms into runtime-wide ones.
@@ -1984,33 +1710,17 @@ class ShardedRuntime:
             latency["rx_sojourn"] = LogHistogram.aggregate(
                 core.sojourn_hist for core in self.ingress_cores
             )
-        results = self.backend.results if self.backend.parallel else None
-        if results is not None:
-            mailbox = [r.mailbox_wait for r in results if r.mailbox_wait is not None]
-            queue = [r.queue_wait for r in results if r.queue_wait is not None]
-            e2e = [r.e2e_latency for r in results if r.e2e_latency is not None]
-            if mailbox:
-                latency["mailbox_wait"] = LogHistogram.aggregate(mailbox)
-            if queue:
-                latency["queue_sojourn"] = LogHistogram.aggregate(queue)
-            if e2e:
-                latency["e2e"] = LogHistogram.aggregate(e2e)
-            return latency
         if not self.latency_histograms:
             return latency
-        mailbox = [w.mailbox_wait for w in self.workers if w.mailbox_wait is not None]
-        queue = [w.queue_wait for w in self.workers if w.queue_wait is not None]
-        if self._retired_shards:
-            for retirees in self._retired_shards.values():
-                for retired in retirees:
-                    if retired.mailbox_wait is not None:
-                        mailbox.append(retired.mailbox_wait)
-                    if retired.queue_wait is not None:
-                        queue.append(retired.queue_wait)
-        latency["mailbox_wait"] = LogHistogram.aggregate(mailbox)
-        latency["queue_sojourn"] = LogHistogram.aggregate(queue)
-        assert self._e2e is not None
-        latency["e2e"] = self._e2e.snapshot()
+        records = self._shard_records()
+        latency["mailbox_wait"] = LogHistogram.aggregate(r.mailbox_wait for r in records)
+        latency["queue_sojourn"] = LogHistogram.aggregate(r.queue_wait for r in records)
+        results = self.backend.results if self.backend.parallel else None
+        if results is not None:
+            latency["e2e"] = LogHistogram.aggregate(r.e2e_latency for r in results)
+        else:
+            assert self._e2e is not None
+            latency["e2e"] = self._e2e.snapshot()
         return latency
 
     def telemetry(self) -> RuntimeTelemetry:

@@ -55,8 +55,8 @@ WORKLOAD_NAMES = ("websearch", "datamining")
 PATTERN_NAMES = ("round_robin", "zipf")
 
 #: Fault kinds a scenario may arm (the simulated runtime's seams; mirrors
-#: :data:`repro.runtime.faults.RUNTIME_FAULT_KINDS` — kept local so the spec
-#: layer stays import-light).
+#: :data:`repro.runtime.faults.FAULT_KINDS` — kept local so the spec layer
+#: stays import-light; a test asserts the two agree).
 FAULT_KIND_NAMES = ("shard_crash", "shard_stall", "handoff_drop", "ingress_wedge")
 
 
@@ -493,17 +493,18 @@ def _validate_runtime(spec: ScenarioSpec) -> None:
                 f"clock, which the {backend!r} backend does not have; set "
                 "ingress.cores = 0 or use backend='simulated'",
             )
-        if (
-            spec.faults.kinds
-            or spec.faults.lease_deadline_ns is not None
-            or spec.faults.supervise_interval_ns is not None
+        for field_name, armed in (
+            ("kinds", bool(spec.faults.kinds)),
+            ("lease_deadline_ns", spec.faults.lease_deadline_ns is not None),
+            ("supervise_interval_ns", spec.faults.supervise_interval_ns is not None),
         ):
-            raise BackendIncompatibleError(
-                "faults.kinds",
-                f"fault injection and supervision run on the shared simulated "
-                f"clock, which the {backend!r} backend does not have; clear "
-                "the [faults] block or use backend='simulated'",
-            )
+            if armed:
+                raise BackendIncompatibleError(
+                    f"faults.{field_name}",
+                    f"fault injection and supervision run on the shared "
+                    f"simulated clock, which the {backend!r} backend does not "
+                    "have; clear the [faults] block or use backend='simulated'",
+                )
         # Histograms decompose per shard; the tracer and timeline observe
         # runtime-global seams only the shared clock has.
         if spec.observability.tracer:

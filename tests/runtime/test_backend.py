@@ -212,6 +212,7 @@ class TestParallelConfigGuards:
             ({"on_transmit": lambda packet, now: None}, "on_transmit"),
             ({"fault_plan": FaultPlan([])}, "fault_plan"),
             ({"lease_deadline_ns": 100_000}, "lease_deadline_ns"),
+            ({"supervise_interval_ns": 100_000}, "supervise_interval_ns"),
             ({"tracer": FlightRecorder()}, "tracer"),
             ({"metrics_timeline": MetricsTimeline()}, "metrics_timeline"),
         ],

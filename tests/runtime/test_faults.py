@@ -20,7 +20,8 @@ import pytest
 
 import repro.runtime.backend as backend_module
 from repro.core.model.packet import Packet
-from repro.runtime import FaultEvent, FaultPlan, FaultStats, ShardedRuntime
+from repro.runtime import FAULT_KINDS, FaultEvent, FaultPlan, FaultStats, ShardedRuntime
+from repro.scenario import FAULT_KIND_NAMES
 from repro.runtime.backend import EXIT_FRAME_CORRUPT
 from repro.runtime.sharder import FlowSharder
 from repro.runtime.shm import RING_EMPTY, ShmRing
@@ -98,6 +99,10 @@ class TestFaultPlan:
         assert plan.take_handoff_drops(1, 3) == 2
         assert plan.take_handoff_drops(1, 3) == 0
         assert plan.take_handoff_drops(0, 3) == 0  # other shards untouched
+
+    def test_the_spec_names_the_same_kinds_as_the_runtime(self):
+        # The spec layer keeps its own copy to stay import-light.
+        assert FAULT_KIND_NAMES == FAULT_KINDS
 
     def test_runtime_rejects_out_of_range_targets(self):
         plan = FaultPlan([FaultEvent("shard_crash", target=7)])
@@ -179,6 +184,32 @@ class TestShardStall:
         assert runtime.transmitted == 40
         _assert_flow_fifo(runtime)
         _assert_residual_clean(runtime)
+
+    def test_arrivals_do_not_wake_a_stalled_shard(self):
+        # Every flow lives on shard 0 and departs at its tick (fast pacing),
+        # so any departure inside the stall window would be a woken stall.
+        sharder = FlowSharder(2)
+        for flow_id in range(4):
+            sharder.pin(flow_id, 0)
+        runtime = ShardedRuntime(
+            2,
+            sharder=sharder,
+            default_rate_bps=10e9,
+            quantum_ns=10_000,
+            record_transmits=True,
+            fault_plan=FaultPlan([FaultEvent("shard_stall", target=0, at=2)]),
+        )
+        for t in range(6):
+            runtime.submit_at(t * 5_000, _packets(range(4)))
+        runtime.run()
+        (entry,) = runtime.recovery_log
+        assert (entry["failed_at_ns"], entry["recovered_at_ns"]) == (5_000, 25_000)
+        assert not [
+            now
+            for now, _packet in runtime.transmit_log
+            if entry["failed_at_ns"] <= now < entry["recovered_at_ns"]
+        ]
+        assert runtime.transmitted == 24
 
 
 class TestIngressWedge:

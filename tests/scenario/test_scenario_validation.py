@@ -194,6 +194,8 @@ def test_fabric_load_above_one_is_oversubscribed():
          "runtime.rebalance_interval_ns"),
         (dict(), dict(cores=2), dict(), "ingress.cores"),
         (dict(), dict(), dict(kinds=("shard_crash",)), "faults.kinds"),
+        (dict(), dict(), dict(lease_deadline_ns=100_000), "faults.lease_deadline_ns"),
+        (dict(), dict(), dict(supervise_interval_ns=100_000), "faults.supervise_interval_ns"),
     ],
 )
 def test_the_process_backend_rejects_cross_shard_knobs(runtime, ingress, faults,
