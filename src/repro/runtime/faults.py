@@ -308,12 +308,13 @@ class Supervisor:
     supervision timer, and books into the driver's ``fault_stats`` and
     ``recovery_log`` (which an unarmed runtime reports as zeros and empty).
 
-    The driver asks one question per seam (:meth:`frozen`,
-    :meth:`tick_blocked`, :meth:`trim_handoff`, ...).  The other way, the
-    supervisor reads only the driver's ``simulator``, ``workers``,
-    ``ingress_cores``, ``tracer`` and whether ``_open_leases`` is empty, and
-    calls only ``_restart_shard`` (the crash transplant),
-    ``_overdue_thieves``, ``_kick_shard`` and ``_wake_ingress``.
+    The driver and its stealing plane ask one question per seam
+    (:meth:`frozen`, :meth:`tick_blocked`, :meth:`trim_handoff`, ...).  The
+    other way, the supervisor reads only the driver's ``simulator``,
+    ``workers``, ``ingress_cores``, ``tracer`` and ``_stealer`` (``None``:
+    no lease is ever out), calls only ``_restart_shard`` (the crash
+    transplant), ``_kick_shard`` and ``_wake_ingress``, and asks the plane
+    only for ``overdue_thieves`` and whether ``open_leases`` is empty.
     """
 
     def __init__(
@@ -499,8 +500,10 @@ class Supervisor:
         stats = self.stats
         for shard in sorted(self._dead):
             self._restart(shard, self._dead.pop(shard), now)
-        if self.lease_deadline_ns is not None:
-            for thief in runtime._overdue_thieves(now - self.lease_deadline_ns):
+        stealer = runtime._stealer
+        watch_leases = self.lease_deadline_ns is not None and stealer is not None
+        if watch_leases:
+            for thief in stealer.overdue_thieves(now - self.lease_deadline_ns):
                 # Escalate-to-restart: a thief sitting on a lease past its
                 # deadline is presumed hung.  Crash it — the standard
                 # recovery reclaims every lease it holds and its victims
@@ -522,7 +525,7 @@ class Supervisor:
             self._recovered(now, {"kind": "ingress_wedge", "lane": lane}, wedged_at)
             if not runtime.ingress_cores[lane].ring.empty:
                 runtime._wake_ingress(lane)
-        if self.unresolved or (self.lease_deadline_ns is not None and runtime._open_leases):
+        if self.unresolved or (watch_leases and stealer.open_leases):
             self._arm()
 
     def _restart(self, shard: int, crashed_at: int, now: int) -> None:

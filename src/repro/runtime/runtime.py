@@ -24,14 +24,13 @@ multi-core scheduler runs one worker loop per CPU against shared wall time:
   a lease deadline, a :class:`~repro.runtime.faults.Supervisor` fires the
   planned faults at the seams and runs the recovery sweep; the crash
   transplant it calls stays here (:meth:`ShardedRuntime._restart_shard`);
-* **work stealing** (optional): a shard that goes idle parks a bounded
-  :class:`~repro.runtime.stealing.StealRequest` at the busiest sibling; at
-  that victim's next safe point the driver hands the thief a
-  :class:`~repro.runtime.stealing.FlowLease` — the victim's imminent due
-  window, flow ownership and pacing state included — and the thief releases
-  it through its own paced drain.  Rebalancing splits the *flow population*
-  across cores; stealing splits a single elephant flow *in time*, which is
-  the one imbalance migration cannot repair.
+* **work stealing** (optional): with ``steal_enabled`` and more than one
+  shard, a :class:`~repro.runtime.stealing.Stealer` lets an idle shard take
+  over a busy sibling's imminent due window under a
+  :class:`~repro.runtime.stealing.FlowLease`; the per-packet lease
+  countdown stays in :meth:`ShardedRuntime._deliver`.  Rebalancing splits
+  the *flow population* across cores; stealing splits a single elephant
+  flow *in time*, which is the one imbalance migration cannot repair.
 
 Per-flow FIFO under migration and stealing
 ------------------------------------------
@@ -45,14 +44,9 @@ Migration is thus applied lazily at the first safe moment — the same reason
 kernel ``mq``/RPS only re-steer a flow on an empty queue (out-of-order
 avoidance), and the property tests assert exactly this invariant.
 
-Work stealing threads the same needle with explicit ownership leases: the
-stolen window is a stamp-ordered prefix of each touched flow, the victim
-defers its own drains and stamping of those flows until the lease returns
-(right after the thief releases the last stolen packet), and the sharder's
-ownership view keeps routing and the rebalancer pointed at the victim for
-the lease's whole lifetime.  The shard's deadline sleep stays steal-aware
-throughout: an arriving lease re-programs the sleeping thief's tick timer
-through :meth:`ShardedRuntime._wake_shard`, exactly like fresh ingress.
+Work stealing keeps the same invariant with ownership leases (see
+:mod:`repro.runtime.stealing`); while one is out, the sharder's ownership
+view keeps routing and the rebalancer pointed at the victim.
 """
 
 from __future__ import annotations
@@ -76,15 +70,11 @@ from .ingress import IngressCore, IngressLanes, IngressTelemetry, make_admission
 from .mailbox import MailboxStats
 from .observability import FlightRecorder, GaugeValue, LogHistogram, MetricsTimeline
 from .sharder import FlowSharder, ShardRebalancer
-from .stealing import FlowLease, StealChannel, StealRequest, StealStats
+from .stealing import FlowLease, Stealer, StealStats
 from .worker import QueueFactory, ShardWorker
 from ..core.model.packet import Packet
 from ..core.queues import QueueStats
 from ..netsim.simulator import EventHandle, Simulator
-
-#: Bound on each shard's parked steal requests (the bounded cross-core
-#: request ring; overflow is dropped and counted, never blocked on).
-STEAL_CHANNEL_CAPACITY = 8
 
 
 @dataclass
@@ -245,7 +235,10 @@ class ShardedRuntime:
             ``sharder``); ``None`` (the default) never rebalances.
         steal_enabled: turn on cross-shard work stealing — an idle shard
             parks a steal request at the busiest sibling and takes over its
-            next due window under an order-preserving flow lease.
+            next due window under an order-preserving flow lease.  With
+            more than one shard it builds the
+            :class:`~repro.runtime.stealing.Stealer` plane, which owns the
+            three knobs below; otherwise no stealing code runs.
         steal_batch: largest number of packets one lease may carry.
         steal_horizon_ns: how far ahead of "now" a window counts as
             stealable (defaults to one quantum: the batch the victim would
@@ -510,16 +503,6 @@ class ShardedRuntime:
         self.ingress_drops = 0
         self.migrations_applied = 0
         self.gc_interval_packets = gc_interval_packets
-        self.steal_enabled = steal_enabled
-        self.steal_batch = steal_batch
-        self.steal_horizon_ns = quantum_ns if steal_horizon_ns is None else steal_horizon_ns
-        self.steal_min_backlog = steal_min_backlog
-        self._steal_channels: List[StealChannel] = [
-            StealChannel(capacity=STEAL_CHANNEL_CAPACITY) for _ in range(num_shards)
-        ]
-        self._loan_inbox: List[List[FlowLease]] = [[] for _ in range(num_shards)]
-        self._open_leases: Dict[int, list] = {}
-        self._lease_seq = itertools.count()
         self._since_gc = 0
         self.gc_sweep_limit = gc_sweep_limit
         # Per-flow ownership state, columnised (see repro.runtime.flowstate):
@@ -570,6 +553,14 @@ class ShardedRuntime:
         if fault_plan is not None or lease_deadline_ns is not None:
             interval = 2 * quantum_ns if supervise_interval_ns is None else supervise_interval_ns
             self._supervisor = Supervisor(self, fault_plan, lease_deadline_ns, interval)
+        # -- the stealing plane ---------------------------------------------
+        # Built only when stealing can fire, after the supervisor it keeps.
+        horizon = quantum_ns if steal_horizon_ns is None else steal_horizon_ns
+        self._stealer: Optional[Stealer] = (
+            Stealer(self, steal_batch, horizon, steal_min_backlog)
+            if steal_enabled and num_shards > 1
+            else None
+        )
         # -- the asynchronous ingress layer --------------------------------
         admission_factory = make_admission_factory(admission)
         self.ingress_quantum_ns = (
@@ -776,8 +767,7 @@ class ShardedRuntime:
             self.ingress_drops += 1
             return False
         self._commit_group(group, slots, shard, 1)
-        self._wake_shard(shard)
-        self._wake_idle_thieves(shard)
+        self._work_arrived(shard)
         self._arm_rebalance()
         return True
 
@@ -818,8 +808,7 @@ class ShardedRuntime:
             # the prefix of each flow's packets within this shard's group.
             self._commit_group(group, slots, shard, taken)
             if taken or before:
-                self._wake_shard(shard)
-                self._wake_idle_thieves(shard)
+                self._work_arrived(shard)
         if accepted:
             self._arm_rebalance()
         return accepted
@@ -953,34 +942,18 @@ class ShardedRuntime:
             )
         self._commit_group(packets, slots, shard, taken)
         if taken or before:
-            self._wake_shard(shard)
-            self._wake_idle_thieves(shard)
+            self._work_arrived(shard)
         if taken:
             self._arm_rebalance()
         return taken
 
     # -- shard scheduling --------------------------------------------------
 
-    def _wake_idle_thieves(self, loaded_shard: int) -> None:
-        """Give empty shards a tick so they can park steal requests.
-
-        A shard with nothing in flight has no timer armed and would
-        otherwise never volunteer — the scheduling analogue of kicking an
-        idle core with an IPI when work lands somewhere on the package.
-        The tick is on an idle core, so it never adds to the bottleneck,
-        and the kick only fires when the shard that just received work is
-        loaded enough to clear the steal floor — below that no victim can
-        qualify, so a woken thief could only park a request and go back to
-        sleep.
-        """
-        if not self.steal_enabled or self.num_shards == 1:
-            return
-        loaded = self.workers[loaded_shard]
-        if loaded.backlog + len(loaded.mailbox) < self.steal_min_backlog:
-            return
-        for shard, worker in enumerate(self.workers):
-            if not worker.pending and not worker.leases_held and not worker.flows_on_loan:
-                self._wake_shard(shard)
+    def _work_arrived(self, shard: int) -> None:
+        """Work reached ``shard``'s mailbox: tick it and kick idle thieves."""
+        self._wake_shard(shard)
+        if self._stealer is not None:
+            self._stealer.wake_idle_thieves(shard)
 
     def _wake_shard(self, shard: int) -> None:
         """Guarantee the shard ticks within one quantum of new work."""
@@ -1004,14 +977,9 @@ class ShardedRuntime:
         self._tick_handles[shard] = None
         if self._supervisor is not None and self._supervisor.tick_blocked(shard, now):
             return  # a fault fired, or the stale timer of a crashed core
-        inbox = self._loan_inbox[shard]
-        if inbox:
-            # Thief role, first: splice freshly granted leases into this
-            # shard's queue before the drain below, so due stolen packets
-            # release this very tick.
-            self._loan_inbox[shard] = []
-            for lease in inbox:
-                worker.accept_lease(lease, now)
+        stealer = self._stealer
+        if stealer is not None:
+            stealer.splice(shard, now)
         ingest_limit = self.ingest_per_quantum
         if self.shard_backlog_limit is not None:
             room = max(0, self.shard_backlog_limit - worker.backlog)
@@ -1027,9 +995,8 @@ class ShardedRuntime:
                 {"released": len(released), "backlog": worker.backlog},
             )
         self._deliver(released, now)
-        if self.steal_enabled and self.num_shards > 1:
-            self._grant_steals(shard, now)
-            self._maybe_request_steal(shard, now)
+        if stealer is not None:
+            stealer.after_drain(shard, now)
         self._schedule_next_tick(shard, now)
 
     def _deliver(self, released: List[Packet], now: int) -> None:
@@ -1054,7 +1021,8 @@ class ShardedRuntime:
         in_flight = self._in_flight
         count_of = in_flight.get
         on_transmit = self.on_transmit
-        open_leases = self._open_leases
+        stealer = self._stealer
+        open_leases = stealer.open_leases if stealer is not None else None
         e2e = self._e2e
         for packet in released:
             packet.departure_ns = now
@@ -1080,157 +1048,13 @@ class ShardedRuntime:
                         if entry[1] == 0:
                             del open_leases[lease_id]
                             finished.append(entry[0])
-        for lease in finished:
-            self._finish_lease(lease, now)
+        if finished:
+            stealer.finish(finished, now)
         if self.gc_interval_packets is not None:
             self._since_gc += len(released)
             if self._since_gc >= self.gc_interval_packets:
                 self._since_gc = 0
                 self._gc_flow_state(now)
-
-    # -- work stealing -----------------------------------------------------
-
-    def _grant_steals(self, shard: int, now: int) -> None:
-        """Victim role: hand due windows to the thieves parked at ``shard``.
-
-        Runs after the shard's own drain, so stealing only ever takes work
-        the victim could not clear within its own quantum budget.  Requests
-        park until the victim actually has a stealable window — the
-        standing "work wanted" token of message-passing work stealing.
-        """
-        worker = self.workers[shard]
-        channel = self._steal_channels[shard]
-        cutoff = now + self.steal_horizon_ns
-        while len(channel):
-            if worker.flows_on_loan or worker.leases_held or not worker.has_work_by(cutoff):
-                break  # one lease out at a time / holding stolen work / nothing stealable
-            if worker.backlog < self.steal_min_backlog:
-                # The victim drained below the steal floor since the request
-                # parked: a lease now would move work it can clear itself
-                # next tick.  The request stays parked for the next burst.
-                break
-            request = channel.peek()
-            assert request is not None
-            thief_worker = self.workers[request.thief_shard]
-            if (
-                thief_worker.pending
-                or thief_worker.leases_held
-                or thief_worker.flows_on_loan
-                or self._loan_inbox[request.thief_shard]
-                or (self._supervisor is not None and self._supervisor.frozen(request.thief_shard))
-            ):
-                # The thief found its own work since parking the request —
-                # or already has a lease granted (possibly still sitting in
-                # its inbox) or its own flows out on loan: one window per
-                # idle thief at a time.
-                channel.pop()
-                thief_worker.steal.requests_stale += 1
-                continue
-            lease = worker.grant_lease(
-                next(self._lease_seq), request.thief_shard, now, self.steal_batch,
-                self.steal_horizon_ns,
-            )
-            if lease is None:
-                # The donor refused despite the loop-top checks (kept
-                # deliberately equivalent; this is the belt to those
-                # braces): leave the request parked for a later tick.
-                break
-            channel.pop()
-            for flow_id in lease.flow_ids:
-                self.sharder.lend(flow_id, shard)
-            self._open_leases[lease.lease_id] = [lease, len(lease.packets)]
-            self._loan_inbox[request.thief_shard].append(lease)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    now,
-                    f"shard-{shard}",
-                    "lease_grant",
-                    {
-                        "lease_id": lease.lease_id,
-                        "thief": request.thief_shard,
-                        "packets": len(lease.packets),
-                        "flows": len(lease.flow_ids),
-                    },
-                )
-            self._wake_shard(request.thief_shard)
-            if self._supervisor is not None:
-                self._supervisor.lease_granted()
-
-    def _maybe_request_steal(self, shard: int, now: int) -> None:
-        """Thief role: when empty, park a steal request at the busiest sibling.
-
-        Only a shard with *nothing at all* in flight volunteers — a shard
-        with merely no work due yet still owns future-paced backlog, and
-        letting it steal would move load toward loaded cores (the hot shard
-        is "idle right now" between its own paced releases most of the
-        time).  The empty shard then sleeps with no timer armed; its sleep
-        stays steal-aware because an arriving lease re-programs the tick
-        through :meth:`_wake_shard`, exactly like fresh ingress.
-        """
-        worker = self.workers[shard]
-        if worker.pending or worker.leases_held or worker.flows_on_loan:
-            # Nothing at all may be in flight — and a donor whose flows are
-            # out on lease is about to take back a deferred flush plus
-            # re-ingested arrivals, so it is not idle either.
-            return
-        # Volunteer only while this core has done less than its fair share
-        # of the run's work: an empty-but-cumulatively-hot shard (e.g. the
-        # elephant's home at a burst tail) grabbing more work would deepen
-        # the very bottleneck stealing exists to relieve.
-        mean_cycles = sum(candidate.cost.total_cycles for candidate in self.workers) / self.num_shards
-        if worker.cost.total_cycles > mean_cycles:
-            return
-        loads = [candidate.backlog + len(candidate.mailbox) for candidate in self.workers]
-        # Only a shard loaded well beyond its siblings is worth robbing:
-        # stealing between near-equal shards just churns handoff overhead,
-        # ticks, and bitmap scans without relieving any bottleneck.
-        floor = max(self.steal_min_backlog, 2 * sum(loads) // self.num_shards)
-        victim = None
-        victim_pending = floor - 1
-        for other, pending in enumerate(loads):
-            if other == shard:
-                continue
-            if self._supervisor is not None and self._supervisor.is_dead(other):
-                continue  # a corpse's backlog is being recovered, not robbed
-            if pending > victim_pending:
-                victim, victim_pending = other, pending
-        if victim is None:
-            return
-        # Park the request without waking the victim: a shard loaded enough
-        # to rob keeps its own tick chain alive, and one that sleeps toward
-        # a far deadline has nothing stealable inside the horizon anyway.
-        # The grant lands at the victim's next natural safe point.
-        outcome = self._steal_channels[victim].post(StealRequest(shard, now))
-        if outcome == "accepted":
-            worker.steal.requests_posted += 1
-        elif outcome == "full":
-            worker.steal.requests_dropped += 1
-
-    def _finish_lease(self, lease: FlowLease, now: int) -> None:
-        """The thief released the last stolen packet: return the lease."""
-        self.workers[lease.thief_shard].finish_held_lease()
-        if self.tracer is not None:
-            self.tracer.emit(
-                now,
-                f"shard-{lease.thief_shard}",
-                "lease_return",
-                {"lease_id": lease.lease_id, "victim": lease.victim_shard},
-            )
-        self._return_lease(lease, now)
-
-    def _return_lease(self, lease: FlowLease, now: int) -> None:
-        """Give a finished or reclaimed lease back to its victim, which
-        re-adopts the travelled shapers and flushes its deferred flows (a
-        dead victim's return is banked for its restart)."""
-        if self._supervisor is not None and self._supervisor.bank_return(lease):
-            return
-        victim = self.workers[lease.victim_shard]
-        flushed = victim.end_lease(lease, now)
-        for flow_id in lease.flow_ids:
-            self.sharder.restore(flow_id)
-        self._deliver(flushed, now)
-        if victim.pending:
-            self._wake_shard(lease.victim_shard)
 
     def _schedule_next_tick(self, shard: int, now: int) -> None:
         if (handle := self._tick_handles[shard]) is not None and handle.active:
@@ -1245,7 +1069,7 @@ class ShardedRuntime:
         next_ns = self.workers[shard].next_wake_ns(now, self.quantum_ns)
         if next_ns is None:
             # Idle — the next submit() wakes the shard (lease-deferred
-            # packets deliberately don't count: _finish_lease wakes then).
+            # packets deliberately don't count: the lease's return wakes).
             return
         self._tick_handles[shard] = self.simulator.schedule_at(
             next_ns, self._tick_callbacks[shard]
@@ -1350,16 +1174,6 @@ class ShardedRuntime:
 
     # -- recovery: what the supervisor asks of the driver ------------------
 
-    def _overdue_thieves(self, granted_before: int) -> List[int]:
-        """Thieves holding a lease granted before ``granted_before``, in shard order."""
-        return sorted(
-            {
-                lease.thief_shard
-                for lease, _remaining in self._open_leases.values()
-                if lease.granted_at_ns < granted_before
-            }
-        )
-
     def _kick_shard(self, shard: int) -> bool:
         """Wake ``shard`` if it has work but no tick armed; True when woken.
 
@@ -1371,7 +1185,8 @@ class ShardedRuntime:
         if handle is not None and handle.active:
             return False
         worker = self.workers[shard]
-        if worker.backlog > 0 or len(worker.mailbox) > 0 or self._loan_inbox[shard]:
+        inbox = self._stealer.inbox[shard] if self._stealer is not None else None
+        if worker.backlog > 0 or len(worker.mailbox) > 0 or inbox:
             self._wake_shard(shard)
             return True
         return False
@@ -1411,22 +1226,15 @@ class ShardedRuntime:
                     in_flight[packet.flow_id] = count - 1
             stats.packets_lost += len(packets)
 
-        inbox_ids = {lease.lease_id for lease in self._loan_inbox[shard]}
-        self._loan_inbox[shard] = []
-        reclaim = [
-            lease_id
-            for lease_id, entry in self._open_leases.items()
-            if entry[0].thief_shard == shard
-        ]
-        for lease_id in reclaim:
-            lease, _remaining = self._open_leases.pop(lease_id)
+        stealer = self._stealer
+        for lease, never_accepted in stealer.reclaim(shard) if stealer is not None else ():
             stats.leases_reclaimed += 1
-            if lease_id in inbox_ids:
-                # Granted but never accepted: the burst died in the handoff.
+            if never_accepted:
+                # Granted but never spliced in: the burst died in the handoff.
                 write_off([packet for _send_at, packet in lease.packets])
             # A victim that crashed in the same sweep and is not yet
             # rebuilt has the return banked for its own restart.
-            self._return_lease(lease, now)
+            stealer.return_lease(lease, now)
         lost, loaned = old.crash_dump()
         write_off(lost)
         mailbox = old.mailbox
@@ -1491,7 +1299,7 @@ class ShardedRuntime:
         # standing sampler must never keep the event loop alive on its own.
         if (
             self.pending
-            or self._open_leases
+            or self._leases_out
             or (self._supervisor is not None and self._supervisor.unresolved)
         ):
             self._arm_timeline()
@@ -1507,7 +1315,7 @@ class ShardedRuntime:
             "pending_packets": self.pending,
             "live_flows": len(self.flows),
             "pacing_flows": sum(len(w.pacing) for w in workers),
-            "open_leases": len(self._open_leases),
+            "open_leases": self._leases_out,
             "flows_on_loan": sum(w.flows_on_loan for w in workers),
             "dead_shards": faults["dead_shards"],
             "stalled_shards": faults["stalled_shards"],
@@ -1641,7 +1449,7 @@ class ShardedRuntime:
             "pending_packets": self.pending,
             "flows_in_flight": self.flows_in_flight(),
             "loaned_flows": len(self.sharder.loaned_flows()),
-            "open_leases": len(self._open_leases),
+            "open_leases": self._leases_out,
             "leases_held": sum(worker.leases_held for worker in self.workers),
             "flows_on_loan": sum(worker.flows_on_loan for worker in self.workers),
             "stalled_ingress_cores": sum(
@@ -1651,6 +1459,11 @@ class ShardedRuntime:
             ),
             **self._fault_residual(),
         }
+
+    @property
+    def _leases_out(self) -> int:
+        """Leases granted and not yet returned (none with stealing unarmed)."""
+        return len(self._stealer.open_leases) if self._stealer is not None else 0
 
     def _fault_residual(self) -> Dict[str, int]:
         """The fault plane's residual gauges (all zero on an unarmed runtime)."""

@@ -26,29 +26,31 @@ Order preservation is the hard part, and it is carried by an explicit
 
 The request side is a bounded :class:`StealChannel` per victim — the
 message-passing shape of real work-stealing runtimes (an idle core parks a
-steal request; the owner hands work over at a safe point), which keeps the
-hot structures single-writer: only the victim ever touches its own queue.
-
-That single-writer discipline is the protocol's real-core seam: grant and
-release are plain message handoffs (a lease is just a record crossing a
-ring, like the shared-memory rings of :mod:`repro.runtime.shm`), with no
-shared mutable queue state to lock.  The parallel execution backends of
-:mod:`repro.runtime.backend` do not yet drive it — they currently require
-stealing disabled, because a lease couples two shards' clocks — so today
-stealing runs on the simulated backend only; the channel/lease message
-shapes are what a cross-process implementation would reuse verbatim.
+request; the owner hands work over at a safe point), so only the victim
+ever touches its own queue.  One :class:`Stealer` per runtime owns the
+channels, the loan inbox, the open leases and both roles; it exists only
+when stealing can fire, and its docstring lists the driver boundary.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from ..core.model.packet import Packet
 from ..core.model.transactions import ShapingTransaction
 from ..core.queues import QueueStats
 from ..core.queues.base import CounterStatsMixin
+
+if TYPE_CHECKING:
+    from .runtime import ShardedRuntime
+    from .worker import ShardWorker
+
+#: Bound on each shard's parked steal requests (the bounded cross-core
+#: request ring; overflow is dropped and counted, never blocked on).
+STEAL_CHANNEL_CAPACITY = 8
 
 
 @dataclass(slots=True)
@@ -176,8 +178,237 @@ class FlowLease:
     queue_delta: QueueStats = field(default_factory=QueueStats)
     granted_at_ns: int = 0
 
-    def __len__(self) -> int:
-        return len(self.packets)
+
+def _idle(worker: "ShardWorker") -> bool:
+    """Nothing at all in flight on ``worker``: no packet, no held lease, no lent flow."""
+    return not worker.pending and not worker.leases_held and not worker.flows_on_loan
+
+
+def _load(worker: "ShardWorker") -> int:
+    """Packets queued on ``worker`` or waiting in its mailbox."""
+    return worker.backlog + len(worker.mailbox)
+
+
+class Stealer:
+    """The work-stealing plane of one :class:`~repro.runtime.runtime.ShardedRuntime`.
+
+    Built only when stealing can fire (``steal_enabled``, more than one
+    shard).  Owns every victim's :class:`StealChannel`, the loan inbox, the
+    open leases with their unreleased-packet counts, the lease ids and the
+    three knobs.  The driver calls :meth:`wake_idle_thieves`,
+    :meth:`splice`, :meth:`after_drain` and :meth:`finish` (its ``_deliver``
+    counts down :attr:`open_leases`); recovery calls :meth:`reclaim`,
+    :meth:`return_lease` and :meth:`overdue_thieves`.  The plane reads the
+    driver's ``workers``, ``sharder``, ``tracer`` and ``_supervisor`` and
+    calls only its ``_wake_shard`` and ``_deliver``.
+    """
+
+    def __init__(
+        self, runtime: "ShardedRuntime", batch: int, horizon_ns: int, min_backlog: int
+    ) -> None:
+        self._runtime = runtime
+        self.batch = batch
+        self.horizon_ns = horizon_ns
+        self.min_backlog = min_backlog
+        self._workers = runtime.workers  # a restart replaces its entry in place
+        self._sharder = runtime.sharder
+        self._tracer = runtime.tracer
+        self._supervisor = runtime._supervisor
+        self.channels: List[StealChannel] = [
+            StealChannel(capacity=STEAL_CHANNEL_CAPACITY) for _ in runtime.workers
+        ]
+        #: Per thief: leases granted and not yet spliced into its queue.
+        self.inbox: List[List[FlowLease]] = [[] for _ in runtime.workers]
+        #: lease id -> ``[lease, stolen packets not yet released]``.
+        self.open_leases: Dict[int, list] = {}
+        self._lease_ids = itertools.count()
+
+    def wake_idle_thieves(self, loaded_shard: int) -> None:
+        """Give empty shards a tick so they can park steal requests.
+
+        An idle shard has no timer armed and would never volunteer (the
+        analogue of an IPI to an idle core).  The kick fires only when the
+        shard that just got work clears the steal floor; below it no victim
+        can qualify.
+        """
+        workers = self._workers
+        if _load(workers[loaded_shard]) < self.min_backlog:
+            return
+        wake = self._runtime._wake_shard
+        for shard, worker in enumerate(workers):
+            if _idle(worker):
+                wake(shard)
+
+    def splice(self, shard: int, now: int) -> None:
+        """Thief role, before the drain: due stolen packets release this tick."""
+        inbox = self.inbox[shard]
+        if inbox:
+            self.inbox[shard] = []
+            for lease in inbox:
+                self._workers[shard].accept_lease(lease, now)
+
+    def after_drain(self, shard: int, now: int) -> None:
+        """After the shard's own drain: grant to parked thieves, then volunteer."""
+        self._grant(shard, now)
+        self._request(shard, now)
+
+    def _grant(self, shard: int, now: int) -> None:
+        """Victim role: hand due windows to the thieves parked at ``shard``.
+
+        After the drain, so only work the victim could not clear in its own
+        quantum is stolen.  A request parks until a stealable window exists.
+        """
+        worker = self._workers[shard]
+        channel = self.channels[shard]
+        supervisor = self._supervisor
+        cutoff = now + self.horizon_ns
+        while len(channel):
+            if worker.flows_on_loan or worker.leases_held or not worker.has_work_by(cutoff):
+                break  # one lease out at a time / holding stolen work / nothing stealable
+            if worker.backlog < self.min_backlog:
+                # The victim drained below the steal floor since the request
+                # parked: a lease now would move work it can clear itself
+                # next tick.  The request stays parked for the next burst.
+                break
+            request = channel.peek()
+            assert request is not None
+            thief = request.thief_shard
+            thief_worker = self._workers[thief]
+            if (
+                not _idle(thief_worker)
+                or self.inbox[thief]
+                or (supervisor is not None and supervisor.frozen(thief))
+            ):
+                # The thief found its own work since parking the request —
+                # or already has a lease granted (possibly still sitting in
+                # its inbox) or its own flows out on loan: one window per
+                # idle thief at a time.
+                channel.pop()
+                thief_worker.steal.requests_stale += 1
+                continue
+            lease = worker.grant_lease(
+                next(self._lease_ids), thief, now, self.batch, self.horizon_ns
+            )
+            if lease is None:
+                # The donor refused despite the loop-top checks (kept
+                # deliberately equivalent; this is the belt to those
+                # braces): leave the request parked for a later tick.
+                break
+            channel.pop()
+            for flow_id in lease.flow_ids:
+                self._sharder.lend(flow_id, shard)
+            self.open_leases[lease.lease_id] = [lease, len(lease.packets)]
+            self.inbox[thief].append(lease)
+            if self._tracer is not None:
+                self._tracer.emit(
+                    now,
+                    f"shard-{shard}",
+                    "lease_grant",
+                    {
+                        "lease_id": lease.lease_id,
+                        "thief": thief,
+                        "packets": len(lease.packets),
+                        "flows": len(lease.flow_ids),
+                    },
+                )
+            self._runtime._wake_shard(thief)
+            if supervisor is not None:
+                supervisor.lease_granted()
+
+    def _request(self, shard: int, now: int) -> None:
+        """Thief role: when empty, park a steal request at the busiest sibling.
+
+        Only a shard with *nothing at all* in flight volunteers: one with
+        future-paced backlog, a held lease or lent flows (a deferred flush
+        is coming back) would move load toward loaded cores.  It then
+        sleeps with no timer; a granted lease wakes it like fresh ingress.
+        """
+        workers = self._workers
+        worker = workers[shard]
+        if not _idle(worker):
+            return
+        # Volunteer only while this core has done less than its fair share
+        # of the run's work: an empty-but-cumulatively-hot shard (e.g. the
+        # elephant's home at a burst tail) grabbing more work would deepen
+        # the very bottleneck stealing exists to relieve.
+        mean_cycles = sum(candidate.cost.total_cycles for candidate in workers) / len(workers)
+        if worker.cost.total_cycles > mean_cycles:
+            return
+        loads = [_load(candidate) for candidate in workers]
+        # Only a shard loaded well beyond its siblings is worth robbing:
+        # stealing between near-equal shards just churns handoff overhead,
+        # ticks, and bitmap scans without relieving any bottleneck.
+        floor = max(self.min_backlog, 2 * sum(loads) // len(workers))
+        supervisor = self._supervisor
+        victim = None
+        victim_pending = floor - 1
+        for other, pending in enumerate(loads):
+            if other == shard:
+                continue
+            if supervisor is not None and supervisor.is_dead(other):
+                continue  # a corpse's backlog is being recovered, not robbed
+            if pending > victim_pending:
+                victim, victim_pending = other, pending
+        if victim is None:
+            return
+        # Park the request without waking the victim: a shard loaded enough
+        # to rob keeps its own tick chain alive, and one that sleeps toward
+        # a far deadline has nothing stealable inside the horizon anyway.
+        # The grant lands at the victim's next natural safe point.
+        outcome = self.channels[victim].post(StealRequest(shard, now))
+        if outcome == "accepted":
+            worker.steal.requests_posted += 1
+        elif outcome == "full":
+            worker.steal.requests_dropped += 1
+
+    def finish(self, leases: List[FlowLease], now: int) -> None:
+        """Each thief released the last stolen packet of its lease: return them."""
+        for lease in leases:
+            self._workers[lease.thief_shard].finish_held_lease()
+            if self._tracer is not None:
+                self._tracer.emit(
+                    now,
+                    f"shard-{lease.thief_shard}",
+                    "lease_return",
+                    {"lease_id": lease.lease_id, "victim": lease.victim_shard},
+                )
+            self.return_lease(lease, now)
+
+    def return_lease(self, lease: FlowLease, now: int) -> None:
+        """Give a finished or reclaimed lease back to its victim, which
+        re-adopts the travelled shapers and flushes its deferred flows (a
+        dead victim's return is banked for its restart)."""
+        if self._supervisor is not None and self._supervisor.bank_return(lease):
+            return
+        victim = self._workers[lease.victim_shard]
+        flushed = victim.end_lease(lease, now)
+        for flow_id in lease.flow_ids:
+            self._sharder.restore(flow_id)
+        self._runtime._deliver(flushed, now)
+        if victim.pending:
+            self._runtime._wake_shard(lease.victim_shard)
+
+    def reclaim(self, thief: int) -> List[Tuple[FlowLease, bool]]:
+        """Close a crashed ``thief``'s leases, in grant order, each paired
+        with whether it was still in the inbox (never spliced in)."""
+        in_inbox = {lease.lease_id for lease in self.inbox[thief]}
+        self.inbox[thief] = []
+        held = [
+            lease_id
+            for lease_id, (lease, _remaining) in self.open_leases.items()
+            if lease.thief_shard == thief
+        ]
+        return [(self.open_leases.pop(lease_id)[0], lease_id in in_inbox) for lease_id in held]
+
+    def overdue_thieves(self, granted_before: int) -> List[int]:
+        """Thieves holding a lease granted before ``granted_before``, in shard order."""
+        return sorted(
+            {
+                lease.thief_shard
+                for lease, _remaining in self.open_leases.values()
+                if lease.granted_at_ns < granted_before
+            }
+        )
 
 
 __all__ = [
@@ -186,4 +417,5 @@ __all__ = [
     "StealChannelStats",
     "StealRequest",
     "StealStats",
+    "Stealer",
 ]

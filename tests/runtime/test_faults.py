@@ -283,6 +283,26 @@ class TestLeaseDeadlineEscalation:
         _assert_flow_fifo(runtime)
         _assert_residual_clean(runtime)
 
+    @pytest.mark.parametrize("plan", [None, [FaultEvent("shard_crash", target=0, at=3)]])
+    def test_a_deadline_without_stealing_changes_no_event(self, plan):
+        # With stealing off no lease can go out, so a lease deadline must
+        # schedule nothing the same run without one does not: the same
+        # number of simulator events, the same recoveries, the same output.
+        def run(lease_deadline_ns):
+            runtime = ShardedRuntime(
+                2,
+                default_rate_bps=8e6,
+                lease_deadline_ns=lease_deadline_ns,
+                fault_plan=FaultPlan(plan) if plan is not None else None,
+            )
+            runtime.submit_batch(_packets([1, 2, 3, 4] * 10))
+            events = runtime.run()
+            return events, runtime.recovery_log, runtime.transmitted, runtime.simulator.now_ns
+
+        with_deadline = run(1)
+        assert with_deadline == run(None)
+        assert len(with_deadline[1]) == (0 if plan is None else 1)  # the crash recovered
+
 
 class _BadCrcRing(ShmRing):
     """A ring whose producer writes the second burst with a flipped CRC.

@@ -290,7 +290,7 @@ class TestRuntimeStealing:
         victim, thief = runtime.workers
         assert victim.flows_on_loan == 0
         assert thief.leases_held == 0
-        assert runtime._open_leases == {}
+        assert runtime.residual_state()["open_leases"] == 0
         assert runtime.sharder.loaned_flows() == {}
         assert victim.steal.leases_granted == thief.steal.leases_received
         assert victim.steal.leases_returned == victim.steal.leases_granted
@@ -298,6 +298,7 @@ class TestRuntimeStealing:
 
     def test_steal_disabled_means_no_steals(self):
         runtime = _elephant_runtime(steal_enabled=False)
+        assert runtime._stealer is None  # unarmed: no stealing plane at all
         runtime.submit_batch(_packets([5] * 40))
         runtime.run()
         telemetry = runtime.telemetry()
@@ -310,6 +311,7 @@ class TestRuntimeStealing:
             1, default_rate_bps=RATE_BPS, quantum_ns=QUANTUM_NS,
             steal_enabled=True, steal_min_backlog=1,
         )
+        assert runtime._stealer is None  # one shard: stealing can never fire
         runtime.submit_batch(_packets([1, 2, 3] * 10))
         runtime.run()
         assert runtime.transmitted == 30
@@ -322,7 +324,7 @@ class TestRuntimeStealing:
         # thief's tick, which parks a request.  The thief then receives its
         # own traffic before the victim reaches its next grant point.
         runtime.run(max_events=2)
-        assert len(runtime._steal_channels[0]) == 1
+        assert len(runtime._stealer.channels[0]) == 1
         runtime.sharder.pin(9, 1)
         runtime.submit_batch(_packets([9] * 4))
         runtime.run()
