@@ -144,8 +144,10 @@ class FlowTable:
     the slots), so nothing else can make an entry stale.
 
     This class is deliberately policy-free: the pacing semantics live in
-    :class:`PacingTable`, placement columns in the sharder, ownership
-    columns in the runtime — all as columns over this one engine.
+    :class:`PacingTable` and ownership columns in the runtime, both as
+    columns over this one engine.  The sharder's placement columns keep
+    this class's slot rule over a ``dict`` index instead
+    (:class:`~repro.runtime.sharder.PlacementTable`).
     """
 
     __slots__ = (

@@ -631,9 +631,13 @@ class ShardedRuntime:
         2. A flow with packets in flight follows them to its home shard.
         3. Otherwise the sharder's (possibly re-pinned) placement applies,
            asked once per flow and kept in the ``placed`` column while the
-           flow holds a slot and :attr:`FlowSharder.epoch` stands still; any
-           pin, unpin or forget that changes a placement moves the epoch and
-           drops every kept answer.  A flow with no slot yet asks.
+           flow holds a slot.  A kept answer lives until the driver changes
+           that flow's placement itself (a rebalancer pin, a crash
+           restart's forget: :meth:`_change_placement` drops that one
+           answer) or until :attr:`FlowSharder.epoch` moves by a change the
+           driver did not make (a direct ``sharder.pin``, ``unpin`` or
+           ``forget``), which drops every kept answer at the next burst.  A
+           flow with no slot yet asks.
 
         Loans change only inside shard ticks and pins never inside a burst,
         so one check of each covers the burst.  Pure lookup: home and
@@ -681,10 +685,26 @@ class ShardedRuntime:
         return by_shard, slots_by_shard
 
     def _reset_placements(self) -> None:
-        """Drop every cached placement: the sharder's epoch moved."""
+        """Drop every cached placement: the epoch moved by a change not the driver's."""
         placed = self._placed
         placed[:] = array("i", [-1]) * len(placed)
         self._placed_epoch = self.sharder.epoch
+
+    def _change_placement(self, slot: int, change: Callable[..., None], *args) -> None:
+        """Make a placement change of the driver's own: ``change(*args)``.
+
+        The change names one flow, whose driver slot is ``slot`` (``-1``:
+        none); only that flow's kept answer is dropped.  The kept answers
+        stay in step with the sharder's epoch only if they were before the
+        change, so a foreign epoch move still drops them all at the next
+        burst (:meth:`_route_burst` step 3).
+        """
+        in_step = self._placed_epoch == self.sharder.epoch
+        change(*args)
+        if slot >= 0:
+            self._placed[slot] = -1
+        if in_step:
+            self._placed_epoch = self.sharder.epoch
 
     def _commit_group(
         self, group: List[Packet], slots: List[int], shard: int, taken: int
@@ -1109,6 +1129,11 @@ class ShardedRuntime:
             if start >= span:
                 start = 0
             slots = itertools.chain(range(start, span), range(start))
+        # Each reclaimed flow leaves the driver's table before it is
+        # forgotten, so no kept placement names it, and nothing but these
+        # forgets moves the epoch inside the sweep: kept answers that were
+        # in step with the epoch before the sweep still are after it.
+        in_step = self._placed_epoch == self.sharder.epoch
         examined = 0
         for slot in slots:
             flow_id = key[slot]
@@ -1135,6 +1160,8 @@ class ShardedRuntime:
                 self._gc_cursor = slot + 1
                 break
         stats.gc_examined += examined
+        if in_step:
+            self._placed_epoch = self.sharder.epoch
 
     # -- rebalancing -------------------------------------------------------
 
@@ -1152,9 +1179,12 @@ class ShardedRuntime:
         self._rebalance_handle = None
         tracer = self.tracer
         now = self.simulator.now_ns if tracer is not None else 0
+        lookup = self.flows.lookup
+        pin = self.sharder.pin
         for migration in self.rebalancer.plan():
             # Re-pin now; routing applies it once the flow drains (FIFO).
-            self.sharder.pin(migration.flow_id, migration.dst_shard)
+            flow_id = migration.flow_id
+            self._change_placement(lookup(flow_id), pin, flow_id, migration.dst_shard)
             if tracer is not None:
                 tracer.emit(
                     now,
@@ -1268,7 +1298,7 @@ class ShardedRuntime:
             else:
                 home_col[slot] = -1
                 stats.flows_rehomed += 1
-                self.sharder.forget(flow_id)
+                self._change_placement(slot, self.sharder.forget, flow_id)
         self.workers[shard] = fresh
         self._arm_rebalance()
         if len(mailbox):

@@ -17,11 +17,11 @@ skew — only migration can.
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .flowstate import FlowTable
 from ..core.queues.base import CounterStatsMixin
 
 #: Default hash seed (the golden ratio in 32 bits, à la Linux ``hash_32``).
@@ -62,6 +62,98 @@ class ShardingStats(CounterStatsMixin):
     window_evictions: int = 0
 
 
+class PlacementTable:
+    """The sharder's per-flow slots: a ``dict`` index over dense columns.
+
+    Slots are granted by :class:`~repro.runtime.flowstate.FlowTable`'s rule,
+    exactly: a released slot goes on a stack, the next grant takes the most
+    recently released one before any fresh slot, and fresh slots come in
+    ascending order.  Only the index differs: ``flow_id -> slot`` is a plain
+    ``dict`` (:attr:`index`) rather than an open-addressed probe, so a flow
+    the load window releases at a reset and records again next round pays
+    a dict delete and a dict insert, not two probe chains.
+
+    A slot is released only once every column the sharder keeps is back at
+    its default (the sharder's ``_release_if_idle`` rule), so a recycled
+    slot is handed out as it was left, with no column reset.
+
+    It reads like a ``FlowTable``: ``len()``, :meth:`items` in slot order,
+    :attr:`key` (``-1`` marks a free slot), :attr:`slot_limit` and
+    :meth:`memory_bytes`.
+    """
+
+    __slots__ = ("key", "index", "_free", "_next_fresh", "_columns")
+
+    def __init__(self) -> None:
+        #: Dense key column: ``key[slot]`` is the flow id, ``-1`` when free.
+        self.key = array("q")
+        #: ``flow_id -> slot`` of every live flow.
+        self.index: Dict[int, int] = {}
+        self._free = array("i")  # released slots, used as a stack
+        self._next_fresh = 0  # high watermark of slots ever handed out
+        self._columns: List[Tuple[array, int]] = []
+
+    def add_column(self, typecode: str, default: int) -> array:
+        """Register a per-flow column (before any grant); returns its array."""
+        column = array(typecode, [default]) * len(self.key)
+        self._columns.append((column, default))
+        return column
+
+    def ensure(self, flow_id: int) -> int:
+        """Slot of ``flow_id``, granting one when absent."""
+        slot = self.index.get(flow_id)
+        return self.grant(flow_id) if slot is None else slot
+
+    def grant(self, flow_id: int) -> int:
+        """A slot for a flow the index does not hold."""
+        if flow_id < 0:
+            raise ValueError("flow ids must be non-negative")
+        if self._free:
+            slot = self._free.pop()
+        else:
+            slot = self._next_fresh
+            key = self.key
+            if slot >= len(key):
+                grow = max(32, len(key) // 2)
+                key.extend(array("q", [-1]) * grow)
+                for column, default in self._columns:
+                    column.extend(array(column.typecode, [default]) * grow)
+            self._next_fresh = slot + 1
+        self.key[slot] = flow_id
+        self.index[flow_id] = slot
+        return slot
+
+    def release(self, flow_id: int, slot: int) -> None:
+        """Free the slot of a live flow; the next grant reuses it first."""
+        del self.index[flow_id]
+        self.key[slot] = -1
+        self._free.append(slot)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @property
+    def slot_limit(self) -> int:
+        """Slots ever handed out (the dense columns' high watermark)."""
+        return self._next_fresh
+
+    def items(self) -> Iterator[Tuple[int, int]]:
+        """``(flow_id, slot)`` for every live flow, in slot order."""
+        key = self.key
+        for slot in range(self._next_fresh):
+            flow_id = key[slot]
+            if flow_id >= 0:
+                yield flow_id, slot
+
+    def memory_bytes(self) -> int:
+        """Actual bytes held by the index, key, free stack and every column."""
+        total = sys.getsizeof(self.index) + sys.getsizeof(self.key)
+        total += sys.getsizeof(self._free)
+        for column, _default in self._columns:
+            total += sys.getsizeof(column)
+        return total
+
+
 class FlowSharder:
     """Maps flow ids onto ``num_shards`` workers.
 
@@ -86,19 +178,39 @@ class FlowSharder:
     bursts through :meth:`record_shard` instead: the per-shard totals stay
     exact and no window slot is held for a flow nobody will rank.
 
-    All per-flow state — pin, sticky assignment, loan owner, window counts —
-    lives as dense columns over one :class:`~repro.runtime.flowstate.FlowTable`
-    (a few int32/int64 per tracked flow instead of entries in five dicts), and
-    a slot is held only while *some* column is non-default: an unpinned,
-    unloaned flow whose window entry resets releases its slot for reuse.
-    Per-flow window attribution is additionally bounded by ``window_limit``:
-    past that many tracked flows, recording a new one evicts the coldest of a
-    few probed candidates (CLOCK-style rotating scan, counted in
-    ``stats.window_evictions``).  Per-*shard* window totals keep the evicted
-    packets, so :meth:`shard_loads` and :meth:`imbalance` stay exact; only
-    the per-flow breakdown the rebalancer ranks by is approximate under
-    extreme churn — and an evicted-because-cold flow was never a migration
-    candidate anyway.
+    **Layout.**  All per-flow state — pin, sticky assignment, loan owner,
+    window counts — lives as dense array columns over one
+    :class:`PlacementTable` (:attr:`flows`): a ``dict`` maps the flow id to
+    a slot, and a slot is held only while *some* column is non-default, so
+    an unpinned, unloaned flow whose window entry resets releases its slot.
+    The slots the current window counts are kept as a set, so a round's
+    :meth:`flow_loads`, :meth:`flow_residency` and :meth:`reset_window`
+    visit only those, never the whole slot space.
+
+    **Why slots, and why released at every reset.**  The window is read in
+    slot order, and :meth:`ShardRebalancer.plan` keeps the first of several
+    equally good candidates, so slot order decides which flow migrates on
+    a tie (seed 1 of the Zipf workload ties on the first pick in 55 of 162
+    rounds).  Slots follow ``FlowTable``'s rule (released slots reused last
+    first) and the window's flows are released at each reset, in ascending
+    slot order; keeping a flow's slot across rounds, or keeping the window
+    in first-record order, would pick other flows (the window's order
+    differs from first-record order in 390 of seed 1's 391 rounds).
+    ``tests/runtime/test_sharder_slots.py`` pins the order against a twin
+    over a real ``FlowTable``.
+
+    **Memory.**  The ``dict`` index costs more per tracked flow than a
+    probe index (a sticky flow under ``round_robin`` at 100k flows: about
+    165 B against 58.7 B over a ``FlowTable``).  Nothing outside the tests
+    arms ``round_robin``; under the hash policy the table holds only
+    pinned, loaned and window flows, and the window is bounded by
+    ``window_limit``: past that many tracked flows, recording a new one
+    evicts the coldest of a few probed candidates (CLOCK-style rotating
+    scan, counted in ``stats.window_evictions``).  Per-*shard* window
+    totals keep the evicted packets, so :meth:`shard_loads` and
+    :meth:`imbalance` stay exact; only the per-flow breakdown the
+    rebalancer ranks by is approximate under extreme churn — and an
+    evicted-because-cold flow was never a migration candidate anyway.
 
     :attr:`epoch` is the invalidation signal for callers that cache
     :meth:`shard_for` answers (the runtime driver keeps one per flow-table
@@ -106,7 +218,8 @@ class FlowSharder:
     bump whenever they change a pin or a sticky assignment — the only state
     a placement depends on besides the fixed policy and seed.  While the
     epoch stands still, ``shard_for(flow_id)`` returns what it returned
-    before, for every flow.
+    before, for every flow; a move changes the answer of the one flow that
+    call named.
     """
 
     POLICIES = ("hash", "round_robin")
@@ -157,17 +270,20 @@ class FlowSharder:
         self.stats = ShardingStats()
         #: Bumped whenever a pin or sticky assignment changes (class docstring).
         self.epoch = 0
-        self.flows = FlowTable()
-        self._pin = self.flows.add_column("pin", "i", -1)
-        self._sticky = self.flows.add_column("sticky", "i", -1)
-        self._loan = self.flows.add_column("loan", "i", -1)
-        self._wshard = self.flows.add_column("window_shard", "i", -1)
-        self._wpkts = self.flows.add_column("window_packets", "q", 0)
-        # Population counters per column family, so the hot paths (routing,
-        # loan checks) skip the table entirely while a family is empty.
+        self.flows = PlacementTable()
+        self._index = self.flows.index
+        self._pin = self.flows.add_column("i", -1)
+        self._sticky = self.flows.add_column("i", -1)
+        self._loan = self.flows.add_column("i", -1)
+        self._wshard = self.flows.add_column("i", -1)
+        self._wpkts = self.flows.add_column("q", 0)
+        # Population counters, so the hot paths (routing, loan checks) skip
+        # the table entirely while a family is empty.
         self._num_pins = 0
         self._num_loans = 0
-        self._num_window = 0
+        # Slots of the flows the window counts: exactly those whose
+        # window_shard is set.
+        self._window: Set[int] = set()
         self._next_rr = 0
         self._evict_cursor = 0
         # Per-shard packet totals of the sliding window (never evicted).
@@ -179,9 +295,8 @@ class FlowSharder:
         """Shard index for ``flow_id`` (pins beat the policy)."""
         self.stats.lookups += 1
         if self.policy == "round_robin":
-            flows = self.flows
-            slot = flows.lookup(flow_id)
-            if slot >= 0:
+            slot = self._index.get(flow_id)
+            if slot is not None:
                 pinned = self._pin[slot]
                 if pinned >= 0:
                     return pinned
@@ -189,14 +304,14 @@ class FlowSharder:
                 if shard >= 0:
                     return shard
             else:
-                slot = flows.ensure(flow_id)
+                slot = self.flows.grant(flow_id)
             shard = self._next_rr
             self._next_rr = (self._next_rr + 1) % self.num_shards
             self._sticky[slot] = shard
             return shard
         if self._num_pins:
-            slot = self.flows.lookup(flow_id)
-            if slot >= 0:
+            slot = self._index.get(flow_id)
+            if slot is not None:
                 pinned = self._pin[slot]
                 if pinned >= 0:
                     return pinned
@@ -218,8 +333,8 @@ class FlowSharder:
 
     def unpin(self, flow_id: int) -> None:
         """Remove an explicit pin; the policy takes over again."""
-        slot = self.flows.lookup(flow_id)
-        if slot >= 0 and self._pin[slot] >= 0:
+        slot = self._index.get(flow_id)
+        if slot is not None and self._pin[slot] >= 0:
             self._pin[slot] = -1
             self._num_pins -= 1
             self.epoch += 1
@@ -228,8 +343,8 @@ class FlowSharder:
     def pinned_shard(self, flow_id: int) -> Optional[int]:
         """The pinned shard of ``flow_id``, or ``None``."""
         if self._num_pins:
-            slot = self.flows.lookup(flow_id)
-            if slot >= 0:
+            slot = self._index.get(flow_id)
+            if slot is not None:
                 pinned = self._pin[slot]
                 if pinned >= 0:
                     return pinned
@@ -242,10 +357,8 @@ class FlowSharder:
         flow returns it is placed afresh by the policy, and the rebalancer
         re-pins it should it become hot again.
         """
-        if not len(self.flows):
-            return  # nothing tracked at all: skip the probe
-        slot = self.flows.lookup(flow_id)
-        if slot < 0:
+        slot = self._index.get(flow_id)
+        if slot is None:
             return
         if self._pin[slot] >= 0:
             self._pin[slot] = -1
@@ -264,7 +377,7 @@ class FlowSharder:
             and self._loan[slot] < 0
             and self._wshard[slot] < 0
         ):
-            self.flows.remove(flow_id)
+            self.flows.release(flow_id, slot)
 
     # -- ownership view (work-stealing leases) -----------------------------
     #
@@ -287,8 +400,8 @@ class FlowSharder:
 
     def restore(self, flow_id: int) -> None:
         """Clear the loan: the lease returned and the flow is whole again."""
-        slot = self.flows.lookup(flow_id)
-        if slot >= 0 and self._loan[slot] >= 0:
+        slot = self._index.get(flow_id)
+        if slot is not None and self._loan[slot] >= 0:
             self._loan[slot] = -1
             self._num_loans -= 1
             self._release_if_idle(slot, flow_id)
@@ -302,8 +415,8 @@ class FlowSharder:
         """The victim shard that owns ``flow_id`` while on loan, or ``None``."""
         if self._num_loans == 0:
             return None
-        slot = self.flows.lookup(flow_id)
-        if slot >= 0:
+        slot = self._index.get(flow_id)
+        if slot is not None:
             victim = self._loan[slot]
             if victim >= 0:
                 return victim
@@ -331,10 +444,13 @@ class FlowSharder:
         each shard really carried.
         """
         self.stats.window_packets += packets
-        slot = self.flows.ensure(flow_id)
+        slot = self._index.get(flow_id)
+        if slot is None:
+            slot = self.flows.grant(flow_id)
         if self._wshard[slot] < 0:
-            self._num_window += 1
-            if self._num_window > self.window_limit:
+            window = self._window
+            window.add(slot)
+            if len(window) > self.window_limit:
                 self._evict_window_entry(exclude=slot)
         self._wpkts[slot] += packets
         self._wshard[slot] = shard
@@ -343,22 +459,29 @@ class FlowSharder:
     def record_burst(self, flow_ids: List[int], shard: int) -> None:
         """:meth:`record` one packet per entry of ``flow_ids``, in order.
 
-        One call per distinct flow carries that flow's packet count whenever
-        no window eviction can fire inside the burst — the window holds at
-        most ``window_limit`` flows even if every flow of the burst is new —
-        and the result is then exactly the per-packet one: the same counts,
-        and slots taken in order of each flow's first packet.  Otherwise an
-        eviction could pick its victim by a count a later packet had already
-        added to, so the packets are recorded one by one.
+        The per-packet step of :meth:`record` runs in one loop here, so a
+        burst pays no call per packet; the window's total and the shard's
+        packet count, which no step reads, are added once at the end.
         """
-        counts = Counter(flow_ids)
-        if self._num_window + len(counts) <= self.window_limit:
-            record = self.record
-            for flow_id, packets in counts.items():
-                record(flow_id, shard, packets)
-        else:
-            for flow_id in flow_ids:
-                self.record(flow_id, shard)
+        window = self._window
+        limit = self.window_limit
+        index_get = self._index.get
+        grant = self.flows.grant
+        wshard = self._wshard
+        wpkts = self._wpkts
+        for flow_id in flow_ids:
+            slot = index_get(flow_id)
+            if slot is None:
+                slot = grant(flow_id)
+            if wshard[slot] < 0:
+                window.add(slot)
+                if len(window) > limit:
+                    self._evict_window_entry(exclude=slot)
+            wpkts[slot] += 1
+            wshard[slot] = shard
+        packets = len(flow_ids)
+        self.stats.window_packets += packets
+        self._window_shard_packets[shard] += packets
 
     def record_shard(self, shard: int, packets: int) -> None:
         """Account ``packets`` handled by ``shard`` with no per-flow attribution.
@@ -406,7 +529,7 @@ class FlowSharder:
             return
         wpkts[victim] = 0
         wshard[victim] = -1
-        self._num_window -= 1
+        self._window.discard(victim)
         self.stats.window_evictions += 1
         self._release_if_idle(victim, key[victim])
 
@@ -415,40 +538,38 @@ class FlowSharder:
         return list(self._window_shard_packets)
 
     def flow_loads(self) -> Dict[int, int]:
-        """Packets per flow since the last window reset."""
-        wshard = self._wshard
+        """Packets per flow since the last window reset, in slot order."""
+        key = self.flows.key
         wpkts = self._wpkts
-        return {
-            flow_id: wpkts[slot]
-            for flow_id, slot in self.flows.items()
-            if wshard[slot] >= 0
-        }
+        return {key[slot]: wpkts[slot] for slot in sorted(self._window)}
 
     def flow_residency(self) -> Dict[int, int]:
-        """Shard each flow's window packets last ran on."""
+        """Shard each flow's window packets last ran on, in slot order."""
+        key = self.flows.key
         wshard = self._wshard
-        return {
-            flow_id: wshard[slot]
-            for flow_id, slot in self.flows.items()
-            if wshard[slot] >= 0
-        }
+        return {key[slot]: wshard[slot] for slot in sorted(self._window)}
 
     def reset_window(self) -> None:
-        """Start a fresh load window (called after each rebalancing round)."""
+        """Start a fresh load window (called after each rebalancing round).
+
+        Window-only flows release their slots in ascending slot order, the
+        order the next round's grants depend on (class docstring).
+        """
+        key = self.flows.key
         wshard = self._wshard
         wpkts = self._wpkts
-        for flow_id, slot in list(self.flows.items()):
-            if wshard[slot] >= 0:
-                wpkts[slot] = 0
-                wshard[slot] = -1
-                self._release_if_idle(slot, flow_id)
-        self._num_window = 0
+        release_if_idle = self._release_if_idle
+        for slot in sorted(self._window):
+            wpkts[slot] = 0
+            wshard[slot] = -1
+            release_if_idle(slot, key[slot])
+        self._window.clear()
         self._window_shard_packets = [0] * self.num_shards
         self.stats.window_packets = 0
 
     def memory_bytes(self) -> int:
-        """Bytes held by the sharder's per-flow placement columns."""
-        return self.flows.memory_bytes()
+        """Bytes held by the sharder's per-flow placement state."""
+        return self.flows.memory_bytes() + sys.getsizeof(self._window)
 
     def imbalance(self) -> float:
         """Max-to-mean shard load ratio over the current window (1.0 = even)."""
@@ -562,6 +683,7 @@ __all__ = [
     "INGRESS_HASH_SEED",
     "FlowSharder",
     "Migration",
+    "PlacementTable",
     "ShardRebalancer",
     "ShardingStats",
     "rss_hash",

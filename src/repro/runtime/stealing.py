@@ -46,7 +46,6 @@ from ..core.queues.base import CounterStatsMixin
 
 if TYPE_CHECKING:
     from .runtime import ShardedRuntime
-    from .worker import ShardWorker
 
 #: Bound on each shard's parked steal requests (the bounded cross-core
 #: request ring; overflow is dropped and counted, never blocked on).
@@ -179,16 +178,6 @@ class FlowLease:
     granted_at_ns: int = 0
 
 
-def _idle(worker: "ShardWorker") -> bool:
-    """Nothing at all in flight on ``worker``: no packet, no held lease, no lent flow."""
-    return not worker.pending and not worker.leases_held and not worker.flows_on_loan
-
-
-def _load(worker: "ShardWorker") -> int:
-    """Packets queued on ``worker`` or waiting in its mailbox."""
-    return worker.backlog + len(worker.mailbox)
-
-
 class Stealer:
     """The work-stealing plane of one :class:`~repro.runtime.runtime.ShardedRuntime`.
 
@@ -232,11 +221,11 @@ class Stealer:
         can qualify.
         """
         workers = self._workers
-        if _load(workers[loaded_shard]) < self.min_backlog:
+        if workers[loaded_shard].queued() < self.min_backlog:
             return
         wake = self._runtime._wake_shard
         for shard, worker in enumerate(workers):
-            if _idle(worker):
+            if worker.is_idle():
                 wake(shard)
 
     def splice(self, shard: int, now: int) -> None:
@@ -275,7 +264,7 @@ class Stealer:
             thief = request.thief_shard
             thief_worker = self._workers[thief]
             if (
-                not _idle(thief_worker)
+                not thief_worker.is_idle()
                 or self.inbox[thief]
                 or (supervisor is not None and supervisor.frozen(thief))
             ):
@@ -325,7 +314,7 @@ class Stealer:
         """
         workers = self._workers
         worker = workers[shard]
-        if not _idle(worker):
+        if not worker.is_idle():
             return
         # Volunteer only while this core has done less than its fair share
         # of the run's work: an empty-but-cumulatively-hot shard (e.g. the
@@ -334,7 +323,7 @@ class Stealer:
         mean_cycles = sum(candidate.cost.total_cycles for candidate in workers) / len(workers)
         if worker.cost.total_cycles > mean_cycles:
             return
-        loads = [_load(candidate) for candidate in workers]
+        loads = [candidate.queued() for candidate in workers]
         # Only a shard loaded well beyond its siblings is worth robbing:
         # stealing between near-equal shards just churns handoff overhead,
         # ticks, and bitmap scans without relieving any bottleneck.

@@ -545,7 +545,25 @@ class ShardWorker:
     @property
     def pending(self) -> int:
         """Packets in flight on this shard (mailbox + queue + lease deferrals)."""
-        return self._backlog + len(self.mailbox) + self._deferred_count
+        return self._backlog + len(self.mailbox._items) + self._deferred_count
+
+    # The stealing plane's two reads of a worker.  Each runs for every shard
+    # whenever a loaded shard wakes the idle ones, so each is one frame: the
+    # fields directly, and the mailbox's ring rather than its ``len()``.
+
+    def is_idle(self) -> bool:
+        """Nothing at all in flight: no packet, no held lease, no lent flow."""
+        return not (
+            self._backlog
+            or self.mailbox._items
+            or self._deferred_count
+            or self._leases_held
+            or self._on_loan
+        )
+
+    def queued(self) -> int:
+        """Packets queued here or waiting in the mailbox (a steal victim's load)."""
+        return self._backlog + len(self.mailbox._items)
 
     @property
     def flows_on_loan(self) -> int:
@@ -591,10 +609,11 @@ class ShardWorker:
           ``SoonestDeadline()`` timer programming of the Eiffel qdisc)
           instead of burning an idle tick per quantum.
         """
-        if self._backlog == 0 and not len(self.mailbox):
+        mail = self.mailbox._items
+        if self._backlog == 0 and not mail:
             return None
         next_ns = now_ns + quantum_ns
-        if not len(self.mailbox):
+        if not mail:
             soonest = self.soonest_deadline_ns(now_ns)
             if soonest is not None and soonest > next_ns:
                 next_ns = soonest

@@ -9,11 +9,16 @@ the :class:`MetricsTimeline` exporters.  Integration tests arm the full
 plane on a real runtime and assert the two contracts that make it safe to
 ship: arming changes **no modelled cycle account** (the instruments observe
 the cost model, they never participate in it), and the same seed replays
-the same histograms, trace, and timeline byte for byte.
+the same histograms, trace, and timeline byte for byte.  Last,
+``BENCH_observability.json``'s disarmed modelled block is rebuilt at full
+size from the artifact's own ``workload`` block (the recipe is restated
+here, so the pin does not depend on ``benchmarks/bench_observability.py``).
 """
 
 import json
 import pickle
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -380,3 +385,48 @@ class TestRuntimeIntegration:
         process = telemetry_for("process")
         assert set(process.latency) == {"mailbox_wait", "queue_sojourn", "e2e"}
         assert process.latency == simulated.latency
+
+
+ARTIFACT = Path(__file__).resolve().parent.parent.parent / "BENCH_observability.json"
+
+
+def test_bench_observability_disarmed_block_rebuilds_from_its_workload_block():
+    # Zipf traffic into four shards behind two RX cores with stealing on:
+    # the steal checks run on every tick, so this pins them too.
+    committed = json.loads(ARTIFACT.read_text())
+    workload = committed["workload"]
+    rng = random.Random(workload["seed"])
+    weights = [
+        1.0 / (rank + 1) ** workload["zipf_skew"] for rank in range(workload["num_flows"])
+    ]
+    flow_ids = rng.choices(
+        range(workload["num_flows"]), weights=weights, k=workload["num_packets"]
+    )
+    runtime = ShardedRuntime(
+        workload["num_shards"],
+        default_rate_bps=workload["flow_rate_bps"],
+        quantum_ns=workload["quantum_ns"],
+        steal_enabled=True,
+        steal_min_backlog=4,
+        ingress_cores=workload["ingress_cores"],
+        record_transmits=False,
+    )
+    burst = workload["burst"]
+    for index in range(0, len(flow_ids), burst):
+        runtime.submit_at(
+            (index // burst) * workload["burst_gap_ns"],
+            [
+                Packet(flow_id=flow_id, size_bytes=workload["packet_bytes"])
+                for flow_id in flow_ids[index : index + burst]
+            ],
+        )
+    runtime.run()
+    telemetry = runtime.telemetry()
+    assert telemetry.packets_stolen > 0
+    assert {
+        "total_cycles": telemetry.total_cycles,
+        "max_shard_cycles": telemetry.max_shard_cycles,
+        "max_ingress_cycles": telemetry.max_ingress_cycles,
+        "steal_cycles": telemetry.steal_cycles,
+        "transmitted": telemetry.transmitted,
+    } == committed["modelled"]["disarmed"]

@@ -243,10 +243,12 @@ def test_loan_overrides_a_fresh_pin_for_a_drained_flow():
 # -- placement caching --------------------------------------------------------
 #
 # Routing step 3 asks the sharder once per flow and keeps the answer in the
-# driver's ``placed`` column until ``FlowSharder.epoch`` moves.  The cases
-# below are the ones where a kept answer could go stale: the sharder is
-# edited *directly*, between bursts, for a flow that is idle but still holds
-# its slot (GC off, so the slot — and the cached placement — outlive the
+# driver's ``placed`` column.  A change the driver makes itself (a
+# rebalancer pin, a crash restart's forget) drops that one flow's answer;
+# any other move of ``FlowSharder.epoch`` drops them all.  The cases below
+# are the ones where a kept answer could go stale: the sharder is edited
+# *directly*, between bursts, for a flow that is idle but still holds its
+# slot (GC off, so the slot — and the cached placement — outlive the
 # drain).  Two shards with stealing on, for the reason in the module
 # docstring; each case runs through ``submit_batch`` (epoch checked at the
 # top of the burst) and through ``submit`` (checked in ``_route``).
@@ -351,6 +353,60 @@ def test_forget_re_places_a_sticky_round_robin_flow(batched):
     _assert_moved_with_its_shaper(runtime, first, batched, src=0, dst=1)
 
 
+def test_a_rebalancing_round_keeps_the_placements_it_did_not_move():
+    # Three flows on shard 0 and one on shard 1: the round moves exactly
+    # one flow, and the others' kept answers outlive it.
+    (moved, kept, small), (other,) = _flows_hashed_to(0, 3), _flows_hashed_to(1, 1)
+    runtime = ShardedRuntime(
+        2,
+        quantum_ns=QUANTUM_NS,
+        default_rate_bps=RATE_BPS,
+        gc_interval_packets=None,
+        rebalance_interval_ns=10 * QUANTUM_NS,
+    )
+    _offer(runtime, [moved] * 4 + [kept] * 6 + [small, other], batched=True)
+    runtime.run(until_ns=2 * QUANTUM_NS)
+    _offer(runtime, [kept], batched=True)  # holds a slot: asked, and kept
+    runtime.run()
+    (migration,) = runtime.rebalancer.history
+    assert (migration.flow_id, migration.dst_shard) == (moved, 1)
+    asked = runtime.sharder.stats.lookups
+    packets = _offer(runtime, [kept, moved], batched=True)
+    runtime.run()
+    assert runtime.sharder.stats.lookups == asked + 1  # only the moved flow asks
+    assert [packet.metadata["shard"] for packet in packets] == [0, 1]
+
+
+@pytest.mark.parametrize("driver", ["rebalance", "gc"])
+def test_a_direct_pin_outlives_a_driver_change_before_the_next_burst(driver):
+    # The direct pin moves the epoch; before the next burst the driver makes
+    # a change of its own (a rebalancing round re-pins another flow, or a GC
+    # sweep runs).  That change must not take the epoch move for its own:
+    # the pinned flow's kept answer is stale, and the next burst drops it.
+    flow, hot, warm = _flows_hashed_to(0, 3)
+    runtime = ShardedRuntime(
+        2,
+        quantum_ns=QUANTUM_NS,
+        default_rate_bps=SLOW_RATE_BPS,
+        gc_interval_packets=1 if driver == "gc" else None,
+        rebalance_interval_ns=GAP_NS // 3 if driver == "rebalance" else None,
+    )
+    _offer(runtime, [flow], batched=True)
+    runtime.run(until_ns=GAP_NS // 12)
+    _offer(runtime, [flow] + [hot] * 3 + [warm] * 3, batched=True)  # flow: asked, kept
+    runtime.run(until_ns=GAP_NS // 4)
+    runtime.sharder.pin(flow, 1)
+    runtime.run(until_ns=GAP_NS + GAP_NS // 6)  # flow's paced packet has left
+    assert flow not in runtime._in_flight
+    if driver == "rebalance":
+        assert [move.flow_id for move in runtime.rebalancer.history] == [hot]
+    else:
+        assert runtime.flows.stats.gc_sweeps > 0
+    (packet,) = _offer(runtime, [flow], batched=True)
+    runtime.run()
+    assert packet.metadata["shard"] == 1
+
+
 class _NeverCachedSharder(FlowSharder):
     """A sharder whose epoch moves on every read.
 
@@ -381,8 +437,14 @@ _operation = st.one_of(
 )
 
 
-def _replay(operations, sharder, batched, policy):
-    """Apply ``operations`` directly, between partial runs; returns the outcome."""
+def _replay(operations, sharder, batched, policy, rebalance=False, crash=None):
+    """Apply ``operations`` directly, between partial runs; returns the outcome.
+
+    ``rebalance`` attaches a rebalancer whose rounds pin flows between the
+    operations; ``crash`` is ``(shard, tick)``: that shard crashes on that
+    tick and its restart forgets the flows homed there with nothing in
+    flight, while the others ride across.
+    """
     runtime = ShardedRuntime(
         2,
         sharder=sharder(2, policy=policy),
@@ -391,6 +453,12 @@ def _replay(operations, sharder, batched, policy):
         steal_enabled=True,
         steal_min_backlog=1,
         gc_interval_packets=64,  # slots are reclaimed, but not at every burst
+        rebalance_interval_ns=QUANTUM_NS if rebalance else None,
+        fault_plan=(
+            None
+            if crash is None
+            else FaultPlan([FaultEvent("shard_crash", target=crash[0], at=crash[1])])
+        ),
     )
     arrivals: dict = {}
     for operation in operations:
@@ -419,17 +487,24 @@ def _replay(operations, sharder, batched, policy):
         "migrations_applied": telemetry.migrations_applied,
         "packets_stolen": telemetry.packets_stolen,
         "gc_reclaimed": telemetry.flow_state["gc_reclaimed"],
+        "pins": runtime.sharder.stats.pins,
+        "faults": telemetry.faults,
         "residual_state": runtime.residual_state(),
     }
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     operations=st.lists(_operation, min_size=1, max_size=40),
     policy=st.sampled_from(FlowSharder.POLICIES),
+    rebalance=st.booleans(),
+    crash=st.none() | st.tuples(st.integers(0, 1), st.integers(1, 4)),
 )
-def test_cached_placement_equals_a_twin_that_asks_every_time(operations, policy):
-    cached = _replay(operations, FlowSharder, batched=True, policy=policy)
-    assert cached == _replay(operations, FlowSharder, batched=False, policy=policy)
-    assert cached == _replay(operations, _NeverCachedSharder, batched=False, policy=policy)
+def test_cached_placement_equals_a_twin_that_asks_every_time(
+    operations, policy, rebalance, crash
+):
+    twin = dict(policy=policy, rebalance=rebalance, crash=crash)
+    cached = _replay(operations, FlowSharder, batched=True, **twin)
+    assert cached == _replay(operations, FlowSharder, batched=False, **twin)
+    assert cached == _replay(operations, _NeverCachedSharder, batched=False, **twin)
     assert not any(cached["residual_state"].values())
