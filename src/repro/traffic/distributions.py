@@ -192,8 +192,15 @@ class ZipfFlowSampler:
       almost all the probability mass — and the tail is resolved through the
       Euler–Maclaurin closed form of the generalised harmonic number
       ``H(k) = sum_{i=1..k} i^-s`` (error ``O(k^-s-3)``, far below float
-      resolution for the k > 4096 where it is used): construction is O(head)
-      and each tail sample is one binary search on k with O(1) evaluations.
+      resolution for the k > 4096 where it is used): construction is O(head).
+      A tail sample inverts the integral term in closed form for a first
+      guess at k, then corrects it on ``H`` itself (the guess and its
+      neighbour, a gallop, a bisection inside the bracket) to the smallest
+      k with ``H(k) >= target``.  A good guess costs two evaluations and a
+      bad one O(log n).  The ids are those of a plain bisection over the
+      same float ``H``: the guess only chooses where the search starts,
+      and wherever that float ``H`` never decreases (every universe the
+      workloads draw from), the smallest such k is unique.
     """
 
     #: Largest universe that still materialises the full CDF eagerly.
@@ -266,20 +273,82 @@ class ZipfFlowSampler:
             return head_cum[k - 1] if k else 0.0
         return head_cum[-1] + self._tail_sum(len(head_cum) + 1, k)
 
+    def _tail_guess(self, first: int, mass: float) -> int:
+        """1-based ``k`` whose tail ``sum_{i=first..k} i**-s`` first reaches ``mass``.
+
+        Inverts the midpoint integral ``int_{first-1/2}^{k+1/2} x**-s dx``,
+        so the answer is a guess, often exact and otherwise a rank or two
+        out; it may also exceed the universe, which the caller clamps.
+        """
+        s = self.skew
+        edge = first - 0.5
+        if abs(1.0 - s) < 1e-12:
+            power = mass + math.log(edge)
+            end = math.exp(power) if power < 700.0 else math.inf
+        else:
+            base = edge ** (1.0 - s) + (1.0 - s) * mass
+            try:
+                end = base ** (1.0 / (1.0 - s)) if base > 0.0 else math.inf
+            except OverflowError:
+                end = math.inf
+        if end >= self.num_flows:
+            return self.num_flows
+        return max(first, math.ceil(end - 0.5))
+
     def _rank_for(self, target: float) -> int:
-        """Smallest 0-based rank ``r`` with unnormalised ``H(r+1) >= target``."""
+        """Smallest 0-based rank ``r`` with unnormalised ``H(r+1) >= target``.
+
+        Past the exact head, a closed-form guess is corrected on
+        ``_harmonic`` itself: check the guess and its neighbour, gallop
+        outward, then bisect inside the bracket ``lo < k <= hi``, where
+        ``H(lo) < target`` and ``H(hi) >= target`` unless ``hi`` is the
+        last rank.
+        """
         head_cum = self._head_cum
         index = bisect.bisect_left(head_cum, target)
         if index < len(head_cum):
             return index
-        lo, hi = len(head_cum) + 1, self.num_flows  # 1-based k bracket
-        while lo < hi:
+        harmonic = self._harmonic
+        first, last = len(head_cum) + 1, self.num_flows  # 1-based k bracket
+        if first >= last:
+            return first - 1
+        # H(first - 1) = head_cum[-1] < target, so the answer lies in
+        # (first - 1, last].  Like the bisection, the search never needs
+        # H(last): a target past it resolves to last all the same.
+        guess = self._tail_guess(first, target - head_cum[-1])
+        if harmonic(guess) >= target:
+            hi = guess
+            if hi == first or harmonic(hi - 1) < target:
+                return hi - 1
+            hi -= 1
+            step, lo = 1, first - 1
+            while hi - step > first - 1:
+                if harmonic(hi - step) < target:
+                    lo = hi - step
+                    break
+                hi -= step
+                step *= 2
+        else:
+            lo = guess
+            if lo == last:
+                return last - 1
+            if harmonic(lo + 1) >= target:
+                return lo
+            lo += 1
+            step, hi = 1, last
+            while lo + step < last:
+                if harmonic(lo + step) >= target:
+                    hi = lo + step
+                    break
+                lo += step
+                step *= 2
+        while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self._harmonic(mid) >= target:
+            if harmonic(mid) >= target:
                 hi = mid
             else:
-                lo = mid + 1
-        return lo - 1
+                lo = mid
+        return hi - 1
 
     def sample_flow(self) -> int:
         """One flow id in ``[0, num_flows)``, hot flows first."""

@@ -234,19 +234,19 @@ class OpenLoopBurstSource:
         emitted = 0
         when_ns = start_ns
         sampler = self.flow_sampler
+        size_bytes = self.packet_bytes
+        burst_size = self.burst_size
+        gap_ns = self.burst_gap_ns
+        make = Packet  # positional: flow_id, size_bytes, rank, arrival_ns
         while emitted < total_packets:
-            count = min(self.burst_size, total_packets - emitted)
+            end = min(emitted + burst_size, total_packets)
             burst = [
-                Packet(
-                    flow_id=sampler(emitted + offset),
-                    size_bytes=self.packet_bytes,
-                    arrival_ns=when_ns,
-                )
-                for offset in range(count)
+                make(sampler(index), size_bytes, None, when_ns)
+                for index in range(emitted, end)
             ]
             yield when_ns, burst
-            emitted += count
-            when_ns += self.burst_gap_ns
+            emitted = end
+            when_ns += gap_ns
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Unit tests of the array-backed flow-state engine (repro.runtime.flowstate)."""
 
+import json
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from repro.core.model.transactions import RateLimit, ShapingTransaction
 from repro.runtime import FlowSharder, FlowTable, PacingTable, ShardedRuntime
 from repro.core.model.packet import Packet
+from repro.traffic import ZipfFlowSampler
 
 RATE_BPS = 1e9
 
@@ -480,3 +483,45 @@ class TestIncrementalGc:
         assert block["slot_limit"] >= block["live_flows"]
         assert block["memory_bytes"] > 0
         assert block == runtime.telemetry().as_dict()["flow_state"]
+
+
+MEGAFLOW_ARTIFACT = Path(__file__).resolve().parent.parent.parent / "BENCH_megaflow.json"
+
+
+def test_bench_megaflow_churn_storm_rebuilds_at_full_size():
+    """``BENCH_megaflow.json``'s churn storm, restated from its harness.
+
+    ``benchmarks/bench_megaflow.py::_drive_churn_storm`` at the committed
+    packet count: 40,000 Zipf draws over the 1.2M-id universe (a third of
+    them past the sampler's exact head) into four shards with incremental
+    GC.  Every ``flow_state`` field and the modelled cycles must match.
+    """
+    committed = json.loads(MEGAFLOW_ARTIFACT.read_text())["churn_storm"]
+    num_packets, burst, quantum_ns = committed["num_packets"], 128, 10_000
+    flow_ids = ZipfFlowSampler(committed["universe"], skew=1.05, seed=11).sample_flows(
+        num_packets
+    )
+    runtime = ShardedRuntime(
+        committed["num_shards"],
+        default_rate_bps=10e9,
+        quantum_ns=quantum_ns,
+        batch_per_quantum=64,
+        record_transmits=False,
+        gc_interval_packets=256,
+        gc_sweep_limit=committed["gc_sweep_limit"],
+    )
+    for index in range(0, num_packets, burst):
+        chunk = flow_ids[index : index + burst]
+
+        def offer(chunk=chunk) -> None:
+            runtime.submit_batch(
+                [Packet(flow_id=flow_id, size_bytes=1500) for flow_id in chunk]
+            )
+
+        runtime.simulator.schedule_at((index // burst) * 8 * quantum_ns, offer)
+    runtime.run()
+    telemetry = runtime.telemetry()
+    assert telemetry.transmitted == num_packets
+    cycles = telemetry.total_cycles / telemetry.transmitted
+    assert cycles == committed["cycles_per_packet"]
+    assert dict(telemetry.flow_state) == committed["flow_state"]
