@@ -18,7 +18,10 @@ instance per core, flows spread across instances by an RSS-style hash:
   its own cycle account, loss-free watermark backpressure and pluggable
   admission control (:class:`~repro.runtime.ingress.TailDropPolicy` /
   :class:`~repro.runtime.ingress.FlowFairDropPolicy` /
-  :class:`~repro.runtime.ingress.CoDelPolicy`).
+  :class:`~repro.runtime.ingress.CoDelPolicy`).  The runtime's side of it
+  — lane map, RX tick timers, offer, wake and the watermark resume — is
+  the :class:`~repro.runtime.ingress.IngressPlane`, also in
+  :mod:`repro.runtime.ingress`.
 * :class:`~repro.runtime.stealing.Stealer` — the work-stealing plane: the
   bounded :class:`~repro.runtime.stealing.StealChannel` an idle shard
   parks a request in, and the atomic

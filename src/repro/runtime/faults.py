@@ -311,10 +311,12 @@ class Supervisor:
     The driver and its stealing plane ask one question per seam
     (:meth:`frozen`, :meth:`tick_blocked`, :meth:`trim_handoff`, ...).  The
     other way, the supervisor reads only the driver's ``simulator``,
-    ``workers``, ``ingress_cores``, ``tracer`` and ``_stealer`` (``None``:
-    no lease is ever out), calls only ``_restart_shard`` (the crash
-    transplant), ``_kick_shard`` and ``_wake_ingress``, and asks the plane
-    only for ``overdue_thieves`` and whether ``open_leases`` is empty.
+    ``workers``, ``ingress_cores``, ``tracer``, ``_stealer`` (``None``: no
+    lease is ever out) and ``_ingress`` (the RX plane, there whenever a
+    wedge can fire), calls only ``_restart_shard`` (the crash transplant)
+    and ``_kick_shard``, asks the stealing plane only for
+    ``overdue_thieves`` and whether ``open_leases`` is empty, and asks the
+    RX plane only to ``wake`` a lane.
     """
 
     def __init__(
@@ -524,7 +526,7 @@ class Supervisor:
             stats.wedges_cleared += 1
             self._recovered(now, {"kind": "ingress_wedge", "lane": lane}, wedged_at)
             if not runtime.ingress_cores[lane].ring.empty:
-                runtime._wake_ingress(lane)
+                runtime._ingress.wake(lane)
         if self.unresolved or (watch_leases and stealer.open_leases):
             self._arm()
 

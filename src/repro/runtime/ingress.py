@@ -35,7 +35,10 @@ Flows are assigned to ingress cores by an RSS-style hash with its own seed
 (:meth:`FlowSharder.for_ingress <repro.runtime.sharder.FlowSharder.for_ingress>`),
 so one flow always traverses one ring — per-flow FIFO composes: NIC order is
 ring order is mailbox order is shard order, the same residency argument the
-runtime already makes for the mailbox-to-queue leg.
+runtime already makes for the mailbox-to-queue leg.  The runtime's side of
+all this — the lane map, one tick timer per core, offer, wake and the
+``on_low`` resume — is one :class:`IngressPlane`, built only with ingress
+cores.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import groupby, repeat
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from .mailbox import Mailbox
 from .observability import LogHistogram
@@ -53,6 +56,10 @@ from .sharder import FlowSharder
 from ..core.model.packet import Packet
 from ..core.queues.base import CounterStatsMixin
 from ..cpu import CostModel
+
+if TYPE_CHECKING:
+    from ..netsim.simulator import EventHandle
+    from .runtime import ShardedRuntime
 
 
 @dataclass(slots=True)
@@ -551,8 +558,10 @@ class IngressCore:
         slot routing found for each (``-1``: none).  It routes per flow, and
         stops at the first packet whose shard already got ``rooms[shard]``
         packets of the call, leaving that packet and all behind it
-        unrouted.  ``deliver(shard, packets, slots)`` pushes one per-shard
-        group and returns how many the mailbox accepted.
+        unrouted.  ``deliver(shard, packets, slots)`` is the runtime's
+        handoff (:meth:`ShardedRuntime._handoff
+        <repro.runtime.runtime.ShardedRuntime._handoff>`): it pushes one
+        per-shard group and returns how many the mailbox accepted.
 
         Backpressure: a destination's room is its distance to the high
         watermark (or capacity), 0 while paused — read once per shard per
@@ -752,6 +761,145 @@ class IngressLanes:
         return groups
 
 
+class IngressPlane:
+    """The RX plane of one :class:`~repro.runtime.runtime.ShardedRuntime`.
+
+    Built only with ``ingress_cores > 0``.  Owns the lane map (flow -> RX
+    core, an RSS hash with its own seed, behind :class:`IngressLanes`), one
+    timer handle and one tick callback per lane, and the RX quantum: one
+    quarter of the scheduling quantum, so several NIC pulls land per
+    scheduling quantum, as NAPI polls outpace scheduler ticks.  The driver's
+    submit paths call :meth:`offer`; every shard mailbox's ``on_low`` edge
+    calls :meth:`resume_stalled`; the supervisor calls :meth:`wake` when it
+    clears a wedge; the driver's ``stop`` and ``telemetry`` call
+    :meth:`stop` and :meth:`telemetry`.  The plane reads the driver's
+    ``simulator``, ``quantum_ns``, ``ingress_cores``, ``workers`` (their
+    mailboxes, once: a restart keeps the mailbox object), ``tracer`` and
+    ``_supervisor``, and calls only its ``_route_burst``, ``_handoff`` and
+    ``_arm_rebalance``.
+    """
+
+    def __init__(self, runtime: "ShardedRuntime", hash_seed: Optional[int]) -> None:
+        self._runtime = runtime
+        self._simulator = runtime.simulator
+        self._tracer = runtime.tracer
+        self._supervisor = runtime._supervisor
+        self.cores: List[IngressCore] = runtime.ingress_cores
+        self.quantum_ns = max(1, runtime.quantum_ns // 4)
+        self.lanes = IngressLanes(
+            FlowSharder.for_ingress(len(self.cores), hash_seed=hash_seed)
+        )
+        self._mailboxes = [worker.mailbox for worker in runtime.workers]
+        self._handles: List[Optional["EventHandle"]] = [None] * len(self.cores)
+        # Written here, not as a functools.partial: a callback's __module__
+        # is how a tracer tells which layer it belongs to.
+        tick = self._tick
+        self._callbacks: List[Callable[[], None]] = [
+            (lambda lane=lane: tick(lane)) for lane in range(len(self.cores))
+        ]
+        for mailbox in self._mailboxes:
+            # The falling watermark edge is the resume signal: a shard
+            # draining below its low watermark wakes exactly the RX cores
+            # that stalled on it (event-driven, no polling).
+            mailbox.on_low = self.resume_stalled
+
+    def offer(self, packets: List[Packet]) -> int:
+        """Spread a NIC burst over the RX rings by flow hash.
+
+        One flow always traverses one ring (per-flow FIFO composes through
+        the whole pipeline); returns packets admitted past the admission
+        policy.  With pure backpressure everything is admitted — the rings
+        grow instead of dropping.
+        """
+        now = self._simulator.now_ns
+        admitted = 0
+        for lane, group in self.lanes.spread(packets).items():
+            core = self.cores[lane]
+            admitted += core.offer(group, now)
+            if not core.ring.empty:
+                self.wake(lane)
+        return admitted
+
+    def wake(self, lane: int) -> None:
+        """Guarantee RX core ``lane`` pulls within one RX quantum.
+
+        RX ticks are only ever armed at ``now`` or one RX quantum out, so an
+        already-armed pull is soon enough for fresh ring arrivals.  A wedged
+        poller ignores wakes until the supervisor clears it.
+        """
+        if self._supervisor is not None and self._supervisor.is_wedged(lane):
+            return
+        handle = self._handles[lane]
+        if handle is not None and handle.active:
+            return
+        self._handles[lane] = self._simulator.schedule_at(
+            self._simulator.now_ns, self._callbacks[lane]
+        )
+
+    def resume_stalled(self) -> None:
+        """Resume every RX core parked on backpressure (the ``on_low`` edge).
+
+        A stalled core always has its quantum-cadence retry armed; the point
+        of the falling-watermark edge is to beat that retry, so a retry due
+        later than now is cancelled before the :meth:`wake` (deferring to it
+        would cost up to one RX quantum of extra ring sojourn per stall).
+        """
+        now = self._simulator.now_ns
+        for lane, core in enumerate(self.cores):
+            if not core.stalled or core.ring.empty:
+                continue
+            handle = self._handles[lane]
+            if handle is not None and handle.active and handle.time_ns > now:
+                self._simulator.cancel(handle)
+            self.wake(lane)
+
+    def _tick(self, lane: int) -> None:
+        core = self.cores[lane]
+        self._handles[lane] = None
+        now = self._simulator.now_ns
+        if self._supervisor is not None and self._supervisor.rx_blocked(lane, now):
+            return  # wedged: no pull, no reschedule
+        runtime = self._runtime
+        delivered = core.pull(now, runtime._route_burst, self._mailboxes, runtime._handoff)
+        if delivered:
+            runtime._arm_rebalance()
+        if self._tracer is not None:
+            self._tracer.emit(
+                now,
+                f"rx-{lane}",
+                "ingress_pull",
+                {"delivered": delivered, "ring": core.backlog, "stalled": core.stalled},
+            )
+        # Blocked cores are primarily woken by the mailbox on_low edge; the
+        # quantum-cadence retry is the liveness belt for custom watermark
+        # wirings, and for a loaded ring it is simply the next NAPI poll.
+        next_ns = core.next_wake_ns(now, self.quantum_ns)
+        if next_ns is None:
+            return  # the next offer() wakes this core
+        self._handles[lane] = self._simulator.schedule_at(next_ns, self._callbacks[lane])
+
+    def stop(self) -> None:
+        """Cancel every armed RX tick."""
+        for handle in self._handles:
+            if handle is not None and handle.active:
+                self._simulator.cancel(handle)
+        self._handles[:] = [None] * len(self._handles)
+
+    def telemetry(self) -> List["IngressTelemetry"]:
+        """One row per RX core, as the runtime's telemetry reports it."""
+        return [
+            IngressTelemetry(
+                core_id=core.core_id,
+                stats=core.stats.snapshot(),
+                cycles=core.cost.total_cycles,
+                ring_backlog=core.backlog,
+                ring_peak=core.ring.peak,
+                sojourn=core.sojourn_hist.snapshot(),
+            )
+            for core in self.cores
+        ]
+
+
 @dataclass
 class IngressTelemetry:
     """Telemetry of one ingress core, as collected by the runtime."""
@@ -794,6 +942,7 @@ __all__ = [
     "FlowFairDropPolicy",
     "IngressCore",
     "IngressLanes",
+    "IngressPlane",
     "IngressStats",
     "IngressTelemetry",
     "RxRing",

@@ -5,14 +5,16 @@ loops onto one :class:`~repro.netsim.simulator.Simulator` clock, the way a
 multi-core scheduler runs one worker loop per CPU against shared wall time:
 
 * **ingress** (:meth:`submit` / :meth:`submit_batch`) routes each packet to a
-  shard via the :class:`~repro.runtime.sharder.FlowSharder` and posts it into
-  that shard's batched SPSC mailbox; with ``ingress_cores=N`` the submission
-  instead lands in the RX ring of one of N asynchronous
-  :class:`~repro.runtime.ingress.IngressCore`\\ s (flows spread over cores by
-  an RSS-style hash with its own seed), which classify and hand off in
-  batches on their own tick cadence, charge their own cycle accounts, pause
-  on mailbox watermarks (backpressure) and optionally run admission control
-  — see :mod:`repro.runtime.ingress`;
+  shard via the :class:`~repro.runtime.sharder.FlowSharder` and hands each
+  shard's group to its batched SPSC mailbox (:meth:`ShardedRuntime._handoff`,
+  the one handoff of every path); with ``ingress_cores=N`` the submission
+  instead goes to an :class:`~repro.runtime.ingress.IngressPlane` in
+  :mod:`repro.runtime.ingress`, which lands it in the RX ring of one of N
+  asynchronous :class:`~repro.runtime.ingress.IngressCore`\\ s (flows spread
+  over cores by an RSS-style hash with its own seed); they classify and hand
+  off in batches on their own tick cadence, charge their own cycle accounts,
+  pause on mailbox watermarks (backpressure) and optionally run admission
+  control;
 * each shard **ticks** once per scheduling quantum — one batched mailbox
   drain + stamp + ``enqueue_batch``, then one batched ``extract_due`` — and
   re-programs its own wake-up timer (a cancellable simulator event) for the
@@ -66,7 +68,7 @@ from .backend import (
 )
 from .faults import RESIDUAL_KEYS, FaultPlan, FaultStats, ShardRecord, Supervisor
 from .flowstate import FlowTable
-from .ingress import IngressCore, IngressLanes, IngressTelemetry, make_admission_factory
+from .ingress import IngressCore, IngressPlane, IngressTelemetry, make_admission_factory
 from .mailbox import MailboxStats
 from .observability import FlightRecorder, GaugeValue, LogHistogram, MetricsTimeline
 from .sharder import FlowSharder, ShardRebalancer
@@ -258,10 +260,8 @@ class ShardedRuntime:
             zero-argument factory returning a fresh
             :class:`~repro.runtime.ingress.AdmissionPolicy` per core.
         rx_ring_capacity / rx_burst: nominal RX ring size and per-tick pull
-            budget of each ingress core.
-        ingress_quantum_ns: ingress tick period (defaults to one quarter of
-            ``quantum_ns``, so several NIC pulls land per scheduling
-            quantum, as NAPI polls outpace scheduler ticks).
+            budget of each ingress core (each core pulls every quarter
+            ``quantum_ns``: see :class:`~repro.runtime.ingress.IngressPlane`).
         ingress_backpressure: honour mailbox watermarks (pause the pull and
             grow the ring); off, an unarmed ring tail-drops at capacity.
             With ingress cores and a bounded ``mailbox_capacity`` every
@@ -369,7 +369,6 @@ class ShardedRuntime:
         admission: "str | Callable[[], object] | None" = None,
         rx_ring_capacity: int = 512,
         rx_burst: int = 64,
-        ingress_quantum_ns: Optional[int] = None,
         ingress_backpressure: bool = True,
         ingress_hash_seed: Optional[int] = None,
         ingest_per_quantum: Optional[int] = None,
@@ -410,8 +409,6 @@ class ShardedRuntime:
             raise ValueError("rx_ring_capacity must be positive")
         if rx_burst <= 0:
             raise ValueError("rx_burst must be positive")
-        if ingress_quantum_ns is not None and ingress_quantum_ns <= 0:
-            raise ValueError("ingress_quantum_ns must be positive")
         if ingest_per_quantum is not None and ingest_per_quantum <= 0:
             raise ValueError("ingest_per_quantum must be positive")
         if shard_backlog_limit is not None and shard_backlog_limit <= 0:
@@ -561,11 +558,8 @@ class ShardedRuntime:
             if steal_enabled and num_shards > 1
             else None
         )
-        # -- the asynchronous ingress layer --------------------------------
+        # -- the RX plane ----------------------------------------------------
         admission_factory = make_admission_factory(admission)
-        self.ingress_quantum_ns = (
-            max(1, quantum_ns // 4) if ingress_quantum_ns is None else ingress_quantum_ns
-        )
         self.ingress_cores: List[IngressCore] = [
             IngressCore(
                 core_id,
@@ -576,24 +570,9 @@ class ShardedRuntime:
             )
             for core_id in range(ingress_cores)
         ]
-        self._ingress_sharder = (
-            FlowSharder.for_ingress(ingress_cores, hash_seed=ingress_hash_seed)
-            if ingress_cores
-            else None
+        self._ingress: Optional[IngressPlane] = (
+            IngressPlane(self, ingress_hash_seed) if ingress_cores else None
         )
-        self._lanes = IngressLanes(self._ingress_sharder) if ingress_cores else None
-        self._ingress_handles: List[Optional[EventHandle]] = [None] * ingress_cores
-        ingress_tick = self._ingress_tick
-        self._ingress_callbacks: List[Callable[[], None]] = [
-            (lambda lane=lane: ingress_tick(lane)) for lane in range(ingress_cores)
-        ]
-        self._mailboxes = [worker.mailbox for worker in self.workers]
-        if self.ingress_cores:
-            for mailbox in self._mailboxes:
-                # The falling watermark edge is the resume signal: a shard
-                # draining below its low watermark wakes exactly the RX
-                # cores that stalled on it (event-driven, no polling).
-                mailbox.on_low = self._wake_stalled_ingress
         self.backend.bind(self)
 
     def _worker_spec(self, shard: int) -> WorkerSpec:
@@ -754,81 +733,38 @@ class ShardedRuntime:
             self.sharder.record_shard(shard, taken)
 
     def submit(self, packet: Packet) -> bool:
-        """Offer one packet to the runtime; False when it was dropped.
-
-        With ingress cores the packet lands in its flow's RX ring (drops are
-        then the admission policy's verdict); otherwise it goes straight to
-        its shard's mailbox, as before the ingress layer existed.
-
-        On a parallel backend this buffers the packet for time 0 of the run
-        (see :meth:`submit_at`) and optimistically reports acceptance —
-        drops are settled inside the shard processes and surface in
-        :attr:`ingress_drops` after :meth:`run`.
-        """
-        if self.backend.parallel:
-            self.backend.submit_at(0, [packet])
-            return True
-        if self.timeline is not None:
-            self._arm_timeline()
-        if self.ingress_cores:
-            return self._offer_ingress([packet]) == 1
-        by_shard, slots_by_shard = self._route_burst([packet])
-        ((shard, group),) = by_shard.items()
-        slots = slots_by_shard[shard]
-        if self._supervisor is not None:
-            group, slots = self._supervisor.trim_handoff(shard, group, slots)
-            if not group:
-                return False
-        if self.latency_histograms:
-            now = self.simulator.now_ns
-            packet.metadata["e2e_ns"] = now
-            packet.metadata["mbox_ns"] = now
-        if not self.workers[shard].mailbox.push(packet):
-            self.ingress_drops += 1
-            return False
-        self._commit_group(group, slots, shard, 1)
-        self._work_arrived(shard)
-        self._arm_rebalance()
-        return True
+        """Offer one packet to the runtime; False when it was dropped."""
+        return self.submit_batch([packet]) == 1
 
     def submit_batch(self, packets: List[Packet]) -> int:
         """Offer a burst; routing stays per-flow, pushes are batched per shard.
 
-        Returns the number of packets accepted.  On a parallel backend the
-        burst is buffered for time 0 of the run and the count is optimistic
-        (see :meth:`submit`).
+        With ingress cores the burst lands in its flows' RX rings (drops are
+        then the admission policy's verdict); otherwise each shard's group
+        goes straight to its mailbox.  Returns the number of packets
+        accepted.
+
+        On a parallel backend this buffers the burst for time 0 of the run
+        (see :meth:`submit_at`) and optimistically reports acceptance —
+        drops are settled inside the shard processes and surface in
+        :attr:`ingress_drops` after :meth:`run`.
         """
         if self.backend.parallel:
             self.backend.submit_at(0, packets)
             return len(packets)
         if self.timeline is not None:
             self._arm_timeline()
-        if self.ingress_cores:
-            return self._offer_ingress(packets)
         if self.latency_histograms:
+            # The e2e clock starts at submission — RX-ring wait included.
             now = self.simulator.now_ns
             for packet in packets:
                 packet.metadata["e2e_ns"] = now
-                packet.metadata["mbox_ns"] = now
+        if self._ingress is not None:
+            return self._ingress.offer(packets)
         by_shard, slots_by_shard = self._route_burst(packets)
         accepted = 0
-        supervisor = self._supervisor
         for shard, group in by_shard.items():
-            slots = slots_by_shard[shard]
-            if supervisor is not None:
-                group, slots = supervisor.trim_handoff(shard, group, slots)
-                if not group:
-                    continue
-            mailbox = self.workers[shard].mailbox
-            before = len(mailbox)
-            taken = mailbox.push_batch(group)
-            accepted += taken
-            self.ingress_drops += len(group) - taken
-            # Tail drop keeps the accepted prefix, so pending counts follow
-            # the prefix of each flow's packets within this shard's group.
-            self._commit_group(group, slots, shard, taken)
-            if taken or before:
-                self._work_arrived(shard)
+            accepted += self._handoff(shard, group, slots_by_shard[shard])
         if accepted:
             self._arm_rebalance()
         return accepted
@@ -847,105 +783,20 @@ class ShardedRuntime:
         """
         self.backend.submit_at(when_ns, packets)
 
-    # -- the asynchronous ingress layer ------------------------------------
+    def _handoff(self, shard: int, packets: List[Packet], slots: List[int]) -> int:
+        """Land one routed group in ``shard``'s mailbox; returns packets taken.
 
-    def _offer_ingress(self, packets: List[Packet]) -> int:
-        """Spread a NIC burst over the ingress cores' RX rings by flow hash.
-
-        One flow always traverses one ring (per-flow FIFO composes through
-        the whole pipeline); returns packets admitted past the admission
-        policy.  With pure backpressure everything is admitted — the rings
-        grow instead of dropping.
+        The one handoff of every submit path: :meth:`submit_batch` calls it
+        per shard group, and so does the RX pull (its ``deliver``).  An
+        armed ``handoff_drop`` eats the head of the group first; tail drop
+        keeps the accepted prefix, so the commit takes the prefix of each
+        flow's packets within the group.
         """
-        now = self.simulator.now_ns
-        if self.latency_histograms:
-            # The e2e clock starts at submission — RX-ring wait included.
-            for packet in packets:
-                packet.metadata["e2e_ns"] = now
-        groups = self._lanes.spread(packets)
-        admitted = 0
-        for lane, group in groups.items():
-            core = self.ingress_cores[lane]
-            admitted += core.offer(group, now)
-            if not core.ring.empty:
-                self._wake_ingress(lane)
-        return admitted
-
-    def _wake_ingress(self, lane: int) -> None:
-        """Guarantee the ingress core pulls within one ingress quantum.
-
-        Ingress ticks are only ever armed at ``now`` or one ingress quantum
-        out, so an already-armed pull is always soon enough for fresh ring
-        arrivals; only :meth:`_wake_stalled_ingress` (the watermark resume
-        edge) ever pulls an armed retry forward.
-        """
-        if self._supervisor is not None and self._supervisor.is_wedged(lane):
-            return  # a wedged poller ignores wakes until the supervisor acts
-        handle = self._ingress_handles[lane]
-        if handle is not None and handle.active:
-            return
-        self._ingress_handles[lane] = self.simulator.schedule_at(
-            self.simulator.now_ns, self._ingress_callbacks[lane]
-        )
-
-    def _wake_stalled_ingress(self) -> None:
-        """Resume every RX core parked on backpressure (the ``on_low`` edge).
-
-        Unlike :meth:`_wake_ingress`, a stalled core's pending quantum-
-        cadence retry is pulled forward to *now*: the whole point of the
-        falling-watermark edge is to beat that polling fallback, and a
-        stalled core always has the retry armed, so deferring to it would
-        make this wake a no-op and cost up to one ingress quantum of extra
-        RX sojourn per stall.
-        """
-        now = self.simulator.now_ns
-        for lane, core in enumerate(self.ingress_cores):
-            if not core.stalled or core.ring.empty:
-                continue
-            if self._supervisor is not None and self._supervisor.is_wedged(lane):
-                continue
-            handle = self._ingress_handles[lane]
-            if handle is not None and handle.active:
-                if handle.time_ns <= now:
-                    continue  # already due this instant
-                self.simulator.cancel(handle)
-            self._ingress_handles[lane] = self.simulator.schedule_at(
-                now, self._ingress_callbacks[lane]
-            )
-
-    def _ingress_tick(self, lane: int) -> None:
-        core = self.ingress_cores[lane]
-        self._ingress_handles[lane] = None
-        now = self.simulator.now_ns
-        if self._supervisor is not None and self._supervisor.rx_blocked(lane, now):
-            return  # wedged: no pull, no reschedule
-        delivered = core.pull(now, self._route_burst, self._mailboxes, self._ingress_deliver)
-        if self.tracer is not None:
-            self.tracer.emit(
-                now,
-                f"rx-{lane}",
-                "ingress_pull",
-                {"delivered": delivered, "ring": core.backlog, "stalled": core.stalled},
-            )
-        # The wake-up policy lives on the core (next_wake_ns), shared with
-        # any backend that drives RX cores on its own clock.  Blocked cores
-        # are primarily woken by the mailbox on_low edge; the quantum-cadence
-        # retry is the liveness belt for custom watermark wirings, and for a
-        # loaded ring it is simply the next NAPI poll.
-        next_ns = core.next_wake_ns(now, self.ingress_quantum_ns)
-        if next_ns is None:
-            return  # the next offer() wakes this core
-        self._ingress_handles[lane] = self.simulator.schedule_at(
-            next_ns, self._ingress_callbacks[lane]
-        )
-
-    def _ingress_deliver(self, shard: int, packets: List[Packet], slots: List[int]) -> int:
-        """Land one routed group in its mailbox; its slots go on to the commit."""
         if self._supervisor is not None:
             packets, slots = self._supervisor.trim_handoff(shard, packets, slots)
             if not packets:
                 return 0
-        mailbox = self._mailboxes[shard]
+        mailbox = self.workers[shard].mailbox
         before = len(mailbox)
         if self.latency_histograms:
             now = self.simulator.now_ns
@@ -963,8 +814,6 @@ class ShardedRuntime:
         self._commit_group(packets, slots, shard, taken)
         if taken or before:
             self._work_arrived(shard)
-        if taken:
-            self._arm_rebalance()
         return taken
 
     # -- shard scheduling --------------------------------------------------
@@ -1270,7 +1119,7 @@ class ShardedRuntime:
         mailbox = old.mailbox
         stats.packets_salvaged += len(mailbox)
         fresh = ShardWorker(shard, **self._worker_config)
-        # Same object, not a copy: self._mailboxes[shard] and the ingress
+        # Same object, not a copy: the RX plane's mailbox list and its
         # on_low wiring keep pointing at it, and its stats run on.
         fresh.mailbox = mailbox
         for lease in self._supervisor.take_returns(shard):
@@ -1403,13 +1252,13 @@ class ShardedRuntime:
         """Cancel every outstanding shard, ingress, and rebalancing timer."""
         if self.simulator is None:
             return  # parallel backends hold no timers in this process
-        handles = self._tick_handles + self._ingress_handles
-        for handle in (*handles, self._rebalance_handle, self._timeline_handle):
+        for handle in (*self._tick_handles, self._rebalance_handle, self._timeline_handle):
             if handle is not None and handle.active:
                 self.simulator.cancel(handle)
         self._tick_handles[:] = [None] * len(self._tick_handles)
-        self._ingress_handles[:] = [None] * len(self._ingress_handles)
         self._rebalance_handle = self._timeline_handle = None
+        if self._ingress is not None:
+            self._ingress.stop()
         if self._supervisor is not None:
             self._supervisor.cancel()
 
@@ -1598,17 +1447,7 @@ class ShardedRuntime:
             "gc_reclaimed": flow_stats.gc_reclaimed,
             "window_evictions": self.sharder.stats.window_evictions,
         }
-        ingress = [
-            IngressTelemetry(
-                core_id=core.core_id,
-                stats=core.stats.snapshot(),
-                cycles=core.cost.total_cycles,
-                ring_backlog=core.backlog,
-                ring_peak=core.ring.peak,
-                sojourn=core.sojourn_hist.snapshot(),
-            )
-            for core in self.ingress_cores
-        ]
+        ingress = self._ingress.telemetry() if self._ingress is not None else []
         fault_block = self.fault_stats.as_dict()
         fault_block["recovery_log"] = list(self.recovery_log)
         return RuntimeTelemetry(

@@ -40,6 +40,7 @@ def test_every_scheduled_callback_belongs_to_the_runtime():
     assert runtime.transmitted + runtime.fault_stats.packets_lost == 6 * 24
     assert len(modules) > 50
     assert "repro.runtime.runtime" in modules
+    assert "repro.runtime.ingress" in modules  # the RX tick is the RX plane's
     assert all(module and module.startswith("repro.runtime.") for module in modules), set(
         modules
     )

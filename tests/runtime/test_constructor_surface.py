@@ -36,7 +36,6 @@ SHARDED_RUNTIME = (
     "admission",
     "rx_ring_capacity",
     "rx_burst",
-    "ingress_quantum_ns",
     "ingress_backpressure",
     "ingress_hash_seed",
     "ingest_per_quantum",

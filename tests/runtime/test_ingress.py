@@ -326,6 +326,23 @@ class TestRuntimeIngressIntegration:
         for flow_id, sequence in _flow_sequences(runtime.transmit_log).items():
             assert sequence == sorted(sequence), f"flow {flow_id} reordered"
 
+    def test_no_ingress_cores_builds_no_plane(self):
+        runtime = ShardedRuntime(2, quantum_ns=QUANTUM_NS)
+        assert runtime._ingress is None
+        assert runtime.ingress_cores == []
+        schedule_at = runtime.simulator.schedule_at
+        modules = []
+
+        def recording(time_ns, callback):
+            modules.append(callback.__module__)
+            return schedule_at(time_ns, callback)
+
+        runtime.simulator.schedule_at = recording
+        assert runtime.submit_batch(_packets([flow % 6 for flow in range(60)])) == 60
+        runtime.run()
+        assert runtime.transmitted == 60
+        assert modules and "repro.runtime.ingress" not in modules
+
     def test_single_submit_goes_through_the_ring(self):
         runtime = ShardedRuntime(2, quantum_ns=QUANTUM_NS, ingress_cores=1)
         assert runtime.submit(Packet(flow_id=3, size_bytes=1500))
@@ -340,7 +357,7 @@ class TestRuntimeIngressIntegration:
         assert runtime.transmitted == 240
         # Replaying the lane hash per flow must match what each core saw:
         # every flow's packets traversed exactly one ring.
-        lanes = runtime._ingress_sharder
+        lanes = runtime._ingress.lanes.sharder
         per_core = [core.stats.rx_packets for core in runtime.ingress_cores]
         expected = [0, 0, 0]
         for flow in range(12):
@@ -416,10 +433,10 @@ class TestRuntimeIngressIntegration:
             1,
             quantum_ns=QUANTUM_NS,
             ingress_cores=1,
-            ingress_quantum_ns=50_000,
             mailbox_capacity=2,
             rx_burst=8,
         )
+        runtime._ingress.quantum_ns = 50_000
         runtime.submit_batch(_packets([1] * 6))
         runtime.run()
         assert runtime.transmitted == 6
@@ -462,8 +479,6 @@ class TestRuntimeIngressIntegration:
             ShardedRuntime(2, ingress_cores=1, rx_ring_capacity=0)
         with pytest.raises(ValueError):
             ShardedRuntime(2, ingress_cores=1, rx_burst=0)
-        with pytest.raises(ValueError):
-            ShardedRuntime(2, ingress_cores=1, ingress_quantum_ns=0)
         with pytest.raises(ValueError):
             ShardedRuntime(2, ingest_per_quantum=0)
         with pytest.raises(ValueError):

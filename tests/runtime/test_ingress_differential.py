@@ -70,7 +70,7 @@ class _CheckedRuntime(ShardedRuntime):
 class _PerPacketTwin(ShardedRuntime):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._lanes = _AskEveryTime(self._ingress_sharder)
+        self._ingress.lanes = _AskEveryTime(self._ingress.lanes.sharder)
         for core in self.ingress_cores:
             core.__class__ = _PerPacketCore  # same slots, per-packet sojourns
             core.ring.count_flows()
@@ -89,8 +89,8 @@ class _PerPacketTwin(ShardedRuntime):
                 left[shard] -= 1
         return groups, slots
 
-    def _ingress_deliver(self, shard, packets, slots):
-        return super()._ingress_deliver(shard, packets, [-1] * len(slots))
+    def _handoff(self, shard, packets, slots):
+        return super()._handoff(shard, packets, [-1] * len(slots))
 
 
 def _zipf_bursts(seed, num_flows=64, skew=1.2, burst=48, bursts=60, flows=None):
@@ -120,7 +120,7 @@ def _drive(runtime_cls, flow_bursts, window_limit=None, lane_pins=None, **kwargs
 
         def apply_pins():
             for flow_id, lane in pins.items():
-                runtime._ingress_sharder.pin(flow_id, lane)
+                runtime._ingress.lanes.sharder.pin(flow_id, lane)
 
         runtime.simulator.schedule_at(when_ns, apply_pins)
     arrivals: dict = {}

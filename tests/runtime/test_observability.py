@@ -318,6 +318,29 @@ class TestRuntimeIntegration:
         assert any(track.startswith("shard-") for track in tracks)
         assert runtime.telemetry().steals_succeeded > 0
 
+    def test_direct_submit_traces_one_handoff_per_shard_group(self):
+        # With no RX cores, submit_batch lands each shard's group through the
+        # same handoff the RX pull uses, so each group leaves one
+        # mailbox_handoff event with what was offered and what was taken.
+        recorder = FlightRecorder()
+        runtime = ShardedRuntime(4, tracer=recorder, mailbox_capacity=3)
+        packets = [Packet(flow_id=i % 8, size_bytes=PACKET_BYTES) for i in range(24)]
+        offered = {}
+        for packet in packets:
+            shard = runtime.sharder.shard_for(packet.flow_id)
+            offered[shard] = offered.get(shard, 0) + 1
+        expected = [
+            (f"shard-{shard}", {"offered": count, "accepted": min(count, 3)})
+            for shard, count in offered.items()
+        ]
+        assert runtime.submit_batch(packets) == sum(min(count, 3) for count in offered.values())
+        handoffs = [
+            (track, args) for _ts, track, name, args in recorder.events()
+            if name == "mailbox_handoff"
+        ]
+        assert handoffs == expected
+        assert any(args["accepted"] < args["offered"] for _track, args in handoffs)
+
     def test_fault_events_land_in_trace_with_recovery_timestamps(self):
         recorder = FlightRecorder()
         plan = FaultPlan([FaultEvent("shard_crash", target=0, at=3)])
