@@ -5,7 +5,7 @@ package scales them out the way production deployments do — one scheduler
 instance per core, flows spread across instances by an RSS-style hash:
 
 * :class:`~repro.runtime.sharder.FlowSharder` — flow-to-shard placement
-  (hash / sticky round-robin policies, explicit pins), the load window the
+  (RSS hash, explicit pins), the load window the
   skew-aware :class:`~repro.runtime.sharder.ShardRebalancer` inspects to
   migrate hot flows, and the *ownership view* of flows on loan to a
   work-stealing thief.  Its ``epoch`` moves whenever a placement changes,

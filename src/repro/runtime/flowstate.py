@@ -3,7 +3,7 @@
 Every earlier layer of the runtime kept its per-flow state in Python dicts
 of Python objects — a :class:`~repro.core.model.transactions.ShapingTransaction`
 per paced flow on each :class:`~repro.runtime.worker.ShardWorker`, pin /
-sticky / loan / window dicts in the :class:`~repro.runtime.sharder.FlowSharder`,
+loan / window dicts in the :class:`~repro.runtime.sharder.FlowSharder`,
 home / pending dicts in the :class:`~repro.runtime.runtime.ShardedRuntime`
 driver.  That is fine at benchmark scale (hundreds of flows) and ruinous at
 production scale: a shaping transaction alone costs an instance + ``__dict__``
@@ -145,9 +145,9 @@ class FlowTable:
 
     This class is deliberately policy-free: the pacing semantics live in
     :class:`PacingTable` and ownership columns in the runtime, both as
-    columns over this one engine.  The sharder's placement columns keep
-    this class's slot rule over a ``dict`` index instead
-    (:class:`~repro.runtime.sharder.PlacementTable`).
+    columns over this one engine.  The sharder's placement state (pins,
+    loans, the load window) holds only the flows it pins, lends or ranks,
+    in plain dicts (:class:`~repro.runtime.sharder.FlowSharder`).
     """
 
     __slots__ = (

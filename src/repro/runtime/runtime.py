@@ -279,7 +279,7 @@ class ShardedRuntime:
             path keeps one entry per *drain*; the per-packet
             ``(now_ns, packet)`` view is built when the log is read.
         gc_interval_packets: sweep idle per-flow state (flow homes, sharder
-            pins/sticky entries, expired shard pacing entries) every this
+            pins, expired shard pacing entries) every this
             many transmitted packets, so memory scales with *concurrent*
             flows rather than every flow ever seen — the FQ qdisc's flow-GC
             pattern.  ``None`` disables the sweep.

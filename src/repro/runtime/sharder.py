@@ -4,9 +4,8 @@ Real multi-core deployments of software schedulers spread flows over per-core
 scheduler instances — the kernel's ``mq`` qdisc hashes skbs to per-CPU child
 qdiscs, BESS pins traffic classes to per-core workers, and NIC RSS hashes the
 5-tuple to a receive queue.  :class:`FlowSharder` reproduces that layer for
-the simulated runtime: a stateless hash policy (the RSS analogue), a sticky
-first-seen round-robin policy (connection steering), and explicit pins that
-override either — which is also the mechanism the skew-aware
+the simulated runtime: a stateless hash (the RSS analogue) and explicit pins
+that override it — which is also the mechanism the skew-aware
 :class:`ShardRebalancer` uses to migrate hot flows off overloaded shards.
 
 Hashing quality matters here the same way it does for RSS: the benchmark's
@@ -18,9 +17,8 @@ skew — only migration can.
 from __future__ import annotations
 
 import sys
-from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from ..core.queues.base import CounterStatsMixin
 
@@ -62,113 +60,18 @@ class ShardingStats(CounterStatsMixin):
     window_evictions: int = 0
 
 
-class PlacementTable:
-    """The sharder's per-flow slots: a ``dict`` index over dense columns.
-
-    Slots are granted by :class:`~repro.runtime.flowstate.FlowTable`'s rule,
-    exactly: a released slot goes on a stack, the next grant takes the most
-    recently released one before any fresh slot, and fresh slots come in
-    ascending order.  Only the index differs: ``flow_id -> slot`` is a plain
-    ``dict`` (:attr:`index`) rather than an open-addressed probe, so a flow
-    the load window releases at a reset and records again next round pays
-    a dict delete and a dict insert, not two probe chains.
-
-    A slot is released only once every column the sharder keeps is back at
-    its default (the sharder's ``_release_if_idle`` rule), so a recycled
-    slot is handed out as it was left, with no column reset.
-
-    It reads like a ``FlowTable``: ``len()``, :meth:`items` in slot order,
-    :attr:`key` (``-1`` marks a free slot), :attr:`slot_limit` and
-    :meth:`memory_bytes`.
-    """
-
-    __slots__ = ("key", "index", "_free", "_next_fresh", "_columns")
-
-    def __init__(self) -> None:
-        #: Dense key column: ``key[slot]`` is the flow id, ``-1`` when free.
-        self.key = array("q")
-        #: ``flow_id -> slot`` of every live flow.
-        self.index: Dict[int, int] = {}
-        self._free = array("i")  # released slots, used as a stack
-        self._next_fresh = 0  # high watermark of slots ever handed out
-        self._columns: List[Tuple[array, int]] = []
-
-    def add_column(self, typecode: str, default: int) -> array:
-        """Register a per-flow column (before any grant); returns its array."""
-        column = array(typecode, [default]) * len(self.key)
-        self._columns.append((column, default))
-        return column
-
-    def ensure(self, flow_id: int) -> int:
-        """Slot of ``flow_id``, granting one when absent."""
-        slot = self.index.get(flow_id)
-        return self.grant(flow_id) if slot is None else slot
-
-    def grant(self, flow_id: int) -> int:
-        """A slot for a flow the index does not hold."""
-        if flow_id < 0:
-            raise ValueError("flow ids must be non-negative")
-        if self._free:
-            slot = self._free.pop()
-        else:
-            slot = self._next_fresh
-            key = self.key
-            if slot >= len(key):
-                grow = max(32, len(key) // 2)
-                key.extend(array("q", [-1]) * grow)
-                for column, default in self._columns:
-                    column.extend(array(column.typecode, [default]) * grow)
-            self._next_fresh = slot + 1
-        self.key[slot] = flow_id
-        self.index[flow_id] = slot
-        return slot
-
-    def release(self, flow_id: int, slot: int) -> None:
-        """Free the slot of a live flow; the next grant reuses it first."""
-        del self.index[flow_id]
-        self.key[slot] = -1
-        self._free.append(slot)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    @property
-    def slot_limit(self) -> int:
-        """Slots ever handed out (the dense columns' high watermark)."""
-        return self._next_fresh
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        """``(flow_id, slot)`` for every live flow, in slot order."""
-        key = self.key
-        for slot in range(self._next_fresh):
-            flow_id = key[slot]
-            if flow_id >= 0:
-                yield flow_id, slot
-
-    def memory_bytes(self) -> int:
-        """Actual bytes held by the index, key, free stack and every column."""
-        total = sys.getsizeof(self.index) + sys.getsizeof(self.key)
-        total += sys.getsizeof(self._free)
-        for column, _default in self._columns:
-            total += sys.getsizeof(column)
-        return total
-
-
 class FlowSharder:
     """Maps flow ids onto ``num_shards`` workers.
 
     Args:
         num_shards: number of shard workers.
-        policy: ``"hash"`` (stateless RSS-style placement, the default) or
-            ``"round_robin"`` (sticky first-seen assignment rotating over
-            shards, which guarantees perfect flow-count balance but no
-            packet-count balance).
         hash_seed: seed for the RSS hash, so experiments can draw different
             placements of the same flow population.
+        window_limit: tracked-flow bound of the load window (see below).
 
-    Explicit pins (:meth:`pin`) always win over the policy; the rebalancer
-    migrates flows exclusively through pins so the underlying policy keeps
-    steering the cold tail.
+    A flow goes to its explicit pin (:meth:`pin`) if it has one, else to
+    its RSS hash.  The rebalancer migrates flows exclusively through pins,
+    so the hash keeps steering the cold tail.
 
     The sharder also keeps a sliding load window (:meth:`record` /
     :meth:`reset_window`): per-flow and per-shard packet counts since the
@@ -176,53 +79,30 @@ class FlowSharder:
     per-flow half has no other reader and is only ever reset by a
     rebalancing round, so a driver with no rebalancer attached accounts its
     bursts through :meth:`record_shard` instead: the per-shard totals stay
-    exact and no window slot is held for a flow nobody will rank.
+    exact and no window entry is held for a flow nobody will rank.
 
-    **Layout.**  All per-flow state — pin, sticky assignment, loan owner,
-    window counts — lives as dense array columns over one
-    :class:`PlacementTable` (:attr:`flows`): a ``dict`` maps the flow id to
-    a slot, and a slot is held only while *some* column is non-default, so
-    an unpinned, unloaned flow whose window entry resets releases its slot.
-    The slots the current window counts are kept as a set, so a round's
-    :meth:`flow_loads`, :meth:`flow_residency` and :meth:`reset_window`
-    visit only those, never the whole slot space.
+    **Layout.**  All per-flow state lives in plain dicts keyed by flow id:
+    pins, loan owners, and the window's packet counts and residencies.  No
+    reader depends on their order: :meth:`ShardRebalancer.plan` breaks ties
+    by flow id, so the plan depends on what the window holds, not on the
+    order it was recorded in.
 
-    **Why slots, and why released at every reset.**  The window is read in
-    slot order, and :meth:`ShardRebalancer.plan` keeps the first of several
-    equally good candidates, so slot order decides which flow migrates on
-    a tie (seed 1 of the Zipf workload ties on the first pick in 55 of 162
-    rounds).  Slots follow ``FlowTable``'s rule (released slots reused last
-    first) and the window's flows are released at each reset, in ascending
-    slot order; keeping a flow's slot across rounds, or keeping the window
-    in first-record order, would pick other flows (the window's order
-    differs from first-record order in 390 of seed 1's 391 rounds).
-    ``tests/runtime/test_sharder_slots.py`` pins the order against a twin
-    over a real ``FlowTable``.
-
-    **Memory.**  The ``dict`` index costs more per tracked flow than a
-    probe index (a sticky flow under ``round_robin`` at 100k flows: about
-    165 B against 58.7 B over a ``FlowTable``).  Nothing outside the tests
-    arms ``round_robin``; under the hash policy the table holds only
-    pinned, loaned and window flows, and the window is bounded by
-    ``window_limit``: past that many tracked flows, recording a new one
-    evicts the coldest of a few probed candidates (CLOCK-style rotating
-    scan, counted in ``stats.window_evictions``).  Per-*shard* window
-    totals keep the evicted packets, so :meth:`shard_loads` and
-    :meth:`imbalance` stay exact; only the per-flow breakdown the
-    rebalancer ranks by is approximate under extreme churn — and an
-    evicted-because-cold flow was never a migration candidate anyway.
+    **Memory.**  The window is bounded by ``window_limit``: recording a new
+    flow into a full window first evicts a cold entry
+    (:meth:`_evict_window_entry`, counted in ``stats.window_evictions``).
+    Per-*shard* window totals keep the evicted packets, so
+    :meth:`shard_loads` and :meth:`imbalance` stay exact; only the per-flow
+    breakdown the rebalancer ranks by is approximate under extreme churn —
+    and an evicted-because-cold flow was never a migration candidate anyway.
 
     :attr:`epoch` is the invalidation signal for callers that cache
     :meth:`shard_for` answers (the runtime driver keeps one per flow-table
     slot): a plain int that :meth:`pin`, :meth:`unpin` and :meth:`forget`
-    bump whenever they change a pin or a sticky assignment — the only state
-    a placement depends on besides the fixed policy and seed.  While the
-    epoch stands still, ``shard_for(flow_id)`` returns what it returned
-    before, for every flow; a move changes the answer of the one flow that
-    call named.
+    bump whenever they change a pin — the only state a placement depends
+    on besides the fixed seed.  While the epoch stands still,
+    ``shard_for(flow_id)`` returns what it returned before, for every flow;
+    a move changes the answer of the one flow that call named.
     """
-
-    POLICIES = ("hash", "round_robin")
 
     @classmethod
     def for_ingress(
@@ -253,131 +133,65 @@ class FlowSharder:
     def __init__(
         self,
         num_shards: int,
-        policy: str = "hash",
         hash_seed: int = DEFAULT_HASH_SEED,
         window_limit: int = DEFAULT_WINDOW_LIMIT,
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if policy not in self.POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; choose from {self.POLICIES}")
         if window_limit <= 0:
             raise ValueError("window_limit must be positive")
         self.num_shards = num_shards
-        self.policy = policy
         self.hash_seed = hash_seed
         self.window_limit = window_limit
         self.stats = ShardingStats()
-        #: Bumped whenever a pin or sticky assignment changes (class docstring).
+        #: Bumped whenever a pin changes (class docstring).
         self.epoch = 0
-        self.flows = PlacementTable()
-        self._index = self.flows.index
-        self._pin = self.flows.add_column("i", -1)
-        self._sticky = self.flows.add_column("i", -1)
-        self._loan = self.flows.add_column("i", -1)
-        self._wshard = self.flows.add_column("i", -1)
-        self._wpkts = self.flows.add_column("q", 0)
-        # Population counters, so the hot paths (routing, loan checks) skip
-        # the table entirely while a family is empty.
-        self._num_pins = 0
-        self._num_loans = 0
-        # Slots of the flows the window counts: exactly those whose
-        # window_shard is set.
-        self._window: Set[int] = set()
-        self._next_rr = 0
-        self._evict_cursor = 0
+        self._pins: Dict[int, int] = {}
+        self._loans: Dict[int, int] = {}
+        # The window: packets per flow, and the shard they last ran on.
+        self._window: Dict[int, int] = {}
+        self._residency: Dict[int, int] = {}
+        # The eviction arm: a snapshot of the window's flows, and a cursor.
+        self._arm: List[int] = []
+        self._arm_cursor = 0
         # Per-shard packet totals of the sliding window (never evicted).
         self._window_shard_packets: List[int] = [0] * num_shards
 
     # -- placement ---------------------------------------------------------
 
     def shard_for(self, flow_id: int) -> int:
-        """Shard index for ``flow_id`` (pins beat the policy)."""
+        """Shard index for ``flow_id``: its pin, else its hash."""
         self.stats.lookups += 1
-        if self.policy == "round_robin":
-            slot = self._index.get(flow_id)
-            if slot is not None:
-                pinned = self._pin[slot]
-                if pinned >= 0:
-                    return pinned
-                shard = self._sticky[slot]
-                if shard >= 0:
-                    return shard
-            else:
-                slot = self.flows.grant(flow_id)
-            shard = self._next_rr
-            self._next_rr = (self._next_rr + 1) % self.num_shards
-            self._sticky[slot] = shard
-            return shard
-        if self._num_pins:
-            slot = self._index.get(flow_id)
-            if slot is not None:
-                pinned = self._pin[slot]
-                if pinned >= 0:
-                    return pinned
+        if self._pins:
+            pinned = self._pins.get(flow_id)
+            if pinned is not None:
+                return pinned
         return rss_hash(flow_id, self.hash_seed) % self.num_shards
 
     def pin(self, flow_id: int, shard: int) -> None:
-        """Force ``flow_id`` onto ``shard`` (overrides the policy)."""
+        """Force ``flow_id`` onto ``shard`` (overrides the hash)."""
         if not 0 <= shard < self.num_shards:
             raise ValueError("shard out of range")
         self.stats.pins += 1
-        slot = self.flows.ensure(flow_id)
-        pinned = self._pin[slot]
-        if pinned == shard:
-            return
-        if pinned < 0:
-            self._num_pins += 1
-        self._pin[slot] = shard
-        self.epoch += 1
+        if self._pins.get(flow_id) != shard:
+            self._pins[flow_id] = shard
+            self.epoch += 1
 
     def unpin(self, flow_id: int) -> None:
-        """Remove an explicit pin; the policy takes over again."""
-        slot = self._index.get(flow_id)
-        if slot is not None and self._pin[slot] >= 0:
-            self._pin[slot] = -1
-            self._num_pins -= 1
+        """Remove an explicit pin; the hash takes over again."""
+        if self._pins.pop(flow_id, None) is not None:
             self.epoch += 1
-            self._release_if_idle(slot, flow_id)
 
     def pinned_shard(self, flow_id: int) -> Optional[int]:
         """The pinned shard of ``flow_id``, or ``None``."""
-        if self._num_pins:
-            slot = self._index.get(flow_id)
-            if slot is not None:
-                pinned = self._pin[slot]
-                if pinned >= 0:
-                    return pinned
-        return None
+        return self._pins.get(flow_id)
 
     def forget(self, flow_id: int) -> None:
-        """Expire all per-flow placement state (pin and sticky assignment).
+        """Expire the flow's pin (flow-state garbage collection of an idle flow).
 
-        Called by flow-state garbage collection for long-idle flows; if the
-        flow returns it is placed afresh by the policy, and the rebalancer
-        re-pins it should it become hot again.
+        A returning flow is placed by its hash until the rebalancer re-pins it.
         """
-        slot = self._index.get(flow_id)
-        if slot is None:
-            return
-        if self._pin[slot] >= 0:
-            self._pin[slot] = -1
-            self._num_pins -= 1
-            self.epoch += 1
-        if self._sticky[slot] >= 0:
-            self._sticky[slot] = -1
-            self.epoch += 1
-        self._release_if_idle(slot, flow_id)
-
-    def _release_if_idle(self, slot: int, flow_id: int) -> None:
-        """Free the flow's slot once every column is back at its default."""
-        if (
-            self._pin[slot] < 0
-            and self._sticky[slot] < 0
-            and self._loan[slot] < 0
-            and self._wshard[slot] < 0
-        ):
-            self.flows.release(flow_id, slot)
+        self.unpin(flow_id)
 
     # -- ownership view (work-stealing leases) -----------------------------
     #
@@ -393,45 +207,24 @@ class FlowSharder:
         if not 0 <= victim_shard < self.num_shards:
             raise ValueError("shard out of range")
         self.stats.loans += 1
-        slot = self.flows.ensure(flow_id)
-        if self._loan[slot] < 0:
-            self._num_loans += 1
-        self._loan[slot] = victim_shard
+        self._loans[flow_id] = victim_shard
 
     def restore(self, flow_id: int) -> None:
         """Clear the loan: the lease returned and the flow is whole again."""
-        slot = self._index.get(flow_id)
-        if slot is not None and self._loan[slot] >= 0:
-            self._loan[slot] = -1
-            self._num_loans -= 1
-            self._release_if_idle(slot, flow_id)
+        self._loans.pop(flow_id, None)
 
     @property
     def has_loans(self) -> bool:
         """True while any flow is on loan (lets a burst skip :meth:`loan_shard`)."""
-        return self._num_loans > 0
+        return bool(self._loans)
 
     def loan_shard(self, flow_id: int) -> Optional[int]:
         """The victim shard that owns ``flow_id`` while on loan, or ``None``."""
-        if self._num_loans == 0:
-            return None
-        slot = self._index.get(flow_id)
-        if slot is not None:
-            victim = self._loan[slot]
-            if victim >= 0:
-                return victim
-        return None
+        return self._loans.get(flow_id)
 
     def loaned_flows(self) -> Dict[int, int]:
         """Mapping of every on-loan flow id to its owning (victim) shard."""
-        if self._num_loans == 0:
-            return {}
-        loan = self._loan
-        return {
-            flow_id: loan[slot]
-            for flow_id, slot in self.flows.items()
-            if loan[slot] >= 0
-        }
+        return dict(self._loans)
 
     # -- load window -------------------------------------------------------
 
@@ -444,16 +237,14 @@ class FlowSharder:
         each shard really carried.
         """
         self.stats.window_packets += packets
-        slot = self._index.get(flow_id)
-        if slot is None:
-            slot = self.flows.grant(flow_id)
-        if self._wshard[slot] < 0:
-            window = self._window
-            window.add(slot)
-            if len(window) > self.window_limit:
-                self._evict_window_entry(exclude=slot)
-        self._wpkts[slot] += packets
-        self._wshard[slot] = shard
+        window = self._window
+        count = window.get(flow_id)
+        if count is None:
+            if len(window) >= self.window_limit:
+                self._evict_window_entry()
+            count = 0
+        window[flow_id] = count + packets
+        self._residency[flow_id] = shard
         self._window_shard_packets[shard] += packets
 
     def record_burst(self, flow_ids: List[int], shard: int) -> None:
@@ -464,21 +255,17 @@ class FlowSharder:
         packet count, which no step reads, are added once at the end.
         """
         window = self._window
+        residency = self._residency
         limit = self.window_limit
-        index_get = self._index.get
-        grant = self.flows.grant
-        wshard = self._wshard
-        wpkts = self._wpkts
+        count_of = window.get
         for flow_id in flow_ids:
-            slot = index_get(flow_id)
-            if slot is None:
-                slot = grant(flow_id)
-            if wshard[slot] < 0:
-                window.add(slot)
-                if len(window) > limit:
-                    self._evict_window_entry(exclude=slot)
-            wpkts[slot] += 1
-            wshard[slot] = shard
+            count = count_of(flow_id)
+            if count is None:
+                if len(window) >= limit:
+                    self._evict_window_entry()
+                count = 0
+            window[flow_id] = count + 1
+            residency[flow_id] = shard
         packets = len(flow_ids)
         self.stats.window_packets += packets
         self._window_shard_packets[shard] += packets
@@ -493,83 +280,70 @@ class FlowSharder:
         self.stats.window_packets += packets
         self._window_shard_packets[shard] += packets
 
-    def _evict_window_entry(self, exclude: int) -> None:
-        """Drop the coldest of a few probed window entries (bounded memory).
+    def _evict_window_entry(self) -> None:
+        """Drop the coldest of a few probed window entries (CLOCK-style).
 
-        A rotating cursor over the slot space probes the next
-        ``_EVICT_PROBES`` live window entries and evicts the one with the
-        fewest window packets — the coldest flow the arm happens to pass,
-        which under churn is almost always a one-packet short-lived flow.
-        The per-shard totals keep the evicted packets (see class docstring).
+        The arm probes the next ``_EVICT_PROBES`` flows of its snapshot that
+        are still in the window and evicts the one with the fewest packets —
+        under churn almost always a one-packet short-lived flow.  A snapshot
+        of ``n`` flows serves about ``n / _EVICT_PROBES`` evictions before it
+        is retaken, so an eviction costs ``_EVICT_PROBES`` probes amortised.
+        The window is full when this runs, so a fresh snapshot finds a victim.
         """
-        key = self.flows.key
-        wshard = self._wshard
-        wpkts = self._wpkts
-        span = self.flows.slot_limit
-        cursor = self._evict_cursor
+        window = self._window
+        arm = self._arm
+        cursor = self._arm_cursor
+        retaken = False
         probed = 0
-        victim = -1
-        victim_pkts = 0
-        for _ in range(span):
-            if cursor >= span:
+        victim = None
+        victim_packets = 0
+        while probed < self._EVICT_PROBES:
+            if cursor >= len(arm):
+                if retaken:
+                    break
+                arm = self._arm = list(window)
                 cursor = 0
-            slot = cursor
-            cursor += 1
-            if slot == exclude or key[slot] < 0 or wshard[slot] < 0:
+                retaken = True
                 continue
-            pkts = wpkts[slot]
-            if victim < 0 or pkts < victim_pkts:
-                victim = slot
-                victim_pkts = pkts
+            flow_id = arm[cursor]
+            cursor += 1
+            packets = window.get(flow_id)
+            if packets is None:
+                continue
+            if victim is None or packets < victim_packets:
+                victim = flow_id
+                victim_packets = packets
             probed += 1
-            if probed >= self._EVICT_PROBES:
-                break
-        self._evict_cursor = cursor
-        if victim < 0:
-            return
-        wpkts[victim] = 0
-        wshard[victim] = -1
-        self._window.discard(victim)
+        self._arm_cursor = cursor
+        del window[victim]
+        del self._residency[victim]
         self.stats.window_evictions += 1
-        self._release_if_idle(victim, key[victim])
 
     def shard_loads(self) -> List[int]:
         """Packets per shard since the last window reset."""
         return list(self._window_shard_packets)
 
     def flow_loads(self) -> Dict[int, int]:
-        """Packets per flow since the last window reset, in slot order."""
-        key = self.flows.key
-        wpkts = self._wpkts
-        return {key[slot]: wpkts[slot] for slot in sorted(self._window)}
+        """Packets per flow since the last window reset."""
+        return dict(self._window)
 
     def flow_residency(self) -> Dict[int, int]:
-        """Shard each flow's window packets last ran on, in slot order."""
-        key = self.flows.key
-        wshard = self._wshard
-        return {key[slot]: wshard[slot] for slot in sorted(self._window)}
+        """Shard each flow's window packets last ran on."""
+        return dict(self._residency)
 
     def reset_window(self) -> None:
-        """Start a fresh load window (called after each rebalancing round).
-
-        Window-only flows release their slots in ascending slot order, the
-        order the next round's grants depend on (class docstring).
-        """
-        key = self.flows.key
-        wshard = self._wshard
-        wpkts = self._wpkts
-        release_if_idle = self._release_if_idle
-        for slot in sorted(self._window):
-            wpkts[slot] = 0
-            wshard[slot] = -1
-            release_if_idle(slot, key[slot])
+        """Start a fresh load window (called after each rebalancing round)."""
         self._window.clear()
+        self._residency.clear()
         self._window_shard_packets = [0] * self.num_shards
         self.stats.window_packets = 0
 
     def memory_bytes(self) -> int:
         """Bytes held by the sharder's per-flow placement state."""
-        return self.flows.memory_bytes() + sys.getsizeof(self._window)
+        return sum(
+            sys.getsizeof(table)
+            for table in (self._pins, self._loans, self._window, self._residency, self._arm)
+        )
 
     def imbalance(self) -> float:
         """Max-to-mean shard load ratio over the current window (1.0 = even)."""
@@ -603,6 +377,11 @@ class ShardRebalancer:
     that is what work stealing (:mod:`repro.runtime.stealing`) is for, and
     flows whose due window is currently on loan to a thief are likewise
     left alone so the two mechanisms compose).
+
+    Ties are explicit: each pick is the movable flow that minimises
+    ``(abs(load - gap / 2), flow_id)``, so the plan depends on what the
+    window holds, not on the order it was recorded in (batched, per-packet
+    and RX-pull recording of the same packets plan the same migrations).
 
     The plan only *decides*; applying it is the runtime's job, because only
     the runtime knows when a flow's in-flight packets have drained (migrating
@@ -640,10 +419,8 @@ class ShardRebalancer:
         flows_by_shard: Dict[int, List[int]] = {}
         for flow_id in flow_loads:
             if self.sharder.loan_shard(flow_id) is not None:
-                # The flow's due window is executing on another core under a
-                # steal lease; re-pinning it mid-lease would strand the
-                # pacing state travelling with the lease.  It stays put this
-                # round and is reconsidered once the lease returns.
+                # On loan: a re-pin mid-lease would strand the pacing state
+                # travelling with the lease.  Reconsidered once it returns.
                 continue
             flows_by_shard.setdefault(residency[flow_id], []).append(flow_id)
         plan: List[Migration] = []
@@ -655,18 +432,17 @@ class ShardRebalancer:
                 break
             # Best-fit: the ideal migration halves the src/dst gap, so pick
             # the movable flow closest to gap/2 (hottest-first would bounce
-            # an elephant back and forth between rounds).
+            # an elephant back and forth between rounds); moving it must
+            # strictly shrink the src/dst spread.  Ties go to the lower id.
             gap = working[src] - working[dst]
-            best: Optional[int] = None
-            for flow_id in flows_by_shard.get(src, ()):
-                load = flow_loads[flow_id]
-                # Moving the flow must strictly shrink the src/dst spread.
-                if load == 0 or load >= gap:
-                    continue
-                if best is None or abs(load - gap / 2) < abs(flow_loads[best] - gap / 2):
-                    best = flow_id
-            if best is None:
+            movable = [
+                flow_id
+                for flow_id in flows_by_shard.get(src, ())
+                if 0 < flow_loads[flow_id] < gap
+            ]
+            if not movable:
                 break
+            best = min(movable, key=lambda flow: (abs(flow_loads[flow] - gap / 2), flow))
             load = flow_loads[best]
             plan.append(Migration(best, src, dst, load))
             working[src] -= load
@@ -683,7 +459,6 @@ __all__ = [
     "INGRESS_HASH_SEED",
     "FlowSharder",
     "Migration",
-    "PlacementTable",
     "ShardRebalancer",
     "ShardingStats",
     "rss_hash",

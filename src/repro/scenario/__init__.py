@@ -61,7 +61,7 @@ hash) via :func:`derive_seed`.
 
 ``[runtime]``
     ``shards`` (1), ``quantum_ns`` (50_000), ``batch_per_quantum`` (64),
-    ``sharding`` ("hash" | "round_robin"), ``stealing`` (false),
+    ``stealing`` (false),
     ``steal_batch`` (64), ``steal_min_backlog`` (8),
     ``rebalance_interval_ns`` ("none"), ``gc_interval_packets`` (4096),
     ``gc_sweep_limit`` ("none"), ``backend`` ("simulated" | "process";
@@ -130,7 +130,6 @@ from .spec import (
     PATTERN_NAMES,
     QUEUE_NAMES,
     SCHEME_NAMES,
-    SHARDING_NAMES,
     WORKLOAD_NAMES,
     AssertionSpec,
     BackendIncompatibleError,
@@ -172,7 +171,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioSpec",
     "ScenarioSpecError",
-    "SHARDING_NAMES",
     "TopologySpec",
     "TrafficSpec",
     "UnknownNameError",

@@ -198,7 +198,6 @@ def _build_runtime(spec: ScenarioSpec):
         )
     sharder = FlowSharder(
         spec.runtime.shards,
-        policy=spec.runtime.sharding,
         hash_seed=derive_seed(spec.seed, "shard-hash", bits=_HASH_BITS),
     )
     runtime = ShardedRuntime(

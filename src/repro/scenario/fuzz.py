@@ -116,7 +116,6 @@ def scenario_specs(max_shards: int = 4, max_ingress_cores: int = 2):
             ),
             runtime=RuntimeSpec(
                 shards=shards,
-                sharding=draw(st.sampled_from(("hash", "round_robin"))),
                 stealing=stealing,
                 steal_min_backlog=draw(st.integers(min_value=1, max_value=16)),
                 rebalance_interval_ns=(

@@ -42,9 +42,6 @@ ADMISSION_NAMES = ("none", "tail_drop", "fair_drop", "codel")
 #: Execution backends of the sharded runtime.
 BACKEND_NAMES = ("simulated", "process")
 
-#: Flow placement policies of the sharder.
-SHARDING_NAMES = ("hash", "round_robin")
-
 #: Fabric schemes of the Figure 19 experiment.
 SCHEME_NAMES = ("dctcp", "pfabric", "pfabric_approx")
 
@@ -205,7 +202,6 @@ class RuntimeSpec:
     shards: int = 1
     quantum_ns: int = 50_000
     batch_per_quantum: int = 64
-    sharding: str = "hash"
     stealing: bool = False
     steal_batch: int = 64
     steal_min_backlog: int = 8
@@ -352,7 +348,6 @@ def _paced_capacity_bps(spec: ScenarioSpec) -> Optional[float]:
 
 def _validate_runtime(spec: ScenarioSpec) -> None:
     _require_name(spec.policy.queue, QUEUE_NAMES, "policy.queue")
-    _require_name(spec.runtime.sharding, SHARDING_NAMES, "runtime.sharding")
     _require_name(spec.runtime.backend, BACKEND_NAMES, "runtime.backend")
     _require_name(spec.ingress.admission, ADMISSION_NAMES, "ingress.admission")
     _require_name(spec.traffic.pattern, PATTERN_NAMES, "traffic.pattern")
@@ -654,7 +649,6 @@ __all__ = [
     "SCHEME_NAMES",
     "ScenarioSpec",
     "ScenarioSpecError",
-    "SHARDING_NAMES",
     "TopologySpec",
     "TrafficSpec",
     "UnknownNameError",

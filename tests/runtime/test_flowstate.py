@@ -401,17 +401,17 @@ class TestShardingWindowBound:
             sharder.record(flow, flow % 2)
         assert 999 in sharder.flow_loads()  # never the coldest probed entry
 
-    def test_reset_window_releases_idle_slots(self):
+    def test_reset_window_keeps_only_the_pins(self):
         sharder = FlowSharder(2, window_limit=1024)
         for flow in range(100):
             sharder.record(flow, 0)
         sharder.pin(7, 1)
         sharder.reset_window()
-        assert sharder.flow_loads() == {}
+        assert sharder.flow_loads() == {} and sharder.flow_residency() == {}
         assert sharder.shard_loads() == [0, 0]
-        # Only the pinned flow still needs a slot.
-        assert len(sharder.flows) == 1
-        assert sharder.pinned_shard(7) == 1
+        # Only the pinned flow is still held, and only by its pin.
+        assert sharder._pins == {7: 1}
+        assert sharder.loaned_flows() == {}
 
     def test_window_limit_validation(self):
         with pytest.raises(ValueError):

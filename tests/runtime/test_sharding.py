@@ -35,12 +35,6 @@ class TestFlowSharder:
         assert first == second
         assert all(0 <= shard < 4 for shard in first)
 
-    def test_round_robin_policy_sticks(self):
-        sharder = FlowSharder(3, policy="round_robin")
-        assert [sharder.shard_for(flow) for flow in (10, 20, 30, 40)] == [0, 1, 2, 0]
-        # Re-lookups keep the first-seen assignment.
-        assert sharder.shard_for(20) == 1
-
     def test_pin_overrides_policy_and_unpin_restores(self):
         sharder = FlowSharder(4)
         natural = sharder.shard_for(7)
@@ -62,11 +56,19 @@ class TestFlowSharder:
         assert sharder.shard_loads() == [0, 0]
         assert sharder.imbalance() == 1.0
 
+    def test_a_window_below_the_probe_count_still_evicts_its_coldest(self):
+        sharder = FlowSharder(2, window_limit=2)
+        sharder.record(1, 0, packets=10)
+        sharder.record(2, 1)
+        sharder.record(3, 0)  # the arm passes both entries, then stops
+        assert sharder.flow_loads() == {1: 10, 3: 1}
+        assert sharder.flow_residency() == {1: 0, 3: 0}
+        assert sharder.stats.window_evictions == 1
+        assert sharder.shard_loads() == [11, 1]  # the per-shard total keeps it
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FlowSharder(0)
-        with pytest.raises(ValueError):
-            FlowSharder(2, policy="nope")
         with pytest.raises(ValueError):
             FlowSharder(2).pin(1, 5)
 
@@ -90,6 +92,16 @@ class TestShardRebalancer:
         assert moved.src_shard == 0 and moved.dst_shard == 1
         # flow 1 (60 packets) would overshoot (10+60 > 100-60); flow 2 moves.
         assert moved.flow_id == 2
+
+    def test_ties_go_to_the_lower_flow_id_in_any_record_order(self):
+        plans = []
+        for order in ((5, 9), (9, 5)):
+            sharder = FlowSharder(2)
+            for flow in order:
+                sharder.record(flow, 0, packets=10)  # both exactly gap / 2
+            plans.append(ShardRebalancer(sharder, imbalance_threshold=1.0).plan())
+        assert plans[0] == plans[1]
+        assert [(move.flow_id, move.dst_shard) for move in plans[0]] == [(5, 1)]
 
     def test_no_plan_when_balanced(self):
         sharder = self._loaded_sharder()

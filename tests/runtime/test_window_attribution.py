@@ -4,7 +4,7 @@ Per-flow window attribution (``FlowSharder.record``) has one reader, the
 ``ShardRebalancer``, and only a rebalancing round ever resets it.  A runtime
 with no rebalancer therefore accounts its bursts per shard only
 (``FlowSharder.record_shard``): the totals every other consumer reads stay
-exact, and the sharder's flow table no longer grows to every flow ever seen.
+exact, and the sharder's window no longer grows to every flow ever seen.
 With a rebalancer attached every packet is still attributed per flow.
 """
 
@@ -20,6 +20,13 @@ from repro.traffic import ZipfFlowSampler
 
 QUANTUM_NS = 10_000
 ARTIFACT = Path(__file__).resolve().parent.parent.parent / "BENCH_sharding.json"
+
+
+def _assert_no_per_flow_state(sharder):
+    """No window entry, no pin, no loan."""
+    assert sharder.flow_loads() == {} and sharder.flow_residency() == {}
+    assert sharder._pins == {}
+    assert sharder.loaned_flows() == {}
 
 
 def _offer_bursts(runtime, flow_ids, burst, gap_ns, size_bytes=1500):
@@ -45,13 +52,13 @@ def test_record_shard_matches_record_on_every_per_shard_total():
     assert per_shard.shard_loads() == attributed.shard_loads()
     assert per_shard.imbalance() == attributed.imbalance()
     assert per_shard.stats.window_packets == attributed.stats.window_packets
-    assert per_shard.flow_loads() == {} and len(per_shard.flows) == 0
+    assert per_shard.flow_loads() == {} and per_shard.flow_residency() == {}
     per_shard.reset_window()
     assert per_shard.shard_loads() == [0, 0, 0, 0]
     assert per_shard.stats.window_packets == 0
 
 
-def test_no_rebalancer_means_no_window_slots_and_the_same_totals():
+def test_no_rebalancer_means_no_window_entries_and_the_same_totals():
     # Megaflow-style churn: Zipf over a universe far larger than the run,
     # so most packets open a flow the incremental GC reclaims soon after.
     num_packets = 6_000
@@ -80,9 +87,8 @@ def test_no_rebalancer_means_no_window_slots_and_the_same_totals():
     assert attributed.transmitted == num_packets
     assert attributed.migrations_applied == 0
 
-    assert len(plain.sharder.flows) == 0
-    assert plain.sharder.flow_loads() == {}
-    assert len(attributed.sharder.flows) > 1_000  # what used to leak
+    _assert_no_per_flow_state(plain.sharder)
+    assert len(attributed.sharder.flow_loads()) > 1_000  # what used to leak
     assert plain.sharder.shard_loads() == attributed.sharder.shard_loads()
     assert sum(plain.sharder.shard_loads()) == num_packets
     assert plain.sharder.imbalance() == attributed.sharder.imbalance()
@@ -151,7 +157,7 @@ def test_unattributed_zipf_rows_match_the_committed_artifact(policy):
     # reproduce every modelled column exactly.
     runtime, _telemetry, committed = _replay_zipf_row(policy)
     assert committed["migrations"] == 0
-    assert len(runtime.sharder.flows) == 0
+    _assert_no_per_flow_state(runtime.sharder)
     assert sum(runtime.sharder.shard_loads()) == committed["transmitted"]
 
 

@@ -1,10 +1,9 @@
 """Runtime-wide scenario fuzzing: random valid specs vs the invariant net.
 
 This is the payoff of the declarative layer: Hypothesis draws whole-system
-configurations — shards × sharding policy × queue type × stealing ×
-rebalancing × ingress cores × admission × pacing × traffic pattern — and
-every drawn scenario runs end-to-end against the global invariants no
-configuration may break:
+configurations — shards × queue type × stealing × rebalancing × ingress
+cores × admission × pacing × traffic pattern — and every drawn scenario
+runs end-to-end against the global invariants no configuration may break:
 
 * **packet conservation** — transmitted + dropped == offered, and the
   delivered packet-id multiset never exceeds the offered one;

@@ -63,7 +63,6 @@ def _runtime_spec(**overrides):
     "section, field_value, field_name",
     [
         ("policy", PolicyTreeSpec(queue="fifo"), "policy.queue"),
-        ("runtime", RuntimeSpec(sharding="random"), "runtime.sharding"),
         ("runtime", RuntimeSpec(backend="gpu"), "runtime.backend"),
         ("runtime", RuntimeSpec(backend="thread"), "runtime.backend"),
         ("ingress", IngressSpec(admission="red"), "ingress.admission"),
@@ -268,10 +267,18 @@ def test_unknown_toml_section_is_rejected():
     assert excinfo.value.field == "trafic"
 
 
-def test_unknown_toml_key_names_its_section_dot_key_path():
+@pytest.mark.parametrize(
+    "text, field_name",
+    [
+        ('[traffic]\npatern = "zipf"\n', "traffic.patern"),
+        # Placement is the RSS hash plus pins; there is no policy to choose.
+        ('[runtime]\nsharding = "hash"\n', "runtime.sharding"),
+    ],
+)
+def test_unknown_toml_key_names_its_section_dot_key_path(text, field_name):
     with pytest.raises(UnknownNameError) as excinfo:
-        load_toml('[traffic]\npatern = "zipf"\n')
-    assert excinfo.value.field == "traffic.patern"
+        load_toml(text)
+    assert excinfo.value.field == field_name
 
 
 def test_wrong_typed_toml_field_is_malformed():
