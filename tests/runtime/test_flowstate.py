@@ -401,6 +401,28 @@ class TestShardingWindowBound:
             sharder.record(flow, flow % 2)
         assert 999 in sharder.flow_loads()  # never the coldest probed entry
 
+    def test_an_eviction_costs_a_few_probes_amortised(self):
+        # Churn of one-packet flows through a full window: every record
+        # evicts.  Per eviction the arm passes, and its snapshots copy, about
+        # _EVICT_PROBES entries, however many flows the window has dropped.
+        limit = 256
+        sharder = FlowSharder(2, window_limit=limit)
+        passed = copied = 0
+        arm, cursor = sharder._arm, sharder._arm_cursor
+        for flow in range(20 * limit):
+            sharder.record(flow, flow % 2)
+            if sharder._arm is not arm:
+                passed += cursor
+                arm = sharder._arm
+                copied += len(arm)
+            cursor = sharder._arm_cursor
+        passed += cursor
+        evictions = sharder.stats.window_evictions
+        assert evictions == 19 * limit
+        assert len(sharder.flow_loads()) == limit
+        assert passed <= 2 * FlowSharder._EVICT_PROBES * evictions
+        assert copied <= 2 * FlowSharder._EVICT_PROBES * evictions
+
     def test_reset_window_keeps_only_the_pins(self):
         sharder = FlowSharder(2, window_limit=1024)
         for flow in range(100):

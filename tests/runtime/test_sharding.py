@@ -45,6 +45,19 @@ class TestFlowSharder:
         sharder.unpin(7)
         assert sharder.shard_for(7) == natural
 
+    def test_only_a_pin_moves_the_epoch(self):
+        sharder = FlowSharder(2)
+        sharder.forget(3)  # no pin: the hash answer stands
+        sharder.unpin(3)
+        assert sharder.epoch == 0
+        sharder.pin(3, 1)
+        sharder.pin(3, 1)  # the same pin again changes no answer
+        assert sharder.epoch == 1
+        sharder.forget(3)
+        assert sharder.epoch == 2 and sharder.pinned_shard(3) is None
+        sharder.forget(3)
+        assert sharder.epoch == 2
+
     def test_load_window(self):
         sharder = FlowSharder(2)
         sharder.record(1, 0, packets=3)

@@ -334,6 +334,22 @@ def test_direct_unpin_or_forget_between_bursts_moves_the_flow_back(release, batc
     _assert_moved_with_its_shaper(runtime, flow, batched, src=1, dst=0)
 
 
+@pytest.mark.parametrize("batched", [True, False])
+def test_forget_of_an_unpinned_flow_keeps_its_cached_placement(batched):
+    # Placement is pin, else hash: forgetting a flow that holds no pin
+    # changes no answer, so the epoch stands and the kept answer is used.
+    runtime, flow = _cached_runtime(batched)
+    epoch = runtime.sharder.epoch
+    runtime.sharder.forget(flow)
+    assert runtime.sharder.epoch == epoch
+    asked = runtime.sharder.stats.lookups
+    (packet,) = _offer(runtime, [flow], batched)
+    runtime.run()
+    assert runtime.sharder.stats.lookups == asked
+    assert packet.metadata["shard"] == 0
+    assert not any(runtime.residual_state().values())
+
+
 def test_a_rebalancing_round_keeps_the_placements_it_did_not_move():
     # Three flows on shard 0 and one on shard 1: the round moves exactly
     # one flow, and the others' kept answers outlive it.
