@@ -8,8 +8,8 @@ instance per core, flows spread across instances by an RSS-style hash:
   (RSS hash, explicit pins), the load window the
   skew-aware :class:`~repro.runtime.sharder.ShardRebalancer` inspects to
   migrate hot flows, and the *ownership view* of flows on loan to a
-  work-stealing thief.  Its ``epoch`` moves whenever a placement changes,
-  so a caller may keep ``shard_for`` answers until it does.
+  work-stealing thief.  Its memo ``placed`` loses a flow's entry when a pin,
+  unpin or forget names it, so its answer is always current.
 * :class:`~repro.runtime.mailbox.Mailbox` — the batched SPSC ingress-to-shard
   handoff, with the high/low watermark edges ingress backpressure hangs off.
 * :class:`~repro.runtime.ingress.IngressCore` — the asynchronous RX layer

@@ -39,7 +39,6 @@ class ShardedPortQueue(PortQueue):
         num_shards: sub-queue (hardware queue) count.
         queue_factory: builds each sub-queue, e.g. ``lambda shard:
             DropTailEcnQueue(capacity_packets=64)``.
-        sharder: flow classifier; defaults to RSS-style hashing.
         arbiter: TX arbitration — ``"rr"`` (round-robin rings, the NIC
             default) or ``"priority"`` (serve the ring whose head packet
             ranks best, re-arbitrated per packet; requires every sub-queue
@@ -62,7 +61,6 @@ class ShardedPortQueue(PortQueue):
         self,
         num_shards: int,
         queue_factory: Callable[[int], PortQueue],
-        sharder: Optional[FlowSharder] = None,
         arbiter: str = "rr",
     ) -> None:
         if num_shards <= 0:
@@ -76,7 +74,7 @@ class ShardedPortQueue(PortQueue):
             raise ValueError("priority arbitration needs head_priority() on every sub-queue")
         super().__init__(sum(queue.capacity_packets for queue in self.shards))
         self.num_shards = num_shards
-        self.sharder = sharder or FlowSharder(num_shards)
+        self.sharder = FlowSharder(num_shards)
         self.arbiter = arbiter
         self._next_rr = 0
 
@@ -185,7 +183,6 @@ class MultiQueueQdisc(Qdisc):
         num_shards: child (virtual transmit queue / CPU) count.
         child_factory: builds child ``shard`` — any existing qdisc works,
             e.g. ``lambda shard: EiffelQdisc(default_rate_bps=1e9)``.
-        sharder: flow classifier; defaults to RSS-style hashing.
 
     The root performs no queueing of its own: packets hash straight into a
     child (as skbs hash to a per-CPU transmit queue), ``dequeue_due`` drains
@@ -205,14 +202,13 @@ class MultiQueueQdisc(Qdisc):
         self,
         num_shards: int,
         child_factory: Callable[[int], Qdisc],
-        sharder: Optional[FlowSharder] = None,
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
         super().__init__()
         self.num_shards = num_shards
         self.children: List[Qdisc] = [child_factory(shard) for shard in range(num_shards)]
-        self.sharder = sharder or FlowSharder(num_shards)
+        self.sharder = FlowSharder(num_shards)
         self._next_rr = 0
         self._child_cost_snapshots = [(0.0, 0.0)] * num_shards
 

@@ -713,59 +713,11 @@ class IngressCore:
         return len(self.ring)
 
 
-class IngressLanes:
-    """Spreads NIC bursts over ingress lanes, asking each flow's lane once.
-
-    ``sharder`` is the lane map (:meth:`FlowSharder.for_ingress
-    <repro.runtime.sharder.FlowSharder.for_ingress>`).  Its answer for a
-    flow is kept, for at most :attr:`KEPT` flows, until the sharder's
-    ``epoch`` moves — the contract under which a ``shard_for`` answer stays
-    true — and then every kept answer is dropped at once.
-    """
-
-    __slots__ = ("sharder", "_kept", "_epoch")
-
-    #: Most flows whose lane is kept.
-    KEPT = 4096
-
-    def __init__(self, sharder: FlowSharder) -> None:
-        self.sharder = sharder
-        self._kept: Dict[int, int] = {}
-        self._epoch = sharder.epoch
-
-    def spread(self, packets: List[Packet]) -> Dict[int, List[Packet]]:
-        """Each lane's packets of the burst, in burst order."""
-        sharder = self.sharder
-        if sharder.num_shards == 1:
-            return {0: packets}
-        kept = self._kept
-        if self._epoch != sharder.epoch:
-            kept.clear()
-            self._epoch = sharder.epoch
-        kept_lane = kept.get
-        lane_for = sharder.shard_for
-        groups: Dict[int, List[Packet]] = {}
-        get_group = groups.get
-        for packet in packets:
-            flow_id = packet.flow_id
-            lane = kept_lane(flow_id)
-            if lane is None:
-                lane = lane_for(flow_id)
-                if len(kept) < self.KEPT:
-                    kept[flow_id] = lane
-            group = get_group(lane)
-            if group is None:
-                groups[lane] = [packet]
-            else:
-                group.append(packet)
-        return groups
-
-
 class IngressPlane:
     """The RX plane of one :class:`~repro.runtime.runtime.ShardedRuntime`.
 
     Built only with ``ingress_cores > 0``.  Owns the lane map (flow -> RX
-    core, an RSS hash with its own seed, behind :class:`IngressLanes`), one
+    core, a :class:`~repro.runtime.sharder.FlowSharder` with its own seed), one
     timer handle and one tick callback per lane, and the RX quantum: one
     quarter of the scheduling quantum, so several NIC pulls land per
     scheduling quantum, as NAPI polls outpace scheduler ticks.  The driver's
@@ -786,9 +738,7 @@ class IngressPlane:
         self._supervisor = runtime._supervisor
         self.cores: List[IngressCore] = runtime.ingress_cores
         self.quantum_ns = max(1, runtime.quantum_ns // 4)
-        self.lanes = IngressLanes(
-            FlowSharder.for_ingress(len(self.cores), hash_seed=hash_seed)
-        )
+        self.lanes = FlowSharder.for_ingress(len(self.cores), hash_seed=hash_seed)
         self._mailboxes = [worker.mailbox for worker in runtime.workers]
         self._handles: List[Optional["EventHandle"]] = [None] * len(self.cores)
         # Written here, not as a functools.partial: a callback's __module__
@@ -813,12 +763,37 @@ class IngressPlane:
         """
         now = self._simulator.now_ns
         admitted = 0
-        for lane, group in self.lanes.spread(packets).items():
+        for lane, group in self.spread(packets).items():
             core = self.cores[lane]
             admitted += core.offer(group, now)
             if not core.ring.empty:
                 self.wake(lane)
         return admitted
+
+    def spread(self, packets: List[Packet]) -> Dict[int, List[Packet]]:
+        """Each lane's packets of the burst, in burst order.
+
+        A flow's lane is read from the lane sharder's memo and asked only
+        on a miss.
+        """
+        lanes = self.lanes
+        if lanes.num_shards == 1:
+            return {0: packets}
+        placed_get = lanes.placed.get
+        lane_for = lanes.shard_for
+        groups: Dict[int, List[Packet]] = {}
+        get_group = groups.get
+        for packet in packets:
+            flow_id = packet.flow_id
+            lane = placed_get(flow_id)
+            if lane is None:
+                lane = lane_for(flow_id)
+            group = get_group(lane)
+            if group is None:
+                groups[lane] = [packet]
+            else:
+                group.append(packet)
+        return groups
 
     def wake(self, lane: int) -> None:
         """Guarantee RX core ``lane`` pulls within one RX quantum.
@@ -941,7 +916,6 @@ __all__ = [
     "CoDelPolicy",
     "FlowFairDropPolicy",
     "IngressCore",
-    "IngressLanes",
     "IngressPlane",
     "IngressStats",
     "IngressTelemetry",

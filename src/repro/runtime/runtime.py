@@ -503,12 +503,9 @@ class ShardedRuntime:
         self._since_gc = 0
         self.gc_sweep_limit = gc_sweep_limit
         # Per-flow ownership state, columnised (see repro.runtime.flowstate):
-        # home shard, and the sharder's placement cached per slot (-1: not
-        # asked yet, or invalidated — see _route_burst step 3).
+        # the home shard.
         self.flows = FlowTable()
         self._home = self.flows.add_column("home", "i", -1)
-        self._placed = self.flows.add_column("placed", "i", -1)
-        self._placed_epoch = self.sharder.epoch
         # In-flight packet count of every flow that has any: a sparse map,
         # bounded by packets in flight rather than flows tracked (an entry
         # is deleted the moment it reaches zero), so a departure settles its
@@ -608,31 +605,23 @@ class ShardedRuntime:
            count touches zero mid-delivery — migrating right then would
            strand the pacing state travelling with the lease.
         2. A flow with packets in flight follows them to its home shard.
-        3. Otherwise the sharder's (possibly re-pinned) placement applies,
-           asked once per flow and kept in the ``placed`` column while the
-           flow holds a slot.  A kept answer lives until the driver changes
-           that flow's placement itself (a rebalancer pin, a crash
-           restart's forget: :meth:`_change_placement` drops that one
-           answer) or until :attr:`FlowSharder.epoch` moves by a change the
-           driver did not make (a direct ``sharder.pin``, ``unpin`` or
-           ``forget``), which drops every kept answer at the next burst.  A
-           flow with no slot yet asks.
+        3. Otherwise the sharder's (possibly re-pinned) placement applies:
+           read from its memo (:attr:`FlowSharder.placed`, always current),
+           asked only on a miss.
 
         Loans change only inside shard ticks and pins never inside a burst,
         so one check of each covers the burst.  Pure lookup: home and
         migration state change only once a packet is accepted
         (:meth:`_commit_group`).
         """
-        if self._placed_epoch != self.sharder.epoch:
-            self._reset_placements()
         by_shard: Dict[int, List[Packet]] = {}
         slots_by_shard: Dict[int, List[int]] = {}
         get_group = by_shard.get
         front_get = self.flows._front.get
         lookup = self.flows.lookup
         home_col = self._home
-        placed_col = self._placed
         in_flight = self._in_flight
+        placed_get = self.sharder.placed.get
         shard_for = self.sharder.shard_for
         loan_shard = self.sharder.loan_shard if self.sharder.has_loans else None
         for packet in packets:
@@ -642,14 +631,12 @@ class ShardedRuntime:
                 slot = lookup(flow_id)
             shard = loan_shard(flow_id) if loan_shard is not None else None
             if shard is None:
-                if slot < 0:
-                    shard = shard_for(flow_id)
-                elif flow_id in in_flight and home_col[slot] >= 0:
+                if slot >= 0 and flow_id in in_flight and home_col[slot] >= 0:
                     shard = home_col[slot]
                 else:
-                    shard = placed_col[slot]
-                    if shard < 0:
-                        shard = placed_col[slot] = shard_for(flow_id)
+                    shard = placed_get(flow_id)
+                    if shard is None:
+                        shard = shard_for(flow_id)
             group = get_group(shard)
             if group is None:
                 if rooms is not None and rooms[shard] <= 0:
@@ -662,28 +649,6 @@ class ShardedRuntime:
                 group.append(packet)
                 slots_by_shard[shard].append(slot)
         return by_shard, slots_by_shard
-
-    def _reset_placements(self) -> None:
-        """Drop every cached placement: the epoch moved by a change not the driver's."""
-        placed = self._placed
-        placed[:] = array("i", [-1]) * len(placed)
-        self._placed_epoch = self.sharder.epoch
-
-    def _change_placement(self, slot: int, change: Callable[..., None], *args) -> None:
-        """Make a placement change of the driver's own: ``change(*args)``.
-
-        The change names one flow, whose driver slot is ``slot`` (``-1``:
-        none); only that flow's kept answer is dropped.  The kept answers
-        stay in step with the sharder's epoch only if they were before the
-        change, so a foreign epoch move still drops them all at the next
-        burst (:meth:`_route_burst` step 3).
-        """
-        in_step = self._placed_epoch == self.sharder.epoch
-        change(*args)
-        if slot >= 0:
-            self._placed[slot] = -1
-        if in_step:
-            self._placed_epoch = self.sharder.epoch
 
     def _commit_group(
         self, group: List[Packet], slots: List[int], shard: int, taken: int
@@ -978,11 +943,6 @@ class ShardedRuntime:
             if start >= span:
                 start = 0
             slots = itertools.chain(range(start, span), range(start))
-        # Each reclaimed flow leaves the driver's table before it is
-        # forgotten, so no kept placement names it, and nothing but these
-        # forgets moves the epoch inside the sweep: kept answers that were
-        # in step with the epoch before the sweep still are after it.
-        in_step = self._placed_epoch == self.sharder.epoch
         examined = 0
         for slot in slots:
             flow_id = key[slot]
@@ -1009,8 +969,6 @@ class ShardedRuntime:
                 self._gc_cursor = slot + 1
                 break
         stats.gc_examined += examined
-        if in_step:
-            self._placed_epoch = self.sharder.epoch
 
     # -- rebalancing -------------------------------------------------------
 
@@ -1028,12 +986,10 @@ class ShardedRuntime:
         self._rebalance_handle = None
         tracer = self.tracer
         now = self.simulator.now_ns if tracer is not None else 0
-        lookup = self.flows.lookup
         pin = self.sharder.pin
         for migration in self.rebalancer.plan():
             # Re-pin now; routing applies it once the flow drains (FIFO).
-            flow_id = migration.flow_id
-            self._change_placement(lookup(flow_id), pin, flow_id, migration.dst_shard)
+            pin(migration.flow_id, migration.dst_shard)
             if tracer is not None:
                 tracer.emit(
                     now,
@@ -1147,7 +1103,7 @@ class ShardedRuntime:
             else:
                 home_col[slot] = -1
                 stats.flows_rehomed += 1
-                self._change_placement(slot, self.sharder.forget, flow_id)
+                self.sharder.forget(flow_id)
         self.workers[shard] = fresh
         self._arm_rebalance()
         if len(mailbox):

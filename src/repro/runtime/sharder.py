@@ -52,9 +52,10 @@ def rss_hash(flow_id: int, seed: int = DEFAULT_HASH_SEED) -> int:
 class ShardingStats(CounterStatsMixin):
     """Placement counters kept by the sharder."""
 
+    #: :meth:`FlowSharder.shard_for` calls.  A hot loop that finds its
+    #: answer in :attr:`FlowSharder.placed` does not ask, so is not counted.
     lookups: int = 0
     pins: int = 0
-    migrations: int = 0
     window_packets: int = 0
     loans: int = 0
     window_evictions: int = 0
@@ -82,10 +83,10 @@ class FlowSharder:
     exact and no window entry is held for a flow nobody will rank.
 
     **Layout.**  All per-flow state lives in plain dicts keyed by flow id:
-    pins, loan owners, and the window's packet counts and residencies.  No
-    reader depends on their order: :meth:`ShardRebalancer.plan` breaks ties
-    by flow id, so the plan depends on what the window holds, not on the
-    order it was recorded in.
+    the placement memo, pins, loan owners, and the window's packet counts
+    and residencies.  No reader depends on their order:
+    :meth:`ShardRebalancer.plan` breaks ties by flow id, so the plan
+    depends on what the window holds, not on the order it was recorded in.
 
     **Memory.**  The window is bounded by ``window_limit``: recording a new
     flow into a full window first evicts a cold entry
@@ -95,13 +96,11 @@ class FlowSharder:
     breakdown the rebalancer ranks by is approximate under extreme churn —
     and an evicted-because-cold flow was never a migration candidate anyway.
 
-    :attr:`epoch` is the invalidation signal for callers that cache
-    :meth:`shard_for` answers (the runtime driver keeps one per flow-table
-    slot): a plain int that :meth:`pin`, :meth:`unpin` and :meth:`forget`
-    bump whenever they change a pin — the only state a placement depends
-    on besides the fixed seed.  While the epoch stands still,
-    ``shard_for(flow_id)`` returns what it returned before, for every flow;
-    a move changes the answer of the one flow that call named.
+    **Memo.**  :attr:`placed` holds the answers :meth:`shard_for` gave, for
+    at most :attr:`MEMO_LIMIT` flows; hot loops read it first and ask only
+    on a miss.  :meth:`pin`, :meth:`unpin` and :meth:`forget` drop the
+    entry of the flow they name, so the memo is always current: no caller
+    keeps answers of its own.
     """
 
     @classmethod
@@ -130,6 +129,9 @@ class FlowSharder:
     #: Live window entries probed per eviction (CLOCK-style arm sweep).
     _EVICT_PROBES = 8
 
+    #: Most flows :attr:`placed` holds (see class docstring).
+    MEMO_LIMIT = 4096
+
     def __init__(
         self,
         num_shards: int,
@@ -144,8 +146,8 @@ class FlowSharder:
         self.hash_seed = hash_seed
         self.window_limit = window_limit
         self.stats = ShardingStats()
-        #: Bumped whenever a pin changes (class docstring).
-        self.epoch = 0
+        #: Flow id -> the answer :meth:`shard_for` gave (class docstring).
+        self.placed: Dict[int, int] = {}
         self._pins: Dict[int, int] = {}
         self._loans: Dict[int, int] = {}
         # The window: packets per flow, and the shard they last ran on.
@@ -160,27 +162,28 @@ class FlowSharder:
     # -- placement ---------------------------------------------------------
 
     def shard_for(self, flow_id: int) -> int:
-        """Shard index for ``flow_id``: its pin, else its hash."""
+        """Shard index for ``flow_id``: its pin, else its hash; memoised."""
         self.stats.lookups += 1
-        if self._pins:
-            pinned = self._pins.get(flow_id)
-            if pinned is not None:
-                return pinned
-        return rss_hash(flow_id, self.hash_seed) % self.num_shards
+        shard = self._pins.get(flow_id) if self._pins else None
+        if shard is None:
+            shard = rss_hash(flow_id, self.hash_seed) % self.num_shards
+        placed = self.placed
+        if len(placed) < self.MEMO_LIMIT:
+            placed[flow_id] = shard
+        return shard
 
     def pin(self, flow_id: int, shard: int) -> None:
         """Force ``flow_id`` onto ``shard`` (overrides the hash)."""
         if not 0 <= shard < self.num_shards:
             raise ValueError("shard out of range")
         self.stats.pins += 1
-        if self._pins.get(flow_id) != shard:
-            self._pins[flow_id] = shard
-            self.epoch += 1
+        self._pins[flow_id] = shard
+        self.placed.pop(flow_id, None)
 
     def unpin(self, flow_id: int) -> None:
         """Remove an explicit pin; the hash takes over again."""
-        if self._pins.pop(flow_id, None) is not None:
-            self.epoch += 1
+        self._pins.pop(flow_id, None)
+        self.placed.pop(flow_id, None)
 
     def pinned_shard(self, flow_id: int) -> Optional[int]:
         """The pinned shard of ``flow_id``, or ``None``."""
@@ -191,7 +194,8 @@ class FlowSharder:
 
         A returning flow is placed by its hash until the rebalancer re-pins it.
         """
-        self.unpin(flow_id)
+        self._pins.pop(flow_id, None)
+        self.placed.pop(flow_id, None)
 
     # -- ownership view (work-stealing leases) -----------------------------
     #
@@ -342,7 +346,9 @@ class FlowSharder:
         """Bytes held by the sharder's per-flow placement state."""
         return sum(
             sys.getsizeof(table)
-            for table in (self._pins, self._loans, self._window, self._residency, self._arm)
+            for table in (
+                self.placed, self._pins, self._loans, self._window, self._residency, self._arm
+            )
         )
 
     def imbalance(self) -> float:

@@ -269,14 +269,12 @@ class TestMultiQueueQdisc:
     SKEW_PACKETS_PER_FLOW = 8
 
     def _skewed_mq(self):
-        from repro.runtime import FlowSharder, MultiQueueQdisc
+        from repro.runtime import MultiQueueQdisc
 
-        sharder = FlowSharder(2)
+        mq = MultiQueueQdisc(2, lambda shard: EiffelQdisc(default_rate_bps=1e9))
         for flow in range(self.SKEW_FLOWS):
-            sharder.pin(flow, 0)
-        return MultiQueueQdisc(
-            2, lambda shard: EiffelQdisc(default_rate_bps=1e9), sharder=sharder
-        )
+            mq.sharder.pin(flow, 0)
+        return mq
 
     def _skewed_packets(self):
         return [

@@ -302,14 +302,12 @@ class TestShardedPortQueue:
 
     def _skewed_port(self):
         """Two rings with every flow pinned to ring 0; ring 1 stays empty."""
-        from repro.runtime import FlowSharder, ShardedPortQueue
+        from repro.runtime import ShardedPortQueue
 
-        sharder = FlowSharder(2)
+        port = ShardedPortQueue(2, lambda shard: DropTailEcnQueue(capacity_packets=64))
         for flow in range(8):
-            sharder.pin(flow, 0)
-        return ShardedPortQueue(
-            2, lambda shard: DropTailEcnQueue(capacity_packets=64), sharder=sharder
-        )
+            port.sharder.pin(flow, 0)
+        return port
 
     def test_empty_port_pull_returns_nothing(self):
         port = self._skewed_port()

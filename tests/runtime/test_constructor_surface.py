@@ -55,8 +55,8 @@ SHARDED_RUNTIME = (
 
 SURFACES = [
     (ShardedRuntime, SHARDED_RUNTIME),
-    (ShardedPortQueue, ("num_shards", "queue_factory", "sharder", "arbiter")),
-    (MultiQueueQdisc, ("num_shards", "child_factory", "sharder")),
+    (ShardedPortQueue, ("num_shards", "queue_factory", "arbiter")),
+    (MultiQueueQdisc, ("num_shards", "child_factory")),
     (EiffelQdisc, ("flow_rates", "default_rate_bps", "horizon_ns", "num_buckets", "queue")),
     (ProcessBackend, ()),
 ]

@@ -357,7 +357,7 @@ class TestRuntimeIngressIntegration:
         assert runtime.transmitted == 240
         # Replaying the lane hash per flow must match what each core saw:
         # every flow's packets traversed exactly one ring.
-        lanes = runtime._ingress.lanes.sharder
+        lanes = runtime._ingress.lanes
         per_core = [core.stats.rx_packets for core in runtime.ingress_cores]
         expected = [0, 0, 0]
         for flow in range(12):

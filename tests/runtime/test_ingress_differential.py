@@ -1,17 +1,18 @@
 """Differential tests: the RX path against a twin that does it all per packet.
 
 The pull routes its whole head window in one router call and stops at the
-first packet that does not fit its mailbox; the runtime keeps each flow's
-ingress lane, carries the routing slots into the commit, records the load
-window once per flow per group and the ring sojourns once per run of equal
-arrival times, and an RX ring counts flows only for a policy that reads the
-counts.  The twin undoes every one of those: it routes one packet per router
-call against the room each mailbox has left, asks the lane sharder for every
-packet, commits with no slots (every packet probes the flow table), records
-the window one packet at a time, attributes and records the sojourns one
-delivered packet at a time, and keeps flow counts on every ring.  On the
-same Zipf arrivals — 4 shards, 2 RX cores, stealing and rebalancing on —
-the two must agree on everything observable.
+first packet that does not fit its mailbox; the lane sharder memoises each
+flow's ingress lane, the runtime carries the routing slots into the commit,
+records the load window once per flow per group and the ring sojourns once
+per run of equal arrival times, and an RX ring counts flows only for a policy
+that reads the counts.  The twin undoes every one of those: it routes one
+packet per router call against the room each mailbox has left, asks a lane
+sharder that keeps no memo for every packet, commits with no slots (every
+packet probes the flow table), records the window one packet at a time,
+attributes and records the sojourns one delivered packet at a time, and
+keeps flow counts on every ring.  On the same Zipf arrivals — 4 shards, 2 RX
+cores, stealing and rebalancing on — the two must agree on everything
+observable.
 """
 
 import random
@@ -21,7 +22,6 @@ import pytest
 from repro.core.model.packet import Packet
 from repro.runtime import CoDelPolicy, FlowSharder, IngressCore, ShardedRuntime
 from repro.runtime.faults import FaultEvent, FaultPlan
-from repro.runtime.ingress import IngressLanes
 from repro.runtime.sharder import rss_hash
 
 QUANTUM_NS = 10_000
@@ -35,10 +35,10 @@ class _PerPacketWindow(FlowSharder):
             self.record(flow_id, shard)
 
 
-class _AskEveryTime(IngressLanes):
-    """Keeps no lane: the lane sharder is asked for every packet."""
+class _AskEveryTime(FlowSharder):
+    """Keeps no memo: asked again for every packet."""
 
-    KEPT = 0
+    MEMO_LIMIT = 0
 
 
 class _PerPacketCore(IngressCore):
@@ -70,7 +70,8 @@ class _CheckedRuntime(ShardedRuntime):
 class _PerPacketTwin(ShardedRuntime):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._ingress.lanes = _AskEveryTime(self._ingress.lanes.sharder)
+        lanes = self._ingress.lanes
+        self._ingress.lanes = _AskEveryTime.for_ingress(lanes.num_shards, lanes.hash_seed)
         for core in self.ingress_cores:
             core.__class__ = _PerPacketCore  # same slots, per-packet sojourns
             core.ring.count_flows()
@@ -120,7 +121,7 @@ def _drive(runtime_cls, flow_bursts, window_limit=None, lane_pins=None, **kwargs
 
         def apply_pins():
             for flow_id, lane in pins.items():
-                runtime._ingress.lanes.sharder.pin(flow_id, lane)
+                runtime._ingress.lanes.pin(flow_id, lane)
 
         runtime.simulator.schedule_at(when_ns, apply_pins)
     arrivals: dict = {}
@@ -172,8 +173,8 @@ def _both(flow_bursts, make_plan=None, **kwargs):
 
 
 def test_small_mailbox_watermarks_stall_the_pull():
-    # Half way through, the hottest flows change RX lanes: every kept lane
-    # must be dropped when the lane sharder's epoch moves.
+    # Half way through, the hottest flows change RX lanes: each pin must
+    # drop that flow's memoised lane, and only that one.
     outcome = _both(
         _zipf_bursts(1),
         lane_pins=(30 * QUANTUM_NS - 1, {1: 1, 2: 0, 3: 1, 4: 0}),

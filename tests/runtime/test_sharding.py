@@ -1,6 +1,8 @@
 """Unit tests for the sharding layer: FlowSharder, ShardRebalancer, Mailbox."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import (
     FlowSharder,
@@ -45,18 +47,21 @@ class TestFlowSharder:
         sharder.unpin(7)
         assert sharder.shard_for(7) == natural
 
-    def test_only_a_pin_moves_the_epoch(self):
+    def test_a_placement_change_drops_only_the_named_flows_memo_entry(self):
         sharder = FlowSharder(2)
-        sharder.forget(3)  # no pin: the hash answer stands
-        sharder.unpin(3)
-        assert sharder.epoch == 0
-        sharder.pin(3, 1)
-        sharder.pin(3, 1)  # the same pin again changes no answer
-        assert sharder.epoch == 1
-        sharder.forget(3)
-        assert sharder.epoch == 2 and sharder.pinned_shard(3) is None
-        sharder.forget(3)
-        assert sharder.epoch == 2
+        answers = {flow: sharder.shard_for(flow) for flow in range(1, 5)}
+        assert sharder.placed == answers
+        sharder.forget(3)  # no pin to expire: the entry goes all the same
+        assert sharder.placed == {1: answers[1], 2: answers[2], 4: answers[4]}
+        sharder.pin(1, 1 - answers[1])
+        sharder.pin(1, 1 - answers[1])  # the same pin again
+        assert sharder.placed == {2: answers[2], 4: answers[4]}
+        assert sharder.shard_for(1) == sharder.placed[1] == 1 - answers[1]
+        sharder.unpin(2)  # no pin to remove: the entry goes all the same
+        sharder.forget(1)
+        assert sharder.placed == {4: answers[4]}
+        assert sharder.pinned_shard(1) is None
+        assert sharder.shard_for(1) == answers[1]
 
     def test_load_window(self):
         sharder = FlowSharder(2)
@@ -84,6 +89,35 @@ class TestFlowSharder:
             FlowSharder(0)
         with pytest.raises(ValueError):
             FlowSharder(2).pin(1, 5)
+
+
+class _SmallMemo(FlowSharder):
+    MEMO_LIMIT = 3
+
+
+_memo_flow = st.integers(0, 7)
+_memo_operation = st.one_of(
+    st.tuples(st.just("shard_for"), _memo_flow),
+    st.tuples(st.just("pin"), _memo_flow, st.integers(0, 2)),
+    st.tuples(st.just("unpin"), _memo_flow),
+    st.tuples(st.just("forget"), _memo_flow),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations=st.lists(_memo_operation, max_size=40), ingress=st.booleans())
+def test_every_memo_entry_is_the_current_answer(operations, ingress):
+    """Whatever the calls, ``placed`` holds only pin-else-hash answers."""
+    sharder = _SmallMemo.for_ingress(3) if ingress else _SmallMemo(3)
+    for name, *args in operations:
+        answer = getattr(sharder, name)(*args)
+        if name == "shard_for":
+            assert answer == sharder.placed.get(args[0], answer)
+        assert len(sharder.placed) <= _SmallMemo.MEMO_LIMIT
+        for flow_id, shard in sharder.placed.items():
+            pinned = sharder.pinned_shard(flow_id)
+            hashed = rss_hash(flow_id, sharder.hash_seed) % sharder.num_shards
+            assert shard == (hashed if pinned is None else pinned)
 
 
 class TestShardRebalancer:

@@ -240,18 +240,17 @@ def test_loan_overrides_a_fresh_pin_for_a_drained_flow():
     assert [index for _now, index in outcome["departures"][mouse]] == [0, 1, 2, 3, 4]
 
 
-# -- placement caching --------------------------------------------------------
+# -- the placement memo -------------------------------------------------------
 #
-# Routing step 3 asks the sharder once per flow and keeps the answer in the
-# driver's ``placed`` column.  A change the driver makes itself (a
-# rebalancer pin, a crash restart's forget) drops that one flow's answer;
-# any other move of ``FlowSharder.epoch`` drops them all.  The cases below
-# are the ones where a kept answer could go stale: the sharder is edited
-# *directly*, between bursts, for a flow that is idle but still holds its
-# slot (GC off, so the slot — and the cached placement — outlive the
+# Routing step 3 reads the sharder's memo (``FlowSharder.placed``) and asks
+# only on a miss; a pin, unpin or forget drops the named flow's entry,
+# whoever makes it (a rebalancer pin, a crash restart's forget, or a direct
+# call).  The cases below are the ones where a memoised answer could go
+# stale: the sharder is edited *directly*, between bursts, for a flow that
+# is idle but still holds its slot (GC off, so the slot outlives the
 # drain).  Two shards with stealing on, for the reason in the module
-# docstring; each case runs through ``submit_batch`` (epoch checked at the
-# top of the burst) and through ``submit`` (checked in ``_route``).
+# docstring; each case runs through ``submit_batch`` and through
+# ``submit``.
 
 SLOW_RATE_BPS = 1e6  # 1500 B => 12 ms a packet: pacing state outlives a drain
 GAP_NS = 12_000_000
@@ -277,7 +276,7 @@ def _offer(runtime, flow_ids, batched):
 
 
 def _cached_runtime(batched, **kwargs):
-    """A two-shard runtime plus a flow whose placement on shard 0 is cached."""
+    """A two-shard runtime plus a flow whose placement on shard 0 is memoised."""
     runtime = ShardedRuntime(
         2,
         quantum_ns=QUANTUM_NS,
@@ -287,14 +286,12 @@ def _cached_runtime(batched, **kwargs):
         **kwargs,
     )
     (flow,) = _flows_hashed_to(0, 1)
-    _offer(runtime, [flow], batched)  # new flow: no slot to keep the answer in
-    runtime.run()
-    _offer(runtime, [flow], batched)  # idle, holds a slot: asked, and kept
+    _offer(runtime, [flow], batched)  # new flow: asked, and memoised
     runtime.run()
     asked = runtime.sharder.stats.lookups
-    (packet,) = _offer(runtime, [flow], batched)
+    (packet,) = _offer(runtime, [flow], batched)  # idle, holds a slot
     runtime.run()
-    assert runtime.sharder.stats.lookups == asked  # the kept answer was used
+    assert runtime.sharder.stats.lookups == asked  # the memoised answer was used
     assert packet.metadata["shard"] == 0
     return runtime, flow
 
@@ -329,30 +326,30 @@ def test_direct_unpin_or_forget_between_bursts_moves_the_flow_back(release, batc
     asked = runtime.sharder.stats.lookups
     _offer(runtime, [flow], batched)
     runtime.run()
-    assert runtime.sharder.stats.lookups == asked  # the pinned answer is kept too
+    assert runtime.sharder.stats.lookups == asked  # the pinned answer is memoised too
     getattr(runtime.sharder, release)(flow)  # forget drops the pin too
     _assert_moved_with_its_shaper(runtime, flow, batched, src=1, dst=0)
 
 
 @pytest.mark.parametrize("batched", [True, False])
-def test_forget_of_an_unpinned_flow_keeps_its_cached_placement(batched):
+def test_forget_of_an_unpinned_flow_keeps_its_shard(batched):
     # Placement is pin, else hash: forgetting a flow that holds no pin
-    # changes no answer, so the epoch stands and the kept answer is used.
+    # drops its memo entry but changes no answer, so it asks once more and
+    # stays where it was.
     runtime, flow = _cached_runtime(batched)
-    epoch = runtime.sharder.epoch
     runtime.sharder.forget(flow)
-    assert runtime.sharder.epoch == epoch
+    assert flow not in runtime.sharder.placed
     asked = runtime.sharder.stats.lookups
     (packet,) = _offer(runtime, [flow], batched)
     runtime.run()
-    assert runtime.sharder.stats.lookups == asked
+    assert runtime.sharder.stats.lookups == asked + 1
     assert packet.metadata["shard"] == 0
     assert not any(runtime.residual_state().values())
 
 
 def test_a_rebalancing_round_keeps_the_placements_it_did_not_move():
     # Three flows on shard 0 and one on shard 1: the round moves exactly
-    # one flow, and the others' kept answers outlive it.
+    # one flow, and the others' memoised answers outlive it.
     (moved, kept, small), (other,) = _flows_hashed_to(0, 3), _flows_hashed_to(1, 1)
     runtime = ShardedRuntime(
         2,
@@ -363,7 +360,7 @@ def test_a_rebalancing_round_keeps_the_placements_it_did_not_move():
     )
     _offer(runtime, [moved] * 4 + [kept] * 6 + [small, other], batched=True)
     runtime.run(until_ns=2 * QUANTUM_NS)
-    _offer(runtime, [kept], batched=True)  # holds a slot: asked, and kept
+    _offer(runtime, [kept], batched=True)  # holds a slot, memoised
     runtime.run()
     (migration,) = runtime.rebalancer.history
     assert (migration.flow_id, migration.dst_shard) == (moved, 1)
@@ -376,10 +373,10 @@ def test_a_rebalancing_round_keeps_the_placements_it_did_not_move():
 
 @pytest.mark.parametrize("driver", ["rebalance", "gc"])
 def test_a_direct_pin_outlives_a_driver_change_before_the_next_burst(driver):
-    # The direct pin moves the epoch; before the next burst the driver makes
-    # a change of its own (a rebalancing round re-pins another flow, or a GC
-    # sweep runs).  That change must not take the epoch move for its own:
-    # the pinned flow's kept answer is stale, and the next burst drops it.
+    # The direct pin drops the flow's memo entry; before the next burst the
+    # driver makes a change of its own (a rebalancing round re-pins another
+    # flow, or a GC sweep runs).  That change must not bring the old answer
+    # back: the next burst follows the pin.
     flow, hot, warm = _flows_hashed_to(0, 3)
     runtime = ShardedRuntime(
         2,
@@ -390,7 +387,7 @@ def test_a_direct_pin_outlives_a_driver_change_before_the_next_burst(driver):
     )
     _offer(runtime, [flow], batched=True)
     runtime.run(until_ns=GAP_NS // 12)
-    _offer(runtime, [flow] + [hot] * 3 + [warm] * 3, batched=True)  # flow: asked, kept
+    _offer(runtime, [flow] + [hot] * 3 + [warm] * 3, batched=True)  # flow: memoised
     runtime.run(until_ns=GAP_NS // 4)
     runtime.sharder.pin(flow, 1)
     runtime.run(until_ns=GAP_NS + GAP_NS // 6)  # flow's paced packet has left
@@ -405,22 +402,12 @@ def test_a_direct_pin_outlives_a_driver_change_before_the_next_burst(driver):
 
 
 class _NeverCachedSharder(FlowSharder):
-    """A sharder whose epoch moves on every read.
+    """A sharder that keeps no memo: every routing decision asks again.
 
-    The driver finds its cached placements out of date at every routing
-    decision and asks again — the twin the cached runtime must equal.
+    The twin the memoising runtime must equal.
     """
 
-    _reads = 0
-
-    @property
-    def epoch(self):
-        self._reads += 1
-        return self._reads
-
-    @epoch.setter
-    def epoch(self, _value):
-        pass
+    MEMO_LIMIT = 0
 
 
 _FLOWS = _flows_hashed_to(0, 4) + _flows_hashed_to(1, 2)
