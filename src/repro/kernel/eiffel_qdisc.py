@@ -23,7 +23,7 @@ from .fq_pacing import charge_stats_delta
 from .qdisc import Qdisc
 from ..core.model.packet import Packet
 from ..core.model.transactions import RateLimit, ShapingTransaction
-from ..core.queues import BucketSpec, CircularFFSQueue, IntegerPriorityQueue, QueueStats
+from ..core.queues import BucketSpec, CircularFFSQueue, QueueStats
 
 
 class EiffelQdisc(Qdisc):
@@ -34,8 +34,6 @@ class EiffelQdisc(Qdisc):
         default_rate_bps: pacing rate applied to unconfigured flows.
         horizon_ns: shaping horizon (2 s, as in the paper's deployment).
         num_buckets: timestamp buckets (20k, as in the paper's deployment).
-        queue: optionally inject a different integer queue (the approximate
-            gradient queue, for ablations); defaults to cFFS.
 
     Under :class:`~repro.runtime.adapters.MultiQueueQdisc` each instance is
     one per-core child; packets never move between children.
@@ -49,7 +47,6 @@ class EiffelQdisc(Qdisc):
         default_rate_bps: Optional[float] = None,
         horizon_ns: int = 2_000_000_000,
         num_buckets: int = 20_000,
-        queue: Optional[IntegerPriorityQueue] = None,
     ) -> None:
         if horizon_ns <= 0 or num_buckets <= 0:
             raise ValueError("horizon_ns and num_buckets must be positive")
@@ -59,7 +56,7 @@ class EiffelQdisc(Qdisc):
         super().__init__(timer_granularity_ns=granularity)
         self.flow_rates = dict(flow_rates or {})
         self.default_rate_bps = default_rate_bps
-        self._queue = queue or CircularFFSQueue(
+        self._queue = CircularFFSQueue(
             BucketSpec(num_buckets=num_buckets, granularity=granularity)
         )
         self._queue_snapshot = QueueStats()

@@ -24,11 +24,11 @@ workers through an :class:`ExecutionBackend`:
 Why per-shard replay is exact
 -----------------------------
 
-With work stealing, rebalancing, ingress cores, flow-state GC and transmit
-callbacks disabled (the runtime enforces this for parallel backends), a
-shard's entire evolution is a deterministic function of its own arrival
-schedule: routing is the static RSS hash, every tick reads only shard-local
-state, and the tick-timer policy (:meth:`ShardWorker.next_wake_ns
+With work stealing, rebalancing, ingress cores and flow-state GC disabled
+(the runtime enforces this for parallel backends), a shard's entire
+evolution is a deterministic function of its own arrival schedule: routing
+is the static RSS hash, every tick reads only shard-local state, and the
+tick-timer policy (:meth:`ShardWorker.next_wake_ns
 <repro.runtime.worker.ShardWorker.next_wake_ns>`) is pure.  The driver
 below re-creates the exact event sequence the shared simulator would have
 produced for that shard — including the "arrival beats the tick at equal
@@ -85,14 +85,15 @@ class WorkerSpec:
     ``worker_kwargs`` are the :class:`~repro.runtime.worker.ShardWorker`
     constructor arguments; the remaining fields are the runtime's driving
     knobs, mirrored so a child process reproduces the exact per-tick budget
-    arithmetic of :meth:`ShardedRuntime._tick`.
+    arithmetic of :meth:`ShardedRuntime._tick`.  The runtime's
+    ``ingest_per_quantum`` is not among them: it is set only with ingress
+    cores, which no parallel backend accepts.
     """
 
     shard_id: int
     worker_kwargs: Dict[str, Any]
     quantum_ns: int
     batch_per_quantum: int
-    ingest_per_quantum: Optional[int]
     shard_backlog_limit: Optional[int]
     record_transmits: bool = True
 
@@ -216,10 +217,9 @@ class ShardClockDriver:
         now = self.simulator.now_ns
         worker = self.worker
         spec = self.spec
-        ingest_limit = spec.ingest_per_quantum
+        ingest_limit = None
         if spec.shard_backlog_limit is not None:
-            room = max(0, spec.shard_backlog_limit - worker.backlog)
-            ingest_limit = room if ingest_limit is None else min(ingest_limit, room)
+            ingest_limit = max(0, spec.shard_backlog_limit - worker.backlog)
         released = worker.tick(
             now, ingest_limit=ingest_limit, drain_limit=spec.batch_per_quantum
         )
@@ -309,8 +309,8 @@ class SimulatedBackend(ExecutionBackend):
 
     parallel = False
 
-    def __init__(self, simulator: Optional[Simulator] = None) -> None:
-        self.simulator = simulator or Simulator()
+    def __init__(self) -> None:
+        self.simulator = Simulator()
 
     def submit_at(self, when_ns: int, packets: Sequence[Packet]) -> None:
         """Schedule the burst as a simulator event (pre-run ties beat ticks)."""
@@ -567,30 +567,22 @@ def _reap(proc, shard: int) -> None:
         proc.join(timeout=10.0)
 
 
-def resolve_backend(
-    backend: "str | ExecutionBackend", simulator: Optional[Simulator]
-) -> ExecutionBackend:
+def resolve_backend(backend: "str | ExecutionBackend") -> ExecutionBackend:
     """Normalise a runtime's ``backend=`` argument into a backend instance.
 
     Accepts ``"simulated"`` / ``"process"`` or a ready instance.
-    ``simulator`` only composes with the simulated backend — a shared clock
-    has no meaning for shards running on their own cores.
     """
     if isinstance(backend, str):
         if backend == "simulated":
-            return SimulatedBackend(simulator)
-        if backend != "process":
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from 'simulated', 'process'"
-            )
-        resolved: ExecutionBackend = ProcessBackend()
-    elif isinstance(backend, ExecutionBackend):
-        resolved = backend
-    else:
-        raise TypeError(f"backend must be a name or ExecutionBackend, got {backend!r}")
-    if simulator is not None and not isinstance(resolved, SimulatedBackend):
-        raise ValueError("simulator= applies only to the simulated backend")
-    return resolved
+            return SimulatedBackend()
+        if backend == "process":
+            return ProcessBackend()
+        raise ValueError(
+            f"unknown backend {backend!r}; choose from 'simulated', 'process'"
+        )
+    if isinstance(backend, ExecutionBackend):
+        return backend
+    raise TypeError(f"backend must be a name or ExecutionBackend, got {backend!r}")
 
 
 __all__ = [

@@ -63,6 +63,9 @@ if TYPE_CHECKING:
 #: Every fault kind a plan may carry: the simulated runtime's own seams.
 FAULT_KINDS = ("shard_crash", "shard_stall", "handoff_drop", "ingress_wedge")
 
+#: Largest number of packets one drawn ``handoff_drop`` event eats.
+MAX_HANDOFF_DROPS = 4
+
 #: The ``residual_state()`` gauges the fault plane owns; all read zero once
 #: every failure is recovered (and always on an unarmed runtime).
 RESIDUAL_KEYS = (
@@ -171,14 +174,14 @@ class FaultPlan:
         kinds: Sequence[str] = FAULT_KINDS,
         events: int = 1,
         max_tick: int = 32,
-        max_handoff_drops: int = 4,
         ingress_lanes: int = 0,
     ) -> "FaultPlan":
         """Draw ``events`` random faults from one seeded stream.
 
-        Every draw — kind, target, trigger ordinal, drop count — comes from
-        a single ``random.Random(seed)``, so a scenario-level seed pins the
-        whole fault schedule exactly as it pins the workload.
+        Every draw — kind, target, trigger ordinal, drop count (1 to
+        :data:`MAX_HANDOFF_DROPS`) — comes from a single
+        ``random.Random(seed)``, so a scenario-level seed pins the whole
+        fault schedule exactly as it pins the workload.
         """
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
@@ -186,8 +189,6 @@ class FaultPlan:
             raise ValueError("events must be positive")
         if max_tick <= 0:
             raise ValueError("max_tick must be positive")
-        if max_handoff_drops <= 0:
-            raise ValueError("max_handoff_drops must be positive")
         if not kinds:
             raise ValueError("kinds must be non-empty")
         for kind in kinds:
@@ -204,7 +205,7 @@ class FaultPlan:
             else:
                 target = rng.randrange(num_shards)
             at = rng.randint(1, max_tick)
-            count = rng.randint(1, max_handoff_drops) if kind == "handoff_drop" else 1
+            count = rng.randint(1, MAX_HANDOFF_DROPS) if kind == "handoff_drop" else 1
             drawn.append(FaultEvent(kind=kind, target=target, at=at, count=count))
         return cls(drawn)
 

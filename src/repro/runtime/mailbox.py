@@ -19,21 +19,21 @@ Watermark backpressure
 A bounded ring that silently overflows is a loss point; a real ingress
 pipeline instead *pauses the producer* before the ring fills — kernel NAPI
 backlog limits, BESS queue occupancy thresholds, NIC flow control.  The
-mailbox models that with a high/low watermark pair and hysteresis: when
-occupancy rises to the high watermark the mailbox enters the *paused* state
-(one ``stalls`` count, optional ``on_high`` callback); it leaves it only
-when the consumer drains occupancy down to the low watermark (optional
-``on_low`` callback).  The mailbox never blocks anything itself — producers
+mailbox models that with a high watermark and hysteresis: when occupancy
+rises to the high watermark the mailbox enters the *paused* state (one
+``stalls`` count); it leaves it only when the consumer drains occupancy down
+to the low watermark, always half the high one (the optional ``on_low``
+callback fires then).  The mailbox never blocks anything itself — producers
 (the ingress cores of :mod:`repro.runtime.ingress`) consult :attr:`paused`
 before pulling more work off their RX rings, and the ``on_low`` edge is the
 wake-up that resumes a stalled ingress core without polling.
 
-Edge callbacks fire only after the mutating operation has fully settled:
-counters, peak occupancy and the paused flag all describe the completed
-push/drain by the time ``on_high``/``on_low`` runs, so a callback (or
-anything it re-enters) can snapshot ``stats`` and see a consistent state —
-a requirement for execution backends whose producer and consumer interleave
-differently than the single simulated thread.
+The ``on_low`` callback fires only after the drain has fully settled:
+counters and the paused flag all describe the completed drain by the time
+it runs, so the callback (or anything it re-enters) can snapshot ``stats``
+and see a consistent state — a requirement for execution backends whose
+producer and consumer interleave differently than the single simulated
+thread.
 """
 
 from __future__ import annotations
@@ -70,20 +70,18 @@ class Mailbox(Generic[T]):
         capacity: maximum resident items; ``None`` means unbounded (the
             simulation default — backpressure is then the runtime's problem,
             as it is for an unbounded qdisc backlog).
-        high_watermark / low_watermark: occupancy thresholds of the paused
-            state (see module docstring).  ``high_watermark`` alone defaults
-            the low watermark to half of it.
-        on_high / on_low: callbacks fired on the rising (pause) and falling
-            (resume) watermark edges; both optional and settable later via
-            :meth:`configure_watermarks`.
+        high_watermark: occupancy that pauses the producer (see module
+            docstring); ``None`` carries no watermark.  The producer resumes
+            at ``high_watermark // 2``.
+
+    :attr:`on_low`, the callback fired on the falling (resume) edge, is
+    ``None`` until the producer sets it.
     """
 
     __slots__ = (
         "capacity",
         "stats",
         "high_watermark",
-        "low_watermark",
-        "on_high",
         "on_low",
         "_paused",
         "_items",
@@ -93,9 +91,6 @@ class Mailbox(Generic[T]):
         self,
         capacity: Optional[int] = None,
         high_watermark: Optional[int] = None,
-        low_watermark: Optional[int] = None,
-        on_high: Optional[Callable[[], None]] = None,
-        on_low: Optional[Callable[[], None]] = None,
     ) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive (or None for unbounded)")
@@ -103,72 +98,51 @@ class Mailbox(Generic[T]):
         self.stats = MailboxStats()
         self._items: Deque[T] = deque()
         self.high_watermark: Optional[int] = None
-        self.low_watermark: Optional[int] = None
-        self.on_high: Optional[Callable[[], None]] = None
         self.on_low: Optional[Callable[[], None]] = None
         self._paused = False
-        if high_watermark is not None or low_watermark is not None:
-            self.configure_watermarks(high_watermark, low_watermark, on_high, on_low)
+        if high_watermark is not None:
+            self.configure_watermarks(high_watermark)
 
     # -- watermarks ----------------------------------------------------------
 
-    def configure_watermarks(
-        self,
-        high: Optional[int],
-        low: Optional[int] = None,
-        on_high: Optional[Callable[[], None]] = None,
-        on_low: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Install (or clear, with ``high=None``) the watermark pair.
+    def configure_watermarks(self, high: Optional[int]) -> None:
+        """Install (or clear, with ``high=None``) the high watermark.
 
-        ``low`` defaults to ``high // 2``; at ``high == 1`` that is 0, i.e.
+        The low watermark is ``high // 2``; at ``high == 1`` that is 0, i.e.
         the producer resumes only on a fully drained ring — the capacity-1
-        hysteresis edge the tests pin down.  Callbacks already installed
-        survive a threshold retune unless new ones are passed (retuning a
-        live runtime mailbox must not sever the ingress resume wiring); to
-        drop a callback, assign the attribute directly.
+        hysteresis edge the tests pin down.  A retune keeps :attr:`on_low`
+        (retuning a live runtime mailbox must not sever the ingress resume
+        wiring).
         """
-        if on_high is not None:
-            self.on_high = on_high
-        if on_low is not None:
-            self.on_low = on_low
         if high is None:
-            self.high_watermark = self.low_watermark = None
+            self.high_watermark = None
             self._paused = False
             return
         if high <= 0:
             raise ValueError("high watermark must be positive")
         if self.capacity is not None and high > self.capacity:
             raise ValueError("high watermark cannot exceed capacity")
-        if low is None:
-            low = high // 2
-        if low < 0 or low >= high:
-            raise ValueError("low watermark must satisfy 0 <= low < high")
         self.high_watermark = high
-        self.low_watermark = low
-        edge = self._settle_high()
-        if edge is not None:
-            edge()
+        self._settle_high()
 
     @property
     def paused(self) -> bool:
         """True while occupancy sits inside the high/low hysteresis band."""
         return self._paused
 
-    # Edge detection is split from edge *firing* so that every mutator can
-    # settle all of its state — ring contents, counters, the paused flag —
-    # before any callback runs.  Watermark callbacks re-enter the runtime
-    # (on_low resumes stalled RX cores, which push more packets, which may
-    # re-pause this very mailbox), so a callback that fired mid-mutation
-    # would observe counters mid-update; execution backends that interleave
-    # producer and consumer differently would then disagree on stall
-    # accounting.  Contract: by the time on_high/on_low runs, pushed /
-    # dropped / drained / peak_occupancy / stalls and ``paused`` all
-    # describe the completed operation (``stats.snapshot()`` inside a
-    # callback is always consistent).
+    # Edge detection is split from edge *firing* so that a drain settles
+    # all of its state — ring contents, counters, the paused flag — before
+    # on_low runs.  The callback re-enters the runtime (it resumes stalled
+    # RX cores, which push more packets, which may re-pause this very
+    # mailbox), so a callback that fired mid-mutation would observe
+    # counters mid-update; execution backends that interleave producer and
+    # consumer differently would then disagree on stall accounting.
+    # Contract: by the time on_low runs, pushed / dropped / drained /
+    # peak_occupancy / stalls and ``paused`` all describe the completed
+    # drain (``stats.snapshot()`` inside the callback is always consistent).
 
-    def _settle_high(self) -> Optional[Callable[[], None]]:
-        """Settle the rising (pause) edge; returns the callback to fire last."""
+    def _settle_high(self) -> None:
+        """Settle the rising (pause) edge."""
         if (
             not self._paused
             and self.high_watermark is not None
@@ -176,16 +150,10 @@ class Mailbox(Generic[T]):
         ):
             self._paused = True
             self.stats.stalls += 1
-            return self.on_high
-        return None
 
     def _settle_low(self) -> Optional[Callable[[], None]]:
         """Settle the falling (resume) edge; returns the callback to fire last."""
-        if (
-            self._paused
-            and self.low_watermark is not None
-            and len(self._items) <= self.low_watermark
-        ):
+        if self._paused and len(self._items) <= self.high_watermark // 2:
             self._paused = False
             return self.on_low
         return None
@@ -201,9 +169,7 @@ class Mailbox(Generic[T]):
         self.stats.pushed += 1
         if len(self._items) > self.stats.peak_occupancy:
             self.stats.peak_occupancy = len(self._items)
-        edge = self._settle_high()
-        if edge is not None:
-            edge()
+        self._settle_high()
         return True
 
     def push_batch(self, items: Iterable[T]) -> int:
@@ -232,9 +198,7 @@ class Mailbox(Generic[T]):
         occupancy = len(ring)
         if occupancy > stats.peak_occupancy:
             stats.peak_occupancy = occupancy
-        edge = self._settle_high()
-        if edge is not None:
-            edge()
+        self._settle_high()
         return take
 
     # -- consumer side -----------------------------------------------------

@@ -76,7 +76,7 @@ from .stealing import FlowLease, Stealer, StealStats
 from .worker import QueueFactory, ShardWorker
 from ..core.model.packet import Packet
 from ..core.queues import QueueStats
-from ..netsim.simulator import EventHandle, Simulator
+from ..netsim.simulator import EventHandle
 
 
 @dataclass
@@ -206,20 +206,17 @@ class ShardedRuntime:
 
     Args:
         num_shards: worker (virtual core) count.
-        simulator: shared clock; a private one is created when omitted.
         sharder: flow placement; defaults to RSS-style hashing.
         quantum_ns: scheduling quantum — each active shard runs one batched
             ingest + drain per quantum.
         batch_per_quantum: drain budget per tick (the "one batch per
-            quantum" of the worker loop); the mailbox is drained fully
-            unless ``ingest_per_quantum`` bounds it.
-        ingest_per_quantum: cap on packets a shard stamps per tick (``None``
-            drains the whole mailbox, the historical behaviour).  Bounding
-            it models the real per-quantum budget of a scheduling core, and
-            is what lets mailbox occupancy build under overload so the
-            watermark backpressure has something to push against.  Defaults
-            to ``batch_per_quantum`` when ingress cores are configured with
-            bounded mailboxes.
+            quantum" of the worker loop).  The mailbox is drained fully,
+            except with ingress cores and a bounded ``mailbox_capacity``:
+            then a shard also stamps at most this many packets per tick
+            (:attr:`ingest_per_quantum`), the real per-quantum budget of a
+            scheduling core, which lets mailbox occupancy build under
+            overload so the watermark backpressure has something to push
+            against.
         shard_backlog_limit: the shard queue's ``txqueuelen``: while a
             shard's timestamp queue holds this many packets it stops
             ingesting, leaving arrivals in its mailbox — which is the link
@@ -240,11 +237,10 @@ class ShardedRuntime:
             next due window under an order-preserving flow lease.  With
             more than one shard it builds the
             :class:`~repro.runtime.stealing.Stealer` plane, which owns the
-            three knobs below; otherwise no stealing code runs.
+            two knobs below; otherwise no stealing code runs.  A window is
+            stealable when it falls due within one quantum: the batch the
+            victim would have released at its very next tick.
         steal_batch: largest number of packets one lease may carry.
-        steal_horizon_ns: how far ahead of "now" a window counts as
-            stealable (defaults to one quantum: the batch the victim would
-            have released at its very next tick).
         steal_min_backlog: smallest victim backlog worth stealing from —
             below this the handoff overhead outweighs the relief, and under
             balanced load it keeps shards from churning work back and forth.
@@ -272,8 +268,6 @@ class ShardedRuntime:
             :data:`~repro.runtime.sharder.INGRESS_HASH_SEED`.  The scenario
             compiler threads a spec-level seed through here so one seed pins
             every random stream of an experiment.
-        on_transmit: callback ``(packet, now_ns)`` run for every released
-            packet (the NIC side).
         record_transmits: record departures for :attr:`transmit_log`
             (tests and small examples; benchmarks switch it off).  The hot
             path keeps one entry per *drain*; the per-packet
@@ -300,12 +294,12 @@ class ShardedRuntime:
             :class:`~repro.runtime.backend.ExecutionBackend` instance.
             The process backend takes timed workloads through
             :meth:`submit_at` and requires the *statically decomposable*
-            configuration: no stealing, no rebalancer, no ingress cores and
-            no ``on_transmit`` callback (each shard must be a pure function
-            of its own arrival schedule); the flow-state GC sweep is
-            auto-disabled for the same reason (its trigger is a
-            runtime-global packet count).  See :mod:`repro.runtime.backend`
-            for why per-shard replay is then exact.
+            configuration: no stealing, no rebalancer and no ingress cores
+            (each shard must be a pure function of its own arrival
+            schedule); the flow-state GC sweep is auto-disabled for the
+            same reason (its trigger is a runtime-global packet count).
+            See :mod:`repro.runtime.backend` for why per-shard replay is
+            then exact.
         fault_plan: optional :class:`~repro.runtime.faults.FaultPlan` of
             deterministic faults (shard crash/stall, mailbox handoff drops,
             ingress ring wedge).  With it or ``lease_deadline_ns`` set the
@@ -350,7 +344,6 @@ class ShardedRuntime:
     def __init__(
         self,
         num_shards: int,
-        simulator: Optional[Simulator] = None,
         sharder: Optional[FlowSharder] = None,
         quantum_ns: int = 50_000,
         batch_per_quantum: int = 64,
@@ -363,7 +356,6 @@ class ShardedRuntime:
         rebalance_interval_ns: Optional[int] = None,
         steal_enabled: bool = False,
         steal_batch: int = 64,
-        steal_horizon_ns: Optional[int] = None,
         steal_min_backlog: int = 8,
         ingress_cores: int = 0,
         admission: "str | Callable[[], object] | None" = None,
@@ -371,9 +363,7 @@ class ShardedRuntime:
         rx_burst: int = 64,
         ingress_backpressure: bool = True,
         ingress_hash_seed: Optional[int] = None,
-        ingest_per_quantum: Optional[int] = None,
         shard_backlog_limit: Optional[int] = None,
-        on_transmit: Optional[Callable[[Packet, int], None]] = None,
         record_transmits: bool = True,
         gc_interval_packets: Optional[int] = 4096,
         gc_sweep_limit: Optional[int] = None,
@@ -395,8 +385,6 @@ class ShardedRuntime:
             raise ValueError("rebalance_interval_ns must be positive")
         if steal_batch <= 0:
             raise ValueError("steal_batch must be positive")
-        if steal_horizon_ns is not None and steal_horizon_ns < 0:
-            raise ValueError("steal_horizon_ns must be non-negative")
         if steal_min_backlog <= 0:
             raise ValueError("steal_min_backlog must be positive")
         if gc_interval_packets is not None and gc_interval_packets <= 0:
@@ -409,8 +397,6 @@ class ShardedRuntime:
             raise ValueError("rx_ring_capacity must be positive")
         if rx_burst <= 0:
             raise ValueError("rx_burst must be positive")
-        if ingest_per_quantum is not None and ingest_per_quantum <= 0:
-            raise ValueError("ingest_per_quantum must be positive")
         if shard_backlog_limit is not None and shard_backlog_limit <= 0:
             raise ValueError("shard_backlog_limit must be positive")
         if lease_deadline_ns is not None and lease_deadline_ns <= 0:
@@ -419,7 +405,7 @@ class ShardedRuntime:
             raise ValueError("supervise_interval_ns must be positive")
         if fault_plan is not None:
             fault_plan.check_targets(num_shards, ingress_cores)
-        self.backend = resolve_backend(backend, simulator)
+        self.backend = resolve_backend(backend)
         if self.backend.parallel:
             # The latency histograms do decompose (per-shard, merged like
             # counter snapshots) — but the tracer and timeline observe the
@@ -428,7 +414,6 @@ class ShardedRuntime:
                 "steal_enabled": steal_enabled,
                 "rebalancing": rebalance_interval_ns is not None,
                 "ingress_cores": ingress_cores > 0,
-                "on_transmit": on_transmit is not None,
                 "fault_plan": fault_plan is not None,
                 "lease_deadline_ns": lease_deadline_ns is not None,
                 "supervise_interval_ns": supervise_interval_ns is not None,
@@ -462,7 +447,6 @@ class ShardedRuntime:
         self.rebalancer = (
             ShardRebalancer(self.sharder) if rebalance_interval_ns is not None else None
         )
-        self.on_transmit = on_transmit
         self.record_transmits = record_transmits
         # Backpressure needs a pause edge before the mailbox can drop: with
         # ingress cores, a bounded mailbox pauses the RX pull at capacity and
@@ -479,18 +463,15 @@ class ShardedRuntime:
             queue_factory=queue_factory,
             mailbox_capacity=mailbox_capacity,
             mailbox_high_watermark=mailbox_capacity if bounded_ingress else None,
-            mailbox_low_watermark=mailbox_capacity // 2 if bounded_ingress else None,
             latency_histograms=latency_histograms,
         )
         self.workers: List[ShardWorker] = [
             ShardWorker(shard_id, **self._worker_config)
             for shard_id in range(num_shards)
         ]
-        if ingest_per_quantum is None and bounded_ingress:
-            # A bounded mailbox only exerts backpressure if the shard's
-            # per-quantum stamping budget is bounded too.
-            ingest_per_quantum = batch_per_quantum
-        self.ingest_per_quantum = ingest_per_quantum
+        # A bounded mailbox only exerts backpressure if the shard's
+        # per-quantum stamping budget is bounded too.
+        self.ingest_per_quantum = batch_per_quantum if bounded_ingress else None
         self.shard_backlog_limit = shard_backlog_limit
         # Departures are recorded per drain and expanded on read: see the
         # transmit_log property.
@@ -549,9 +530,8 @@ class ShardedRuntime:
             self._supervisor = Supervisor(self, fault_plan, lease_deadline_ns, interval)
         # -- the stealing plane ---------------------------------------------
         # Built only when stealing can fire, after the supervisor it keeps.
-        horizon = quantum_ns if steal_horizon_ns is None else steal_horizon_ns
         self._stealer: Optional[Stealer] = (
-            Stealer(self, steal_batch, horizon, steal_min_backlog)
+            Stealer(self, steal_batch, steal_min_backlog)
             if steal_enabled and num_shards > 1
             else None
         )
@@ -579,7 +559,6 @@ class ShardedRuntime:
             worker_kwargs=dict(self._worker_config),
             quantum_ns=self.quantum_ns,
             batch_per_quantum=self.batch_per_quantum,
-            ingest_per_quantum=self.ingest_per_quantum,
             shard_backlog_limit=self.shard_backlog_limit,
             record_transmits=self.record_transmits,
         )
@@ -838,11 +817,11 @@ class ShardedRuntime:
 
         This runs once per drained packet for the whole runtime, so every
         per-packet lookup is hoisted into a local before the loop and the
-        optional branches (callback, open leases) are resolved once per call
-        rather than once per packet.  The transmit log keeps no object per
-        call either: the packets extend one flat list and ``(now, count)``
-        goes into an ``array('q')``, so a drain leaves nothing behind for
-        CPython's cyclic collector to count or walk.
+        optional branches (latency histogram, open leases) are resolved once
+        per call rather than once per packet.  The transmit log keeps no
+        object per call either: the packets extend one flat list and
+        ``(now, count)`` goes into an ``array('q')``, so a drain leaves
+        nothing behind for CPython's cyclic collector to count or walk.
         """
         if not released:
             return
@@ -854,7 +833,6 @@ class ShardedRuntime:
         finished: List[FlowLease] = []
         in_flight = self._in_flight
         count_of = in_flight.get
-        on_transmit = self.on_transmit
         stealer = self._stealer
         open_leases = stealer.open_leases if stealer is not None else None
         e2e = self._e2e
@@ -871,8 +849,6 @@ class ShardedRuntime:
                     in_flight[flow_id] = count - 1
                 else:
                     del in_flight[flow_id]
-            if on_transmit is not None:
-                on_transmit(packet, now)
             if open_leases:
                 lease_id = packet.metadata.get("lease_id")
                 if lease_id is not None:
@@ -891,12 +867,11 @@ class ShardedRuntime:
                 self._gc_flow_state(now)
 
     def _schedule_next_tick(self, shard: int, now: int) -> None:
-        if (handle := self._tick_handles[shard]) is not None and handle.active:
-            # A re-entrant submit() during this tick (an on_transmit callback
-            # feeding packets back) already woke the shard; scheduling a
-            # second tick here would fork a duplicate self-perpetuating
-            # timer chain.
-            return
+        # Nothing a tick calls arms this shard's own timer: a lease grant
+        # wakes the thief, a lease return the victim, a mailbox drain's
+        # resume edge the RX cores.  So the timer cleared at the top of
+        # the tick is still clear here.
+        #
         # The timer policy itself (idle → no timer; mailbox → one quantum;
         # deep-paced queue → jump to the soonest deadline) lives on the
         # worker so every execution backend programs identical wake-ups.

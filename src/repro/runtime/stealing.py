@@ -184,20 +184,21 @@ class Stealer:
     Built only when stealing can fire (``steal_enabled``, more than one
     shard).  Owns every victim's :class:`StealChannel`, the loan inbox, the
     open leases with their unreleased-packet counts, the lease ids and the
-    three knobs.  The driver calls :meth:`wake_idle_thieves`,
-    :meth:`splice`, :meth:`after_drain` and :meth:`finish` (its ``_deliver``
-    counts down :attr:`open_leases`); recovery calls :meth:`reclaim`,
-    :meth:`return_lease` and :meth:`overdue_thieves`.  The plane reads the
-    driver's ``workers``, ``sharder``, ``tracer`` and ``_supervisor`` and
-    calls only its ``_wake_shard`` and ``_deliver``.
+    two knobs.  :attr:`horizon_ns`, how far ahead of now a window counts as
+    stealable, is the driver's ``quantum_ns``: the batch the victim would
+    have released at its very next tick.  The driver calls
+    :meth:`wake_idle_thieves`, :meth:`splice`, :meth:`after_drain` and
+    :meth:`finish` (its ``_deliver`` counts down :attr:`open_leases`);
+    recovery calls :meth:`reclaim`, :meth:`return_lease` and
+    :meth:`overdue_thieves`.  The plane reads the driver's ``workers``,
+    ``sharder``, ``quantum_ns``, ``tracer`` and ``_supervisor`` and calls
+    only its ``_wake_shard`` and ``_deliver``.
     """
 
-    def __init__(
-        self, runtime: "ShardedRuntime", batch: int, horizon_ns: int, min_backlog: int
-    ) -> None:
+    def __init__(self, runtime: "ShardedRuntime", batch: int, min_backlog: int) -> None:
         self._runtime = runtime
         self.batch = batch
-        self.horizon_ns = horizon_ns
+        self.horizon_ns = runtime.quantum_ns
         self.min_backlog = min_backlog
         self._workers = runtime.workers  # a restart replaces its entry in place
         self._sharder = runtime.sharder

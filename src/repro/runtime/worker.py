@@ -86,10 +86,10 @@ class ShardWorker:
             timestamp queue (paper defaults: 2 s over 20k buckets).
         queue_factory: alternative backing queue (ablations).
         mailbox_capacity: bound on the ingress mailbox (``None`` unbounded).
-        mailbox_high_watermark / mailbox_low_watermark: backpressure
-            thresholds handed to the mailbox (see
-            :meth:`Mailbox.configure_watermarks`); the ingress cores pause
-            their RX pull while the mailbox sits inside the hysteresis band.
+        mailbox_high_watermark: backpressure threshold handed to the
+            mailbox (see :meth:`Mailbox.configure_watermarks`); the ingress
+            cores pause their RX pull while the mailbox sits inside the
+            hysteresis band, down to half of it.
         latency_histograms: arm the per-shard latency seams — a
             :class:`~repro.runtime.observability.LogHistogram` each for
             mailbox wait (push → ingest) and shard-queue sojourn
@@ -129,7 +129,6 @@ class ShardWorker:
         queue_factory: Optional[QueueFactory] = None,
         mailbox_capacity: Optional[int] = None,
         mailbox_high_watermark: Optional[int] = None,
-        mailbox_low_watermark: Optional[int] = None,
         latency_histograms: bool = False,
     ) -> None:
         if horizon_ns <= 0 or num_buckets <= 0:
@@ -142,9 +141,7 @@ class ShardWorker:
         factory = queue_factory or (lambda spec: CircularFFSQueue(spec))
         self.queue = factory(BucketSpec(num_buckets=num_buckets, granularity=granularity))
         self.mailbox: Mailbox[Packet] = Mailbox(
-            capacity=mailbox_capacity,
-            high_watermark=mailbox_high_watermark,
-            low_watermark=mailbox_low_watermark,
+            capacity=mailbox_capacity, high_watermark=mailbox_high_watermark
         )
         self.cost = CostModel()
         self.stats = ShardWorkerStats()

@@ -61,8 +61,8 @@ hash) via :func:`derive_seed`.
 
 ``[runtime]``
     ``shards`` (1), ``quantum_ns`` (50_000), ``batch_per_quantum`` (64),
-    ``stealing`` (false),
-    ``steal_batch`` (64), ``steal_min_backlog`` (8),
+    ``stealing`` (false; a lease carries at most 64 packets due within
+    one quantum), ``steal_min_backlog`` (8),
     ``rebalance_interval_ns`` ("none"), ``gc_interval_packets`` (4096),
     ``gc_sweep_limit`` ("none"), ``backend`` ("simulated" | "process";
     the process backend, the simulated clock's differential oracle,
@@ -72,8 +72,8 @@ hash) via :func:`derive_seed`.
     Deterministic fault injection (runtime kind, simulated backend only).
     ``kinds`` (array of "shard_crash" | "shard_stall" | "handoff_drop" |
     "ingress_wedge"; empty = disarmed; "ingress_wedge" needs
-    ``ingress.cores >= 1``), ``events`` (1), ``max_tick`` (32),
-    ``max_handoff_drops`` (4), ``lease_deadline_ns`` ("none"),
+    ``ingress.cores >= 1``), ``events`` (1), ``max_tick`` (32; a drawn
+    "handoff_drop" eats 1 to 4 packets), ``lease_deadline_ns`` ("none"),
     ``supervise_interval_ns`` ("none" = twice the runtime quantum).  The
     compiler draws the fault schedule from ``derive_seed(seed, "faults")``,
     so the scenario seed pins faults exactly as it pins the workload;
@@ -86,11 +86,10 @@ hash) via :func:`derive_seed`.
     ``latency_histograms`` (false; arms per-seam
     :class:`~repro.runtime.LogHistogram` recording — allowed on every
     backend, per-shard histograms merge across process children),
-    ``tracer`` (false; arms a bounded
-    :class:`~repro.runtime.FlightRecorder` — simulated backend only),
-    ``trace_capacity`` (65_536), ``timeline`` (false; arms a
-    :class:`~repro.runtime.MetricsTimeline` gauge sampler — simulated
-    backend only), ``timeline_interval_ns`` ("none" = the runtime quantum).
+    ``tracer`` (false; arms a :class:`~repro.runtime.FlightRecorder` of
+    65,536 events — simulated backend only), ``timeline`` (false; arms a
+    :class:`~repro.runtime.MetricsTimeline` gauge sampler, one sample per
+    runtime quantum — simulated backend only).
 
 ``[assertions]``
     The invariant net: ``conservation``, ``per_flow_fifo``,

@@ -176,15 +176,10 @@ def _build_runtime(spec: ScenarioSpec):
     from ..runtime.sharder import FlowSharder
     from ..traffic import OpenLoopBurstSource, ZipfFlowSampler
 
-    tracer = None
-    if spec.observability.tracer:
-        tracer = FlightRecorder(capacity=spec.observability.trace_capacity)
+    tracer = FlightRecorder() if spec.observability.tracer else None
     timeline = None
     if spec.observability.timeline:
-        timeline = MetricsTimeline(
-            interval_ns=spec.observability.timeline_interval_ns
-            or spec.runtime.quantum_ns
-        )
+        timeline = MetricsTimeline(interval_ns=spec.runtime.quantum_ns)
     fault_plan = None
     if spec.faults.kinds:
         fault_plan = FaultPlan.from_seed(
@@ -193,7 +188,6 @@ def _build_runtime(spec: ScenarioSpec):
             kinds=spec.faults.kinds,
             events=spec.faults.events,
             max_tick=spec.faults.max_tick,
-            max_handoff_drops=spec.faults.max_handoff_drops,
             ingress_lanes=spec.ingress.cores,
         )
     sharder = FlowSharder(
@@ -213,7 +207,6 @@ def _build_runtime(spec: ScenarioSpec):
         mailbox_capacity=spec.ingress.mailbox_capacity,
         rebalance_interval_ns=spec.runtime.rebalance_interval_ns,
         steal_enabled=spec.runtime.stealing,
-        steal_batch=spec.runtime.steal_batch,
         steal_min_backlog=spec.runtime.steal_min_backlog,
         ingress_cores=spec.ingress.cores,
         admission=None if spec.ingress.admission == "none" else spec.ingress.admission,

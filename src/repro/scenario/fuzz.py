@@ -171,7 +171,6 @@ def chaos_scenario_specs(max_shards: int = 4, max_ingress_cores: int = 2):
             kinds=kinds,
             events=draw(st.integers(min_value=1, max_value=4)),
             max_tick=draw(st.sampled_from((4, 16, 64))),
-            max_handoff_drops=draw(st.integers(min_value=1, max_value=8)),
             lease_deadline_ns=(
                 draw(st.sampled_from((200_000, 2_000_000)))
                 if base.runtime.stealing and draw(st.booleans())
@@ -186,7 +185,6 @@ def chaos_scenario_specs(max_shards: int = 4, max_ingress_cores: int = 2):
             observability = ObservabilitySpec(
                 latency_histograms=draw(st.booleans()),
                 tracer=True,
-                trace_capacity=draw(st.sampled_from((256, 4096))),
             )
         return validate(
             dataclasses.replace(

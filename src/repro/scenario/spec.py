@@ -203,7 +203,6 @@ class RuntimeSpec:
     quantum_ns: int = 50_000
     batch_per_quantum: int = 64
     stealing: bool = False
-    steal_batch: int = 64
     steal_min_backlog: int = 8
     rebalance_interval_ns: Optional[int] = None
     gc_interval_packets: Optional[int] = 4_096
@@ -220,7 +219,9 @@ class FaultsSpec:
     the compiler draws ``events`` random faults from
     ``derive_seed(seed, "faults")`` via
     :meth:`~repro.runtime.faults.FaultPlan.from_seed`, so the scenario seed
-    pins the fault schedule exactly as it pins the workload.  The optional
+    pins the fault schedule exactly as it pins the workload (a drawn
+    ``handoff_drop`` eats 1 to
+    :data:`~repro.runtime.faults.MAX_HANDOFF_DROPS` packets).  The optional
     watchdog knobs tune the recovery side: ``lease_deadline_ns`` bounds how
     long a stolen :class:`~repro.runtime.stealing.FlowLease` may stay out
     before the supervisor escalates, ``supervise_interval_ns`` the sweep
@@ -230,7 +231,6 @@ class FaultsSpec:
     kinds: Tuple[str, ...] = ()
     events: int = 1
     max_tick: int = 32
-    max_handoff_drops: int = 4
     lease_deadline_ns: Optional[int] = None
     supervise_interval_ns: Optional[int] = None
 
@@ -245,18 +245,15 @@ class ObservabilitySpec:
     arms the per-seam :class:`~repro.runtime.observability.LogHistogram`
     recording (allowed on every backend: per-shard histograms merge across
     process children like counter snapshots); ``tracer`` arms a
-    :class:`~repro.runtime.observability.FlightRecorder` of ``trace_capacity``
-    events and ``timeline`` a
-    :class:`~repro.runtime.observability.MetricsTimeline` sampling every
-    ``timeline_interval_ns`` (default: the runtime quantum) — both need the
-    shared simulated clock.
+    :class:`~repro.runtime.observability.FlightRecorder` of its default
+    65,536 events and ``timeline`` a
+    :class:`~repro.runtime.observability.MetricsTimeline` sampling once per
+    runtime quantum — both need the shared simulated clock.
     """
 
     latency_histograms: bool = False
     tracer: bool = False
-    trace_capacity: int = 65_536
     timeline: bool = False
-    timeline_interval_ns: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -355,7 +352,6 @@ def _validate_runtime(spec: ScenarioSpec) -> None:
     _require_positive(spec.runtime.shards, "runtime.shards")
     _require_positive(spec.runtime.quantum_ns, "runtime.quantum_ns")
     _require_positive(spec.runtime.batch_per_quantum, "runtime.batch_per_quantum")
-    _require_positive(spec.runtime.steal_batch, "runtime.steal_batch")
     _require_positive(spec.runtime.steal_min_backlog, "runtime.steal_min_backlog")
     _require_positive(spec.runtime.rebalance_interval_ns, "runtime.rebalance_interval_ns")
     _require_positive(spec.runtime.gc_interval_packets, "runtime.gc_interval_packets")
@@ -437,7 +433,6 @@ def _validate_runtime(spec: ScenarioSpec) -> None:
         seen_kinds.add(kind)
     _require_positive(spec.faults.events, "faults.events")
     _require_positive(spec.faults.max_tick, "faults.max_tick")
-    _require_positive(spec.faults.max_handoff_drops, "faults.max_handoff_drops")
     _require_positive(spec.faults.lease_deadline_ns, "faults.lease_deadline_ns")
     _require_positive(spec.faults.supervise_interval_ns, "faults.supervise_interval_ns")
     if "ingress_wedge" in spec.faults.kinds and spec.ingress.cores == 0:
@@ -447,12 +442,8 @@ def _validate_runtime(spec: ScenarioSpec) -> None:
             "(with no RX cores there is no ring pull to wedge)",
         )
 
-    # Observability plane: bounds must be sane, and a quantile assertion
-    # with no histogram armed can never be evaluated.
-    _require_positive(spec.observability.trace_capacity, "observability.trace_capacity")
-    _require_positive(
-        spec.observability.timeline_interval_ns, "observability.timeline_interval_ns"
-    )
+    # Observability plane: a quantile assertion with no histogram armed can
+    # never be evaluated.
     if (
         spec.assertions.p99_latency_ns is not None
         and not spec.observability.latency_histograms

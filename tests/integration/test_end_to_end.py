@@ -110,22 +110,6 @@ class TestSubstrateIntegration:
         sink = pipeline.modules[-1]
         assert sink.packets == report.packets
 
-    def test_eiffel_qdisc_with_injected_approximate_queue(self):
-        from repro.core.queues import BucketSpec
-        from repro.kernel import EiffelQdisc
-
-        queue = CircularApproximateGradientQueue(
-            BucketSpec(num_buckets=500, granularity=100_000), alpha=16
-        )
-        qdisc = EiffelQdisc(num_buckets=500, horizon_ns=50_000_000, queue=queue)
-        qdisc.set_flow_rate(1, 120e6)  # 0.1 ms per packet
-        for _ in range(20):
-            qdisc.enqueue_packet(Packet(flow_id=1, size_bytes=1500), now_ns=0)
-        released = qdisc.dequeue_due(now_ns=1_000_000)  # 1 ms
-        rest = qdisc.dequeue_due(now_ns=10_000_000)
-        assert 8 <= len(released) <= 13
-        assert len(released) + len(rest) == 20
-
     def test_feature_matrix_consistent_with_netsim_queues(self):
         # Carousel's row says non-work-conserving only: the timing wheel holds
         # a packet until its slot even if the link is idle.  The pFabric port

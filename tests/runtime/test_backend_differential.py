@@ -107,7 +107,7 @@ class TestFixedDifferential:
 
     def test_bounded_mailbox_drops_identically(self):
         bursts = _burst_workload(num_bursts=6, burst_size=48, num_flows=5, gap_ns=2_000)
-        kwargs = dict(mailbox_capacity=16, ingest_per_quantum=8)
+        kwargs = dict(mailbox_capacity=16, shard_backlog_limit=8)
         reference = _run_workload("simulated", bursts, num_shards=2, **kwargs)
         assert reference["drops"] > 0  # the workload genuinely overflows
         _assert_equivalent(

@@ -144,7 +144,6 @@ def test_mixed_seeded_faults_under_stealing(
         kinds=("shard_crash", "shard_stall", "handoff_drop"),
         events=events,
         max_tick=8,
-        max_handoff_drops=4,
     )
     runtime, submitted, total = _run_with_plan(
         bursts, num_shards, hash_seed, rebalance, plan

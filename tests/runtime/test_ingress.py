@@ -227,7 +227,7 @@ class TestIngressCorePull:
     def test_stall_on_paused_mailbox_keeps_head(self):
         core = IngressCore(0, ring_capacity=64, pull_batch=64)
         core.offer(_packets([1] * 6), now_ns=0)
-        mailbox = Mailbox(capacity=8, high_watermark=4, low_watermark=1)
+        mailbox = Mailbox(capacity=8, high_watermark=4)
         delivered = core.pull(0, _router(lambda _flow: 0), [mailbox], _deliver_to([mailbox]))
         # The pull stops once delivery would land occupancy at the high
         # watermark: exactly 4 delivered, mailbox paused, 2 left in the ring.
@@ -479,8 +479,6 @@ class TestRuntimeIngressIntegration:
             ShardedRuntime(2, ingress_cores=1, rx_ring_capacity=0)
         with pytest.raises(ValueError):
             ShardedRuntime(2, ingress_cores=1, rx_burst=0)
-        with pytest.raises(ValueError):
-            ShardedRuntime(2, ingest_per_quantum=0)
         with pytest.raises(ValueError):
             ShardedRuntime(2, shard_backlog_limit=0)
         with pytest.raises(ValueError):

@@ -258,27 +258,6 @@ class TestSingleShardEquivalence:
         assert observed[: self.BATCH] == [(0, flow) for flow in flow_ids[: self.BATCH]]
 
 
-class TestReentrantSubmit:
-    def test_on_transmit_feedback_does_not_fork_tick_chains(self):
-        runtime = ShardedRuntime(1, quantum_ns=QUANTUM_NS)
-        fed = [0]
-
-        def feed_back(packet, now_ns):
-            if fed[0] < 50:
-                fed[0] += 1
-                runtime.submit(Packet(flow_id=1, size_bytes=1500))
-
-        runtime.on_transmit = feed_back
-        runtime.submit(Packet(flow_id=1, size_bytes=1500))
-        runtime.run()
-        assert runtime.transmitted == 51
-        # One tick chain: ticks stay linear in releases (a forked chain
-        # roughly doubles per feedback round).
-        assert runtime.workers[0].stats.ticks <= 60
-        sequences = _flow_sequences(runtime.transmit_log)
-        assert sequences[1] == sorted(sequences[1])
-
-
 class TestMigrationPacingHandoff:
     def test_pacing_state_survives_migration(self):
         # A paced flow migrated between shards must keep its 12 us spacing:

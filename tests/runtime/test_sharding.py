@@ -278,29 +278,23 @@ class TestMailbox:
 class TestMailboxWatermarks:
     """High/low watermark hysteresis: the pause/resume edges of backpressure."""
 
-    def test_pause_and_resume_edges_fire_callbacks(self):
+    def test_pause_edge_counts_a_stall_and_resume_edge_fires_on_low(self):
         events = []
-        mailbox = Mailbox(
-            capacity=8,
-            high_watermark=4,
-            low_watermark=1,
-            on_high=lambda: events.append("high"),
-            on_low=lambda: events.append("low"),
-        )
+        mailbox = Mailbox(capacity=8, high_watermark=4)
+        mailbox.on_low = lambda: events.append("low")
         mailbox.push_batch(range(3))
-        assert not mailbox.paused and events == []
+        assert not mailbox.paused and mailbox.stats.stalls == 0
         mailbox.push(3)  # occupancy 4 == high: the rising edge
         assert mailbox.paused
-        assert events == ["high"]
         assert mailbox.stats.stalls == 1
-        mailbox.drain(limit=2)  # occupancy 2 > low: still inside the band
-        assert mailbox.paused and events == ["high"]
-        mailbox.drain(limit=1)  # occupancy 1 == low: the falling edge
+        mailbox.drain(limit=1)  # occupancy 3 > low (4 // 2): inside the band
+        assert mailbox.paused and events == []
+        mailbox.drain(limit=1)  # occupancy 2 == low: the falling edge
         assert not mailbox.paused
-        assert events == ["high", "low"]
+        assert events == ["low"]
 
     def test_one_stall_per_episode_not_per_push(self):
-        mailbox = Mailbox(capacity=8, high_watermark=2, low_watermark=0)
+        mailbox = Mailbox(capacity=8, high_watermark=2)
         mailbox.push_batch(range(4))  # crosses high once mid-batch
         mailbox.push(99)  # already paused: no second stall
         assert mailbox.stats.stalls == 1
@@ -310,9 +304,9 @@ class TestMailboxWatermarks:
         assert mailbox.stats.stalls == 2
 
     def test_hysteresis_at_capacity_one(self):
-        # The smallest legal band: high=1, low=0 — every resident item
-        # pauses the producer, and only a full drain resumes it.
-        mailbox = Mailbox(capacity=1, high_watermark=1, low_watermark=0)
+        # The smallest legal band: high=1, low=1 // 2 = 0 — every resident
+        # item pauses the producer, and only a full drain resumes it.
+        mailbox = Mailbox(capacity=1, high_watermark=1)
         assert mailbox.push("a")
         assert mailbox.paused
         assert mailbox.drain() == ["a"]
@@ -321,11 +315,10 @@ class TestMailboxWatermarks:
         assert mailbox.paused
         assert mailbox.stats.stalls == 2
 
-    def test_hysteresis_at_capacity_n_with_default_low(self):
-        # configure_watermarks defaults low to high // 2.
+    def test_hysteresis_at_capacity_n_resumes_at_half(self):
+        # The low edge is high // 2.
         mailbox = Mailbox(capacity=10)
         mailbox.configure_watermarks(10)
-        assert mailbox.low_watermark == 5
         mailbox.push_batch(range(10))
         assert mailbox.paused
         mailbox.drain(limit=4)  # occupancy 6 > 5: still paused
@@ -340,7 +333,7 @@ class TestMailboxWatermarks:
     def test_configure_after_fill_detects_existing_occupancy(self):
         mailbox = Mailbox()
         mailbox.push_batch(range(6))
-        mailbox.configure_watermarks(4, 2)
+        mailbox.configure_watermarks(4)
         assert mailbox.paused  # installing the watermark sees occupancy 6
         assert mailbox.stats.stalls == 1
 
@@ -357,10 +350,6 @@ class TestMailboxWatermarks:
             Mailbox(capacity=4, high_watermark=5)
         with pytest.raises(ValueError):
             Mailbox(high_watermark=0)
-        with pytest.raises(ValueError):
-            Mailbox(high_watermark=4, low_watermark=4)
-        with pytest.raises(ValueError):
-            Mailbox(high_watermark=4, low_watermark=-1)
 
 
 class TestRebalancerResidency:

@@ -371,8 +371,6 @@ class TestRuntimeStealing:
         with pytest.raises(ValueError):
             ShardedRuntime(2, steal_batch=0)
         with pytest.raises(ValueError):
-            ShardedRuntime(2, steal_horizon_ns=-1)
-        with pytest.raises(ValueError):
             ShardedRuntime(2, steal_min_backlog=0)
 
 

@@ -36,14 +36,24 @@ QUANTUM_NS = 10_000
 RATE_BPS = 10e9  # 1500 B => 1.2 us spacing
 
 
-def _drive(flow_bursts, batched, gap_ns=2 * QUANTUM_NS, repin=None, **runtime_kwargs):
+def _drive(
+    flow_bursts,
+    batched,
+    gap_ns=2 * QUANTUM_NS,
+    repin=None,
+    steal_horizon_ns=None,
+    **runtime_kwargs,
+):
     """Offer ``flow_bursts`` one burst per ``gap_ns``; returns the outcome.
 
     Packets carry their per-flow arrival index, so the departure record of
     a flow is comparable across the two submission paths.  ``repin`` is
     ``(burst_index, {flow_id: shard})``: pins applied just before that burst.
+    ``steal_horizon_ns`` widens the stealer's window past its one quantum.
     """
     runtime = ShardedRuntime(quantum_ns=QUANTUM_NS, **runtime_kwargs)
+    if steal_horizon_ns is not None:
+        runtime._stealer.horizon_ns = steal_horizon_ns
     if repin is not None:
         burst_index, pins = repin
 

@@ -5,9 +5,9 @@
 ``(now_ns, packet)`` that it extends, on read, from the drains logged since
 the previous read.  Readers must not be able to tell: the list keeps its
 identity, keeps edits made in place, grows in release order, and equals the
-order ``on_transmit`` was called in — packet for packet, lease flushes
-included.  What the representation buys is pinned too: a run whose log is
-never read keeps no GC-tracked object per packet.
+order ``_deliver`` was handed its drains in — packet for packet, lease
+flushes included.  What the representation buys is pinned too: a run whose
+log is never read keeps no GC-tracked object per packet.
 """
 
 import gc
@@ -96,14 +96,14 @@ def test_assigning_the_log_replaces_it_and_drops_unread_drains():
     assert [packet.flow_id for _now, packet in runtime.transmit_log] == [1, 2]
 
 
-def test_flat_view_equals_on_transmit_order_under_stealing_and_rebalancing():
+def test_flat_view_equals_per_drain_order_under_stealing_and_rebalancing():
     # The scenario of test_submit_differential's on-loan case: an elephant
     # and eight mid-sized flows all hashed to shard 0 of 2, so shard 1
     # steals (lease releases) and the rebalancer re-pins flows across.  A
     # steal batch smaller than the 100 us steal window leaves due packets of
     # leased flows behind on the victim, which defers them and flushes them
     # when the lease returns (end_lease).  Every one of those paths reaches
-    # _deliver with its own list.
+    # _deliver with its own list, and the oracle records each as it comes.
     on_shard_0 = [
         flow_id for flow_id in range(1, 400) if rss_hash(flow_id, DEFAULT_HASH_SEED) % 2 == 0
     ]
@@ -113,11 +113,17 @@ def test_flat_view_equals_on_transmit_order_under_stealing_and_rebalancing():
     runtime = _runtime(
         steal_enabled=True,
         steal_min_backlog=1,
-        steal_horizon_ns=100_000,
         steal_batch=16,
         rebalance_interval_ns=16 * QUANTUM_NS,
-        on_transmit=lambda packet, now_ns: seen.append((now_ns, packet.packet_id)),
     )
+    runtime._stealer.horizon_ns = 100_000
+    deliver = runtime._deliver
+
+    def recording_deliver(released, now_ns):
+        seen.extend((now_ns, packet.packet_id) for packet in released)
+        deliver(released, now_ns)
+
+    runtime._deliver = recording_deliver
     for index in range(30):
         flow_ids = [elephant] * 80 + [flow_id for flow_id in mids for _ in range(6)]
         rng.shuffle(flow_ids)

@@ -273,6 +273,17 @@ def test_unknown_toml_section_is_rejected():
         ('[traffic]\npatern = "zipf"\n', "traffic.patern"),
         # Placement is the RSS hash plus pins; there is no policy to choose.
         ('[runtime]\nsharding = "hash"\n', "runtime.sharding"),
+        # A lease carries at most 64 packets due within one quantum.
+        ("[runtime]\nsteal_batch = 16\n", "runtime.steal_batch"),
+        # A drawn handoff_drop eats 1 to 4 packets.
+        ("[faults]\nmax_handoff_drops = 8\n", "faults.max_handoff_drops"),
+        # The flight recorder keeps its default 65,536 events.
+        ("[observability]\ntrace_capacity = 4096\n", "observability.trace_capacity"),
+        # The timeline samples once per runtime quantum.
+        (
+            "[observability]\ntimeline_interval_ns = 25000\n",
+            "observability.timeline_interval_ns",
+        ),
     ],
 )
 def test_unknown_toml_key_names_its_section_dot_key_path(text, field_name):
