@@ -224,34 +224,27 @@ class IntegerPriorityQueue(abc.ABC):
     #
     # Batching is how the paper's BESS integration amortises per-packet
     # overhead: a timer fire or NIC pull moves a whole batch through the
-    # queue in one call.  The defaults below fall back to N single-element
-    # operations so every queue supports the API; concrete queues override
-    # them with implementations that amortise bitmap/tree/heap index
-    # maintenance across the batch (and charge their stats counters
-    # per-batch instead of per-element).  Overrides must be observationally
-    # equivalent to the defaults: same elements, same order.
+    # queue in one call.  Every queue implements the three batch operations
+    # itself, on its own structure: index maintenance is paid once per
+    # bucket (or heap pass) instead of once per element, and the stats
+    # counters are charged by count, never walked.  Each must be
+    # observationally equivalent to repeated single-element operations —
+    # same elements, same order, same ``QueueStats`` — and the per-element
+    # loops that define that are the oracles under ``tests/core/queues``.
 
+    @abc.abstractmethod
     def enqueue_batch(self, pairs: Iterable[tuple[int, Any]]) -> int:
         """Insert every ``(priority, item)`` pair; returns the count inserted."""
-        count = 0
-        for priority, item in pairs:
-            self.enqueue(priority, item)
-            count += 1
-        return count
 
+    @abc.abstractmethod
     def extract_min_batch(self, n: int) -> list[tuple[int, Any]]:
         """Remove and return up to ``n`` minimum elements in priority order.
 
         Returns fewer than ``n`` entries when the queue drains; never raises
         on an empty queue (an empty list is returned instead).
         """
-        if n < 0:
-            raise ValueError("batch size must be non-negative")
-        batch: list[tuple[int, Any]] = []
-        while len(batch) < n and not self.empty:
-            batch.append(self.extract_min())
-        return batch
 
+    @abc.abstractmethod
     def extract_due(
         self, now: int, limit: Optional[int] = None
     ) -> list[tuple[int, Any]]:
@@ -261,15 +254,8 @@ class IntegerPriorityQueue(abc.ABC):
         release every packet whose transmission timestamp has passed.  The
         check is against the head of the minimum bucket, so queues whose
         buckets span several priority units (granularity > 1) release at
-        bucket resolution, exactly as the per-element peek/extract loop does.
+        bucket resolution, exactly as a per-element peek/extract loop does.
         """
-        released: list[tuple[int, Any]] = []
-        while not self.empty and (limit is None or len(released) < limit):
-            priority, _item = self.peek_min()
-            if priority > now:
-                break
-            released.append(self.extract_min())
-        return released
 
     # -- shared helpers ---------------------------------------------------
 
@@ -398,7 +384,7 @@ class FixedRangeBucketQueue(IntegerPriorityQueue):
         key set tracks the distinct buckets for the amortised
         ``bucket_lookups`` charge, and counters settle once per batch.  On a
         mid-batch validation error the inserted prefix stays enqueued and
-        counted, matching the base class's per-element default.
+        counted, as repeated single inserts would leave it.
         """
         spec = self.spec
         base = spec.base_priority
@@ -438,77 +424,86 @@ class FixedRangeBucketQueue(IntegerPriorityQueue):
 
         An index only moves when bucket occupancy does, so draining the
         selected bucket before looking again visits the same buckets in the
-        same order as repeated single extractions.
+        same order as repeated single extractions.  A drained bucket is
+        detached inline, and the counters settle once per call.
         """
         if n < 0:
             raise ValueError("batch size must be non-negative")
-        batch: list[tuple[int, Any]] = []
-        buckets = self._buckets
-        min_bucket = self._min_bucket
-        release = self._release
-        taken = 0
-        while taken < n and self._size:
-            bucket = min_bucket()
-            entries = buckets[bucket]
-            space = n - taken
-            if space >= len(entries):
-                take = len(entries)
-                batch.extend(entries)
-                entries.clear()
-                release(bucket, entries)
-            else:
-                take = space
-                popleft = entries.popleft
-                for _ in range(take):
-                    batch.append(popleft())
-            taken += take
-            self._size -= take
-        self.stats.dequeues += taken
-        return batch
+        return self._drain(n, None)
 
     def extract_due(
         self, now: int, limit: Optional[int] = None
     ) -> list[tuple[int, Any]]:
-        released: list[tuple[int, Any]] = []
-        buckets = self._buckets
-        min_bucket = self._min_bucket
-        release = self._release
-        spec = self.spec
-        base = spec.base_priority
-        granularity = spec.granularity
+        """Release what is due, one index lookup per bucket visited.
+
+        A bucket whose highest representable priority has passed is released
+        whole with one extend; otherwise its head entries are checked one by
+        one.  The check runs on the *selected* bucket (the approximate queue
+        may select a non-extremal one), exactly where a per-element
+        peek/extract loop would look.
+        """
+        return self._drain(limit, now)
+
+    def _drain(self, limit: Optional[int], now: Optional[int]) -> list[tuple[int, Any]]:
+        """Remove up to ``limit`` minimum entries, due by ``now`` (``None``: all).
+
+        The batch drain behind :meth:`extract_min_batch` and
+        :meth:`extract_due`.  A bucket the index names must hold an entry;
+        one that does not raises instead of being visited again.
+        """
         size = self._size
+        stop = size if limit is None or limit > size else limit
+        spec = self.spec
+        # Buckets up to ``whole`` lie wholly at or below ``now``.
+        whole = (
+            spec.num_buckets
+            if now is None
+            else (now - spec.base_priority + 1) // spec.granularity - 1
+        )
+        drained: list[tuple[int, Any]] = []
+        buckets = self._buckets
+        free_append = self._free.append
+        min_bucket = self._min_bucket
+        mark_empty = self._mark_empty
         taken = 0
-        while size and (limit is None or taken < limit):
-            bucket = min_bucket()
-            entries = buckets[bucket]
-            # Whole-bucket fast path on the *selected* bucket (the approximate
-            # queue may select a non-extremal one): when its highest
-            # representable priority has passed, every entry is due and one
-            # extend replaces the per-element head checks.
-            if (
-                base + (bucket + 1) * granularity - 1 <= now
-                and (limit is None or limit - taken >= len(entries))
-            ):
+        try:
+            while taken < stop:
+                bucket = min_bucket()
+                entries = buckets[bucket]
+                if not entries:
+                    raise QueueError(
+                        f"{type(self).__name__}: the index named bucket {bucket}, "
+                        "which holds no entry"
+                    )
                 count = len(entries)
-                taken += count
-                size -= count
-                released.extend(entries)
-                entries.clear()
-                release(bucket, entries)
-                continue
-            while entries and entries[0][0] <= now:
-                if limit is not None and taken >= limit:
-                    break
-                released.append(entries.popleft())
-                taken += 1
-                size -= 1
-            if not entries:
-                release(bucket, entries)
-                continue
-            break  # head not yet due, or the limit was reached
-        self.stats.dequeues += taken
-        self._size = size
-        return released
+                room = stop - taken
+                if bucket > whole:
+                    take = 0
+                    if count < room:
+                        room = count
+                    while take < room and entries[take][0] <= now:
+                        take += 1
+                elif count > room:
+                    take = room
+                else:
+                    take = count
+                if take == count:
+                    taken += count
+                    drained.extend(entries)
+                    entries.clear()
+                    buckets[bucket] = None
+                    free_append(entries)
+                    mark_empty(bucket)
+                    continue
+                popleft = entries.popleft
+                for _ in range(take):
+                    drained.append(popleft())
+                taken += take
+                break  # head not yet due, or the limit was reached
+        finally:
+            self.stats.dequeues += taken
+            self._size = size - taken
+        return drained
 
     def remove(self, priority: int, item: Any) -> bool:
         """Remove a specific ``(priority, item)`` pair in O(bucket length).

@@ -313,7 +313,7 @@ class CircularFFSQueue(IntegerPriorityQueue):
         ``bucket_lookups`` charge needs is tracked with a key set.  Counters
         settle in one place even if validation rejects a pair mid-batch — in
         which case the already-inserted prefix stays enqueued and counted,
-        exactly like the base class's per-element default.
+        exactly as repeated single inserts would leave it.
         """
         stats = self.stats
         spec = self.spec

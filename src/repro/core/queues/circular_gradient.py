@@ -4,7 +4,7 @@ Section 3.1.2 notes that "for cases of a moving range, a circular approximate
 queue can be implemented as with cFFS".  Rather than re-implementing the
 primary/secondary rotation for every queue type, this module provides a
 generic :class:`CircularQueueAdapter` that wraps *any* fixed-range
-:class:`~repro.core.queues.base.IntegerPriorityQueue` factory, plus the
+:class:`~repro.core.queues.base.FixedRangeBucketQueue` factory, plus the
 concrete :class:`CircularApproximateGradientQueue` and
 :class:`CircularGradientQueue` built on top of it.
 
@@ -19,17 +19,29 @@ The rotation protocol is identical to the cFFS (Figure 4):
 
 from __future__ import annotations
 
+from operator import attrgetter, sub
 from typing import Any, Callable, Iterable, Optional
 
 from .base import (
     BucketSpec,
     EmptyQueueError,
+    FixedRangeBucketQueue,
     IntegerPriorityQueue,
+    QueueError,
     validate_priority,
 )
 from .gradient import ApproximateGradientQueue, GradientQueue
 
-QueueFactory = Callable[[BucketSpec], IntegerPriorityQueue]
+QueueFactory = Callable[[BucketSpec], FixedRangeBucketQueue]
+
+#: The ``QueueStats`` counters a window lookup (``_min_bucket``) may charge.
+_LOOKUP_COUNTERS = (
+    "word_scans", "divisions", "linear_scans", "heap_operations", "selection_errors",
+)
+_lookup_counters = attrgetter(*_LOOKUP_COUNTERS)
+#: An error-tracking approximate window's own accumulators, charged per lookup too.
+_ERROR_TOTALS = ("_selections", "_selection_error_total")
+_error_totals = attrgetter(*_ERROR_TOTALS)
 
 
 class CircularQueueAdapter(IntegerPriorityQueue):
@@ -184,52 +196,128 @@ class CircularQueueAdapter(IntegerPriorityQueue):
     ) -> list[tuple[int, Any]]:
         """Drain every element whose (absolute) priority is ``<= now``.
 
-        The due check must use the *absolute* priority stored in the payload
-        (overflow entries sit at a window-local offset unrelated to their
-        rank), so this stays a per-element peek/extract loop; the amortised
-        batch paths are :meth:`enqueue_batch` and :meth:`extract_min_batch`.
+        One window lookup per bucket visited.  The due check reads the
+        *absolute* priority stored in the payload, and an overflow payload at
+        the head (absolute rank past the primary window) is re-dispatched
+        into the secondary window, as :meth:`_settle` does.  A bucket whose
+        whole range has passed is released without a check per head; the
+        overflow bucket never is, since it may hold ranks of any later window.
+
+        The counters are those of a per-element ``peek_min`` /
+        ``extract_min`` loop, charged by count.  That loop looks the window
+        minimum up twice for every head it peeks at or re-dispatches and
+        twice more for every head it releases, always at the index state of
+        the one real lookup made here (the state only moves when the bucket
+        drains).  The walked loop is the oracle in
+        ``tests/core/queues/test_extract_due_oracle.py``.
         """
         released: list[tuple[int, Any]] = []
-        while not self.empty and (limit is None or len(released) < limit):
-            priority, _item = self.peek_min()
-            if priority > now:
-                break
-            released.append(self.extract_min())
+        spec = self.spec
+        granularity = spec.granularity
+        last = spec.num_buckets - 1  # the overflow bucket
+        size = self._size
+        stop = size if limit is None or limit > size else limit
+        taken = 0
+        try:
+            while taken < stop:
+                window = self._primary
+                if not window._size:
+                    window = self._advance()
+                lo = self.h_index
+                hi = lo + self._span
+                stats = window.stats
+                # The one real lookup, and what it charged.
+                tracked = getattr(window, "track_errors", False)
+                counted = _lookup_counters(stats)
+                totals = _error_totals(window) if tracked else ()
+                bucket = window._min_bucket()
+                charged = tuple(map(sub, _lookup_counters(stats), counted))
+                if tracked:
+                    totals = tuple(map(sub, _error_totals(window), totals))
+                entries = window._buckets[bucket]
+                if not entries:
+                    raise QueueError(
+                        f"{type(self).__name__}: the window index named bucket {bucket}, "
+                        "which holds no entry"
+                    )
+                if bucket != last and lo + (bucket + 1) * granularity - 1 <= now:
+                    # The bucket's whole range has passed: every head is due.
+                    # (Popped, not cleared: ``deque.clear`` leaves a spare
+                    # block cached on every recycled FIFO.)
+                    popped = min(len(entries), stop - taken)
+                    popleft = entries.popleft
+                    for _ in range(popped):
+                        released.append(popleft()[1])
+                    lookups = 4 * popped
+                    taken += popped
+                else:
+                    lookups = 0
+                    popped = 0
+                    while entries and taken < stop:
+                        payload = entries[0][1]
+                        priority = payload[0]
+                        lookups += 2
+                        if hi > priority > now:
+                            break
+                        entries.popleft()
+                        popped += 1
+                        if priority >= hi:
+                            self._redispatch(payload)
+                        else:
+                            lookups += 2
+                            released.append(payload)
+                            taken += 1
+                window._size -= popped
+                stats.dequeues += popped
+                _charge_repeated_lookups(window, charged, totals, lookups - 1)
+                if entries:
+                    break  # head not yet due, or the limit was reached
+                window._release(bucket, entries)
+        finally:
+            self.stats.dequeues += taken
+            self._size = size - taken
         return released
 
     # -- batch operations --------------------------------------------------------
 
     def enqueue_batch(self, pairs: Iterable[tuple[int, Any]]) -> int:
-        """Batched insert: one delegated ``enqueue_batch`` per window."""
+        """Batched insert: one delegated ``enqueue_batch`` per window.
+
+        A pair that fails validation rejects the whole batch.
+        """
         primary_entries: list[tuple[int, Any]] = []
         secondary_entries: list[tuple[int, Any]] = []
-        count = 0
+        to_primary = primary_entries.append
+        to_secondary = secondary_entries.append
         span = self._span
         lo = self.h_index
         hi = lo + span
         shi = hi + span
         overflow_offset = span - self.spec.granularity
+        overflowed = 0
         for priority, item in pairs:
-            priority = validate_priority(priority)
-            if priority < lo:
-                if not self.allow_stale:
-                    raise ValueError(
-                        f"priority {priority} precedes queue head index {lo}"
-                    )
-                primary_entries.append((0, (priority, item)))
-            elif priority < hi:
-                primary_entries.append((priority - lo, (priority, item)))
+            if type(priority) is not int:
+                priority = validate_priority(priority)
+            if priority < hi:
+                if priority >= lo:
+                    to_primary((priority - lo, (priority, item)))
+                elif self.allow_stale:
+                    to_primary((0, (priority, item)))
+                else:
+                    raise ValueError(f"priority {priority} precedes queue head index {lo}")
             elif priority < shi:
-                secondary_entries.append((priority - hi, (priority, item)))
+                to_secondary((priority - hi, (priority, item)))
             else:
-                self.stats.overflow_enqueues += 1
-                secondary_entries.append((overflow_offset, (priority, item)))
-            count += 1
+                overflowed += 1
+                to_secondary((overflow_offset, (priority, item)))
         if primary_entries:
             self._primary.enqueue_batch(primary_entries)
         if secondary_entries:
             self._secondary.enqueue_batch(secondary_entries)
-        self.stats.enqueues += count
+        count = len(primary_entries) + len(secondary_entries)
+        stats = self.stats
+        stats.enqueues += count
+        stats.overflow_enqueues += overflowed
         self._size += count
         return count
 
@@ -263,6 +351,24 @@ class CircularQueueAdapter(IntegerPriorityQueue):
         merged.merge(self._primary.stats)
         merged.merge(self._secondary.stats)
         return merged.as_dict()
+
+
+def _charge_repeated_lookups(
+    window: FixedRangeBucketQueue, charged: tuple, totals: tuple, times: int
+) -> None:
+    """Charge ``window`` ``times`` more lookups, each like the one just made.
+
+    ``charged`` is what that lookup added to the :data:`_LOOKUP_COUNTERS`,
+    ``totals`` what it added to an error-tracking window's
+    :data:`_ERROR_TOTALS` (empty otherwise).
+    """
+    stats = window.stats
+    for name, delta in zip(_LOOKUP_COUNTERS, charged):
+        if delta:
+            setattr(stats, name, getattr(stats, name) + delta * times)
+    for name, delta in zip(_ERROR_TOTALS, totals):
+        if delta:
+            setattr(window, name, getattr(window, name) + delta * times)
 
 
 class CircularGradientQueue(CircularQueueAdapter):

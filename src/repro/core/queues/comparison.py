@@ -69,47 +69,99 @@ class BinaryHeapQueue(IntegerPriorityQueue):
 
         Extraction order is fully determined by the ``(priority, seq)`` total
         order, so rebuilding the heap in one pass is observationally identical
-        to pushing elements one at a time.
+        to pushing elements one at a time; k pushes are charged by count.  A
+        pair that fails validation rejects the whole batch.
         """
-        entries = [
-            (validate_priority(priority), next(self._counter), item)
-            for priority, item in pairs
-        ]
-        if not entries:
+        counter = self._counter
+        entries: list[tuple[int, int, Any]] = []
+        append = entries.append
+        for priority, item in pairs:
+            if type(priority) is not int:
+                priority = validate_priority(priority)
+            append((priority, next(counter), item))
+        count = len(entries)
+        if not count:
             return 0
-        self.stats.enqueues += len(entries)
-        total = len(self._heap) + len(entries)
-        if len(entries) * max(1, total.bit_length()) >= total:
-            self._heap.extend(entries)
-            heapq.heapify(self._heap)
-            self.stats.heap_operations += max(1, total)
+        heap = self._heap
+        size = len(heap)
+        stats = self.stats
+        stats.enqueues += count
+        total = size + count
+        if count * max(1, total.bit_length()) >= total:
+            heap.extend(entries)
+            heapq.heapify(heap)
+            stats.heap_operations += max(1, total)
         else:
+            # A push that leaves ``m`` entries is charged ``m.bit_length()``.
+            push = heapq.heappush
             for entry in entries:
-                heapq.heappush(self._heap, entry)
-                self.stats.heap_operations += max(1, len(self._heap).bit_length())
-        self._size += len(entries)
-        return len(entries)
+                push(heap, entry)
+            stats.heap_operations += _bit_length_sum(total) - _bit_length_sum(size)
+        self._size = total
+        return count
 
     def extract_min_batch(self, n: int) -> list[tuple[int, Any]]:
         """Batched extract-min: a full drain sorts in place instead of sifting."""
         if n < 0:
             raise ValueError("batch size must be non-negative")
-        if n >= self._size and self._size:
+        size = self._size
+        if n >= size and size:
             # Draining everything: one O(n log n) sort replaces n pops, each
             # of which would sift the root down the whole heap.
             self._heap.sort()
             drained = [(priority, item) for priority, _seq, item in self._heap]
-            self.stats.heap_operations += max(
-                1, self._size * max(1, self._size.bit_length()) // 2
-            )
-            self.stats.dequeues += self._size
+            self.stats.heap_operations += max(1, size * max(1, size.bit_length()) // 2)
+            self.stats.dequeues += size
             self._heap.clear()
             self._size = 0
             return drained
+        heap = self._heap
+        pop = heapq.heappop
         batch: list[tuple[int, Any]] = []
-        while len(batch) < n and self._size:
-            batch.append(self.extract_min())
+        append = batch.append
+        count = min(n, size)
+        for _ in range(count):
+            priority, _seq, item = pop(heap)
+            append((priority, item))
+        self._charge_pops(size, count)
         return batch
+
+    def extract_due(
+        self, now: int, limit: Optional[int] = None
+    ) -> list[tuple[int, Any]]:
+        """Pop while the root is due, charged as the single pops would be."""
+        heap = self._heap
+        size = self._size
+        count = size if limit is None else min(limit, size)
+        pop = heapq.heappop
+        released: list[tuple[int, Any]] = []
+        append = released.append
+        for _ in range(count):
+            if heap[0][0] > now:
+                break
+            priority, _seq, item = pop(heap)
+            append((priority, item))
+        self._charge_pops(size, len(released))
+        return released
+
+    def _charge_pops(self, size: int, taken: int) -> None:
+        """Charge ``taken`` pops from a heap of ``size`` as ``extract_min`` does.
+
+        A pop that leaves ``m`` entries is charged ``(m + 1).bit_length()``
+        sift steps, so the pops from ``size`` down are charged the sum of
+        ``k.bit_length()`` over ``k`` in ``(size - taken, size]``: a
+        difference of :func:`_bit_length_sum`, not a walk.
+        """
+        stats = self.stats
+        stats.heap_operations += _bit_length_sum(size) - _bit_length_sum(size - taken)
+        stats.dequeues += taken
+        self._size = size - taken
+
+
+def _bit_length_sum(n: int) -> int:
+    """``sum(k.bit_length() for k in range(1, n + 1))`` in closed form."""
+    length = n.bit_length()
+    return (n + 1) * length - (1 << length) + 1
 
 
 class _RBNode:

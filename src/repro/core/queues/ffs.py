@@ -130,24 +130,30 @@ class MultiWordFFSQueue(FixedRangeBucketQueue):
     stone to the hierarchical variant.
     """
 
-    __slots__ = ("word_width", "num_words", "_words", "_nonzero_words")
+    __slots__ = ("word_width", "num_words", "_shift", "_mask", "_words", "_nonzero_words")
 
     def __init__(self, spec: BucketSpec, word_width: int = DEFAULT_WORD_WIDTH) -> None:
         super().__init__(spec)
+        if word_width < 1 or word_width & (word_width - 1):
+            raise ValueError(f"word_width must be a power of two, got {word_width}")
         self.word_width = word_width
+        # A power-of-two width splits a bucket into (word, bit) by shift and mask.
+        self._shift = word_width.bit_length() - 1
+        self._mask = word_width - 1
         self.num_words = (spec.num_buckets + word_width - 1) // word_width
         self._words = [0] * self.num_words
         # Summary mask: bit w is set while ``_words[w]`` is non-zero.
         self._nonzero_words = 0
 
     def _mark_nonempty(self, bucket: int) -> None:
-        word_index, bit = divmod(bucket, self.word_width)
-        self._words[word_index] |= 1 << bit
+        word_index = bucket >> self._shift
+        self._words[word_index] |= 1 << (bucket & self._mask)
         self._nonzero_words |= 1 << word_index
 
     def _mark_empty(self, bucket: int) -> None:
-        word_index, bit = divmod(bucket, self.word_width)
-        word = self._words[word_index] = self._words[word_index] & ~(1 << bit)
+        word_index = bucket >> self._shift
+        words = self._words
+        word = words[word_index] = words[word_index] & ~(1 << (bucket & self._mask))
         if not word:
             self._nonzero_words &= ~(1 << word_index)
 
@@ -166,7 +172,7 @@ class MultiWordFFSQueue(FixedRangeBucketQueue):
         self.stats.word_scans += word_index + 1
         # Inlined find_first_set: a set summary bit guarantees a non-zero word.
         word = self._words[word_index]
-        return word_index * self.word_width + (word & -word).bit_length() - 1
+        return (word_index << self._shift) + (word & -word).bit_length() - 1
 
 
 __all__ = [

@@ -170,35 +170,35 @@ class GradientQueue(FixedRangeBucketQueue):
     why the approximate variant exists.
     """
 
-    __slots__ = ("_a", "_b", "_critical")
+    __slots__ = ("_a", "_b", "_critical", "_top")
 
     def __init__(self, spec: BucketSpec) -> None:
         super().__init__(spec)
-        # Curvature coefficients over *internal* (reversed) indices.
+        # Curvature coefficients over *internal* (reversed) indices: external
+        # bucket k is internal index ``_top - k``, and the reversal is its own
+        # inverse.  The hooks below compute it inline.
+        self._top = spec.num_buckets - 1
         self._a = 0
         self._b = 0
         # ceil(b / a) for the current coefficients; None once they change.
         self._critical: Optional[int] = None
 
-    def _internal(self, bucket: int) -> int:
-        return self.spec.num_buckets - 1 - bucket
-
     def _mark_nonempty(self, bucket: int) -> None:
-        internal = self._internal(bucket)
+        internal = self._top - bucket
         weight = 1 << internal
         self._a += weight
         self._b += internal * weight
         self._critical = None
 
     def _mark_empty(self, bucket: int) -> None:
-        internal = self._internal(bucket)
+        internal = self._top - bucket
         weight = 1 << internal
         self._a -= weight
         self._b -= internal * weight
         self._critical = None
 
-    def _critical_point(self) -> int:
-        """ceil(b / a): the maximum non-empty internal index.
+    def _min_bucket(self) -> int:
+        """External bucket of ceil(b / a), the maximum non-empty internal index.
 
         Every lookup is charged one ``divisions``; the wide ``b // a`` itself
         runs once per change of the coefficients and is remembered until
@@ -208,11 +208,7 @@ class GradientQueue(FixedRangeBucketQueue):
         critical = self._critical
         if critical is None:
             critical = self._critical = -((-self._b) // self._a)
-        return critical
-
-    def _min_bucket(self) -> int:
-        # The reversal is its own inverse: internal -> external.
-        return self._internal(self._critical_point())
+        return self._top - critical
 
     def curvature_coefficients(self) -> tuple[int, int]:
         """The ``(a, b)`` coefficients, exposed for tests of Theorem 1."""
@@ -244,6 +240,7 @@ class ApproximateGradientQueue(FixedRangeBucketQueue):
         "word_bits",
         "i0",
         "shift",
+        "_top",
         "_nonempty",
         "_occupied",
         "_weights",
@@ -269,6 +266,11 @@ class ApproximateGradientQueue(FixedRangeBucketQueue):
         self.word_bits = word_bits
         self.i0 = gradient_start_index(alpha)
         self.shift = gradient_shift(alpha)
+        # External bucket k is internal index ``_top - k``: reversed (a
+        # min-queue on top of a max structure) and offset by I0 so the
+        # estimate operates in its reliable region.  The reversal is its own
+        # inverse.
+        self._top = self.i0 + spec.num_buckets - 1
         capacity = gradient_capacity(alpha, word_bits)
         if strict_capacity and spec.num_buckets > capacity:
             raise ValueError(
@@ -291,10 +293,8 @@ class ApproximateGradientQueue(FixedRangeBucketQueue):
         self._occupied = 0
         # 2^(internal/alpha) per external bucket, so every curvature update
         # adds and subtracts the identical float.
-        top = self.i0 + spec.num_buckets - 1
-        self._weights = [
-            2.0 ** ((top - bucket) / alpha) for bucket in range(spec.num_buckets)
-        ]
+        top = self._top
+        self._weights = [2.0 ** ((top - bucket) / alpha) for bucket in range(spec.num_buckets)]
         self._a = 0.0
         self._b = 0.0
         # Cumulative error statistics for Figure 18 (only when track_errors).
@@ -302,29 +302,19 @@ class ApproximateGradientQueue(FixedRangeBucketQueue):
         self._selection_error_total = 0
         self._selections = 0
 
-    # -- index mapping -------------------------------------------------------
-
-    def _internal(self, bucket: int) -> int:
-        # Reverse (min-queue on top of a max structure) and offset by I0 so the
-        # estimate operates in its reliable region.
-        return self.i0 + (self.spec.num_buckets - 1 - bucket)
-
-    def _external(self, internal: int) -> int:
-        return self.spec.num_buckets - 1 - (internal - self.i0)
-
     # -- curvature maintenance ------------------------------------------------
 
     def _mark_nonempty(self, bucket: int) -> None:
         weight = self._weights[bucket]
         self._a += weight
-        self._b += self._internal(bucket) * weight
+        self._b += (self._top - bucket) * weight
         self._nonempty += 1
         self._occupied |= 1 << bucket
 
     def _mark_empty(self, bucket: int) -> None:
         weight = self._weights[bucket]
         self._a -= weight
-        self._b -= self._internal(bucket) * weight
+        self._b -= (self._top - bucket) * weight
         self._nonempty -= 1
         self._occupied ^= 1 << bucket
         if self._nonempty == 0:
@@ -354,7 +344,7 @@ class ApproximateGradientQueue(FixedRangeBucketQueue):
             estimate = math.ceil(self._b / a) + self.shift
         except OverflowError:  # b / a overflowed to inf
             return 0
-        return min(max(self._external(estimate), 0), self.spec.num_buckets - 1)
+        return min(max(self._top - estimate, 0), self.spec.num_buckets - 1)
 
     def _min_bucket(self) -> int:
         """Locate the (approximately) minimum non-empty external bucket."""

@@ -44,6 +44,8 @@ class FFSBitmapTree:
         "word_width",
         "levels",
         "depth",
+        "_shift",
+        "_mask",
         "_levels_up",
         "_cached_min",
         "_count",
@@ -52,10 +54,13 @@ class FFSBitmapTree:
     def __init__(self, num_buckets: int, word_width: int = DEFAULT_WORD_WIDTH) -> None:
         if num_buckets <= 0:
             raise ValueError("num_buckets must be positive")
-        if word_width < 2:
-            raise ValueError("word_width must be at least 2")
+        if word_width < 2 or word_width & (word_width - 1):
+            raise ValueError(f"word_width must be a power of two >= 2, got {word_width}")
         self.num_buckets = num_buckets
         self.word_width = word_width
+        # A power-of-two width splits an index into (word, bit) by shift and mask.
+        self._shift = word_width.bit_length() - 1
+        self._mask = word_width - 1
         self.levels: list[list[int]] = []
         size = num_buckets
         # Build levels bottom-up: the last entry of ``levels`` is the leaf level.
@@ -88,15 +93,16 @@ class FFSBitmapTree:
             self._cached_min = bucket
         touched = 0
         index = bucket
-        width = self.word_width
+        shift = self._shift
+        mask = self._mask
         for level in self._levels_up:
-            word_index, bit = divmod(index, width)
+            word_index = index >> shift
             touched += 1
             word = level[word_index]
-            mask = 1 << bit
-            if word & mask:
+            bit = 1 << (index & mask)
+            if word & bit:
                 break
-            level[word_index] = word | mask
+            level[word_index] = word | bit
             index = word_index
         return touched
 
@@ -109,13 +115,14 @@ class FFSBitmapTree:
             self._cached_min = -1
         touched = 0
         index = bucket
-        width = self.word_width
+        shift = self._shift
+        mask = self._mask
         for level in self._levels_up:
-            word_index, bit = divmod(index, width)
+            word_index = index >> shift
             touched += 1
-            word = level[word_index] & ~(1 << bit)
+            word = level[word_index] & ~(1 << (index & mask))
             level[word_index] = word
-            if word != 0:
+            if word:
                 break
             index = word_index
         return touched
@@ -133,20 +140,19 @@ class FFSBitmapTree:
         if levels[0][0] == 0:
             raise EmptyQueueError("bitmap tree is empty")
         index = 0
-        width = self.word_width
+        shift = self._shift
         for level in levels:
             word = level[index]
             # Inlined find_first_set: the occupancy invariant guarantees a
             # non-zero word on the walk, so no zero check is needed here.
-            index = index * width + (word & -word).bit_length() - 1
+            index = (index << shift) + (word & -word).bit_length() - 1
         self._cached_min = index
         return index, self.depth
 
     def test(self, bucket: int) -> bool:
         """True when ``bucket`` is marked occupied."""
         self._check(bucket)
-        word_index, bit = divmod(bucket, self.word_width)
-        return bool((self.levels[-1][word_index] >> bit) & 1)
+        return bool((self.levels[-1][bucket >> self._shift] >> (bucket & self._mask)) & 1)
 
     @property
     def any(self) -> bool:

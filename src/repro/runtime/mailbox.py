@@ -105,8 +105,8 @@ class Mailbox(Generic[T]):
 
     # -- watermarks ----------------------------------------------------------
 
-    def configure_watermarks(self, high: Optional[int]) -> None:
-        """Install (or clear, with ``high=None``) the high watermark.
+    def configure_watermarks(self, high: int) -> None:
+        """Install the high watermark.
 
         The low watermark is ``high // 2``; at ``high == 1`` that is 0, i.e.
         the producer resumes only on a fully drained ring — the capacity-1
@@ -114,10 +114,6 @@ class Mailbox(Generic[T]):
         (retuning a live runtime mailbox must not sever the ingress resume
         wiring).
         """
-        if high is None:
-            self.high_watermark = None
-            self._paused = False
-            return
         if high <= 0:
             raise ValueError("high watermark must be positive")
         if self.capacity is not None and high > self.capacity:

@@ -99,6 +99,12 @@ class TestFFSQueue:
         with pytest.raises(ValueError):
             FFSQueue(BucketSpec(num_buckets=65), word_width=64)
 
+    def test_any_word_width_is_kept(self):
+        # One word needs no (word, bit) split, so the width need not be a power of two.
+        queue = FFSQueue(BucketSpec(num_buckets=48), word_width=48)
+        queue.enqueue_batch([(47, "last"), (5, "first")])
+        assert queue.extract_min_batch(2) == [(5, "first"), (47, "last")]
+
     def test_granularity_groups_priorities(self):
         queue = FFSQueue(BucketSpec(num_buckets=8, granularity=10))
         queue.enqueue(72, "b")
@@ -175,3 +181,8 @@ class TestMultiWordFFSQueue:
         queue = MultiWordFFSQueue(BucketSpec(num_buckets=100))
         with pytest.raises(PriorityOutOfRangeError):
             queue.enqueue(100, "x")
+
+    @pytest.mark.parametrize("word_width", [0, 3, 48])
+    def test_word_width_must_be_a_power_of_two(self, word_width):
+        with pytest.raises(ValueError, match="power of two"):
+            MultiWordFFSQueue(BucketSpec(num_buckets=100), word_width=word_width)

@@ -3,9 +3,12 @@
 ``FixedRangeBucketQueue`` owns the bucket store and every operation; a family
 is an index over it.  These tests hold the parts of that contract nothing else
 pins: what a failed batch leaves behind, what the range error says, ``remove``
-on every family (only the hierarchical queue had one), and that the
-per-family copies of the operations stay deleted.
+on every family (only the hierarchical queue had one), that a drain stops on
+an index naming an empty bucket, and that the per-family copies of the
+operations stay deleted.
 """
+
+from collections import deque
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.core.queues import (
     HierarchicalFFSQueue,
     MultiWordFFSQueue,
     PriorityOutOfRangeError,
+    QueueError,
 )
 
 FAMILIES = [
@@ -107,6 +111,26 @@ def test_pifo_reinsert_moves_the_element_instead_of_duplicating_it(family):
     assert len(pifo) == 2
     assert pifo.rank_of(flow) == 103
     assert [pifo.pop(), pifo.pop()] == [(103, flow), (110, other)]
+
+
+@families
+@pytest.mark.parametrize(
+    "drain",
+    [lambda q: q.extract_due(163), lambda q: q.extract_due(120, limit=3), lambda q: q.extract_min_batch(5)],
+    ids=["extract_due", "extract_due_partial", "extract_min_batch"],
+)
+def test_a_drain_raises_when_the_index_names_an_empty_bucket(family, drain, monkeypatch):
+    # Bucket 10 holds ranks 120..121 and nothing was enqueued there.  A drain
+    # that trusted the index would trip over the missing FIFO or, with an
+    # empty one left in place, take nothing from it and look again forever.
+    queue = family(SPEC)
+    queue.enqueue_batch([(104, "a"), (140, "b")])
+    monkeypatch.setattr(family, "_min_bucket", lambda self: 10)
+    for left_in_place in (None, deque()):
+        queue._buckets[10] = left_in_place
+        with pytest.raises(QueueError, match=f"{family.__name__}.*bucket 10"):
+            drain(queue)
+    assert len(queue) == 2 and queue.stats.dequeues == 0
 
 
 def all_subclasses(cls):

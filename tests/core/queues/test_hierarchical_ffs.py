@@ -60,6 +60,11 @@ class TestFFSBitmapTree:
         with pytest.raises(ValueError):
             FFSBitmapTree(0)
 
+    @pytest.mark.parametrize("word_width", [3, 48])
+    def test_word_width_must_be_a_power_of_two(self, word_width):
+        with pytest.raises(ValueError, match="power of two"):
+            FFSBitmapTree(1000, word_width=word_width)
+
     def test_random_first_set_matches_reference(self):
         rng = random.Random(3)
         tree = FFSBitmapTree(5000, word_width=16)

@@ -68,14 +68,14 @@ class WalkedApproximateGradientQueue(ApproximateGradientQueue):
     """Lookup by walking the buckets; weights recomputed at every update."""
 
     def _mark_nonempty(self, bucket):
-        internal = self._internal(bucket)
+        internal = self._top - bucket
         weight = 2.0 ** (internal / self.alpha)
         self._a += weight
         self._b += internal * weight
         self._nonempty += 1
 
     def _mark_empty(self, bucket):
-        internal = self._internal(bucket)
+        internal = self._top - bucket
         weight = 2.0 ** (internal / self.alpha)
         self._a -= weight
         self._b -= internal * weight
@@ -200,7 +200,7 @@ def test_charged_linear_search_equals_walked(data):
 @given(st.data())
 def test_charged_word_scan_equals_walked(data):
     num_buckets = data.draw(st.integers(min_value=1, max_value=200))
-    word_width = data.draw(st.sampled_from([1, 3, 8, 64]))
+    word_width = data.draw(st.sampled_from([1, 4, 8, 64]))
     spec = BucketSpec(num_buckets=num_buckets)
     assert_same_after_every_operation(
         MultiWordFFSQueue(spec, word_width=word_width),
@@ -268,7 +268,7 @@ class TestLinearSearchCases:
         for queue in (charged, walked):
             queue.enqueue_batch([(1, "a"), (2, "b")])
             estimate = math.ceil(queue._b / queue._a) + queue.shift
-            assert queue._external(estimate) < 0
+            assert queue._top - estimate < 0  # the external bucket
             assert queue._estimate_bucket() == 0
             assert queue.extract_min() == (1, "a")
             assert queue.stats.linear_scans == 1

@@ -337,14 +337,6 @@ class TestMailboxWatermarks:
         assert mailbox.paused  # installing the watermark sees occupancy 6
         assert mailbox.stats.stalls == 1
 
-    def test_clearing_watermarks_unpauses(self):
-        mailbox = Mailbox(capacity=4, high_watermark=2)
-        mailbox.push_batch(range(3))
-        assert mailbox.paused
-        mailbox.configure_watermarks(None)
-        assert not mailbox.paused
-        assert mailbox.high_watermark is None
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Mailbox(capacity=4, high_watermark=5)
