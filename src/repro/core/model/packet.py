@@ -24,7 +24,9 @@ class Packet:
         flow_id: identifier of the flow/class the packet belongs to.
         size_bytes: wire size of the packet (payload + headers).
         rank: the rank assigned by the packet annotator / enqueue component.
-            ``None`` until the scheduler computes it.
+            ``None`` until the scheduler computes it.  The sharded runtime
+            (:mod:`repro.runtime`) writes a packet's send time here when a
+            shard stamps it: a shaper's send time is its enqueue rank.
         arrival_ns: arrival timestamp in nanoseconds (set by the substrate).
         departure_ns: transmission timestamp, filled on dequeue.
         priority_class: optional class annotation used by strict-priority or

@@ -37,6 +37,7 @@ from .base import (
     BucketSpec,
     EmptyQueueError,
     IntegerPriorityQueue,
+    QueueError,
     validate_priority,
 )
 from .ffs import DEFAULT_WORD_WIDTH
@@ -392,6 +393,8 @@ class CircularFFSQueue(IntegerPriorityQueue):
             bucket, scanned = window.tree.first_set()
             scans = scanned
             entries = window.buckets[bucket]
+            if not entries:
+                self._raise_empty_bucket(bucket)
             space = n - taken
             if space >= len(entries):
                 take = len(entries)
@@ -437,6 +440,8 @@ class CircularFFSQueue(IntegerPriorityQueue):
             bucket, scanned = window.tree.first_set()
             scans = scanned
             entries = window.buckets[bucket]
+            if not entries:
+                self._raise_empty_bucket(bucket)
             # Whole-bucket fast path.  Every entry of a primary bucket has a
             # rank below the bucket ceiling (stale ranks are clamped into
             # bucket 0 and are older still), so a passed ceiling means the
@@ -473,6 +478,18 @@ class CircularFFSQueue(IntegerPriorityQueue):
                 continue
             break  # head not yet due, or the limit was reached
         return released
+
+    def _raise_empty_bucket(self, bucket: int) -> None:
+        """Refuse a bucket the tree names that holds no entry.
+
+        A drain never trusts a tree bit over its bucket: recycling a missing
+        FIFO would put ``None`` on the shared free list, and an empty one
+        would be taken from forever.  Checked once per bucket visited.
+        """
+        raise QueueError(
+            f"{type(self).__name__}: the index named bucket {bucket}, "
+            "which holds no entry"
+        )
 
     def remove(self, priority: int, item: Any) -> bool:
         """Remove a specific ``(priority, item)`` pair; True when found.

@@ -110,7 +110,6 @@ class CircularQueueAdapter(IntegerPriorityQueue):
 
     def enqueue(self, priority: int, item: Any) -> None:
         priority = validate_priority(priority)
-        self.stats.enqueues += 1
         span = self._span
         lo = self.h_index
         hi = lo + span
@@ -127,6 +126,7 @@ class CircularQueueAdapter(IntegerPriorityQueue):
         else:
             self.stats.overflow_enqueues += 1
             self._secondary.enqueue(span - self.spec.granularity, (priority, item))
+        self.stats.enqueues += 1
         self._size += 1
 
     def _rotate(self) -> None:
@@ -283,7 +283,8 @@ class CircularQueueAdapter(IntegerPriorityQueue):
     def enqueue_batch(self, pairs: Iterable[tuple[int, Any]]) -> int:
         """Batched insert: one delegated ``enqueue_batch`` per window.
 
-        A pair that fails validation rejects the whole batch.
+        On a mid-batch validation error the validated prefix is inserted and
+        counted, as repeated single inserts would leave it.
         """
         primary_entries: list[tuple[int, Any]] = []
         secondary_entries: list[tuple[int, Any]] = []
@@ -295,30 +296,32 @@ class CircularQueueAdapter(IntegerPriorityQueue):
         shi = hi + span
         overflow_offset = span - self.spec.granularity
         overflowed = 0
-        for priority, item in pairs:
-            if type(priority) is not int:
-                priority = validate_priority(priority)
-            if priority < hi:
-                if priority >= lo:
-                    to_primary((priority - lo, (priority, item)))
-                elif self.allow_stale:
-                    to_primary((0, (priority, item)))
+        try:
+            for priority, item in pairs:
+                if type(priority) is not int:
+                    priority = validate_priority(priority)
+                if priority < hi:
+                    if priority >= lo:
+                        to_primary((priority - lo, (priority, item)))
+                    elif self.allow_stale:
+                        to_primary((0, (priority, item)))
+                    else:
+                        raise ValueError(f"priority {priority} precedes queue head index {lo}")
+                elif priority < shi:
+                    to_secondary((priority - hi, (priority, item)))
                 else:
-                    raise ValueError(f"priority {priority} precedes queue head index {lo}")
-            elif priority < shi:
-                to_secondary((priority - hi, (priority, item)))
-            else:
-                overflowed += 1
-                to_secondary((overflow_offset, (priority, item)))
-        if primary_entries:
-            self._primary.enqueue_batch(primary_entries)
-        if secondary_entries:
-            self._secondary.enqueue_batch(secondary_entries)
-        count = len(primary_entries) + len(secondary_entries)
-        stats = self.stats
-        stats.enqueues += count
-        stats.overflow_enqueues += overflowed
-        self._size += count
+                    overflowed += 1
+                    to_secondary((overflow_offset, (priority, item)))
+        finally:
+            if primary_entries:
+                self._primary.enqueue_batch(primary_entries)
+            if secondary_entries:
+                self._secondary.enqueue_batch(secondary_entries)
+            count = len(primary_entries) + len(secondary_entries)
+            stats = self.stats
+            stats.enqueues += count
+            stats.overflow_enqueues += overflowed
+            self._size += count
         return count
 
     def extract_min_batch(self, n: int) -> list[tuple[int, Any]]:

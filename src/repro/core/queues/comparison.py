@@ -69,35 +69,37 @@ class BinaryHeapQueue(IntegerPriorityQueue):
 
         Extraction order is fully determined by the ``(priority, seq)`` total
         order, so rebuilding the heap in one pass is observationally identical
-        to pushing elements one at a time; k pushes are charged by count.  A
-        pair that fails validation rejects the whole batch.
+        to pushing elements one at a time; k pushes are charged by count.  On
+        a mid-batch validation error the validated prefix is inserted and
+        counted, as repeated single inserts would leave it.
         """
         counter = self._counter
         entries: list[tuple[int, int, Any]] = []
         append = entries.append
-        for priority, item in pairs:
-            if type(priority) is not int:
-                priority = validate_priority(priority)
-            append((priority, next(counter), item))
-        count = len(entries)
-        if not count:
-            return 0
-        heap = self._heap
-        size = len(heap)
-        stats = self.stats
-        stats.enqueues += count
-        total = size + count
-        if count * max(1, total.bit_length()) >= total:
-            heap.extend(entries)
-            heapq.heapify(heap)
-            stats.heap_operations += max(1, total)
-        else:
-            # A push that leaves ``m`` entries is charged ``m.bit_length()``.
-            push = heapq.heappush
-            for entry in entries:
-                push(heap, entry)
-            stats.heap_operations += _bit_length_sum(total) - _bit_length_sum(size)
-        self._size = total
+        try:
+            for priority, item in pairs:
+                if type(priority) is not int:
+                    priority = validate_priority(priority)
+                append((priority, next(counter), item))
+        finally:
+            count = len(entries)
+            if count:
+                heap = self._heap
+                size = len(heap)
+                stats = self.stats
+                stats.enqueues += count
+                total = size + count
+                if count * max(1, total.bit_length()) >= total:
+                    heap.extend(entries)
+                    heapq.heapify(heap)
+                    stats.heap_operations += max(1, total)
+                else:
+                    # A push that leaves ``m`` entries is charged ``m.bit_length()``.
+                    push = heapq.heappush
+                    for entry in entries:
+                        push(heap, entry)
+                    stats.heap_operations += _bit_length_sum(total) - _bit_length_sum(size)
+                self._size = total
         return count
 
     def extract_min_batch(self, n: int) -> list[tuple[int, Any]]:

@@ -324,31 +324,32 @@ class ApproximateGradientQueue(FixedRangeBucketQueue):
 
     # -- lookup ----------------------------------------------------------------
 
-    def _estimate_bucket(self) -> int:
-        """External bucket the one-step estimate points at, clamped in range.
+    def _min_bucket(self) -> int:
+        """Locate the (approximately) minimum non-empty external bucket.
 
-        ``ceil(b / a) + u(alpha)`` is the estimated maximum non-empty internal
-        index.  The float sums can cancel while buckets are still occupied
-        (a heavy bucket absorbs a light one, then leaves): ``a <= 0`` or an
-        overflowing ``b / a`` is then an estimate miss that starts the
-        fallback scan at external bucket 0, the top of the priority range,
-        so the scan ends on the true minimum.
+        One step: ``ceil(b / a) + u(alpha)`` is the estimated maximum
+        non-empty internal index, clamped into range; an empty estimate
+        falls back to :meth:`_linear_search`.  The float sums can cancel
+        while buckets are still occupied (a heavy bucket absorbs a light
+        one, then leaves): ``a <= 0`` or an overflowing ``b / a`` is then an
+        estimate miss that starts the fallback scan at external bucket 0,
+        the top of the priority range, so the scan ends on the true minimum.
         """
         self.stats.divisions += 1
         if not self._nonempty:
             raise EmptyQueueError("approximate gradient queue is empty")
         a = self._a
-        if a <= 0.0:
-            return 0
-        try:
-            estimate = math.ceil(self._b / a) + self.shift
-        except OverflowError:  # b / a overflowed to inf
-            return 0
-        return min(max(self._top - estimate, 0), self.spec.num_buckets - 1)
-
-    def _min_bucket(self) -> int:
-        """Locate the (approximately) minimum non-empty external bucket."""
-        bucket = self._estimate_bucket()
+        bucket = 0
+        if a > 0.0:
+            try:
+                bucket = self._top - math.ceil(self._b / a) - self.shift
+            except OverflowError:  # b / a overflowed to inf
+                pass
+            else:
+                if bucket < 0:
+                    bucket = 0
+                elif bucket >= self.spec.num_buckets:
+                    bucket = self.spec.num_buckets - 1
         if self._buckets[bucket] is not None:
             selected = bucket
         else:

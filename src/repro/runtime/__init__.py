@@ -33,7 +33,11 @@ instance per core, flows spread across instances by an RSS-style hash:
   (``accept_lease``) ends of a lease.
 * :class:`~repro.runtime.runtime.ShardedRuntime` — the driver multiplexing
   every shard's worker loop onto one simulator clock, with per-shard
-  cycle/queue/steal accounting rolled up into runtime telemetry.
+  cycle/queue/steal accounting rolled up into runtime telemetry.  Its
+  ``transmit_log`` lists departures as ``(now_ns, packet)``; the shard that
+  sent each is logged once per drain, not on the packet, and read through
+  ``transmit_shards``.  The runtime writes no dict key per packet: a
+  stamped packet's send time goes into ``Packet.rank``.
 * :class:`~repro.runtime.backend.ExecutionBackend` — who runs the loops:
   :class:`~repro.runtime.backend.SimulatedBackend` (the default, one clock)
   or :class:`~repro.runtime.backend.ProcessBackend`, its differential

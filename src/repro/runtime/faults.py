@@ -238,6 +238,10 @@ class FaultPlan:
             return True
         return False
 
+    def handoff_budget(self, shard: int) -> int:
+        """Packets the armed ``handoff_drop`` events still eat at ``shard``."""
+        return self._handoff_budget.get(shard, 0)
+
     def take_handoff_drops(self, shard: int, offered: int) -> int:
         """How many of ``offered`` packets the handoff seam should drop."""
         budget = self._handoff_budget.get(shard)
@@ -310,7 +314,8 @@ class Supervisor:
     ``recovery_log`` (which an unarmed runtime reports as zeros and empty).
 
     The driver and its stealing plane ask one question per seam
-    (:meth:`frozen`, :meth:`tick_blocked`, :meth:`trim_handoff`, ...).  The
+    (:meth:`frozen`, :meth:`tick_blocked`, :meth:`handoff_budget`,
+    :meth:`trim_handoff`, ...).  The
     other way, the supervisor reads only the driver's ``simulator``,
     ``workers``, ``ingress_cores``, ``tracer``, ``_stealer`` (``None``: no
     lease is ever out) and ``_ingress`` (the RX plane, there whenever a
@@ -387,24 +392,27 @@ class Supervisor:
         self._injected(now, f"rx-{lane}", {"kind": "ingress_wedge"})
         return True
 
-    def trim_handoff(
-        self, shard: int, packets: List[Packet], slots: List[int]
-    ) -> Tuple[List[Packet], List[int]]:
+    def handoff_budget(self, shard: int) -> int:
+        """How many head packets of ``shard``'s next routed group the handoff eats."""
+        return self.plan.handoff_budget(shard)
+
+    def trim_handoff(self, shard: int, packets: List[Packet]) -> List[Packet]:
         """Cut what an armed ``handoff_drop`` eats off the head of a routed group.
 
         The seam loses the packets before anything commits — no route, no
         pending count — so only the fault ledger (and the tracer) sees
-        them.  Returns the surviving packets and their flow-table slots.
+        them.  Routing read the same budget (:meth:`handoff_budget`) and
+        committed none of them.  Returns the surviving packets.
         """
         dropped = self.plan.take_handoff_drops(shard, len(packets))
         if not dropped:
-            return packets, slots
+            return packets
         self.stats.handoff_drops += dropped
         if self.tracer is not None:
             now = self._runtime.simulator.now_ns
             payload = {"kind": "handoff_drop", "count": dropped}
             self.tracer.emit(now, f"shard-{shard}", "fault_inject", payload)
-        return packets[dropped:], slots[dropped:]
+        return packets[dropped:]
 
     def bank_return(self, lease: FlowLease) -> bool:
         """Keep a lease coming back to a dead victim; True when it was banked.

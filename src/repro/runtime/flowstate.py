@@ -529,10 +529,11 @@ class PacingTable(FlowTable):
 
         Per packet this is :meth:`touch` at ``rate_of(flow_id,
         default_rate)`` — a flow whose rate is ``None`` is stateless and
-        sends at ``now_ns`` — plus the two metadata writes every stamped
-        packet carries (``send_at_ns``, ``shard``); the return value is the
-        ``(send_at, packet)`` list ``enqueue_batch`` takes.  What a burst
-        buys over a call per packet: the index and columns are hoisted once
+        sends at ``now_ns`` — plus one attribute write: the send time goes
+        into ``packet.rank``, the enqueue component's rank in the paper's
+        model, so no dict key is written per packet.  The return value is
+        the ``(send_at, packet)`` list ``enqueue_batch`` takes.  What a
+        burst buys over a call per packet: the index and columns are hoisted once
         (and re-read after a mid-burst rehash, which replaces the index), a
         run of same-flow packets — RX bursts are bursty *per flow* — probes
         once, and the serialisation gap ``int(size_bytes * 8 / rate * 1e9)``
@@ -545,7 +546,6 @@ class PacingTable(FlowTable):
         """
         pairs = []
         append = pairs.append
-        shard_id = self.shard_id
         front = self._front
         front_get = front.get
         index = self._index
@@ -615,9 +615,7 @@ class PacingTable(FlowTable):
                         gap = int(size_bytes * 8 / rate * 1e9)
                     release = send_at + gap
                     next_free_col[slot] = release if release < _I64_MAX else _I64_MAX
-            metadata = packet.metadata
-            metadata["send_at_ns"] = send_at
-            metadata["shard"] = shard_id
+            packet.rank = send_at
             append((send_at, packet))
         return pairs
 

@@ -544,22 +544,22 @@ class IngressCore:
     def pull(
         self,
         now_ns: int,
-        route: Callable[[List[Packet], Optional[List[int]]], Tuple[dict, dict]],
+        route: Callable[..., Dict[int, List[Packet]]],
         mailboxes: List[Mailbox],
-        deliver: Callable[[int, List[Packet], List[int]], int],
+        deliver: Callable[[int, List[Packet]], int],
     ) -> int:
         """One ingress quantum: classify up to ``pull_batch`` head packets.
 
-        ``route(packets, rooms)`` is the runtime's burst router
+        ``route(packets, rooms, groups=None)`` is the runtime's burst router
         (:meth:`ShardedRuntime._route_burst
-        <repro.runtime.runtime.ShardedRuntime._route_burst>`): it returns
-        ``(groups, slots)``, two dicts keyed by destination shard holding the
-        routed packets in ring order and, aligned with them, the flow-table
-        slot routing found for each (``-1``: none).  It routes per flow, and
-        stops at the first packet whose shard already got ``rooms[shard]``
-        packets of the call, leaving that packet and all behind it
-        unrouted.  ``deliver(shard, packets, slots)`` is the runtime's
-        handoff (:meth:`ShardedRuntime._handoff
+        <repro.runtime.runtime.ShardedRuntime._route_burst>`): it returns a
+        dict keyed by destination shard holding the routed packets in ring
+        order — ``groups`` itself when given, with the packets appended — and
+        commits the ones each handoff will take.  It routes per flow, and
+        stops at the first packet whose shard already holds ``rooms[shard]``
+        packets of the pull, leaving that packet and all behind it unrouted.
+        ``deliver(shard, packets)`` is the runtime's handoff
+        (:meth:`ShardedRuntime._handoff
         <repro.runtime.runtime.ShardedRuntime._handoff>`): it pushes one
         per-shard group and returns how many the mailbox accepted.
 
@@ -576,8 +576,9 @@ class IngressCore:
         overrides :meth:`AdmissionPolicy.on_head` decides the head packet by
         packet — each verdict needs that packet's sojourn and moves the
         policy's state, so none may be asked past the packet that blocks —
-        and each survivor is routed on its own.  Delivered packets' sojourns
-        are recorded once per run of equal arrival times.
+        and each survivor is routed on its own, into the pull's groups.
+        Delivered packets' sojourns are recorded once per run of equal
+        arrival times.
 
         Returns the number of packets delivered downstream.
         """
@@ -597,13 +598,13 @@ class IngressCore:
         if policy is None or type(policy).on_head is AdmissionPolicy.on_head:
             start = ring._head
             packets = ring._packets[start:start + budget]
-            groups, slots = route(packets, rooms)
+            groups = route(packets, rooms)
             taken = sum(map(len, groups.values()))
             blocked = taken < len(packets)
             arrivals = ring._arrivals[start:start + taken]
             ring._advance(taken)
         else:
-            groups, slots = {}, {}
+            groups = {}
             packets = []
             arrivals = array("q")
             blocked = False
@@ -613,16 +614,11 @@ class IngressCore:
                     ring.pop()
                     head_drops += 1
                     continue
-                routed, routed_slots = route([packet], rooms)
-                if not routed:
+                route([packet], rooms, groups)
+                if sum(map(len, groups.values())) == len(packets):
                     blocked = True
                     break
                 ring.pop()
-                ((shard, _group),) = routed.items()
-                groups.setdefault(shard, []).append(packet)
-                slots.setdefault(shard, []).extend(routed_slots[shard])
-                if rooms is not None:
-                    rooms[shard] -= 1
                 packets.append(packet)
                 arrivals.append(arrival_ns)
             taken = len(packets)
@@ -640,7 +636,7 @@ class IngressCore:
         short: Optional[Dict[int, int]] = None
         for shard, group in groups.items():
             cost.charge("lock")  # the cross-core mailbox handoff
-            accepted = deliver(shard, group, slots[shard])
+            accepted = deliver(shard, group)
             delivered += accepted
             if accepted < len(group):
                 if short is None:

@@ -29,8 +29,8 @@ multi-core scheduler runs one worker loop per CPU against shared wall time:
 * **work stealing** (optional): with ``steal_enabled`` and more than one
   shard, a :class:`~repro.runtime.stealing.Stealer` lets an idle shard take
   over a busy sibling's imminent due window under a
-  :class:`~repro.runtime.stealing.FlowLease`; the per-packet lease
-  countdown stays in :meth:`ShardedRuntime._deliver`.  Rebalancing splits
+  :class:`~repro.runtime.stealing.FlowLease`; :meth:`ShardedRuntime._deliver`
+  settles an open lease once per drain (:meth:`Stealer.settle`).  Rebalancing splits
   the *flow population* across cores; stealing splits a single elephant
   flow *in time*, which is the one imbalance migration cannot repair.
 
@@ -72,7 +72,7 @@ from .ingress import IngressCore, IngressPlane, IngressTelemetry, make_admission
 from .mailbox import MailboxStats
 from .observability import FlightRecorder, GaugeValue, LogHistogram, MetricsTimeline
 from .sharder import FlowSharder, ShardRebalancer
-from .stealing import FlowLease, Stealer, StealStats
+from .stealing import Stealer, StealStats
 from .worker import QueueFactory, ShardWorker
 from ..core.model.packet import Packet
 from ..core.queues import QueueStats
@@ -476,8 +476,11 @@ class ShardedRuntime:
         # Departures are recorded per drain and expanded on read: see the
         # transmit_log property.
         self._transmit_log: List[tuple[int, Packet]] = []
+        self._transmit_shards: List[int] = []
         self._unread_packets: List[Packet] = []
-        self._unread_drains = array("q")  # now_ns, count; now_ns, count; ...
+        self._unread_drains = array("q")  # now_ns, count, shard; now_ns, ...
+        self._read_drains_log = array("q")  # the same, for the drains read
+        self._shards_expanded = 0  # entries of it already in _transmit_shards
         self.ingress_drops = 0
         self.migrations_applied = 0
         self.gc_interval_packets = gc_interval_packets
@@ -566,16 +569,21 @@ class ShardedRuntime:
     # -- ingress -----------------------------------------------------------
 
     def _route_burst(
-        self, packets: List[Packet], rooms: Optional[List[int]] = None
-    ) -> Tuple[Dict[int, List[Packet]], Dict[int, List[int]]]:
-        """Route a burst: the one place the routing rule is written down.
+        self,
+        packets: List[Packet],
+        rooms: Optional[List[int]] = None,
+        by_shard: Optional[Dict[int, List[Packet]]] = None,
+    ) -> Dict[int, List[Packet]]:
+        """Route a burst and commit what its handoffs will take, in one loop.
 
-        :meth:`submit`, :meth:`submit_batch` and the RX pull all call it.
-        Returns each shard's packets in burst order and, aligned with them,
-        the flow-table slot found for each (``-1``: none yet), which the
-        commit reuses instead of probing again.  With ``rooms`` (the pull's
-        backpressure) the burst stops at the first packet whose shard
-        already got ``rooms[shard]`` of it; the rest stay unrouted.
+        The one place the routing rule is written down: :meth:`submit`,
+        :meth:`submit_batch` and the RX pull all call it.  Returns each
+        shard's routed packets in burst order, for :meth:`_handoff`.  With
+        ``rooms`` (the pull's backpressure) the burst stops at the first
+        packet whose shard already got ``rooms[shard]`` of it; the rest stay
+        unrouted.  ``by_shard`` carries the groups of earlier calls for the
+        same handoffs (a pull that routes one packet at a time): routing
+        appends to them, and room and acceptance count them.
 
         Per packet, residency beats placement:
 
@@ -589,92 +597,100 @@ class ShardedRuntime:
            asked only on a miss.
 
         Loans change only inside shard ticks and pins never inside a burst,
-        so one check of each covers the burst.  Pure lookup: home and
-        migration state change only once a packet is accepted
-        (:meth:`_commit_group`).
+        so one check of each covers the burst.
+
+        A routed packet is committed — its flow-table slot ensured, its home
+        set, its in-flight count raised — right here, when its shard's
+        handoff will take it.  That is known before the loop
+        (:meth:`_handoff_windows`): the handoff keeps a contiguous slice
+        of each group, after the head an armed ``handoff_drop`` eats and up
+        to the mailbox's room, and nothing between this loop and the
+        handoffs moves a fault budget or a mailbox.  A packet of a flow
+        committed earlier in the burst therefore routes exactly as it would
+        have before that commit: to the home the commit just set.
+
+        The first packet landing on a new home completes the migration: the
+        flow's pacing state moves with it (an RFS-style flow-state handoff),
+        so ``_next_free_ns`` and the remaining burst credit survive and the
+        flow cannot exceed its configured rate by hopping shards.
         """
-        by_shard: Dict[int, List[Packet]] = {}
-        slots_by_shard: Dict[int, List[int]] = {}
-        get_group = by_shard.get
+        if by_shard is None:
+            by_shard = {}
+        groups = [by_shard.get(shard) for shard in range(self.num_shards)]
+        windows = self._handoff_windows(groups, len(packets))
         front_get = self.flows._front.get
         lookup = self.flows.lookup
+        ensure = self.flows.ensure
         home_col = self._home
         in_flight = self._in_flight
+        count_of = in_flight.get
         placed_get = self.sharder.placed.get
         shard_for = self.sharder.shard_for
         loan_shard = self.sharder.loan_shard if self.sharder.has_loans else None
         for packet in packets:
             flow_id = packet.flow_id
             slot = front_get(flow_id)
-            if slot is None:
-                slot = lookup(flow_id)
-            shard = loan_shard(flow_id) if loan_shard is not None else None
-            if shard is None:
-                if slot >= 0 and flow_id in in_flight and home_col[slot] >= 0:
+            count = count_of(flow_id)
+            if loan_shard is None or (shard := loan_shard(flow_id)) is None:
+                if count is not None:
+                    # In flight: the flow has a slot and a home (the GC and
+                    # a crash restart clear only flows with nothing in flight).
+                    if slot is None:
+                        slot = lookup(flow_id)
                     shard = home_col[slot]
                 else:
                     shard = placed_get(flow_id)
                     if shard is None:
                         shard = shard_for(flow_id)
-            group = get_group(shard)
+            group = groups[shard]
+            if rooms is not None and (0 if group is None else len(group)) >= rooms[shard]:
+                break
             if group is None:
-                if rooms is not None and rooms[shard] <= 0:
-                    break
-                by_shard[shard] = [packet]
-                slots_by_shard[shard] = [slot]
-            else:
-                if rooms is not None and len(group) >= rooms[shard]:
-                    break
-                group.append(packet)
-                slots_by_shard[shard].append(slot)
-        return by_shard, slots_by_shard
-
-    def _commit_group(
-        self, group: List[Packet], slots: List[int], shard: int, taken: int
-    ) -> None:
-        """Record the accepted prefix ``group[:taken]`` on ``shard``.
-
-        The single commit seam of every submit path.  ``slots`` carries the
-        flow-table slot routing found for each packet (``-1``: the flow had
-        no entry, so it is created here — and found again if the same new
-        flow comes twice in one burst).  A carried slot cannot go stale: slots
-        only die in the GC sweep, which runs from :meth:`_deliver`, never
-        inside a submit or a pull.
-
-        The first packet landing on a new home completes the migration: the
-        flow's pacing state moves with it (an RFS-style flow-state handoff),
-        so ``_next_free_ns`` and the remaining burst credit survive and the
-        flow cannot exceed its configured rate by hopping shards.
-
-        Per-flow load-window attribution (:meth:`FlowSharder.record_burst`)
-        has one reader, the rebalancer, and only a rebalancing round ever
-        resets it; with none attached the group is accounted per shard only.
-        """
-        if not taken:
-            return
-        ensure = self.flows.ensure
-        home_col = self._home
-        in_flight = self._in_flight
-        count_of = in_flight.get
-        if taken < len(group):
-            group = group[:taken]  # zip below stops the slots there too
-        for packet, slot in zip(group, slots):
-            flow_id = packet.flow_id
-            if slot < 0:
+                group = groups[shard] = by_shard[shard] = []
+            group.append(packet)
+            if windows is not None and len(group) not in windows[shard]:
+                continue  # the handoff drops it: a fault's head or the mailbox's tail
+            if slot is None:
                 slot = ensure(flow_id)
-            home = home_col[slot]
-            if home != shard:
+            if home_col[slot] != shard:
+                home = home_col[slot]
                 if home >= 0:
                     self.migrations_applied += 1
                     shaper = self.workers[home].release_shaper(flow_id)
                     if shaper is not None:
                         self.workers[shard].adopt_shaper(flow_id, shaper)
                 home_col[slot] = shard
-            in_flight[flow_id] = count_of(flow_id, 0) + 1
-        if self.rebalancer is not None:
-            self.sharder.record_burst([packet.flow_id for packet in group], shard)
-        else:
-            self.sharder.record_shard(shard, taken)
+            in_flight[flow_id] = 1 if count is None else count + 1
+        return by_shard
+
+    def _handoff_windows(
+        self, groups: List[Optional[List[Packet]]], offered: int
+    ) -> Optional[List[range]]:
+        """Per shard, which packets of its routed group the handoff will take.
+
+        The group lengths, counted with the packet just appended, that it
+        takes.  An armed ``handoff_drop`` eats the group's first ``budget``
+        packets (:meth:`Supervisor.trim_handoff` takes ``min(budget,
+        offered)``) and the mailbox takes what follows up to its free room
+        (tail drop), so the taken packets are the ``budget + 1``-th to the
+        ``budget + room``-th.  ``None`` when every shard takes whatever this
+        call can route to it (a group grows by at most ``offered`` packets).
+        """
+        supervisor = self._supervisor
+        windows: List[range] = []
+        takes_all = True
+        for shard, worker in enumerate(self.workers):
+            skip = supervisor.handoff_budget(shard) if supervisor is not None else 0
+            mailbox = worker.mailbox
+            if mailbox.capacity is None:
+                room = sys.maxsize
+            else:
+                room = max(0, mailbox.capacity - len(mailbox))
+            group = groups[shard]
+            if skip or room < offered + (0 if group is None else len(group)):
+                takes_all = False
+            windows.append(range(skip + 1, skip + room + 1))
+        return None if takes_all else windows
 
     def submit(self, packet: Packet) -> bool:
         """Offer one packet to the runtime; False when it was dropped."""
@@ -705,10 +721,9 @@ class ShardedRuntime:
                 packet.metadata["e2e_ns"] = now
         if self._ingress is not None:
             return self._ingress.offer(packets)
-        by_shard, slots_by_shard = self._route_burst(packets)
         accepted = 0
-        for shard, group in by_shard.items():
-            accepted += self._handoff(shard, group, slots_by_shard[shard])
+        for shard, group in self._route_burst(packets).items():
+            accepted += self._handoff(shard, group)
         if accepted:
             self._arm_rebalance()
         return accepted
@@ -727,17 +742,21 @@ class ShardedRuntime:
         """
         self.backend.submit_at(when_ns, packets)
 
-    def _handoff(self, shard: int, packets: List[Packet], slots: List[int]) -> int:
+    def _handoff(self, shard: int, packets: List[Packet]) -> int:
         """Land one routed group in ``shard``'s mailbox; returns packets taken.
 
         The one handoff of every submit path: :meth:`submit_batch` calls it
         per shard group, and so does the RX pull (its ``deliver``).  An
         armed ``handoff_drop`` eats the head of the group first; tail drop
-        keeps the accepted prefix, so the commit takes the prefix of each
-        flow's packets within the group.
+        keeps the accepted prefix of the rest.  Routing already committed
+        exactly the packets taken here (:meth:`_route_burst`).
+
+        Per-flow load-window attribution (:meth:`FlowSharder.record_burst`)
+        has one reader, the rebalancer, and only a rebalancing round ever
+        resets it; with none attached the group is accounted per shard only.
         """
         if self._supervisor is not None:
-            packets, slots = self._supervisor.trim_handoff(shard, packets, slots)
+            packets = self._supervisor.trim_handoff(shard, packets)
             if not packets:
                 return 0
         mailbox = self.workers[shard].mailbox
@@ -755,7 +774,13 @@ class ShardedRuntime:
                 "mailbox_handoff",
                 {"offered": len(packets), "accepted": taken},
             )
-        self._commit_group(packets, slots, shard, taken)
+        if taken:
+            if self.rebalancer is not None:
+                self.sharder.record_burst(
+                    [packet.flow_id for packet in packets[:taken]], shard
+                )
+            else:
+                self.sharder.record_shard(shard, taken)
         if taken or before:
             self._work_arrived(shard)
         return taken
@@ -807,21 +832,23 @@ class ShardedRuntime:
                 "drain_batch",
                 {"released": len(released), "backlog": worker.backlog},
             )
-        self._deliver(released, now)
+        self._deliver(released, now, shard)
         if stealer is not None:
             stealer.after_drain(shard, now)
         self._schedule_next_tick(shard, now)
 
-    def _deliver(self, released: List[Packet], now: int) -> None:
-        """Hand released packets to the NIC side; settle leases they close.
+    def _deliver(self, released: List[Packet], now: int, shard: int) -> None:
+        """Hand ``shard``'s released packets to the NIC side; settle leases they close.
 
         This runs once per drained packet for the whole runtime, so every
-        per-packet lookup is hoisted into a local before the loop and the
-        optional branches (latency histogram, open leases) are resolved once
-        per call rather than once per packet.  The transmit log keeps no
+        per-packet lookup is hoisted into a local before the loop, and the
+        optional planes cost nothing per packet unless armed: the latency
+        histogram has a loop of its own, and an open lease is settled once
+        per drain (:meth:`Stealer.settle`).  The transmit log keeps no
         object per call either: the packets extend one flat list and
-        ``(now, count)`` goes into an ``array('q')``, so a drain leaves
-        nothing behind for CPython's cyclic collector to count or walk.
+        ``(now, count, shard)`` goes into an ``array('q')``, so a drain
+        leaves nothing behind for CPython's cyclic collector to count or
+        walk, and no packet carries its shard.
         """
         if not released:
             return
@@ -830,36 +857,26 @@ class ShardedRuntime:
             drains = self._unread_drains
             drains.append(now)
             drains.append(len(released))
-        finished: List[FlowLease] = []
+            drains.append(shard)
         in_flight = self._in_flight
         count_of = in_flight.get
-        stealer = self._stealer
-        open_leases = stealer.open_leases if stealer is not None else None
         e2e = self._e2e
-        for packet in released:
-            packet.departure_ns = now
-            if e2e is not None:
+        if e2e is not None:
+            for packet in released:
                 submitted_ns = packet.metadata.pop("e2e_ns", None)
                 if submitted_ns is not None:
                     e2e.record(now - submitted_ns)
+        for packet in released:
+            packet.departure_ns = now
             flow_id = packet.flow_id
             count = count_of(flow_id)
-            if count is not None:
-                if count > 1:
-                    in_flight[flow_id] = count - 1
-                else:
-                    del in_flight[flow_id]
-            if open_leases:
-                lease_id = packet.metadata.get("lease_id")
-                if lease_id is not None:
-                    entry = open_leases.get(lease_id)
-                    if entry is not None:
-                        entry[1] -= 1
-                        if entry[1] == 0:
-                            del open_leases[lease_id]
-                            finished.append(entry[0])
-        if finished:
-            stealer.finish(finished, now)
+            if count == 1:
+                del in_flight[flow_id]
+            elif count is not None:
+                in_flight[flow_id] = count - 1
+        stealer = self._stealer
+        if stealer is not None and stealer.open_leases:
+            stealer.settle(shard, released, now)
         if self.gc_interval_packets is not None:
             self._since_gc += len(released)
             if self._since_gc >= self.gc_interval_packets:
@@ -1178,6 +1195,7 @@ class ShardedRuntime:
             self.transmit_log = [
                 (departure_ns, packet) for departure_ns, _shard, _idx, packet in entries
             ]
+            self._transmit_shards[:] = [shard for _ns, shard, _idx, _packet in entries]
 
     def stop(self) -> None:
         """Cancel every outstanding shard, ingress, and rebalancing timer."""
@@ -1202,29 +1220,59 @@ class ShardedRuntime:
         One persistent flat list: the same object on every read, so edits
         made in place are still there on the next one.  The hot path logs
         per *drain* (:meth:`_deliver`): the released packets onto one flat
-        list, ``(now_ns, count)`` onto an integer array; a read appends the
-        per-packet view of everything logged since the previous read.
-        Whoever reads the log pays for the per-packet tuples, at the read; a
-        run that never reads it never allocates them.  Empty with
+        list, ``(now_ns, count, shard)`` onto an integer array; a read
+        appends the per-packet view of everything logged since the previous
+        read.  Whoever reads the log pays for the per-packet tuples, at the
+        read; a run that never reads it never allocates them.  The shard
+        that sent each entry is logged the same way, once per drain, and
+        read through :attr:`transmit_shards`.  Empty with
         ``record_transmits=False``.
         """
-        log = self._transmit_log
-        packets = self._unread_packets
-        if packets:
-            drains = self._unread_drains
-            times = itertools.chain.from_iterable(
-                map(itertools.repeat, drains[::2], drains[1::2])
-            )
-            log.extend(zip(times, packets))
-            packets.clear()
-            del drains[:]
-        return log
+        self._read_drains()
+        return self._transmit_log
 
     @transmit_log.setter
     def transmit_log(self, entries: List[tuple[int, Packet]]) -> None:
         self._transmit_log = entries
+        self._transmit_shards = [-1] * len(entries)  # sent by an unknown shard
         self._unread_packets.clear()
         del self._unread_drains[:]
+        del self._read_drains_log[:]
+        self._shards_expanded = 0
+
+    @property
+    def transmit_shards(self) -> List[int]:
+        """The shard that sent each :attr:`transmit_log` entry, aligned with it.
+
+        One persistent flat list, built on its own first read from the
+        per-drain log (a drain's packets all leave its shard: a stolen
+        packet is sent by its thief, a lease's deferred flush by its victim)
+        and extended on later reads, so a reader of the log alone never
+        pays for it.  Entries assigned through the ``transmit_log`` setter
+        read ``-1``.
+        """
+        self._read_drains()
+        drains = self._read_drains_log
+        if self._shards_expanded < len(drains):
+            tail = drains[self._shards_expanded:]
+            self._transmit_shards.extend(
+                itertools.chain.from_iterable(map(itertools.repeat, tail[2::3], tail[1::3]))
+            )
+            self._shards_expanded = len(drains)
+        return self._transmit_shards
+
+    def _read_drains(self) -> None:
+        """Expand the drains logged since the last read into the flat log."""
+        packets = self._unread_packets
+        if packets:
+            drains = self._unread_drains
+            times = itertools.chain.from_iterable(
+                map(itertools.repeat, drains[::3], drains[1::3])
+            )
+            self._transmit_log.extend(zip(times, packets))
+            self._read_drains_log.extend(drains)
+            packets.clear()
+            del drains[:]
 
     @property
     def pending(self) -> int:

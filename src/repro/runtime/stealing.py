@@ -188,7 +188,7 @@ class Stealer:
     stealable, is the driver's ``quantum_ns``: the batch the victim would
     have released at its very next tick.  The driver calls
     :meth:`wake_idle_thieves`, :meth:`splice`, :meth:`after_drain` and
-    :meth:`finish` (its ``_deliver`` counts down :attr:`open_leases`);
+    :meth:`settle` (its ``_deliver``, once per drain while a lease is open);
     recovery calls :meth:`reclaim`, :meth:`return_lease` and
     :meth:`overdue_thieves`.  The plane reads the driver's ``workers``,
     ``sharder``, ``quantum_ns``, ``tracer`` and ``_supervisor`` and calls
@@ -209,7 +209,7 @@ class Stealer:
         ]
         #: Per thief: leases granted and not yet spliced into its queue.
         self.inbox: List[List[FlowLease]] = [[] for _ in runtime.workers]
-        #: lease id -> ``[lease, stolen packets not yet released]``.
+        #: lease id -> ``[lease, stolen packets not yet released, its flow ids]``.
         self.open_leases: Dict[int, list] = {}
         self._lease_ids = itertools.count()
 
@@ -287,7 +287,9 @@ class Stealer:
             channel.pop()
             for flow_id in lease.flow_ids:
                 self._sharder.lend(flow_id, shard)
-            self.open_leases[lease.lease_id] = [lease, len(lease.packets)]
+            self.open_leases[lease.lease_id] = [
+                lease, len(lease.packets), frozenset(lease.flow_ids)
+            ]
             self.inbox[thief].append(lease)
             if self._tracer is not None:
                 self._tracer.emit(
@@ -351,18 +353,34 @@ class Stealer:
         elif outcome == "full":
             worker.steal.requests_dropped += 1
 
-    def finish(self, leases: List[FlowLease], now: int) -> None:
-        """Each thief released the last stolen packet of its lease: return them."""
-        for lease in leases:
-            self._workers[lease.thief_shard].finish_held_lease()
+    def settle(self, shard: int, released: List[Packet], now: int) -> None:
+        """Count one drain of ``shard`` against the lease it holds as thief.
+
+        Settled per drain, not per packet: only a lease's thief releases its
+        packets, a thief is granted a lease only while idle (so it holds one
+        at a time), and while the lease is out its flows route to the victim
+        — so this drain's packets of the lease's flows are exactly its
+        stolen ones.  The last one returns the lease to its victim.
+        """
+        for lease_id, entry in self.open_leases.items():
+            lease, remaining, flows = entry
+            if lease.thief_shard != shard:
+                continue
+            remaining -= sum(1 for packet in released if packet.flow_id in flows)
+            if remaining:
+                entry[1] = remaining
+                return
+            del self.open_leases[lease_id]
+            self._workers[shard].finish_held_lease()
             if self._tracer is not None:
                 self._tracer.emit(
                     now,
-                    f"shard-{lease.thief_shard}",
+                    f"shard-{shard}",
                     "lease_return",
                     {"lease_id": lease.lease_id, "victim": lease.victim_shard},
                 )
             self.return_lease(lease, now)
+            return
 
     def return_lease(self, lease: FlowLease, now: int) -> None:
         """Give a finished or reclaimed lease back to its victim, which
@@ -374,7 +392,7 @@ class Stealer:
         flushed = victim.end_lease(lease, now)
         for flow_id in lease.flow_ids:
             self._sharder.restore(flow_id)
-        self._runtime._deliver(flushed, now)
+        self._runtime._deliver(flushed, now, lease.victim_shard)
         if victim.pending:
             self._runtime._wake_shard(lease.victim_shard)
 
@@ -385,7 +403,7 @@ class Stealer:
         self.inbox[thief] = []
         held = [
             lease_id
-            for lease_id, (lease, _remaining) in self.open_leases.items()
+            for lease_id, (lease, *_count) in self.open_leases.items()
             if lease.thief_shard == thief
         ]
         return [(self.open_leases.pop(lease_id)[0], lease_id in in_inbox) for lease_id in held]
@@ -395,7 +413,7 @@ class Stealer:
         return sorted(
             {
                 lease.thief_shard
-                for lease, _remaining in self.open_leases.values()
+                for lease, *_count in self.open_leases.values()
                 if lease.granted_at_ns < granted_before
             }
         )

@@ -472,10 +472,6 @@ class ShardWorker:
         before = self.cost.total_cycles
         self.cost.charge("lock")  # cross-core handoff on the acceptor side
         self.cost.charge_queue_stats(lease.queue_delta.as_dict())
-        for _send_at, packet in lease.packets:
-            packet.metadata["stolen_from"] = lease.victim_shard
-            packet.metadata["lease_id"] = lease.lease_id
-            packet.metadata["shard"] = self.shard_id
         queued = len(self.queue)
         try:
             self.queue.enqueue_batch(lease.packets)

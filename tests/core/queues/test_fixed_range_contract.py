@@ -17,6 +17,7 @@ from repro.core.queues import (
     ApproximateGradientQueue,
     BucketedHeapQueue,
     BucketSpec,
+    CircularFFSQueue,
     FFSQueue,
     FixedRangeBucketQueue,
     GradientQueue,
@@ -25,6 +26,7 @@ from repro.core.queues import (
     PriorityOutOfRangeError,
     QueueError,
 )
+from repro.core.queues.hierarchical_ffs import FFSBitmapTree
 
 FAMILIES = [
     FFSQueue,
@@ -130,6 +132,27 @@ def test_a_drain_raises_when_the_index_names_an_empty_bucket(family, drain, monk
         queue._buckets[10] = left_in_place
         with pytest.raises(QueueError, match=f"{family.__name__}.*bucket 10"):
             drain(queue)
+    assert len(queue) == 2 and queue.stats.dequeues == 0
+
+
+@pytest.mark.parametrize(
+    "drain",
+    [lambda q: q.extract_due(163), lambda q: q.extract_due(120, limit=3), lambda q: q.extract_min_batch(5)],
+    ids=["extract_due", "extract_due_partial", "extract_min_batch"],
+)
+def test_a_cffs_drain_raises_when_the_tree_names_an_empty_bucket(drain, monkeypatch):
+    # cFFS keeps its own drains over two rotating windows; the same rule
+    # holds there.  Trusting the tree, a missing FIFO would be recycled onto
+    # the shared free list as None (the next new bucket then fails far from
+    # here) and an empty one would be taken from forever.
+    queue = CircularFFSQueue(SPEC)
+    queue.enqueue_batch([(104, "a"), (140, "b")])
+    monkeypatch.setattr(FFSBitmapTree, "first_set", lambda self: (10, 1))
+    for left_in_place in (None, deque()):
+        queue._primary.buckets[10] = left_in_place
+        with pytest.raises(QueueError, match="CircularFFSQueue.*bucket 10"):
+            drain(queue)
+        assert None not in queue._free
     assert len(queue) == 2 and queue.stats.dequeues == 0
 
 

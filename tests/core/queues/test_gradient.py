@@ -275,7 +275,9 @@ class TestCircularGradientQueues:
             queue.enqueue(39, "stale")
         with pytest.raises(ValueError):
             queue.enqueue_batch([(45, "fine"), (39, "stale")])
-        assert queue.empty
+        # The validated prefix stays, as a single enqueue of it would.
+        assert len(queue) == 1 and queue.stats.enqueues == 1
+        assert queue.extract_min() == (45, "fine")
 
     def test_circular_empty_raises(self):
         queue = CircularGradientQueue(BucketSpec(num_buckets=8))

@@ -48,6 +48,25 @@ def walked_linear_search(queue, start):
     raise EmptyQueueError("no non-empty bucket found")
 
 
+def walked_estimate_bucket(queue):
+    """The one-step estimate as the paper states it, one ``divisions`` a lookup.
+
+    ``ceil(b / a) + u(alpha)`` is the estimated maximum non-empty internal
+    index, clamped into the external range; ``a <= 0`` or an overflowing
+    ``b / a`` (the float sums cancelled) starts the scan at bucket 0.
+    """
+    queue.stats.divisions += 1
+    if not queue._nonempty:
+        raise EmptyQueueError("approximate gradient queue is empty")
+    if queue._a <= 0.0:
+        return 0
+    try:
+        estimate = math.ceil(queue._b / queue._a) + queue.shift
+    except OverflowError:
+        return 0
+    return min(max(queue._top - estimate, 0), queue.spec.num_buckets - 1)
+
+
 def walked_true_min_bucket(queue):
     for bucket, entries in enumerate(queue._buckets):
         if entries:
@@ -85,7 +104,7 @@ class WalkedApproximateGradientQueue(ApproximateGradientQueue):
             self._b = 0.0
 
     def _min_bucket(self):
-        bucket = self._estimate_bucket()
+        bucket = walked_estimate_bucket(self)
         if self._buckets[bucket]:
             selected = bucket
         else:
@@ -269,7 +288,7 @@ class TestLinearSearchCases:
             queue.enqueue_batch([(1, "a"), (2, "b")])
             estimate = math.ceil(queue._b / queue._a) + queue.shift
             assert queue._top - estimate < 0  # the external bucket
-            assert queue._estimate_bucket() == 0
+            assert walked_estimate_bucket(queue) == 0
             assert queue.extract_min() == (1, "a")
             assert queue.stats.linear_scans == 1
         assert state(charged) == state(walked)
@@ -283,7 +302,7 @@ class TestLinearSearchCases:
         for queue in (charged, walked):
             queue.enqueue(5, "only")
             queue._b = -queue._b
-            assert queue._estimate_bucket() == 63
+            assert walked_estimate_bucket(queue) == 63
             assert queue._min_bucket() == 5
             assert queue.stats.linear_scans == 63 - 5
         assert state(charged) == state(walked)

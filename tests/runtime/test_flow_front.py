@@ -128,7 +128,7 @@ def _apply(table, operation):
         ]
         pairs = table.stamp_burst(packets, _RATES.get, default_rate, now_ns)
         return [
-            (send_at, packet.flow_id, packet.metadata["send_at_ns"], packet.metadata["shard"])
+            (send_at, packet.flow_id, packet.rank, packet.metadata)
             for send_at, packet in pairs
         ]
     assert kind == "wave"

@@ -253,8 +253,7 @@ def _chained_burst(table, packets, rate_of, default_rate, now_ns):
         else:
             slot = table.slot_for(packet.flow_id, rate)
             send_at = table.stamp(slot, packet.size_bytes, now_ns)
-        packet.metadata["send_at_ns"] = send_at
-        packet.metadata["shard"] = table.shard_id
+        packet.rank = send_at
         pairs.append((send_at, packet))
     return pairs
 
@@ -321,8 +320,8 @@ class TestStampBurst:
                 assert [send_at for send_at, _packet in got] == [
                     send_at for send_at, _packet in expected
                 ]
-                assert [packet.metadata for _send_at, packet in got] == [
-                    packet.metadata for _send_at, packet in expected
+                assert [(packet.rank, packet.metadata) for _send_at, packet in got] == [
+                    (packet.rank, packet.metadata) for _send_at, packet in expected
                 ]
                 assert [(p.flow_id, p.size_bytes) for _send_at, p in got] == flows_sizes
             elif step[0] == "remove":

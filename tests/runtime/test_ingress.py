@@ -34,25 +34,25 @@ def _router(shard_of):
     """A burst router for ``IngressCore.pull`` over a per-flow shard map.
 
     The runtime's router contract without its flow table: groups in ring
-    order, slot ``-1`` for every packet, and a stop at the first packet
-    whose shard has no room left.
+    order, appended to ``groups`` when given, and a stop at the first
+    packet whose shard has no room left.
     """
 
-    def route(packets, rooms):
-        groups, slots = {}, {}
+    def route(packets, rooms, groups=None):
+        if groups is None:
+            groups = {}
         for packet in packets:
             shard = shard_of(packet.flow_id)
             if rooms is not None and len(groups.get(shard, ())) >= rooms[shard]:
                 break
             groups.setdefault(shard, []).append(packet)
-            slots.setdefault(shard, []).append(-1)
-        return groups, slots
+        return groups
 
     return route
 
 
 def _deliver_to(mailboxes):
-    return lambda shard, group, slots: mailboxes[shard].push_batch(group)
+    return lambda shard, group: mailboxes[shard].push_batch(group)
 
 
 def _flow_sequences(transmit_log):

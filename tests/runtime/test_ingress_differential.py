@@ -1,18 +1,18 @@
 """Differential tests: the RX path against a twin that does it all per packet.
 
-The pull routes its whole head window in one router call and stops at the
-first packet that does not fit its mailbox; the lane sharder memoises each
-flow's ingress lane, the runtime carries the routing slots into the commit,
-records the load window once per flow per group and the ring sojourns once
-per run of equal arrival times, and an RX ring counts flows only for a policy
-that reads the counts.  The twin undoes every one of those: it routes one
-packet per router call against the room each mailbox has left, asks a lane
-sharder that keeps no memo for every packet, commits with no slots (every
-packet probes the flow table), records the window one packet at a time,
-attributes and records the sojourns one delivered packet at a time, and
-keeps flow counts on every ring.  On the same Zipf arrivals — 4 shards, 2 RX
-cores, stealing and rebalancing on — the two must agree on everything
-observable.
+The pull routes its whole head window in one router call, which commits
+each packet its handoff will take as it routes it, and stops at the first
+packet that does not fit its mailbox; the lane sharder memoises each flow's
+ingress lane, the runtime records the load window once per flow per group
+and the ring sojourns once per run of equal arrival times, and an RX ring
+counts flows only for a policy that reads the counts.  The twin undoes every
+one of those: it routes one packet per router call into the pull's groups
+(each call reads the mailbox rooms and fault budgets afresh), asks a lane
+sharder that keeps no memo for every packet, records the window one packet
+at a time, attributes and records the sojourns one delivered packet at a
+time, and keeps flow counts on every ring.  On the same Zipf arrivals — 4
+shards, 2 RX cores, stealing and rebalancing on — the two must agree on
+everything observable.
 """
 
 import random
@@ -57,16 +57,6 @@ class _PerPacketCore(IngressCore):
                 self.sojourn_hist.record(now_ns - arrival_of[id(packet)])
 
 
-class _CheckedRuntime(ShardedRuntime):
-    """The real path, checking that every carried slot is its packet's own."""
-
-    def _commit_group(self, group, slots, shard, taken):
-        key = self.flows.key
-        for packet, slot in zip(group, slots):
-            assert slot < 0 or key[slot] == packet.flow_id
-        super()._commit_group(group, slots, shard, taken)
-
-
 class _PerPacketTwin(ShardedRuntime):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -76,22 +66,14 @@ class _PerPacketTwin(ShardedRuntime):
             core.__class__ = _PerPacketCore  # same slots, per-packet sojourns
             core.ring.count_flows()
 
-    def _route_burst(self, packets, rooms=None):
-        groups, slots = {}, {}
-        left = None if rooms is None else list(rooms)
+    def _route_burst(self, packets, rooms=None, by_shard=None):
+        groups = {} if by_shard is None else by_shard
         for packet in packets:
-            routed, routed_slots = super()._route_burst([packet], left)
-            if not routed:
+            routed = sum(map(len, groups.values()))
+            super()._route_burst([packet], rooms, groups)
+            if sum(map(len, groups.values())) == routed:
                 break
-            ((shard, _group),) = routed.items()
-            groups.setdefault(shard, []).append(packet)
-            slots.setdefault(shard, []).extend(routed_slots[shard])
-            if left is not None:
-                left[shard] -= 1
-        return groups, slots
-
-    def _handoff(self, shard, packets, slots):
-        return super()._handoff(shard, packets, [-1] * len(slots))
+        return groups
 
 
 def _zipf_bursts(seed, num_flows=64, skew=1.2, burst=48, bursts=60, flows=None):
@@ -159,7 +141,7 @@ def _drive(runtime_cls, flow_bursts, window_limit=None, lane_pins=None, **kwargs
 def _both(flow_bursts, make_plan=None, **kwargs):
     """Run the real path and the twin (a fresh fault plan each); they must agree."""
     outcomes = []
-    for runtime_cls in (_CheckedRuntime, _PerPacketTwin):
+    for runtime_cls in (ShardedRuntime, _PerPacketTwin):
         if make_plan is not None:
             kwargs["fault_plan"] = make_plan()
         outcomes.append(_drive(runtime_cls, flow_bursts, **kwargs))
@@ -227,7 +209,7 @@ def test_groups_cut_short_by_a_full_mailbox_or_a_handoff_fault():
     # a group's delivered packets are a prefix of it, not all of it.  Every
     # flow hashes to shard 0 or 3, so the faulted shards 1 and 2 are first
     # offered flows the rebalancer moved there: flows that hold a slot, and
-    # the carried slots must shift with the dropped heads.
+    # routing must commit none of the heads the handoff drops.
     flows = [flow_id for flow_id in range(1, 1_000) if rss_hash(flow_id) % 4 in (0, 3)][:64]
     def make_plan():
         return FaultPlan(

@@ -180,7 +180,7 @@ class TestAcceptorSide:
         # Release order and times follow the victim's stamps exactly.
         released = thief.drain_due(now_ns=stamps[-1])
         assert [p.metadata["arrival_index"] for p in released] == list(range(len(stamps)))
-        assert all(p.metadata["stolen_from"] == 0 for p in released)
+        assert released == [packet for _send_at, packet in lease.packets]
         thief.finish_held_lease()
         assert thief.leases_held == 0
 
@@ -421,12 +421,6 @@ class TestStealDifferential:
 
     def test_stolen_run_spreads_residency(self):
         stolen = self._drive(steal=True)
-        shards = {
-            packet.metadata["shard"] for _now, packet in stolen.transmit_log
-        }
-        stolen_from = {
-            packet.metadata.get("stolen_from")
-            for _now, packet in stolen.transmit_log
-        } - {None}
-        assert stolen_from, "no packet records a steal"
+        shards = set(stolen.transmit_shards)
+        assert stolen.telemetry().packets_stolen > 0, "no packet was stolen"
         assert len(shards) > 1

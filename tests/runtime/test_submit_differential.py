@@ -1,16 +1,17 @@
 """Differential tests: ``submit_batch`` against packet-by-packet ``submit``.
 
-``submit_batch`` routes a whole burst with one flow-table probe per packet
-and carries the slots it found to one commit per shard group
-(``ShardedRuntime._commit_group``); ``submit`` routes and commits one packet
-at a time.  On the same arrivals the two must be indistinguishable: the same
-per-flow departure sequences at the same virtual times, the same modelled
-cycles, migrations, counted drops and post-drain residue.
+``submit_batch`` routes a whole burst and, in the same loop, commits the
+packets each shard's handoff will take (``ShardedRuntime._route_burst``);
+``submit`` routes and commits one packet at a time.  On the same arrivals
+the two must be indistinguishable: the same per-flow departure sequences at
+the same virtual times, the same modelled cycles, migrations, counted drops
+and post-drain residue.
 
-The cases are the ones where a carried slot could go wrong: a mailbox that
-accepts only a prefix of a group, a handoff fault that eats the head of a
-group (the slot list must shift with it), a flow that is new twice in one
-burst, and bursts that land while flows are on loan to a thief.
+The cases are the ones where committing while routing could go wrong: a
+mailbox that accepts only a prefix of a group, a handoff fault that eats the
+head of a group (routing must skip exactly those packets), a flow that is
+new twice in one burst, and bursts that land while flows are on loan to a
+thief.
 
 Equality is exact only where both paths program the shard timers in the
 same order.  Without stealing that is always so (shards wake in order of
@@ -134,12 +135,12 @@ def test_mailbox_tail_drop_commits_only_the_accepted_prefix():
 
 def test_handoff_drops_keep_carried_slots_aligned():
     # A handoff budget fires on the first packets a shard is ever offered,
-    # when every flow is still new and every carried slot is -1.  To make
-    # the drops land on *known* flows, the traffic first runs on shards 0
-    # and 3 only and is then re-pinned onto the two faulted shards: the
-    # next burst arrives with a real slot per packet, loses the head of
-    # both groups (one budget outlasts a whole group), and each survivor
-    # must still be committed — and migrated — under its own slot.
+    # when every flow is still new.  To make the drops land on *known*
+    # flows, the traffic first runs on shards 0 and 3 only and is then
+    # re-pinned onto the two faulted shards: the next burst arrives with a
+    # slot per flow, loses the head of both groups (one budget outlasts a
+    # whole group), and each survivor must still be committed — and
+    # migrated — under its own slot.
     flows = [
         flow_id for flow_id in range(200) if rss_hash(flow_id, DEFAULT_HASH_SEED) % 4 in (0, 3)
     ][:40]
@@ -285,6 +286,12 @@ def _offer(runtime, flow_ids, batched):
     return packets
 
 
+def _sent_by(runtime, packet):
+    """The shard whose drain sent ``packet``, read from the transmit log."""
+    log = runtime.transmit_log
+    return runtime.transmit_shards[[sent for _now, sent in log].index(packet)]
+
+
 def _cached_runtime(batched, **kwargs):
     """A two-shard runtime plus a flow whose placement on shard 0 is memoised."""
     runtime = ShardedRuntime(
@@ -302,7 +309,7 @@ def _cached_runtime(batched, **kwargs):
     (packet,) = _offer(runtime, [flow], batched)  # idle, holds a slot
     runtime.run()
     assert runtime.sharder.stats.lookups == asked  # the memoised answer was used
-    assert packet.metadata["shard"] == 0
+    assert _sent_by(runtime, packet) == 0
     return runtime, flow
 
 
@@ -312,8 +319,8 @@ def _assert_moved_with_its_shaper(runtime, flow, batched, src, dst):
     migrations = runtime.migrations_applied
     (packet,) = _offer(runtime, [flow], batched)
     runtime.run()
-    assert packet.metadata["shard"] == dst
-    assert packet.metadata["send_at_ns"] == next_free
+    assert _sent_by(runtime, packet) == dst
+    assert packet.rank == next_free
     assert runtime.migrations_applied == migrations + 1
     assert flow not in runtime.workers[src].pacing
     assert runtime.workers[dst].pacing.next_free_ns(flow) == next_free + GAP_NS
@@ -353,7 +360,7 @@ def test_forget_of_an_unpinned_flow_keeps_its_shard(batched):
     (packet,) = _offer(runtime, [flow], batched)
     runtime.run()
     assert runtime.sharder.stats.lookups == asked + 1
-    assert packet.metadata["shard"] == 0
+    assert _sent_by(runtime, packet) == 0
     assert not any(runtime.residual_state().values())
 
 
@@ -378,7 +385,7 @@ def test_a_rebalancing_round_keeps_the_placements_it_did_not_move():
     packets = _offer(runtime, [kept, moved], batched=True)
     runtime.run()
     assert runtime.sharder.stats.lookups == asked + 1  # only the moved flow asks
-    assert [packet.metadata["shard"] for packet in packets] == [0, 1]
+    assert [_sent_by(runtime, packet) for packet in packets] == [0, 1]
 
 
 @pytest.mark.parametrize("driver", ["rebalance", "gc"])
@@ -408,7 +415,7 @@ def test_a_direct_pin_outlives_a_driver_change_before_the_next_burst(driver):
         assert runtime.flows.stats.gc_sweeps > 0
     (packet,) = _offer(runtime, [flow], batched=True)
     runtime.run()
-    assert packet.metadata["shard"] == 1
+    assert _sent_by(runtime, packet) == 1
 
 
 class _NeverCachedSharder(FlowSharder):
@@ -474,8 +481,8 @@ def _replay(operations, sharder, batched, rebalance=False, crash=None):
     telemetry = runtime.telemetry()
     return {
         "departures": [
-            (now_ns, packet.flow_id, packet.metadata["arrival_index"], packet.metadata["shard"])
-            for now_ns, packet in runtime.transmit_log
+            (now_ns, packet.flow_id, packet.metadata["arrival_index"], shard)
+            for (now_ns, packet), shard in zip(runtime.transmit_log, runtime.transmit_shards)
         ],
         "total_cycles": telemetry.total_cycles,
         "migrations_applied": telemetry.migrations_applied,

@@ -119,9 +119,9 @@ def test_flat_view_equals_per_drain_order_under_stealing_and_rebalancing():
     runtime._stealer.horizon_ns = 100_000
     deliver = runtime._deliver
 
-    def recording_deliver(released, now_ns):
-        seen.extend((now_ns, packet.packet_id) for packet in released)
-        deliver(released, now_ns)
+    def recording_deliver(released, now_ns, shard):
+        seen.extend((now_ns, packet.packet_id, shard) for packet in released)
+        deliver(released, now_ns, shard)
 
     runtime._deliver = recording_deliver
     for index in range(30):
@@ -134,7 +134,11 @@ def test_flat_view_equals_per_drain_order_under_stealing_and_rebalancing():
     assert sum(shard.steals.drains_deferred for shard in telemetry.shards) > 0
     assert sum(shard.steals.leases_returned for shard in telemetry.shards) > 0
     assert len(seen) == 30 * 128
-    assert [(now, packet.packet_id) for now, packet in runtime.transmit_log] == seen
+    assert [
+        (now, packet.packet_id, shard)
+        for (now, packet), shard in zip(runtime.transmit_log, runtime.transmit_shards)
+    ] == seen
+    assert len(runtime.transmit_shards) == len(seen)
 
 
 def _tracked_objects():
@@ -176,3 +180,22 @@ def test_an_unread_log_keeps_no_tracked_object_per_drain():
     assert drains >= packets // 64
     assert _tracked_objects() - before < 64
     assert len(runtime.transmit_log) == packets
+
+
+def test_the_sending_shard_is_logged_per_drain_and_expanded_only_when_read():
+    runtime = _runtime(num_shards=4)
+    flows = range(64)
+    runtime.submit_at(0, _burst(flows))
+    runtime.run()
+    log = runtime.transmit_log
+    assert len(log) == 64 and runtime._transmit_shards == []  # not built by a log read
+    shards = runtime.transmit_shards
+    assert shards is runtime.transmit_shards and len(shards) == 64
+    placement = {flow_id: runtime.sharder.shard_for(flow_id) for flow_id in flows}
+    assert [placement[packet.flow_id] for _now, packet in log] == shards
+    # A later drain extends both views; assigning the log resets them.
+    runtime.submit_at(runtime.simulator.now_ns + QUANTUM_NS, _burst([3]))
+    runtime.run()
+    assert runtime.transmit_shards[64:] == [placement[3]]
+    runtime.transmit_log = [log[0]]
+    assert runtime.transmit_shards == [-1]
