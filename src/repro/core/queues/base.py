@@ -231,6 +231,17 @@ class IntegerPriorityQueue(abc.ABC):
     # observationally equivalent to repeated single-element operations —
     # same elements, same order, same ``QueueStats`` — and the per-element
     # loops that define that are the oracles under ``tests/core/queues``.
+    #
+    # The pair surface above hands out ``(priority, item)`` tuples; the item
+    # surface below holds items that carry their own rank in a ``rank``
+    # attribute (a stamped :class:`~repro.core.model.packet.Packet`), so a
+    # queued element is the item alone.  A tuple per element is one more
+    # GC-tracked object for as long as the element is queued: a deep
+    # shaping backlog of them is what drives CPython's cyclic collector.
+    # The bucket stores (:class:`FixedRangeBucketQueue` and the cFFS) hold
+    # items natively, through the same loops as pairs; every other queue
+    # gets the defaults below, which pair the items up.  A queue is filled
+    # and drained through one surface, never both.
 
     @abc.abstractmethod
     def enqueue_batch(self, pairs: Iterable[tuple[int, Any]]) -> int:
@@ -256,6 +267,24 @@ class IntegerPriorityQueue(abc.ABC):
         buckets span several priority units (granularity > 1) release at
         bucket resolution, exactly as a per-element peek/extract loop does.
         """
+
+    # -- item surface -----------------------------------------------------
+
+    def enqueue_items(self, items: Iterable[Any]) -> int:
+        """Insert every item at ``item.rank``; returns the count inserted."""
+        return self.enqueue_batch([(item.rank, item) for item in items])
+
+    def extract_due_items(self, now: int, limit: Optional[int] = None) -> list[Any]:
+        """:meth:`extract_due` for items: the due items, in release order."""
+        return [item for _rank, item in self.extract_due(now, limit)]
+
+    def extract_min_items(self, n: int) -> list[Any]:
+        """:meth:`extract_min_batch` for items: up to ``n`` minimum items."""
+        return [item for _rank, item in self.extract_min_batch(n)]
+
+    def peek_min_item(self) -> Any:
+        """The item :meth:`extract_min_items` would release first."""
+        return self.peek_min()[1]
 
     # -- shared helpers ---------------------------------------------------
 
@@ -308,8 +337,8 @@ class FixedRangeBucketQueue(IntegerPriorityQueue):
 
     def __init__(self, spec: BucketSpec) -> None:
         super().__init__(spec)
-        self._buckets: list[Optional[Deque[tuple[int, Any]]]] = [None] * spec.num_buckets
-        self._free: list[Deque[tuple[int, Any]]] = []
+        self._buckets: list[Optional[Deque[Any]]] = [None] * spec.num_buckets
+        self._free: list[Deque[Any]] = []
 
     # -- the index: what a family supplies ----------------------------------
 
@@ -337,7 +366,7 @@ class FixedRangeBucketQueue(IntegerPriorityQueue):
             f"[{base}, {base + self.spec.horizon}) of {type(self).__name__}"
         )
 
-    def _release(self, bucket: int, entries: Deque[tuple[int, Any]]) -> None:
+    def _release(self, bucket: int, entries: Deque[Any]) -> None:
         """Detach a drained FIFO: the bucket reads empty, the deque is recycled."""
         self._buckets[bucket] = None
         self._free.append(entries)
@@ -378,13 +407,22 @@ class FixedRangeBucketQueue(IntegerPriorityQueue):
         return self._buckets[self._min_bucket()][0]
 
     def enqueue_batch(self, pairs: Iterable[tuple[int, Any]]) -> int:
-        """Batched insert: one bucket lookup and index update per bucket.
+        """Batched insert: one bucket lookup and index update per bucket."""
+        return self._place(pairs, False)
 
-        Pairs append straight into their bucket FIFOs on hoisted locals; a
-        key set tracks the distinct buckets for the amortised
-        ``bucket_lookups`` charge, and counters settle once per batch.  On a
-        mid-batch validation error the inserted prefix stays enqueued and
-        counted, as repeated single inserts would leave it.
+    def enqueue_items(self, items: Iterable[Any]) -> int:
+        return self._place(items, True)
+
+    def _place(self, batch: Iterable[Any], items: bool) -> int:
+        """Batched insert of pairs or (``items``) ranked items.
+
+        One bucket lookup and index update per bucket: entries append
+        straight into their bucket FIFOs on hoisted locals; a key set
+        tracks the distinct buckets for the amortised ``bucket_lookups``
+        charge, and counters settle once per batch.  An entry's rank is
+        ``entry.rank`` when ``items``, else ``entry[0]``.  On a mid-batch
+        validation error the inserted prefix stays enqueued and counted,
+        as repeated single inserts would leave it.
         """
         spec = self.spec
         base = spec.base_priority
@@ -397,11 +435,12 @@ class FixedRangeBucketQueue(IntegerPriorityQueue):
         seen_add = seen.add
         count = 0
         try:
-            for pair in pairs:
-                priority = pair[0]
+            for entry in batch:
+                priority = entry.rank if items else entry[0]
                 if type(priority) is not int:
                     priority = validate_priority(priority)
-                    pair = (priority, pair[1])
+                    if not items:
+                        entry = (priority, entry[1])
                 if priority < base or priority >= hi:
                     raise self._out_of_range(priority)
                 bucket = (priority - base) // granularity
@@ -410,7 +449,7 @@ class FixedRangeBucketQueue(IntegerPriorityQueue):
                 if entries is None:
                     entries = buckets[bucket] = free.pop() if free else deque()
                     mark_nonempty(bucket)
-                entries.append(pair)
+                entries.append(entry)
                 count += 1
         finally:
             stats = self.stats
@@ -429,7 +468,12 @@ class FixedRangeBucketQueue(IntegerPriorityQueue):
         """
         if n < 0:
             raise ValueError("batch size must be non-negative")
-        return self._drain(n, None)
+        return self._drain(n, None, False)
+
+    def extract_min_items(self, n: int) -> list[Any]:
+        if n < 0:
+            raise ValueError("batch size must be non-negative")
+        return self._drain(n, None, True)
 
     def extract_due(
         self, now: int, limit: Optional[int] = None
@@ -442,14 +486,21 @@ class FixedRangeBucketQueue(IntegerPriorityQueue):
         may select a non-extremal one), exactly where a per-element
         peek/extract loop would look.
         """
-        return self._drain(limit, now)
+        return self._drain(limit, now, False)
 
-    def _drain(self, limit: Optional[int], now: Optional[int]) -> list[tuple[int, Any]]:
+    def extract_due_items(self, now: int, limit: Optional[int] = None) -> list[Any]:
+        return self._drain(limit, now, True)
+
+    #: The head entry is the item itself on a queue filled with items.
+    peek_min_item = peek_min
+
+    def _drain(self, limit: Optional[int], now: Optional[int], items: bool) -> list[Any]:
         """Remove up to ``limit`` minimum entries, due by ``now`` (``None``: all).
 
-        The batch drain behind :meth:`extract_min_batch` and
-        :meth:`extract_due`.  A bucket the index names must hold an entry;
-        one that does not raises instead of being visited again.
+        The batch drain behind both surfaces' :meth:`extract_min_batch` and
+        :meth:`extract_due`; an entry's rank is ``entry.rank`` when
+        ``items``, else ``entry[0]``.  A bucket the index names must hold an
+        entry; one that does not raises instead of being visited again.
         """
         size = self._size
         stop = size if limit is None or limit > size else limit
@@ -460,7 +511,7 @@ class FixedRangeBucketQueue(IntegerPriorityQueue):
             if now is None
             else (now - spec.base_priority + 1) // spec.granularity - 1
         )
-        drained: list[tuple[int, Any]] = []
+        drained: list[Any] = []
         buckets = self._buckets
         free_append = self._free.append
         min_bucket = self._min_bucket
@@ -481,7 +532,9 @@ class FixedRangeBucketQueue(IntegerPriorityQueue):
                     take = 0
                     if count < room:
                         room = count
-                    while take < room and entries[take][0] <= now:
+                    while take < room and (
+                        entries[take].rank if items else entries[take][0]
+                    ) <= now:
                         take += 1
                 elif count > room:
                     take = room

@@ -31,7 +31,8 @@ implementation — only the interpreter work changed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Iterable, Iterator, List, Optional
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Deque, Iterable, Iterator, List, Optional
 
 from .base import (
     BucketSpec,
@@ -42,6 +43,11 @@ from .base import (
 )
 from .ffs import DEFAULT_WORD_WIDTH
 from .hierarchical_ffs import FFSBitmapTree
+
+
+def _rank_reader(items: bool) -> Callable[[Any], int]:
+    """How a queued entry's rank is read: ``entry.rank`` for items, else ``entry[0]``."""
+    return attrgetter("rank") if items else itemgetter(0)
 
 
 class _Window:
@@ -58,9 +64,9 @@ class _Window:
         self,
         num_buckets: int,
         word_width: int,
-        free: List[Deque[tuple[int, Any]]],
+        free: List[Deque[Any]],
     ) -> None:
-        self.buckets: list[Optional[Deque[tuple[int, Any]]]] = [None] * num_buckets
+        self.buckets: list[Optional[Deque[Any]]] = [None] * num_buckets
         self.tree = FFSBitmapTree(num_buckets, word_width)
         self.size = 0
         self.free = free
@@ -69,7 +75,7 @@ class _Window:
     def empty(self) -> bool:
         return self.size == 0
 
-    def recycle(self, bucket: int, entries: Deque[tuple[int, Any]]) -> None:
+    def recycle(self, bucket: int, entries: Deque[Any]) -> None:
         """Return a drained bucket deque to the shared free list."""
         self.buckets[bucket] = None
         self.free.append(entries)
@@ -101,7 +107,7 @@ class CircularFFSQueue(IntegerPriorityQueue):
         self.word_width = word_width
         self.allow_stale = allow_stale
         self.h_index = spec.base_priority
-        self._free: List[Deque[tuple[int, Any]]] = []
+        self._free: List[Deque[Any]] = []
         self._primary = _Window(spec.num_buckets, word_width, self._free)
         self._secondary = _Window(spec.num_buckets, word_width, self._free)
 
@@ -176,19 +182,21 @@ class CircularFFSQueue(IntegerPriorityQueue):
         window.size += 1
         self._size += 1
 
-    def _rotate(self) -> None:
+    def _rotate(self, items: bool) -> None:
         """Swap primary and secondary windows and advance ``h_index``.
 
         The incoming primary window may carry an unsorted overflow (last)
         bucket of beyond-horizon ranks; those are re-dispatched into the new
         secondary range so they are not dequeued as if they were due.
+        ``items`` says how the queued entries carry their rank (see
+        :meth:`_place`).
         """
         self._primary, self._secondary = self._secondary, self._primary
         self.h_index += self.window_span
         self.stats.rotations += 1
-        self._rebucket_overflow()
+        self._rebucket_overflow(items)
 
-    def _rebucket_overflow(self) -> None:
+    def _rebucket_overflow(self, items: bool) -> None:
         """Re-dispatch the new primary's overflow bucket after a rotation.
 
         Entries whose rank falls inside the last bucket's own range stay put;
@@ -202,10 +210,11 @@ class CircularFFSQueue(IntegerPriorityQueue):
             return
         last_floor = self.h_index + last * self.spec.granularity
         _lo, hi = self.primary_range
-        if all(last_floor <= priority < hi for priority, _item in entries):
+        rank_of = _rank_reader(items)
+        if all(last_floor <= priority < hi for priority in map(rank_of, entries)):
             return  # everything legitimately belongs to the last bucket
         free = self._free
-        keep: Deque[tuple[int, Any]] = free.pop() if free else deque()
+        keep: Deque[Any] = free.pop() if free else deque()
         moved = 0
         scanned = 0
         stats = self.stats
@@ -213,7 +222,7 @@ class CircularFFSQueue(IntegerPriorityQueue):
         secondary = self._secondary
         while entries:
             entry = entries.popleft()
-            priority = entry[0]
+            priority = rank_of(entry)
             stats.linear_scans += 1
             if priority < hi:
                 window = primary
@@ -247,7 +256,7 @@ class CircularFFSQueue(IntegerPriorityQueue):
         primary.size -= moved
         secondary.size += moved
 
-    def _fast_forward_if_overflow_only(self) -> None:
+    def _fast_forward_if_overflow_only(self, items: bool) -> None:
         """Jump ``h_index`` ahead when only far-future overflow ranks remain.
 
         Called with an empty primary window.  If every remaining element sits
@@ -264,17 +273,17 @@ class CircularFFSQueue(IntegerPriorityQueue):
             return
         entries = self._secondary.buckets[last]
         self.stats.linear_scans += len(entries)
-        min_priority = min(priority for priority, _item in entries)
+        min_priority = min(map(_rank_reader(items), entries))
         span = self.window_span
         if min_priority < self.h_index + 2 * span:
             return
         self.h_index += ((min_priority - self.h_index) // span - 1) * span
 
-    def _advance_to_nonempty(self) -> _Window:
+    def _advance_to_nonempty(self, items: bool) -> _Window:
         """Rotate until the primary window holds the minimum element."""
         while self._primary.size == 0 and self._secondary.size != 0:
-            self._fast_forward_if_overflow_only()
-            self._rotate()
+            self._fast_forward_if_overflow_only(items)
+            self._rotate(items)
         if self._primary.size == 0:
             raise EmptyQueueError("circular FFS queue is empty")
         return self._primary
@@ -282,7 +291,7 @@ class CircularFFSQueue(IntegerPriorityQueue):
     def extract_min(self) -> tuple[int, Any]:
         if self.empty:
             raise EmptyQueueError("extract_min from empty CircularFFSQueue")
-        window = self._advance_to_nonempty()
+        window = self._advance_to_nonempty(False)
         bucket, scanned = window.tree.first_set()
         stats = self.stats
         stats.word_scans += scanned
@@ -299,7 +308,15 @@ class CircularFFSQueue(IntegerPriorityQueue):
     def peek_min(self) -> tuple[int, Any]:
         if self.empty:
             raise EmptyQueueError("peek_min from empty CircularFFSQueue")
-        window = self._advance_to_nonempty()
+        window = self._advance_to_nonempty(False)
+        bucket, scanned = window.tree.first_set()
+        self.stats.word_scans += scanned
+        return window.buckets[bucket][0]
+
+    def peek_min_item(self) -> Any:
+        if self.empty:
+            raise EmptyQueueError("peek_min_item from empty CircularFFSQueue")
+        window = self._advance_to_nonempty(True)
         bucket, scanned = window.tree.first_set()
         self.stats.word_scans += scanned
         return window.buckets[bucket][0]
@@ -307,14 +324,22 @@ class CircularFFSQueue(IntegerPriorityQueue):
     # -- batch operations --------------------------------------------------
 
     def enqueue_batch(self, pairs: Iterable[tuple[int, Any]]) -> int:
-        """Batched insert: one bucket lookup and tree update per bucket.
+        """Batched insert: one bucket lookup and tree update per bucket."""
+        return self._place(pairs, False)
 
-        Packets append straight into their bucket FIFOs (no intermediate
+    def enqueue_items(self, items: Iterable[Any]) -> int:
+        return self._place(items, True)
+
+    def _place(self, batch: Iterable[Any], items: bool) -> int:
+        """Batched insert of pairs or (``items``) ranked items.
+
+        Entries append straight into their bucket FIFOs (no intermediate
         grouping lists); the distinct-bucket count that the amortised
-        ``bucket_lookups`` charge needs is tracked with a key set.  Counters
-        settle in one place even if validation rejects a pair mid-batch — in
-        which case the already-inserted prefix stays enqueued and counted,
-        exactly as repeated single inserts would leave it.
+        ``bucket_lookups`` charge needs is tracked with a key set.  An
+        entry's rank is ``entry.rank`` when ``items``, else ``entry[0]``.
+        Counters settle in one place even if validation rejects an entry
+        mid-batch — in which case the already-inserted prefix stays enqueued
+        and counted, exactly as repeated single inserts would leave it.
         """
         stats = self.stats
         spec = self.spec
@@ -338,11 +363,12 @@ class CircularFFSQueue(IntegerPriorityQueue):
         overflowed = 0
         scans = 0
         try:
-            for pair in pairs:
-                priority = pair[0]
+            for entry in batch:
+                priority = entry.rank if items else entry[0]
                 if type(priority) is not int:
                     priority = validate_priority(priority)
-                    pair = (priority, pair[1])
+                    if not items:
+                        entry = (priority, entry[1])
                 if priority < hi:
                     if priority >= lo:
                         bucket = (priority - lo) // granularity
@@ -370,7 +396,7 @@ class CircularFFSQueue(IntegerPriorityQueue):
                     entries = free.pop() if free else deque()
                     buckets[bucket] = entries
                     scans += window.tree.set(bucket)
-                entries.append(pair)
+                entries.append(entry)
                 count += 1
         finally:
             stats.enqueues += count
@@ -386,34 +412,12 @@ class CircularFFSQueue(IntegerPriorityQueue):
         """Batched extract-min: one tree walk per bucket visited."""
         if n < 0:
             raise ValueError("batch size must be non-negative")
-        batch: list[tuple[int, Any]] = []
-        taken = 0
-        while taken < n and self._size:
-            window = self._advance_to_nonempty()
-            bucket, scanned = window.tree.first_set()
-            scans = scanned
-            entries = window.buckets[bucket]
-            if not entries:
-                self._raise_empty_bucket(bucket)
-            space = n - taken
-            if space >= len(entries):
-                take = len(entries)
-                batch.extend(entries)
-                entries.clear()
-                scans += window.tree.clear(bucket)
-                window.recycle(bucket, entries)
-            else:
-                take = space
-                popleft = entries.popleft
-                for _ in range(take):
-                    batch.append(popleft())
-            window.size -= take
-            taken += take
-            self._size -= take
-            stats = self.stats
-            stats.word_scans += scans
-            stats.dequeues += take
-        return batch
+        return self._drain(n, None, False)
+
+    def extract_min_items(self, n: int) -> list[Any]:
+        if n < 0:
+            raise ValueError("batch size must be non-negative")
+        return self._drain(n, None, True)
 
     def extract_due(
         self, now: int, limit: Optional[int] = None
@@ -429,54 +433,66 @@ class CircularFFSQueue(IntegerPriorityQueue):
         primary window holds no beyond-range rank outside bucket 0's stale
         clamps, which are always due).
         """
-        released: list[tuple[int, Any]] = []
+        return self._drain(limit, now, False)
+
+    def extract_due_items(self, now: int, limit: Optional[int] = None) -> list[Any]:
+        return self._drain(limit, now, True)
+
+    def _drain(self, limit: Optional[int], now: Optional[int], items: bool) -> list[Any]:
+        """Remove up to ``limit`` minimum entries, due by ``now`` (``None``: all).
+
+        The batch drain behind both surfaces' :meth:`extract_min_batch` and
+        :meth:`extract_due`, one tree walk per bucket visited; an entry's
+        rank is ``entry.rank`` when ``items``, else ``entry[0]``.  Every
+        entry of a primary bucket has a rank below the bucket ceiling (stale
+        ranks are clamped into bucket 0 and are older still), so a bucket
+        whose ceiling has passed is due whole and its ranks are not read.
+        """
+        size = self._size
+        stop = size if limit is None or limit > size else limit
         granularity = self.spec.granularity
-        stats = self.stats
+        released: list[Any] = []
         taken = 0
-        while self._size and (limit is None or taken < limit):
-            window = self._primary
-            if not window.size:
-                window = self._advance_to_nonempty()
-            bucket, scanned = window.tree.first_set()
-            scans = scanned
-            entries = window.buckets[bucket]
-            if not entries:
-                self._raise_empty_bucket(bucket)
-            # Whole-bucket fast path.  Every entry of a primary bucket has a
-            # rank below the bucket ceiling (stale ranks are clamped into
-            # bucket 0 and are older still), so a passed ceiling means the
-            # whole FIFO is due.
-            if (
-                self.h_index + (bucket + 1) * granularity - 1 <= now
-                and (limit is None or limit - taken >= len(entries))
-            ):
-                take = len(entries)
-                released.extend(entries)
-                entries.clear()
-                scans += window.tree.clear(bucket)
-                window.recycle(bucket, entries)
+        scans = 0
+        try:
+            while taken < stop:
+                window = self._primary
+                if not window.size:
+                    window = self._advance_to_nonempty(items)
+                bucket, scanned = window.tree.first_set()
+                scans += scanned
+                entries = window.buckets[bucket]
+                if not entries:
+                    self._raise_empty_bucket(bucket)
+                count = len(entries)
+                room = stop - taken
+                if now is None or self.h_index + (bucket + 1) * granularity - 1 <= now:
+                    take = count if count < room else room
+                else:
+                    take = 0
+                    if count < room:
+                        room = count
+                    while take < room and (
+                        entries[take].rank if items else entries[take][0]
+                    ) <= now:
+                        take += 1
                 window.size -= take
                 taken += take
-                self._size -= take
-                stats.word_scans += scans
-                stats.dequeues += take
-                continue
-            take = 0
-            while entries and entries[0][0] <= now:
-                if limit is not None and taken + take >= limit:
-                    break
-                released.append(entries.popleft())
-                take += 1
-            window.size -= take
-            taken += take
-            self._size -= take
+                if take == count:
+                    released.extend(entries)
+                    entries.clear()
+                    scans += window.tree.clear(bucket)
+                    window.recycle(bucket, entries)
+                    continue
+                popleft = entries.popleft
+                for _ in range(take):
+                    released.append(popleft())
+                break  # head not yet due, or the limit was reached
+        finally:
+            stats = self.stats
             stats.word_scans += scans
-            stats.dequeues += take
-            if not entries:
-                stats.word_scans += window.tree.clear(bucket)
-                window.recycle(bucket, entries)
-                continue
-            break  # head not yet due, or the limit was reached
+            stats.dequeues += taken
+            self._size = size - taken
         return released
 
     def _raise_empty_bucket(self, bucket: int) -> None:

@@ -402,7 +402,9 @@ class Supervisor:
         The seam loses the packets before anything commits — no route, no
         pending count — so only the fault ledger (and the tracer) sees
         them.  Routing read the same budget (:meth:`handoff_budget`) and
-        committed none of them.  Returns the surviving packets.
+        committed none of them.  The group is cut in place, so its owner
+        (the RX pull, recording the delivered packets' ring sojourns) sees
+        what survived; returns it.
         """
         dropped = self.plan.take_handoff_drops(shard, len(packets))
         if not dropped:
@@ -412,7 +414,8 @@ class Supervisor:
             now = self._runtime.simulator.now_ns
             payload = {"kind": "handoff_drop", "count": dropped}
             self.tracer.emit(now, f"shard-{shard}", "fault_inject", payload)
-        return packets[dropped:]
+        del packets[:dropped]
+        return packets
 
     def bank_return(self, lease: FlowLease) -> bool:
         """Keep a lease coming back to a dead victim; True when it was banked.

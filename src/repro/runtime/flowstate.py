@@ -524,15 +524,16 @@ class PacingTable(FlowTable):
         rate_of: Callable[[int, Optional[float]], Optional[float]],
         default_rate: Optional[float],
         now_ns: int,
-    ) -> List[Tuple[int, Packet]]:
+    ) -> List[Packet]:
         """Stamp a whole burst in one probe loop; the worker's datapath.
 
         Per packet this is :meth:`touch` at ``rate_of(flow_id,
         default_rate)`` — a flow whose rate is ``None`` is stateless and
         sends at ``now_ns`` — plus one attribute write: the send time goes
         into ``packet.rank``, the enqueue component's rank in the paper's
-        model, so no dict key is written per packet.  The return value is
-        the ``(send_at, packet)`` list ``enqueue_batch`` takes.  What a
+        model, so no dict key is written per packet.  Returns ``packets``
+        itself, stamped: the list the shard queue's ``enqueue_items`` takes,
+        with no ``(send_at, packet)`` tuple built per packet.  What a
         burst buys over a call per packet: the index and columns are hoisted once
         (and re-read after a mid-burst rehash, which replaces the index), a
         run of same-flow packets — RX bursts are bursty *per flow* — probes
@@ -544,8 +545,6 @@ class PacingTable(FlowTable):
         arithmetic are kept textually identical to :meth:`touch`; the
         equivalence tests pin the two against each other column for column.
         """
-        pairs = []
-        append = pairs.append
         front = self._front
         front_get = front.get
         index = self._index
@@ -616,8 +615,7 @@ class PacingTable(FlowTable):
                     release = send_at + gap
                     next_free_col[slot] = release if release < _I64_MAX else _I64_MAX
             packet.rank = send_at
-            append((send_at, packet))
-        return pairs
+        return packets
 
     # -- handoff (migration + stealing wire format) ------------------------
 

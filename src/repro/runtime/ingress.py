@@ -636,9 +636,10 @@ class IngressCore:
         short: Optional[Dict[int, int]] = None
         for shard, group in groups.items():
             cost.charge("lock")  # the cross-core mailbox handoff
+            offered = len(group)  # a handoff fault cuts the group in place
             accepted = deliver(shard, group)
             delivered += accepted
-            if accepted < len(group):
+            if accepted < offered:
                 if short is None:
                     short = {}
                 short[shard] = accepted
@@ -663,10 +664,13 @@ class IngressCore:
         """Record the ring sojourn of every delivered packet.
 
         ``arrivals`` belong to the taken packets, which lead ``packets`` in
-        ring order.  A group the mailbox (or a handoff fault) cut short
-        delivered ``short[shard]`` packets, and those are counted as its
-        first ones; when no group was cut, the delivered packets are exactly
-        the taken ones.
+        ring order; when no group was cut, the delivered packets are exactly
+        the taken ones.  A group cut short delivered ``short[shard]``
+        packets: an armed handoff fault eats the group's head, trimming it
+        off the group in place (:meth:`Supervisor.trim_handoff
+        <repro.runtime.faults.Supervisor.trim_handoff>`), and the mailbox
+        takes what follows up to its room, so the delivered packets are the
+        first ``short[shard]`` of what the group still holds.
         """
         record = self.sojourn_hist.record
         if short is None:
@@ -677,15 +681,10 @@ class IngressCore:
                 for arrival_ns, run in groupby(arrivals):
                     record(now_ns - arrival_ns, len(list(run)))
             return
-        shard_of = {
-            packet.flow_id: shard for shard, group in groups.items() for packet in group
-        }
-        quota = {shard: short.get(shard, len(group)) for shard, group in groups.items()}
-        for packet, arrival_ns in zip(packets, arrivals):
-            shard = shard_of[packet.flow_id]
-            if quota[shard]:
-                quota[shard] -= 1
-                record(now_ns - arrival_ns)
+        arrival_of = {id(packet): arrival_ns for packet, arrival_ns in zip(packets, arrivals)}
+        for shard, group in groups.items():
+            for packet in group[: short.get(shard, len(group))]:
+                record(now_ns - arrival_of[id(packet)])
 
     def next_wake_ns(self, now_ns: int, quantum_ns: int) -> Optional[int]:
         """When this core's next pull should fire (``None`` = go idle).

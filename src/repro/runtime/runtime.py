@@ -16,7 +16,7 @@ multi-core scheduler runs one worker loop per CPU against shared wall time:
   pause on mailbox watermarks (backpressure) and optionally run admission
   control;
 * each shard **ticks** once per scheduling quantum — one batched mailbox
-  drain + stamp + ``enqueue_batch``, then one batched ``extract_due`` — and
+  drain + stamp + ``enqueue_items``, then one batched ``extract_due_items`` — and
   re-programs its own wake-up timer (a cancellable simulator event) for the
   next quantum, or jumps ahead to its soonest deadline when the queue is
   paced far into the future;
@@ -747,8 +747,9 @@ class ShardedRuntime:
 
         The one handoff of every submit path: :meth:`submit_batch` calls it
         per shard group, and so does the RX pull (its ``deliver``).  An
-        armed ``handoff_drop`` eats the head of the group first; tail drop
-        keeps the accepted prefix of the rest.  Routing already committed
+        armed ``handoff_drop`` eats the head of the group first, cutting it
+        off ``packets`` in place; tail drop keeps the accepted prefix of the
+        rest.  Routing already committed
         exactly the packets taken here (:meth:`_route_burst`).
 
         Per-flow load-window attribution (:meth:`FlowSharder.record_burst`)
@@ -1058,7 +1059,7 @@ class ShardedRuntime:
             stats.leases_reclaimed += 1
             if never_accepted:
                 # Granted but never spliced in: the burst died in the handoff.
-                write_off([packet for _send_at, packet in lease.packets])
+                write_off(lease.packets)
             # A victim that crashed in the same sweep and is not yet
             # rebuilt has the return banked for its own restart.
             stealer.return_lease(lease, now)

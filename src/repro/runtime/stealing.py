@@ -158,10 +158,11 @@ class StealChannel:
 class FlowLease:
     """An atomic, order-preserving handoff of one due window to a thief.
 
-    ``packets`` are ``(send_at_ns, packet)`` pairs in extraction (global
-    stamp) order; for each flow in ``flow_ids`` they form a prefix of that
-    flow's stamped sequence.  ``shapers`` carries the pacing state of every
-    paced flow on loan (stateless flows are simply absent).  ``queue_delta``
+    ``packets`` are the stamped packets themselves (each send time is its
+    ``packet.rank``) in extraction (global stamp) order; for each flow in
+    ``flow_ids`` they form a prefix of that flow's stamped sequence.
+    ``shapers`` carries the pacing state of every paced flow on loan
+    (stateless flows are simply absent).  ``queue_delta``
     is the extraction work measured on the victim's queue but *charged to
     the thief's* cycle account — on real hardware the thief's core executes
     the pops, and moving those cycles off the bottleneck core is the whole
@@ -171,7 +172,7 @@ class FlowLease:
     lease_id: int
     victim_shard: int
     thief_shard: int
-    packets: List[Tuple[int, Packet]]
+    packets: List[Packet]
     flow_ids: Tuple[int, ...]
     shapers: Dict[int, ShapingTransaction] = field(default_factory=dict)
     queue_delta: QueueStats = field(default_factory=QueueStats)

@@ -6,8 +6,12 @@ BESS worker is in a real deployment.  It owns, privately:
 
 * a batched SPSC :class:`~repro.runtime.mailbox.Mailbox` the ingress side
   posts packets into;
-* a cFFS timestamp queue (PR 1's batched ``enqueue_batch`` /
-  ``extract_due`` surface) holding the shard's shaped packets;
+* a cFFS timestamp queue holding the shard's shaped packets, filled and
+  drained through its item surface (``enqueue_items`` /
+  ``extract_due_items``): a queued entry is the packet itself, ranked by
+  the send time stamped into ``packet.rank``, so a deep shaping backlog
+  holds no ``(send_at, packet)`` tuple — no GC-tracked object per packet
+  besides the packet — for the cyclic collector to walk;
 * per-flow pacing state (``SO_MAX_PACING_RATE``-style shaping, the same
   stamping the Eiffel qdisc performs), held in a compact
   :class:`~repro.runtime.flowstate.PacingTable` — dense array columns
@@ -77,6 +81,12 @@ class ShardWorkerStats(CounterStatsMixin):
 class ShardWorker:
     """A single-core scheduler instance owning one Eiffel queue + shaper.
 
+    The queue holds the shard's stamped packets themselves, each ranked by
+    its ``packet.rank`` (the send time), through the queue's item surface:
+    enqueue, due drain, soonest-deadline peek, the steal grant and accept
+    (:attr:`FlowLease.packets <repro.runtime.stealing.FlowLease.packets>`)
+    and the crash dump all move bare packets.
+
     Args:
         shard_id: index of this shard within the runtime.
         flow_rates: per-flow pacing rates (bits/second).
@@ -84,7 +94,10 @@ class ShardWorker:
             packets at their ingest time, i.e. pure work conservation).
         horizon_ns / num_buckets: shaping horizon and bucket count of the
             timestamp queue (paper defaults: 2 s over 20k buckets).
-        queue_factory: alternative backing queue (ablations).
+        queue_factory: alternative backing queue (ablations).  The bucket
+            stores hold packets natively; any other
+            :class:`~repro.core.queues.IntegerPriorityQueue` pairs them up
+            behind the same item surface.
         mailbox_capacity: bound on the ingress mailbox (``None`` unbounded).
         mailbox_high_watermark: backpressure threshold handed to the
             mailbox (see :meth:`Mailbox.configure_watermarks`); the ingress
@@ -235,14 +248,14 @@ class ShardWorker:
         interpreter's memoisation.  The queue work is left unsettled; the
         caller settles it (see :meth:`tick`).
         """
-        pairs = self.pacing.stamp_burst(
+        stamped = self.pacing.stamp_burst(
             packets, self.flow_rates.get, self.default_rate_bps, now_ns
         )
-        self.cost.charge("flow_lookup", len(pairs))
+        self.cost.charge("flow_lookup", len(stamped))
         queue = self.queue
         before = len(queue)
         try:
-            queue.enqueue_batch(pairs)
+            queue.enqueue_items(stamped)
         finally:
             # Track the queue's actual growth: a fixed-range ablation queue
             # may reject a stamp mid-batch having committed the prefix, and
@@ -313,17 +326,17 @@ class ShardWorker:
 
     def _drain_due(self, now_ns: int, limit: Optional[int]) -> List[Packet]:
         """:meth:`drain_due` without the settlement."""
-        drained = self.queue.extract_due(now_ns, limit=limit)
+        drained = self.queue.extract_due_items(now_ns, limit=limit)
         self._backlog -= len(drained)
         if self.queue_wait is not None:
-            # Stamp→drain sojourn; the (send_at, packet) pairs are in hand,
-            # so the armed cost is one subtract + record per packet.
+            # Stamp→drain sojourn: the send time is the packet's rank, so
+            # the armed cost is one subtract + record per packet.
             record_wait = self.queue_wait.record
-            for send_at, _packet in drained:
-                record_wait(now_ns - send_at)
+            for packet in drained:
+                record_wait(now_ns - packet.rank)
         if self._on_loan:
             released = []
-            for _send_at, packet in drained:
+            for packet in drained:
                 if packet.flow_id in self._on_loan:
                     self._deferred_due.setdefault(packet.flow_id, []).append(packet)
                     self._deferred_count += 1
@@ -331,7 +344,7 @@ class ShardWorker:
                 else:
                     released.append(packet)
         else:
-            released = [packet for _send_at, packet in drained]
+            released = drained
         self.stats.transmitted += len(released)
         return released
 
@@ -397,12 +410,12 @@ class ShardWorker:
             return None
         self._charge_queue_delta()  # settle this shard's own work first
         settled = self.queue.stats.snapshot()
-        stolen = self.queue.extract_due(cutoff, limit=max_packets)
+        stolen = self.queue.extract_due_items(cutoff, limit=max_packets)
         self._queue_snapshot = self.queue.stats.snapshot()
         delta = self._queue_snapshot.diff(settled)
         self._backlog -= len(stolen)
         flows: Dict[int, None] = {}
-        for _send_at, packet in stolen:
+        for packet in stolen:
             flows.setdefault(packet.flow_id)
         shapers: Dict[int, ShapingTransaction] = {}
         detach = self.pacing.detach
@@ -474,7 +487,7 @@ class ShardWorker:
         self.cost.charge_queue_stats(lease.queue_delta.as_dict())
         queued = len(self.queue)
         try:
-            self.queue.enqueue_batch(lease.packets)
+            self.queue.enqueue_items(lease.packets)
         finally:
             self._backlog += len(self.queue) - queued
         if self._backlog > self.stats.backlog_peak:
@@ -515,7 +528,7 @@ class ShardWorker:
         arrivals survive the consumer's death and replay into the restarted
         worker.  No cycle costs are charged — a dead core does no work.
         """
-        lost: List[Packet] = [packet for _send_at, packet in self.queue.extract_all()]
+        lost: List[Packet] = self.queue.extract_min_items(len(self.queue))
         for deferred in self._deferred_due.values():
             lost.extend(deferred)
         for arrivals in self._deferred_ingest.values():
@@ -576,15 +589,13 @@ class ShardWorker:
         """True when the queue holds a packet stamped at or before ``deadline_ns``."""
         if self._backlog == 0:
             return False
-        send_at, _packet = self.queue.peek_min()
-        return send_at <= deadline_ns
+        return self.queue.peek_min_item().rank <= deadline_ns
 
     def soonest_deadline_ns(self, now_ns: int) -> Optional[int]:
         """Next time this shard has queue work (``None`` when queue empty)."""
         if self._backlog == 0:
             return None
-        send_at, _packet = self.queue.peek_min()
-        return max(send_at, now_ns)
+        return max(self.queue.peek_min_item().rank, now_ns)
 
     def next_wake_ns(self, now_ns: int, quantum_ns: int) -> Optional[int]:
         """When this worker's next tick should fire (``None`` = go idle).

@@ -126,11 +126,9 @@ def _apply(table, operation):
             Packet(flow_id=flow_id, size_bytes=64 + 97 * (flow_id % 15))
             for flow_id in flow_ids
         ]
-        pairs = table.stamp_burst(packets, _RATES.get, default_rate, now_ns)
-        return [
-            (send_at, packet.flow_id, packet.rank, packet.metadata)
-            for send_at, packet in pairs
-        ]
+        stamped = table.stamp_burst(packets, _RATES.get, default_rate, now_ns)
+        assert stamped is packets
+        return [(packet.flow_id, packet.rank, packet.metadata) for packet in stamped]
     assert kind == "wave"
     start = operation[1]
     flow_ids = [(start + offset) % _UNIVERSE for offset in range(50)]

@@ -245,7 +245,6 @@ class TestPacingTable:
 
 def _chained_burst(table, packets, rate_of, default_rate, now_ns):
     """The reference for ``stamp_burst``: one ``stamp(slot_for(...))`` a packet."""
-    pairs = []
     for packet in packets:
         rate = rate_of(packet.flow_id, default_rate)
         if rate is None:
@@ -254,8 +253,7 @@ def _chained_burst(table, packets, rate_of, default_rate, now_ns):
             slot = table.slot_for(packet.flow_id, rate)
             send_at = table.stamp(slot, packet.size_bytes, now_ns)
         packet.rank = send_at
-        pairs.append((send_at, packet))
-    return pairs
+    return packets
 
 
 def _table_state(table):
@@ -317,13 +315,10 @@ class TestStampBurst:
                         lambda *args: _chained_burst(chained, *args),
                     )
                 )
-                assert [send_at for send_at, _packet in got] == [
-                    send_at for send_at, _packet in expected
+                assert [(packet.rank, packet.metadata) for packet in got] == [
+                    (packet.rank, packet.metadata) for packet in expected
                 ]
-                assert [(packet.rank, packet.metadata) for _send_at, packet in got] == [
-                    (packet.rank, packet.metadata) for _send_at, packet in expected
-                ]
-                assert [(p.flow_id, p.size_bytes) for _send_at, p in got] == flows_sizes
+                assert [(p.flow_id, p.size_bytes) for p in got] == flows_sizes
             elif step[0] == "remove":
                 assert burst_table.remove(step[1]) == chained.remove(step[1])
             else:

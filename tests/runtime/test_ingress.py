@@ -22,6 +22,7 @@ from repro.runtime import (
     TailDropPolicy,
     make_admission_factory,
 )
+from repro.runtime.faults import FaultEvent, FaultPlan
 
 QUANTUM_NS = 10_000
 
@@ -304,6 +305,33 @@ class TestIngressCorePull:
     def test_validation(self):
         with pytest.raises(ValueError):
             IngressCore(0, pull_batch=0)
+
+
+def test_a_handoff_fault_records_the_sojourns_of_the_delivered_tail():
+    # One pull takes six packets of flow 2 that arrived at 0 and three that
+    # arrived at 1,000: the first pull (at 0) stopped at its 64-packet
+    # budget, and the next comes one RX quantum (2,500 ns) later.  The
+    # handoff fault eats the group's three oldest packets; the ring
+    # sojourns recorded are the six delivered ones', three of 2,500 and
+    # three of 1,500 — not the dropped head's.
+    sharder = FlowSharder(2)
+    sharder.pin(1, 1)
+    sharder.pin(2, 0)
+    runtime = ShardedRuntime(
+        2,
+        sharder=sharder,
+        quantum_ns=QUANTUM_NS,
+        default_rate_bps=10e9,
+        ingress_cores=1,
+        fault_plan=FaultPlan([FaultEvent("handoff_drop", target=0, count=3)]),
+    )
+    runtime.submit_at(0, _packets([1] * 64 + [2] * 6))
+    runtime.submit_at(1_000, _packets([2] * 3))
+    runtime.run()
+    assert runtime.telemetry().faults["handoff_drops"] == 3
+    assert runtime.transmitted == 70
+    sojourn = runtime.ingress_cores[0].sojourn_hist
+    assert (sojourn.count, sojourn.sum, sojourn.max_value) == (70, 3 * 2_500 + 3 * 1_500, 2_500)
 
 
 class TestRuntimeIngressIntegration:

@@ -44,7 +44,9 @@ class _AskEveryTime(FlowSharder):
 class _PerPacketCore(IngressCore):
     """Records each delivered packet's sojourn on its own, group by group.
 
-    A group the mailbox cut short delivered its first ``accepted`` packets.
+    A group cut short delivered the first ``accepted`` packets of what it
+    still holds: an armed handoff fault cuts the eaten head off the group in
+    place, and the mailbox tail-drops what does not fit.
     """
 
     __slots__ = ()

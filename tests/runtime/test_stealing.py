@@ -98,7 +98,7 @@ class TestDonorSide:
         worker = self._loaded_worker(6)
         lease = worker.grant_lease(1, thief_shard=1, now_ns=0, max_packets=4, horizon_ns=0)
         assert isinstance(lease, FlowLease)
-        assert [p.metadata["arrival_index"] for _s, p in lease.packets] == [0, 1, 2, 3]
+        assert [p.metadata["arrival_index"] for p in lease.packets] == [0, 1, 2, 3]
         assert lease.flow_ids == (7,)
         assert worker.loaned_flows() == {7: 1}
         assert worker.flows_on_loan == 1
@@ -151,8 +151,7 @@ class TestDonorSide:
         assert 7 in worker.pacing
         assert worker.backlog == 2
         assert worker.pacing.next_free_ns(7) >= next_free_before
-        send_ats = [send_at for send_at, _p in [worker.queue.peek_min()]]
-        assert send_ats[0] >= next_free_before
+        assert worker.queue.peek_min_item().rank >= next_free_before
 
     def test_unpaced_flow_grants_without_shaper(self):
         worker = self._loaded_worker(3)
@@ -168,7 +167,7 @@ class TestAcceptorSide:
         victim.mailbox.push_batch(_packets([3] * 8))
         victim.ingest(now_ns=0)
         lease = victim.grant_lease(1, 1, now_ns=0, max_packets=8, horizon_ns=100_000)
-        stamps = [send_at for send_at, _p in lease.packets]
+        stamps = [packet.rank for packet in lease.packets]
         thief = ShardWorker(1)
         before = thief.cost.total_cycles
         assert thief.accept_lease(lease, now_ns=0) == len(lease.packets)
@@ -180,7 +179,7 @@ class TestAcceptorSide:
         # Release order and times follow the victim's stamps exactly.
         released = thief.drain_due(now_ns=stamps[-1])
         assert [p.metadata["arrival_index"] for p in released] == list(range(len(stamps)))
-        assert released == [packet for _send_at, packet in lease.packets]
+        assert released == lease.packets
         thief.finish_held_lease()
         assert thief.leases_held == 0
 

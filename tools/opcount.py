@@ -1,15 +1,22 @@
-"""Count a workload's interpreted work exactly: bytecodes, calls, heap blocks.
+"""Count a workload's interpreted work exactly: bytecodes, calls, heap blocks, GC.
 
 Wall clock on a shared machine is noisy; executed bytecodes, Python calls and
 live heap blocks are not.  This script runs one workload of the repo's
-benchmark twice, in this process, from the checkout it sits in (or the one
-``--checkout`` names):
+benchmark three times, in this process, from the checkout it sits in (or the
+one ``--checkout`` names):
 
 * once under ``sys.settrace`` with opcode events on, counting every executed
   bytecode and every Python call, keyed by the code object that ran them;
 * once untraced with the cyclic collector off, reading
   ``sys.getallocatedblocks()`` before and after: the heap blocks the run
-  leaves alive (a per-packet dict key, a kept int, an unfreed cycle).
+  leaves alive (a per-packet dict key, a kept int, an unfreed cycle);
+* once untraced with the cyclic collector on at its default thresholds,
+  counting its passes per generation through ``gc.callbacks`` and the
+  GC-tracked objects the run allocated as CPython counts them — allocations
+  minus deallocations, read at every pass and at the end — so an object
+  that lives only while its packet is queued (a ``(rank, packet)`` tuple in
+  a deep shaping backlog) shows, though it is gone when the run ends and
+  executes no bytecode of its own.
 
 A runtime workload is named as in ``bench/workloads/`` (``uniform_s1``); its
 counted region is ``submit_at`` for every burst plus ``run()``, with traffic
@@ -121,6 +128,37 @@ def live_blocks(region: Callable[[], None]) -> int:
             gc.enable()
 
 
+def collector_work(region: Callable[[], None]) -> Tuple[List[int], int]:
+    """Collector passes per generation, and GC-tracked objects allocated, in ``region``.
+
+    Generation 0's counter is GC-tracked allocations minus deallocations
+    since the last pass, so what it reads at the start of every pass, plus
+    what it gained by the end, is the allocations the collector saw: an
+    object freed before the next pass cancels out, one still alive then is
+    counted.  Runs with the collector on, whatever its state outside.
+    """
+    passes = [0, 0, 0]
+    seen = [0]
+
+    def hook(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            passes[info["generation"]] += 1
+            seen[0] += gc.get_count()[0]
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        start = gc.get_count()[0]
+        region()
+        return passes, seen[0] + gc.get_count()[0] - start
+    finally:
+        gc.callbacks.remove(hook)
+        if not enabled:
+            gc.disable()
+
+
 def _key(code, by: str, checkout: Path) -> str:
     path = Path(code.co_filename)
     for base in (checkout / "src" / "repro", checkout):
@@ -138,10 +176,11 @@ def _key(code, by: str, checkout: Path) -> str:
 
 def measure(target: str, packets: int = 20_000, seed: int = 1, by: str = "file",
             checkout: Path = ROOT) -> Dict[str, object]:
-    """Per-packet bytecodes, calls and live heap blocks of one workload."""
+    """Per-packet bytecodes, calls, live heap blocks and GC work of one workload."""
     sys.path.insert(0, str(checkout / "src"))
     opcodes, calls = count_work(_region(checkout, target, packets, seed))
     blocks = live_blocks(_region(checkout, target, packets, seed))
+    passes, allocated = collector_work(_region(checkout, target, packets, seed))
     rows: Dict[str, List[float]] = {}
     for counter, column in ((opcodes, 0), (calls, 1)):
         for code, count in counter.items():
@@ -154,6 +193,8 @@ def measure(target: str, packets: int = 20_000, seed: int = 1, by: str = "file",
         "opcodes_per_pkt": sum(opcodes.values()) / packets,
         "calls_per_pkt": sum(calls.values()) / packets,
         "blocks_per_pkt": blocks / packets,
+        "gc_passes": passes,
+        "gc_objects_per_pkt": allocated / packets,
         "by": by,
         "rows": dict(sorted(rows.items(), key=lambda item: -item[1][0])),
     }
@@ -163,7 +204,9 @@ def _print(result: Dict[str, object], top: int) -> None:
     print(
         f"{result['target']} seed {result['seed']}, {result['packets']} packets: "
         f"{result['opcodes_per_pkt']:.1f} bytecodes, {result['calls_per_pkt']:.2f} calls, "
-        f"{result['blocks_per_pkt']:.3f} live heap blocks per packet"
+        f"{result['blocks_per_pkt']:.3f} live heap blocks, "
+        f"{result['gc_objects_per_pkt']:.3f} GC-tracked objects per packet; "
+        f"collector passes gen0/1/2 {'/'.join(map(str, result['gc_passes']))}"
     )
     for index, (key, (opcodes, calls)) in enumerate(result["rows"].items()):
         if index == top:
